@@ -366,7 +366,8 @@ def run_algorithm(problem, cfg: ExperimentConfig, seed: int,
             return engine.run_spy(problem, gamma, dist, schedule, init, stop, seed=seed,
                                   objective_stride=cfg.log_stride, mode=mode)
         return engine.run_adaptive_spy_slowdown(problem, gamma, cfg.pi, schedule, init, stop,
-                                                seed=seed, objective_stride=cfg.log_stride)
+                                                seed=seed, objective_stride=cfg.log_stride,
+                                                mode=mode)
     params = rc.make_params(problem.mu, problem.lip, cfg.c, d, delta=cfg.delta)
     if algorithm == "reconditioned":
         criterion = rc.InnerCriterion(kind=cfg.criterion, epochs=cfg.epochs)
@@ -385,14 +386,8 @@ def run_algorithm(problem, cfg: ExperimentConfig, seed: int,
 
 def _subopt_curves(trace, f_star, up_offset=0, down_offset=0, iter_offset=0):
     """[(iteration, exchanged, gap)] from a trace's objective log."""
-    out = []
-    for point in trace.objective_log:
-        if hasattr(point, "value"):
-            it, up, down, value = point.k, point.cum_up, point.cum_down, point.value
-        else:
-            it, up, down, value = point
-        out.append((max(it, 0) + iter_offset, up + up_offset + down + down_offset, value - f_star))
-    return out
+    return [(max(p.k, 0) + iter_offset, p.cum_up + up_offset + p.cum_down + down_offset,
+             p.value - f_star) for p in trace.objective_log]
 
 
 def _support_curve(trace, stride=1, iter_offset=0):
@@ -434,21 +429,31 @@ class SeedResult:
     support: list = field(default_factory=list)
 
 
-def _execute_seed(problem, cfg, seed, ref, mode) -> SeedResult:
+def _execute_seed(problem, cfg, seed, ref, mode, phase1=None) -> SeedResult:
+    """One seed of the configured algorithm.  With ``phase1`` (a finished
+    engine trace) the run starts at its final point, and its iterations,
+    coordinates and curves come first in the result."""
+    init = None if phase1 is None else phase1.final_x.copy()
     try:
-        trace = run_algorithm(problem, cfg, seed, ref, mode=mode)
+        trace = run_algorithm(problem, cfg, seed, ref, mode=mode, init=init)
     except engine.DivergenceError as exc:
         return SeedResult(seed=seed, status="diverged", error=str(exc))
     gap = pb.eval_objective(problem, trace.final_x) - ref.f_star
     status = "ok" if gap <= cfg.target_eps else "target-not-reached"
-    n_iter = trace.n_iterations if hasattr(trace, "n_iterations") else trace.total_iterations
+    n_iter = trace.total_iterations if isinstance(trace, rc.OuterTrace) else trace.n_iterations
+    subopt, support = [], []
+    up0 = down0 = it0 = 0
+    if phase1 is not None:
+        subopt = _subopt_curves(phase1, ref.f_star)
+        support = _support_curve(phase1, stride=cfg.log_stride)
+        up0, down0, it0 = phase1.cum_up, phase1.cum_down, phase1.n_iterations
     return SeedResult(
-        seed=seed, status=status, final_gap=gap, iterations=n_iter,
-        cum_up=trace.cum_up, cum_down=trace.cum_down,
+        seed=seed, status=status, final_gap=gap, iterations=it0 + n_iter,
+        cum_up=up0 + trace.cum_up, cum_down=down0 + trace.cum_down,
         identification=metrics.identification_time(trace, ref),
         trace=trace,
-        subopt=_subopt_curves(trace, ref.f_star),
-        support=_support_curve(trace, stride=cfg.log_stride),
+        subopt=subopt + _subopt_curves(trace, ref.f_star, up0, down0, it0),
+        support=support + _support_curve(trace, stride=cfg.log_stride, iter_offset=it0),
     )
 
 
@@ -583,7 +588,6 @@ def cmd_warmstart(cfg: ExperimentConfig, out_dir: str, mode: str, cache_dir=None
     phase1_info = {}
     for seed in cfg.seeds:
         init = np.zeros(d)
-        up0 = down0 = it0 = 0
         if triggered(init):
             phase1 = None  # trigger already satisfied; dense phase skipped
         else:
@@ -605,31 +609,16 @@ def cmd_warmstart(cfg: ExperimentConfig, out_dir: str, mode: str, cache_dir=None
                 print(f"error: seed {seed}: warmstart trigger unreachable within "
                       f"{cfg.ws_max_epochs} epochs", file=sys.stderr)
                 return EXIT_TARGET
-            init = phase1.final_x.copy()
-            up0, down0, it0 = phase1.cum_up, phase1.cum_down, phase1.n_iterations
-        try:
-            trace = run_algorithm(problem, cfg, seed, ref, mode=mode, init=init)
-        except engine.DivergenceError as exc:
-            results.append(SeedResult(seed=seed, status="diverged", error=str(exc)))
+        result = _execute_seed(problem, cfg, seed, ref, mode, phase1=phase1)
+        results.append(result)
+        if result.status == "diverged":
             continue
-        gap = pb.eval_objective(problem, trace.final_x) - ref.f_star
-        status = "ok" if gap <= cfg.target_eps else "target-not-reached"
-        n_iter = it0 + (trace.n_iterations if hasattr(trace, "n_iterations") else trace.total_iterations)
-        subopt = ([] if phase1 is None else _subopt_curves(phase1, ref.f_star)) + \
-            _subopt_curves(trace, ref.f_star, up_offset=up0, down_offset=down0, iter_offset=it0)
-        support = ([] if phase1 is None else _support_curve(phase1, stride=cfg.log_stride)) + \
-            _support_curve(trace, stride=cfg.log_stride, iter_offset=it0)
-        total = up0 + down0 + trace.cum_up + trace.cum_down
-        results.append(SeedResult(
-            seed=seed, status=status, final_gap=gap, iterations=n_iter,
-            cum_up=up0 + trace.cum_up, cum_down=down0 + trace.cum_down,
-            identification=metrics.identification_time(trace, ref),
-            trace=trace, subopt=subopt, support=support,
-        ))
+        phase1_ex = 0 if phase1 is None else phase1.cum_up + phase1.cum_down
+        total = result.cum_up + result.cum_down
         phase1_info[str(seed)] = {
-            "phase1_exchanges": up0 + down0,
+            "phase1_exchanges": phase1_ex,
             "total_exchanges": total,
-            "phase1_fraction": (up0 + down0) / total if total else 0.0,
+            "phase1_fraction": phase1_ex / total if total else 0.0,
         }
     _emit_experiment(out_dir, cfg, problem, ref, results,
                      extra_summary={"warmstart": phase1_info})

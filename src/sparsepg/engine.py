@@ -1,18 +1,20 @@
 """Asynchronous coordinator/worker execution of proximal-gradient methods.
 
-Two modes with identical semantics:
+One coordinator loop runs every variant (dense, masked, slowdown) in two
+modes that differ only in where worker replies come from:
 
-* simulation (default): a delay schedule decides which worker's message the
-  coordinator handles at each global time k.  Single-threaded, bit-identical
-  for a fixed (seed, schedule, problem).
-* concurrent: one thread per worker exchanging messages with a coordinator
-  thread over queues; arrival order defines k, so trajectories vary between
-  runs but the limit point does not.
+* simulation (default): a delay schedule picks which worker replies at each
+  global time k, and that worker's step runs in-process.  Single-threaded,
+  bit-identical for a fixed (seed, schedule, problem).
+* concurrent: one thread per worker runs the same step and replies through a
+  queue; arrival order defines k, so trajectories vary between runs but the
+  limit point does not.  A worker's exception is re-raised in the caller.
 
 The coordinator holds xbar (the alpha-weighted average of the workers'
 points) and x = prox(xbar).  A worker, when served, applies a gradient step
 on the coordinates of the mask it received with the model, and sends back
-only the masked delta.
+only the masked delta.  The synchronous priming round runs in the caller in
+both modes, and both modes charge communication by the same rules.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import problem as pb
 from .rng import stream
-from .sparsifier import SelectorDistribution, draw_mask
+from .sparsifier import SelectorDistribution, convergence_gap_ok, draw_mask
 
 DIVERGENCE_NORM = 1e12
 
@@ -37,6 +39,9 @@ DEBUG_CHECK = False
 
 _MASK_TAG = 101
 _SCHED_TAG = 102
+
+# how long closing a concurrent run waits for each worker thread to exit
+_JOIN_SECONDS = 5.0
 
 
 class DivergenceError(RuntimeError):
@@ -188,7 +193,10 @@ class ObjectivePoint:
 
 @dataclass
 class RunTrace:
-    """Complete per-iteration log of one engine run."""
+    """Complete per-iteration log of one engine run.
+
+    ``cum_up``/``cum_down`` are running totals: the priming charge plus every
+    iteration's ``coords_up``/``coords_down``."""
 
     records: list = field(default_factory=list)
     epoch_starts: list = field(default_factory=lambda: [0])
@@ -196,6 +204,8 @@ class RunTrace:
     objective_log: list = field(default_factory=list)
     priming_up: int = 0
     priming_down: int = 0
+    cum_up: int = 0
+    cum_down: int = 0
     final_x: np.ndarray | None = None
     final_xbar: np.ndarray | None = None
 
@@ -210,14 +220,6 @@ class RunTrace:
     @property
     def worker_fires(self) -> list[int]:
         return [r.worker for r in self.records]
-
-    @property
-    def cum_up(self) -> int:
-        return self.priming_up + sum(r.coords_up for r in self.records)
-
-    @property
-    def cum_down(self) -> int:
-        return self.priming_down + sum(r.coords_down for r in self.records)
 
     def to_csv(self, path) -> None:
         values = {p.k: p.value for p in self.objective_log}
@@ -244,7 +246,97 @@ class StopRule:
             raise ValueError("a stop rule needs max_epochs or max_iterations")
 
 
-# -- core loop --------------------------------------------------------------
+# -- workers and message sources -------------------------------------------
+
+
+class _Worker:
+    """Worker i's point x_i and its step, shared by both modes."""
+
+    def __init__(self, shard, gamma, slowdown_pi, x):
+        self.shard = shard
+        self.gamma = gamma
+        self.slowdown_pi = slowdown_pi
+        self.x = x
+
+    def step(self, model, mask):
+        """Gradient step at the received model on the mask's coordinates (all
+        of them when mask is None); returns (delta of x_i, coordinates sent)."""
+        u = model - self.gamma * pb.grad_shard(self.shard, model)
+        xi = self.x
+        if mask is None:
+            self.x = u
+            return u - xi, u.size
+        x_plus = xi.copy()
+        x_plus[mask] = u[mask]
+        if self.slowdown_pi is not None:
+            # slowdown fix: the update of supp(model) is damped by pi
+            A = np.flatnonzero(np.abs(model) > 0)
+            if A.size > 0:
+                x_plus[A] = self.slowdown_pi * x_plus[A] + (1.0 - self.slowdown_pi) * xi[A]
+        delta = np.zeros(xi.size)
+        delta[mask] = x_plus[mask] - xi[mask]
+        xi[mask] = x_plus[mask]
+        return delta, int(mask.size)
+
+
+class _Inline:
+    """Simulation mode: the schedule picks which worker replies next, and
+    that worker's step runs in the caller."""
+
+    def __init__(self, workers, schedule: DelaySchedule):
+        self.workers = workers
+        self.order = schedule.sequence()
+        self.inbox = [None] * len(workers)
+
+    def send(self, i, model, mask):
+        self.inbox[i] = (model, mask)
+
+    def receive(self):
+        i = next(self.order)
+        return (i, *self.workers[i].step(*self.inbox[i]))
+
+    def close(self):
+        pass
+
+
+class _Threads:
+    """Concurrent mode: one thread per worker; replies arrive in completion
+    order.  A worker's exception is its last reply and is re-raised here."""
+
+    def __init__(self, workers):
+        self.replies: queue.Queue = queue.Queue()
+        self.inboxes = [queue.Queue() for _ in workers]
+        self.threads = [threading.Thread(target=self._serve, args=(i, w), daemon=True)
+                        for i, w in enumerate(workers)]
+        for t in self.threads:
+            t.start()
+
+    def _serve(self, i, worker):
+        inbox = self.inboxes[i]
+        while (msg := inbox.get()) is not None:
+            try:
+                self.replies.put((i, *worker.step(*msg)))
+            except BaseException as exc:
+                self.replies.put(exc)
+                return
+
+    def send(self, i, model, mask):
+        self.inboxes[i].put((model, mask))
+
+    def receive(self):
+        reply = self.replies.get()
+        if isinstance(reply, BaseException):
+            raise reply
+        return reply
+
+    def close(self):
+        for inbox in self.inboxes:
+            inbox.put(None)
+        for t in self.threads:
+            t.join(timeout=_JOIN_SECONDS)
+
+
+# -- the coordinator --------------------------------------------------------
 
 
 def gamma_max(problem: pb.CompositeProblem) -> float:
@@ -257,7 +349,7 @@ def _count_down(x, mask, dense_down, d):
     return int(np.count_nonzero(x)) + (d if mask is None else mask.size)
 
 
-def _simulate(
+def _run(
     problem: pb.CompositeProblem,
     gamma: float,
     dist: SelectorDistribution | None,
@@ -265,6 +357,7 @@ def _simulate(
     init: np.ndarray,
     stop: StopRule,
     seed: int,
+    mode: str,
     slowdown_pi: float | None = None,
     dense_down: bool = False,
     objective_stride: int | None = None,
@@ -273,6 +366,8 @@ def _simulate(
 ) -> RunTrace:
     M = problem.n_workers
     d = problem.dim
+    if mode not in ("sim", "concurrent"):
+        raise ValueError(f"unknown mode {mode!r} (sim or concurrent)")
     if schedule.M != M:
         raise ValueError("schedule worker count does not match the problem")
     init = np.asarray(init, dtype=float)
@@ -280,14 +375,10 @@ def _simulate(
         raise ValueError("init dimension mismatch")
 
     mask_rngs = [stream(seed, _MASK_TAG, i) for i in range(M)]
-    adaptive = slowdown_pi is not None
 
     def new_mask(i, x):
-        if adaptive:
-            supp = np.abs(x) > 0
-            u = mask_rngs[i].random(d)
-            keep = supp | (u < slowdown_pi)
-            return np.flatnonzero(keep)
+        if slowdown_pi is not None:
+            return np.flatnonzero((np.abs(x) > 0) | (mask_rngs[i].random(d) < slowdown_pi))
         if dist is None:
             return None  # dense
         return draw_mask(dist, mask_rngs[i])
@@ -295,99 +386,67 @@ def _simulate(
     trace = RunTrace()
 
     # synchronous priming round: x_i^0 = init - gamma * grad_i(init)
-    xs = []
+    workers = []
     xbar = np.zeros(d)
-    for i in range(M):
-        xi = init - gamma * pb.grad_shard(problem.shards[i], init)
-        xs.append(xi)
-        xbar += problem.alphas[i] * xi
+    for i, shard in enumerate(problem.shards):
+        workers.append(_Worker(shard, gamma, slowdown_pi, init - gamma * pb.grad_shard(shard, init)))
+        xbar += problem.alphas[i] * workers[i].x
         if charge_priming:
             trace.priming_down += d if dense_down else int(np.count_nonzero(init))
             trace.priming_up += d
     x = pb.prox_reg(problem.reg, gamma, xbar)
-    models = []
-    masks = []
-    slow_sets = []
-    for i in range(M):
-        mask = new_mask(i, x)
-        models.append(x.copy())
-        masks.append(mask)
-        slow_sets.append(np.flatnonzero(np.abs(x) > 0) if adaptive else None)
-        if charge_priming:
-            trace.priming_down += _count_down(x, mask, dense_down, d)
-
-    tracker = _EpochTracker(M)
-    trace.epoch_snapshots.append(x.copy())
-    sched = schedule.sequence()
-    k = 0
-    cum_up = trace.priming_up
-    cum_down = trace.priming_down
-
     obj = objective_fn if objective_fn is not None else (lambda xx: pb.eval_objective(problem, xx))
 
-    def log_objective(kk, xx):
-        trace.objective_log.append(ObjectivePoint(kk, cum_up, cum_down, obj(xx)))
+    def log_objective(k, xx):
+        trace.objective_log.append(ObjectivePoint(k, trace.cum_up, trace.cum_down, obj(xx)))
 
-    if objective_stride:
-        log_objective(-1, x)
+    source = _Inline(workers, schedule) if mode == "sim" else _Threads(workers)
+    try:
+        for i in range(M):
+            mask = new_mask(i, x)
+            if charge_priming:
+                trace.priming_down += _count_down(x, mask, dense_down, d)
+            source.send(i, x.copy(), mask)
+        trace.cum_up, trace.cum_down = trace.priming_up, trace.priming_down
+        tracker = _EpochTracker(M)
+        trace.epoch_snapshots.append(x.copy())
+        if objective_stride:
+            log_objective(-1, x)
 
-    while True:
-        if stop.max_iterations is not None and k >= stop.max_iterations:
-            break
-        i = next(sched)
-        model = models[i]
-        mask = masks[i]
-        u = model - gamma * pb.grad_shard(problem.shards[i], model)
-        xi = xs[i]
-        if mask is None:
-            delta = u - xi
-            xs[i] = u
-            up = d
-        else:
-            x_plus = xi.copy()
-            x_plus[mask] = u[mask]
-            if adaptive and slow_sets[i].size > 0:
-                A = slow_sets[i]
-                x_plus[A] = slowdown_pi * x_plus[A] + (1.0 - slowdown_pi) * xi[A]
-            delta = np.zeros(d)
-            delta[mask] = x_plus[mask] - xi[mask]
-            xs[i][mask] = x_plus[mask]
-            up = int(mask.size)
-        xbar = xbar + problem.alphas[i] * delta
-        if DEBUG_CHECK:
-            rebuilt = sum(a * xw for a, xw in zip(problem.alphas, xs))
-            assert np.allclose(xbar, rebuilt, atol=1e-10), "coordinator average drifted"
-        x = pb.prox_reg(problem.reg, gamma, xbar)
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_NORM:
-            raise DivergenceError(k)
-        mask = new_mask(i, x)
-        models[i] = x.copy()
-        masks[i] = mask
-        if adaptive:
-            slow_sets[i] = np.flatnonzero(np.abs(x) > 0)
-        down = _count_down(x, mask, dense_down, d)
-        cum_up += up
-        cum_down += down
+        k = 0
+        while stop.max_iterations is None or k < stop.max_iterations:
+            i, delta, up = source.receive()
+            xbar = xbar + problem.alphas[i] * delta
+            if DEBUG_CHECK and mode == "sim":
+                rebuilt = sum(a * w.x for a, w in zip(problem.alphas, workers))
+                assert np.allclose(xbar, rebuilt, atol=1e-10), "coordinator average drifted"
+            x = pb.prox_reg(problem.reg, gamma, xbar)
+            if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_NORM:
+                raise DivergenceError(k)
+            mask = new_mask(i, x)
+            down = _count_down(x, mask, dense_down, d)
+            trace.cum_up += up
+            trace.cum_down += down
 
-        new_epoch = tracker.record(k, i)
-        if new_epoch:
-            trace.epoch_starts.append(k)
-            trace.epoch_snapshots.append(x.copy())
-        m = len(tracker.boundaries) - 1
-        trace.records.append(
-            IterRecord(k, i, up, down, int(np.count_nonzero(x)), m)
-        )
-        if objective_stride and (k % objective_stride == 0):
-            log_objective(k, x)
-
-        if new_epoch:
-            if stop.max_epochs is not None and m >= stop.max_epochs:
+            new_epoch = tracker.record(k, i)
+            if new_epoch:
+                trace.epoch_starts.append(k)
+                trace.epoch_snapshots.append(x.copy())
+            m = len(tracker.boundaries) - 1
+            trace.records.append(IterRecord(k, i, up, down, int(np.count_nonzero(x)), m))
+            if objective_stride and (k % objective_stride == 0):
+                log_objective(k, x)
+            if new_epoch and (
+                (stop.max_epochs is not None and m >= stop.max_epochs)
+                or (stop.target_objective is not None
+                    and pb.eval_objective(problem, x) <= stop.target_objective)
+                or (stop.epoch_predicate is not None and stop.epoch_predicate(x, m))
+            ):
                 break
-            if stop.target_objective is not None and pb.eval_objective(problem, x) <= stop.target_objective:
-                break
-            if stop.epoch_predicate is not None and stop.epoch_predicate(x, m):
-                break
-        k += 1
+            source.send(i, x.copy(), mask)
+            k += 1
+    finally:
+        source.close()
 
     trace.final_x = x
     trace.final_xbar = xbar
@@ -418,12 +477,9 @@ def run_davepg(
 ) -> RunTrace:
     """Asynchronous proximal gradient without sparsification (dense deltas)."""
     _check_gamma(problem, gamma)
-    if mode == "concurrent":
-        return _run_concurrent(problem, gamma, None, init, stop, seed, dense_down,
-                               objective_stride, objective_fn)
-    return _simulate(problem, gamma, None, schedule, init, stop, seed,
-                     dense_down=dense_down, objective_stride=objective_stride,
-                     objective_fn=objective_fn)
+    return _run(problem, gamma, None, schedule, init, stop, seed, mode,
+                dense_down=dense_down, objective_stride=objective_stride,
+                objective_fn=objective_fn)
 
 
 def run_spy(
@@ -449,18 +505,15 @@ def run_spy(
     _check_gamma(problem, gamma)
     if dist.d != problem.dim:
         raise ValueError("selector dimension mismatch")
-    if dist.p_min / dist.p_max < (1.0 - gamma * problem.mu) ** 2:
+    if not convergence_gap_ok(dist, gamma, problem.mu):
         warnings.warn(
             "selection probabilities violate p_min/p_max >= (1-gamma*mu)^2; "
             "linear convergence is not guaranteed",
             RuntimeWarning,
         )
-    if mode == "concurrent":
-        return _run_concurrent(problem, gamma, dist, init, stop, seed, dense_down,
-                               objective_stride, objective_fn)
-    return _simulate(problem, gamma, dist, schedule, init, stop, seed,
-                     dense_down=dense_down, objective_stride=objective_stride,
-                     objective_fn=objective_fn, charge_priming=charge_priming)
+    return _run(problem, gamma, dist, schedule, init, stop, seed, mode,
+                dense_down=dense_down, objective_stride=objective_stride,
+                objective_fn=objective_fn, charge_priming=charge_priming)
 
 
 def run_adaptive_spy_slowdown(
@@ -473,6 +526,7 @@ def run_adaptive_spy_slowdown(
     seed: int = 0,
     dense_down: bool = False,
     objective_stride: int | None = None,
+    mode: str = "sim",
     objective_fn=None,
 ) -> RunTrace:
     """Support-adaptive masks with the slowdown fix: coordinates in the
@@ -480,120 +534,6 @@ def run_adaptive_spy_slowdown(
     _check_gamma(problem, gamma)
     if not 0 < pi <= 1:
         raise ValueError("pi must lie in (0, 1]")
-    return _simulate(problem, gamma, None, schedule, init, stop, seed,
-                     slowdown_pi=pi, dense_down=dense_down,
-                     objective_stride=objective_stride, objective_fn=objective_fn)
-
-
-# -- concurrent mode --------------------------------------------------------
-
-
-def _run_concurrent(problem, gamma, dist, init, stop, seed, dense_down,
-                    objective_stride, objective_fn=None):
-    """One thread per worker; the coordinator serializes message handling."""
-    M = problem.n_workers
-    d = problem.dim
-    init = np.asarray(init, dtype=float)
-    mask_rngs = [stream(seed, _MASK_TAG, i) for i in range(M)]
-    to_coord: queue.Queue = queue.Queue()
-    to_worker = [queue.Queue() for _ in range(M)]
-
-    def worker_loop(i):
-        shard = problem.shards[i]
-        xi = np.zeros(d)
-        while True:
-            item = to_worker[i].get()
-            if item is None:
-                return
-            model, mask = item
-            u = model - gamma * pb.grad_shard(shard, model)
-            if mask is None:
-                delta = u - xi
-                xi = u
-                up = d
-            else:
-                delta = np.zeros(d)
-                delta[mask] = u[mask] - xi[mask]
-                xi[mask] = u[mask]
-                up = int(mask.size)
-            to_coord.put((i, delta, up))
-
-    threads = [threading.Thread(target=worker_loop, args=(i,), daemon=True) for i in range(M)]
-    for t in threads:
-        t.start()
-
-    trace = RunTrace()
-
-    def new_mask(i):
-        if dist is None:
-            return None
-        return draw_mask(dist, mask_rngs[i])
-
-    # priming: all workers step from init synchronously
-    xbar = np.zeros(d)
-    for i in range(M):
-        to_worker[i].put((init.copy(), None))
-        trace.priming_down += d if dense_down else int(np.count_nonzero(init))
-    got = 0
-    while got < M:
-        i, delta, up = to_coord.get()
-        xbar += problem.alphas[i] * delta
-        trace.priming_up += d
-        got += 1
-    x = pb.prox_reg(problem.reg, gamma, xbar)
-    for i in range(M):
-        mask = new_mask(i)
-        trace.priming_down += _count_down(x, mask, dense_down, d)
-        to_worker[i].put((x.copy(), mask))
-
-    tracker = _EpochTracker(M)
-    trace.epoch_snapshots.append(x.copy())
-    cum_up = trace.priming_up
-    cum_down = trace.priming_down
-    obj = objective_fn if objective_fn is not None else (lambda xx: pb.eval_objective(problem, xx))
-    if objective_stride:
-        trace.objective_log.append(ObjectivePoint(-1, cum_up, cum_down, obj(x)))
-    k = 0
-    stopped = False
-    while not stopped:
-        if stop.max_iterations is not None and k >= stop.max_iterations:
-            break
-        i, delta, up = to_coord.get()
-        xbar = xbar + problem.alphas[i] * delta
-        x = pb.prox_reg(problem.reg, gamma, xbar)
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_NORM:
-            for q in to_worker:
-                q.put(None)
-            raise DivergenceError(k)
-        mask = new_mask(i)
-        down = _count_down(x, mask, dense_down, d)
-        cum_up += up
-        cum_down += down
-        new_epoch = tracker.record(k, i)
-        if new_epoch:
-            trace.epoch_starts.append(k)
-            trace.epoch_snapshots.append(x.copy())
-        m = len(tracker.boundaries) - 1
-        trace.records.append(IterRecord(k, i, up, down, int(np.count_nonzero(x)), m))
-        if objective_stride and (k % objective_stride == 0):
-            trace.objective_log.append(ObjectivePoint(k, cum_up, cum_down, obj(x)))
-        if new_epoch:
-            if stop.max_epochs is not None and m >= stop.max_epochs:
-                stopped = True
-            elif stop.target_objective is not None and pb.eval_objective(problem, x) <= stop.target_objective:
-                stopped = True
-            elif stop.epoch_predicate is not None and stop.epoch_predicate(x, m):
-                stopped = True
-        if not stopped:
-            to_worker[i].put((x.copy(), mask))
-            k += 1
-    for q in to_worker:
-        q.put(None)
-    for t in threads:
-        t.join(timeout=5.0)
-    # drain any in-flight messages
-    while not to_coord.empty():
-        to_coord.get_nowait()
-    trace.final_x = x
-    trace.final_xbar = xbar
-    return trace
+    return _run(problem, gamma, None, schedule, init, stop, seed, mode,
+                slowdown_pi=pi, dense_down=dense_down,
+                objective_stride=objective_stride, objective_fn=objective_fn)

@@ -15,7 +15,7 @@ from . import direct
 from . import problem as pb
 
 CACHE_ENV = "SPARSEPG_CACHE"
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 
 
 # -- reference solutions -----------------------------------------------------
@@ -46,6 +46,9 @@ def problem_fingerprint(problem: pb.CompositeProblem) -> str:
             h.update(np.ascontiguousarray(A, dtype=float).tobytes())
         h.update(np.ascontiguousarray(shard.b, dtype=float).tobytes())
         h.update(repr((shard.kind, shard.l2, shard.ridge_weight)).encode())
+        if shard.ridge_center is not None:
+            h.update(np.ascontiguousarray(shard.ridge_center, dtype=float).tobytes())
+    h.update(np.ascontiguousarray(problem.alphas, dtype=float).tobytes())
     reg = problem.reg
     h.update(repr((reg.kind, reg.lam)).encode())
     if reg.weights is not None:
@@ -247,14 +250,10 @@ def empirical_complexity(trace, ref: ReferenceSolution, eps: float) -> int:
         raise ValueError("trace has no objective log; rerun with objective_stride")
     best = math.inf
     for point in log:
-        if hasattr(point, "value"):
-            value, up, down = point.value, point.cum_up, point.cum_down
-        else:
-            _, up, down, value = point
-        gap = value - ref.f_star
+        gap = point.value - ref.f_star
         best = min(best, gap)
         if gap <= eps:
-            return int(up + down)
+            return int(point.cum_up + point.cum_down)
     raise TargetNotReachedError(eps, best)
 
 

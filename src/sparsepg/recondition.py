@@ -24,7 +24,7 @@ import numpy as np
 
 from . import direct
 from . import problem as pb
-from .engine import DelaySchedule, RunTrace, StopRule, run_spy
+from .engine import DelaySchedule, ObjectivePoint, RunTrace, StopRule, run_spy
 from .sparsifier import adaptive_distribution
 
 _SEED_STRIDE = 100_003
@@ -156,12 +156,14 @@ class OuterRecord:
 
 @dataclass
 class OuterTrace:
-    """Per-outer-step log plus the concatenated fine-grained objective log."""
+    """Per-outer-step log plus the concatenated fine-grained objective log,
+    whose points count iterations and coordinates from the start of the run."""
 
     records: list = field(default_factory=list)
     centers: list = field(default_factory=list)
     inner_traces: list = field(default_factory=list)
-    objective_log: list = field(default_factory=list)  # (iter, cum_up, cum_down, F)
+    objective_log: list = field(default_factory=list)
+    total_iterations: int = 0
     final_x: np.ndarray | None = None
 
     @property
@@ -175,10 +177,6 @@ class OuterTrace:
     @property
     def cum_down(self) -> int:
         return self.records[-1].cum_down if self.records else 0
-
-    @property
-    def total_iterations(self) -> int:
-        return sum(r.inner_iterations for r in self.records)
 
     def to_csv(self, path, f_star: float | None = None) -> None:
         with open(path, "w", newline="") as fh:
@@ -279,8 +277,7 @@ def _inner_run(problem, params, center, ell, criterion, schedule, seed,
 
 
 def _log_outer(trace: OuterTrace, inner: RunTrace, ell, pi_ell, objective):
-    prev_up = trace.records[-1].cum_up if trace.records else 0
-    prev_down = trace.records[-1].cum_down if trace.records else 0
+    prev_up, prev_down, base_iter = trace.cum_up, trace.cum_down, trace.total_iterations
     x = inner.final_x
     trace.records.append(OuterRecord(
         ell=ell,
@@ -292,11 +289,11 @@ def _log_outer(trace: OuterTrace, inner: RunTrace, ell, pi_ell, objective):
         cum_down=prev_down + inner.cum_down,
         objective=objective,
     ))
-    base_iter = sum(r.inner_iterations for r in trace.records[:-1])
-    for p in inner.objective_log:
-        trace.objective_log.append(
-            (base_iter + max(p.k, 0), prev_up + p.cum_up, prev_down + p.cum_down, p.value)
-        )
+    trace.total_iterations += inner.n_iterations
+    trace.objective_log.extend(
+        ObjectivePoint(base_iter + max(p.k, 0), prev_up + p.cum_up, prev_down + p.cum_down, p.value)
+        for p in inner.objective_log
+    )
     trace.inner_traces.append(inner)
 
 

@@ -70,10 +70,6 @@ def draw_mask(dist: SelectorDistribution, rng: np.random.Generator) -> np.ndarra
     return np.flatnonzero(u < dist.p)
 
 
-def full_mask(d: int) -> np.ndarray:
-    return np.arange(d)
-
-
 def min_conditioning(pi: float) -> float:
     """Smallest condition number for which exploration probability pi is safe."""
     if not 0.0 < pi <= 1.0:
@@ -83,5 +79,5 @@ def min_conditioning(pi: float) -> float:
 
 
 def convergence_gap_ok(dist: SelectorDistribution, gamma: float, mu: float) -> bool:
-    """Check p_min / p_max > (1 - gamma*mu)^2, the linear-rate condition."""
-    return dist.p_min / dist.p_max > (1.0 - gamma * mu) ** 2
+    """Check p_min / p_max >= (1 - gamma*mu)^2, the linear-rate condition."""
+    return dist.p_min / dist.p_max >= (1.0 - gamma * mu) ** 2

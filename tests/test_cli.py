@@ -145,6 +145,17 @@ class TestRun:
                          "--mode", "concurrent", "--seeds", "1"])
         assert code == 0
 
+    def test_slowdown_honours_mode(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli.engine, "run_adaptive_spy_slowdown",
+                            lambda *args, **kwargs: seen.append(kwargs["mode"]))
+        cfg = cli.parse_config(SMALL_DAVE.replace("algorithm = davepg", "algorithm = spy-slowdown"))
+        prob = pb.composite_problem([pb.LossShard(kind=pb.LEAST_SQUARES, A=np.eye(2),
+                                                  b=np.ones(2))])
+        ref = metrics.ReferenceSolution(np.ones(2), 0.0, 2, 1e-12, "")
+        cli.run_algorithm(prob, cfg, 1, ref, mode="concurrent")
+        assert seen == ["concurrent"]
+
     def test_bad_config_exit(self, tmp_path):
         cfgp = write(tmp_path, "bad.ini", "[run]\nalgorithm = nope\n")
         assert cli.main(["run", "--config", cfgp, "--out", str(tmp_path / "o")]) == 2

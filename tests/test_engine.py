@@ -1,4 +1,6 @@
 import csv
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -288,6 +290,82 @@ class TestDeterminismAndModes:
         conc = engine.run_davepg(prob, gamma, engine.DelaySchedule.round_robin(4),
                                  np.zeros(6), stop, seed=9, mode="concurrent")
         assert np.linalg.norm(sim.final_x - conc.final_x) <= 1e-8
+        sim = engine.run_adaptive_spy_slowdown(prob, gamma, 0.5, engine.DelaySchedule.round_robin(4),
+                                               np.zeros(6), stop, seed=9)
+        conc = engine.run_adaptive_spy_slowdown(prob, gamma, 0.5, engine.DelaySchedule.round_robin(4),
+                                                np.zeros(6), stop, seed=9, mode="concurrent")
+        assert np.linalg.norm(sim.final_x - conc.final_x) <= 1e-8
+
+    def test_concurrent_stress_many_threads(self):
+        # more worker threads than cores, switching threads as often as possible
+        prob = strongly_convex_problem(d=6, M=8, kappa=0.3, seed=12,
+                                       reg=pb.Regularizer(kind="l1", lam=0.02))
+        gamma = engine.gamma_max(prob)
+        dist = uniform_distribution(6, 0.5)
+        stop = engine.StopRule(max_iterations=3000)
+        sched = engine.DelaySchedule.round_robin(8)
+        sim = engine.run_spy(prob, gamma, dist, sched, np.zeros(6), stop, seed=12)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            conc = engine.run_spy(prob, gamma, dist, sched, np.zeros(6), stop, seed=12,
+                                  mode="concurrent")
+        finally:
+            sys.setswitchinterval(interval)
+        assert conc.cum_up == conc.priming_up + sum(r.coords_up for r in conc.records)
+        assert conc.cum_down == conc.priming_down + sum(r.coords_down for r in conc.records)
+        assert np.linalg.norm(sim.final_x - conc.final_x) <= 1e-8
+
+    def test_unknown_mode(self):
+        prob = quad_problem()
+        with pytest.raises(ValueError, match="mode"):
+            engine.run_davepg(prob, engine.gamma_max(prob), engine.DelaySchedule.round_robin(1),
+                              np.zeros(1), engine.StopRule(max_iterations=5), mode="threads")
+
+
+def _within(seconds, fn):
+    """Run fn on a helper thread; fail if it is still running after seconds."""
+    out = {}
+
+    def target():
+        try:
+            out["result"] = fn()
+        except BaseException as exc:
+            out["error"] = exc
+
+    t = threading.Thread(target=target, daemon=True)
+    t.start()
+    t.join(timeout=seconds)
+    assert not t.is_alive(), f"run still going after {seconds} s"
+    return out
+
+
+class TestConcurrentWorkerFailure:
+    @pytest.mark.parametrize("stop", [engine.StopRule(max_iterations=2000),
+                                      engine.StopRule(max_epochs=1000)],
+                             ids=["max_iterations", "max_epochs"])
+    def test_failure_raises_in_caller(self, monkeypatch, stop):
+        prob = strongly_convex_problem(d=6, M=2, seed=13)
+        grad = pb.grad_shard
+        calls = []
+        lock = threading.Lock()
+
+        def failing_grad(shard, x):
+            with lock:
+                calls.append(None)
+                n = len(calls)
+            if n == 10:
+                raise FloatingPointError("injected")
+            return grad(shard, x)
+
+        monkeypatch.setattr(pb, "grad_shard", failing_grad)
+        before = set(threading.enumerate())
+        out = _within(30, lambda: engine.run_davepg(
+            prob, engine.gamma_max(prob), engine.DelaySchedule.round_robin(2),
+            np.zeros(6), stop, seed=13, mode="concurrent"))
+        assert isinstance(out.get("error"), FloatingPointError)
+        left = [t for t in threading.enumerate() if t not in before and t.is_alive()]
+        assert not left
 
 
 class TestTrace:

@@ -66,6 +66,12 @@ class TestReferenceSolution:
         assert metrics.problem_fingerprint(small_lasso()) == \
             metrics.problem_fingerprint(small_lasso())
 
+    def test_fingerprint_covers_ridge_center(self):
+        prob = small_lasso()
+        zeros = pb.reconditioned(prob, 1.0, np.zeros(40))
+        ones = pb.reconditioned(prob, 1.0, np.ones(40))
+        assert metrics.problem_fingerprint(zeros) != metrics.problem_fingerprint(ones)
+
 
 class TestNondegeneracy:
     def test_scalar_margin_one(self):

@@ -151,6 +151,18 @@ class TestReconditionedLoop:
         for r, center in zip(trace.records, trace.centers):
             assert r.pi_ell == pytest.approx(adaptive_distribution(center, 6.0).p_min)
 
+    def test_priming_charged_once_in_both_modes(self):
+        charges = {}
+        for mode in ("sim", "concurrent"):
+            trace = rc.run_reconditioned(self.prob, self.params,
+                                         engine.DelaySchedule.round_robin(3), np.zeros(40),
+                                         criterion=rc.InnerCriterion(kind="fixed", epochs=1),
+                                         outer_budget=10, seed=5, mode=mode)
+            charges[mode] = [(t.priming_up, t.priming_down) for t in trace.inner_traces]
+        assert charges["sim"] == charges["concurrent"]
+        assert charges["sim"][0][0] > 0
+        assert all(c == (0, 0) for c in charges["sim"][1:])
+
     def test_full_budget_inner_is_dense(self):
         # c = d makes every selection probability 1; one inner epoch must equal
         # the dense engine on the reconditioned subproblem

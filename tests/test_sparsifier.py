@@ -133,5 +133,6 @@ class TestValidation:
     def test_convergence_gap(self):
         dist = sf.uniform_distribution(3, 0.5)
         assert sf.convergence_gap_ok(dist, gamma=1.0, mu=1.0)  # (1-1)^2 = 0 < 1
+        assert sf.convergence_gap_ok(dist, gamma=1.0, mu=0.0)  # equality: 1 >= (1-0)^2
         uneven = sf.SelectorDistribution(p=np.array([0.1, 1.0]))
         assert not sf.convergence_gap_ok(uneven, gamma=0.01, mu=0.1)
