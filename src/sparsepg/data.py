@@ -15,7 +15,8 @@ from .rng import stream
 
 @dataclass(frozen=True)
 class Dataset:
-    """Design matrix (dense ndarray or CSR) plus a label/target vector."""
+    """Design matrix (dense ndarray or CSR) plus a label/target vector, all
+    finite."""
 
     X: object
     y: np.ndarray
@@ -34,6 +35,11 @@ class Dataset:
             raise ValueError("dataset needs at least one example")
         if y.shape != (self.X.shape[0],):
             raise ValueError("label count does not match example count")
+        values = self.X.data if sp.issparse(self.X) else self.X
+        if not np.all(np.isfinite(values)):
+            raise ValueError("design matrix has non-finite entries")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("labels have non-finite entries")
 
     @property
     def n(self) -> int:

@@ -8,6 +8,7 @@ built on the asynchronous engine so that it can validate it.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import problem as pb
 
@@ -92,8 +93,8 @@ def polish_l1_least_squares(problem: pb.CompositeProblem, x: np.ndarray) -> np.n
     H = np.zeros((supp.size, supp.size))
     rhs = np.zeros(supp.size)
     for alpha, s in zip(problem.alphas, problem.shards):
-        A_s = s.A[:, supp] if not hasattr(s.A, "tocsc") else s.A.tocsc()[:, supp].toarray()
-        A_s = np.asarray(A_s)
+        A_s = s.A[:, supp]
+        A_s = A_s.toarray() if sp.issparse(A_s) else A_s
         scale = 2.0 * alpha / s.n_examples
         H += scale * (A_s.T @ A_s)
         rhs += scale * (A_s.T @ s.b)

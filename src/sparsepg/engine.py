@@ -33,8 +33,9 @@ from .sparsifier import SelectorDistribution, convergence_gap_ok, draw_mask
 
 DIVERGENCE_NORM = 1e12
 
-# when True, simulation mode re-derives xbar from the worker mirrors every
-# iteration and asserts agreement (slow; meant for tests)
+# when True, every iteration asserts that the running support count equals
+# count_nonzero(x), and simulation mode re-derives xbar from the worker
+# mirrors and asserts agreement (slow; meant for tests)
 DEBUG_CHECK = False
 
 _MASK_TAG = 101
@@ -260,23 +261,22 @@ class _Worker:
 
     def step(self, model, mask):
         """Gradient step at the received model on the mask's coordinates (all
-        of them when mask is None); returns (delta of x_i, coordinates sent)."""
-        u = model - self.gamma * pb.grad_shard(self.shard, model)
-        xi = self.x
+        of them when mask is None); returns (the change of x_i on those
+        coordinates, the number of coordinates sent)."""
         if mask is None:
+            u = model - self.gamma * pb.grad_shard(self.shard, model)
+            delta = u - self.x
             self.x = u
-            return u - xi, u.size
-        x_plus = xi.copy()
-        x_plus[mask] = u[mask]
+            return delta, u.size
+        u = model[mask] - self.gamma * pb.grad_shard(self.shard, model, mask)
+        old = self.x[mask]
         if self.slowdown_pi is not None:
-            # slowdown fix: the update of supp(model) is damped by pi
-            A = np.flatnonzero(np.abs(model) > 0)
-            if A.size > 0:
-                x_plus[A] = self.slowdown_pi * x_plus[A] + (1.0 - self.slowdown_pi) * xi[A]
-        delta = np.zeros(xi.size)
-        delta[mask] = x_plus[mask] - xi[mask]
-        xi[mask] = x_plus[mask]
-        return delta, int(mask.size)
+            # slowdown fix: the update of supp(model) is damped by pi; the
+            # mask always contains supp(model)
+            on = model[mask] != 0
+            u[on] = self.slowdown_pi * u[on] + (1.0 - self.slowdown_pi) * old[on]
+        self.x[mask] = u
+        return u - old, int(mask.size)
 
 
 class _Inline:
@@ -343,10 +343,10 @@ def gamma_max(problem: pb.CompositeProblem) -> float:
     return 2.0 / (problem.mu + problem.lip)
 
 
-def _count_down(x, mask, dense_down, d):
+def _count_down(nnz, mask, dense_down, d):
     if dense_down:
         return d
-    return int(np.count_nonzero(x)) + (d if mask is None else mask.size)
+    return nnz + (d if mask is None else mask.size)
 
 
 def _run(
@@ -388,24 +388,27 @@ def _run(
     # synchronous priming round: x_i^0 = init - gamma * grad_i(init)
     workers = []
     xbar = np.zeros(d)
+    init_down = d if dense_down else int(np.count_nonzero(init))
     for i, shard in enumerate(problem.shards):
         workers.append(_Worker(shard, gamma, slowdown_pi, init - gamma * pb.grad_shard(shard, init)))
         xbar += problem.alphas[i] * workers[i].x
         if charge_priming:
-            trace.priming_down += d if dense_down else int(np.count_nonzero(init))
+            trace.priming_down += init_down
             trace.priming_up += d
     x = pb.prox_reg(problem.reg, gamma, xbar)
+    nnz = int(np.count_nonzero(x))
     obj = objective_fn if objective_fn is not None else (lambda xx: pb.eval_objective(problem, xx))
 
     def log_objective(k, xx):
         trace.objective_log.append(ObjectivePoint(k, trace.cum_up, trace.cum_down, obj(xx)))
 
     source = _Inline(workers, schedule) if mode == "sim" else _Threads(workers)
+    masks = [None] * M  # the mask each worker was last sent
     try:
         for i in range(M):
-            mask = new_mask(i, x)
+            masks[i] = mask = new_mask(i, x)
             if charge_priming:
-                trace.priming_down += _count_down(x, mask, dense_down, d)
+                trace.priming_down += _count_down(nnz, mask, dense_down, d)
             source.send(i, x.copy(), mask)
         trace.cum_up, trace.cum_down = trace.priming_up, trace.priming_down
         tracker = _EpochTracker(M)
@@ -416,15 +419,27 @@ def _run(
         k = 0
         while stop.max_iterations is None or k < stop.max_iterations:
             i, delta, up = source.receive()
-            xbar = xbar + problem.alphas[i] * delta
-            if DEBUG_CHECK and mode == "sim":
-                rebuilt = sum(a * w.x for a, w in zip(problem.alphas, workers))
-                assert np.allclose(xbar, rebuilt, atol=1e-10), "coordinator average drifted"
-            x = pb.prox_reg(problem.reg, gamma, xbar)
-            if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_NORM:
+            S = masks[i]
+            if S is None:
+                xbar += problem.alphas[i] * delta
+                x = pb.prox_reg(problem.reg, gamma, xbar)
+                nnz = int(np.count_nonzero(x))
+            else:
+                # only the mask's coordinates of xbar, and so of x, move
+                xbar[S] += problem.alphas[i] * delta
+                x_S = pb.prox_reg(problem.reg, gamma, xbar[S], S)
+                nnz += int(np.count_nonzero(x_S)) - int(np.count_nonzero(x[S]))
+                x[S] = x_S
+            if DEBUG_CHECK:
+                assert nnz == np.count_nonzero(x), "running support count drifted"
+                if mode == "sim":
+                    rebuilt = sum(a * w.x for a, w in zip(problem.alphas, workers))
+                    assert np.allclose(xbar, rebuilt, atol=1e-10), "coordinator average drifted"
+            # NaN fails the comparison too
+            if not np.linalg.norm(x) <= DIVERGENCE_NORM:
                 raise DivergenceError(k)
-            mask = new_mask(i, x)
-            down = _count_down(x, mask, dense_down, d)
+            masks[i] = mask = new_mask(i, x)
+            down = _count_down(nnz, mask, dense_down, d)
             trace.cum_up += up
             trace.cum_down += down
 
@@ -433,7 +448,7 @@ def _run(
                 trace.epoch_starts.append(k)
                 trace.epoch_snapshots.append(x.copy())
             m = len(tracker.boundaries) - 1
-            trace.records.append(IterRecord(k, i, up, down, int(np.count_nonzero(x)), m))
+            trace.records.append(IterRecord(k, i, up, down, nnz, m))
             if objective_stride and (k % objective_stride == 0):
                 log_objective(k, x)
             if new_epoch and (

@@ -13,6 +13,7 @@ import scipy.sparse as sp
 
 from . import direct
 from . import problem as pb
+from .recondition import OuterTrace
 
 CACHE_ENV = "SPARSEPG_CACHE"
 _CACHE_VERSION = 2
@@ -185,7 +186,7 @@ class CommLedger:
 
     @staticmethod
     def from_trace(trace) -> "CommLedger":
-        if hasattr(trace, "records") and trace.records and hasattr(trace.records[0], "inner_epochs"):
+        if isinstance(trace, OuterTrace):
             return CommLedger(
                 coords_up=trace.cum_up,
                 coords_down=trace.cum_down,

@@ -23,9 +23,15 @@ _POWER_RTOL = 1e-9
 
 
 def _as_matrix(A):
+    # column-major (CSC or Fortran order): gathering the columns of a mask or
+    # of a support is a contiguous copy; already column-major input is kept
     if sp.issparse(A):
-        return sp.csr_matrix(A)
-    return np.asarray(A, dtype=float)
+        return sp.csc_matrix(A)
+    return np.asfortranarray(A, dtype=float)
+
+
+def _finite(v) -> bool:
+    return bool(np.all(np.isfinite(v)))
 
 
 @dataclass(frozen=True)
@@ -35,7 +41,7 @@ class LossShard:
     ``kind`` is ``least_squares`` (f(x) = ||Ax-b||^2 / m) or ``logistic``
     (mean logistic loss with labels in {-1,+1} plus an l2 term of weight
     ``l2``).  ``ridge_weight``/``ridge_center`` add (w/2)||x - c||^2, used by
-    proximal reconditioning.
+    proximal reconditioning.  ``A`` is stored column-major.
     """
 
     kind: str
@@ -56,6 +62,8 @@ class LossShard:
             raise ValueError("shard design matrix must have at least one row")
         if b.shape != (A.shape[0],):
             raise ValueError("label vector length does not match row count")
+        if not _finite(b):
+            raise ValueError("label vector has non-finite entries")
         if self.kind == LOGISTIC:
             if not np.all(np.abs(b) == 1.0):
                 raise ValueError("logistic labels must be exactly +/-1")
@@ -69,6 +77,8 @@ class LossShard:
             c = np.asarray(self.ridge_center, dtype=float)
             if c.shape != (A.shape[1],):
                 raise ValueError("ridge center dimension mismatch")
+            if not _finite(c):
+                raise ValueError("ridge center has non-finite entries")
             object.__setattr__(self, "ridge_center", c)
 
     @property
@@ -169,32 +179,61 @@ def reconditioned(problem: CompositeProblem, rho: float, center: Array) -> Compo
 # -- smooth part ------------------------------------------------------------
 
 
-def grad_shard(shard: LossShard, x: Array) -> Array:
-    """Gradient of the shard's local smooth loss at x."""
+def _few(k: int, d: int) -> bool:
+    """Whether k of d columns are few enough to gather: a gathered column
+    costs a few times its share of a full product, plus a fixed overhead."""
+    return 8 * k <= d
+
+
+def _check_dim(shard: LossShard, x) -> Array:
     x = np.asarray(x, dtype=float)
     if x.shape != (shard.dim,):
         raise ValueError(f"expected dimension {shard.dim}, got {x.shape}")
+    return x
+
+
+def _margins(shard: LossShard, x: Array) -> Array:
+    """A @ x, from the columns of supp(x) alone when the support is small."""
+    if _few(np.count_nonzero(x), x.size):
+        supp = x.nonzero()[0]
+        return shard.A[:, supp] @ x[supp]
+    return shard.A @ x
+
+
+def _adjoint(shard: LossShard, r: Array, coords) -> Array:
+    """(A^T r)[coords], all of A^T r when coords is None."""
+    if coords is None:
+        return shard.A.T @ r
+    if _few(len(coords), shard.dim):
+        return shard.A[:, coords].T @ r
+    return (shard.A.T @ r)[coords]
+
+
+def grad_shard(shard: LossShard, x: Array, coords=None) -> Array:
+    """Gradient of the shard's local smooth loss at x; only its entries on
+    the index array ``coords`` when given.  While coords and supp(x) are small
+    next to d, the cost is O(m (|coords| + |supp(x)|)) rather than O(m d)."""
+    x = _check_dim(shard, x)
     m = shard.n_examples
-    z = shard.A @ x
+    z = _margins(shard, x)
+    xc = x if coords is None else x[coords]
     if shard.kind == LEAST_SQUARES:
-        g = (2.0 / m) * (shard.A.T @ (z - shard.b))
+        g = (2.0 / m) * _adjoint(shard, z - shard.b, coords)
     else:
         y = shard.b
         # d/dz log(1 + exp(-y z)) = -y * sigmoid(-y z)
         coeff = -y * expit(-y * z)
-        g = (shard.A.T @ coeff) / m + shard.l2 * x
-    g = np.asarray(g).ravel()
+        g = _adjoint(shard, coeff, coords) / m + shard.l2 * xc
     if shard.ridge_weight > 0:
-        g = g + shard.ridge_weight * (x - shard.ridge_center)
+        center = shard.ridge_center if coords is None else shard.ridge_center[coords]
+        g = g + shard.ridge_weight * (xc - center)
     return g
 
 
 def shard_value(shard: LossShard, x: Array) -> float:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (shard.dim,):
-        raise ValueError(f"expected dimension {shard.dim}, got {x.shape}")
+    x = _check_dim(shard, x)
     m = shard.n_examples
-    z = shard.A @ x
+    z = _margins(shard, x)
     if shard.kind == LEAST_SQUARES:
         v = float(np.sum((z - shard.b) ** 2)) / m
     else:
@@ -250,7 +289,10 @@ def _gram_extreme_eigs(A) -> tuple[float, float]:
 
 
 def _shard_constants(shard: LossShard) -> tuple[float, float]:
-    lam_min, lam_max = _gram_extreme_eigs(shard.A)
+    # the power iteration's many full products A @ v run faster on a
+    # row-major copy, which lives only for this call
+    A = sp.csr_matrix(shard.A) if sp.issparse(shard.A) else np.ascontiguousarray(shard.A)
+    lam_min, lam_max = _gram_extreme_eigs(A)
     m = shard.n_examples
     if shard.kind == LEAST_SQUARES:
         mu = 2.0 * lam_min / m
@@ -276,8 +318,10 @@ def smoothness_constants(problem: CompositeProblem) -> tuple[float, float]:
 # -- regularizer ------------------------------------------------------------
 
 
-def prox_reg(reg: Regularizer, gamma: float, u: Array) -> Array:
-    """prox_{gamma * r}(u); coordinate-wise soft-thresholding for l1 kinds."""
+def prox_reg(reg: Regularizer, gamma: float, u: Array, coords=None) -> Array:
+    """prox_{gamma * r}(u); coordinate-wise soft-thresholding for l1 kinds.
+
+    With ``coords``, ``u`` holds the entries on those coordinates only."""
     if gamma <= 0:
         raise ValueError("stepsize must be positive")
     u = np.asarray(u, dtype=float)
@@ -285,7 +329,7 @@ def prox_reg(reg: Regularizer, gamma: float, u: Array) -> Array:
         return u.copy()
     thr = gamma * reg.lam
     if reg.kind == "weighted_l1":
-        thr = thr * reg.weights
+        thr = thr * (reg.weights if coords is None else reg.weights[coords])
     return np.sign(u) * np.maximum(np.abs(u) - thr, 0.0)
 
 

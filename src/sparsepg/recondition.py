@@ -323,8 +323,10 @@ def run_reconditioned(
     x = np.asarray(init, dtype=float).copy()
     trace = OuterTrace()
     trace.centers.append(x.copy())
+    # F(x): at the start, then the value each outer step logs
+    f_x = pb.eval_objective(problem, x) if target_objective is not None else None
     for ell in range(1, outer_budget + 1):
-        if target_objective is not None and pb.eval_objective(problem, x) <= target_objective:
+        if target_objective is not None and f_x <= target_objective:
             break
         inner, pi_ell = _inner_run(
             problem, params, x, ell, criterion, schedule, seed,
@@ -333,7 +335,8 @@ def run_reconditioned(
         )
         x = inner.final_x.copy()
         trace.centers.append(x.copy())
-        _log_outer(trace, inner, ell, pi_ell, pb.eval_objective(problem, x))
+        f_x = pb.eval_objective(problem, x)
+        _log_outer(trace, inner, ell, pi_ell, f_x)
     trace.final_x = x
     return trace
 
@@ -406,8 +409,10 @@ def run_momentum(
     if criterion.kind == "absolute":
         f1 = criterion.f_init if criterion.f_init is not None else pb.eval_objective(problem, y)
         gap0 = (2.0 / 9.0) * (f1 - criterion.f_star)
+    # F(x): at the start, then the value each outer step logs
+    f_x = pb.eval_objective(problem, x) if target_objective is not None else None
     for ell in range(1, outer_budget + 1):
-        if target_objective is not None and pb.eval_objective(problem, x) <= target_objective:
+        if target_objective is not None and f_x <= target_objective:
             break
         dist = adaptive_distribution(y, params.c)
         pi_ell = dist.p_min
@@ -434,7 +439,8 @@ def run_momentum(
         y = x_new + b * (x_new - x)
         x = x_new
         trace.centers.append(y.copy())
-        _log_outer(trace, inner, ell, pi_ell, pb.eval_objective(problem, x))
+        f_x = pb.eval_objective(problem, x)
+        _log_outer(trace, inner, ell, pi_ell, f_x)
     trace.final_x = x
     return trace
 

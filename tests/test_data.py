@@ -96,6 +96,33 @@ class TestParseLibsvm:
         assert back.y == pytest.approx(y)
 
 
+class TestNonFiniteInput:
+    def test_libsvm_values_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            data.parse_libsvm("1 1:nan 2:inf\n")
+
+    def test_libsvm_label_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            data.parse_libsvm("inf 1:1\n")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_dense_matrix_rejected(self, bad):
+        X = np.ones((2, 2))
+        X[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            data.Dataset(X=X, y=np.ones(2))
+
+    def test_sparse_matrix_rejected(self):
+        import scipy.sparse as sp
+        X = sp.csr_matrix(np.array([[0.0, np.nan], [1.0, 0.0]]))
+        with pytest.raises(ValueError, match="non-finite"):
+            data.Dataset(X=X, y=np.ones(2))
+
+    def test_labels_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            data.Dataset(X=np.ones((2, 2)), y=np.array([1.0, np.nan]))
+
+
 class TestSharding:
     def test_even_split(self):
         ds, _ = data.generate_lasso(d=3, m=10, sparsity=0.5, noise_std=0.0, seed=0)

@@ -1,11 +1,14 @@
 import csv
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sparsepg import direct, engine, problem as pb
+from sparsepg import data, direct, engine, problem as pb
 from sparsepg.rng import stream
 from sparsepg.sparsifier import SelectorDistribution, uniform_distribution
 
@@ -263,6 +266,55 @@ class TestSlowdown:
             engine.run_adaptive_spy_slowdown(prob, engine.gamma_max(prob), 0.0,
                                              engine.DelaySchedule.round_robin(1),
                                              np.zeros(1), engine.StopRule(max_iterations=5))
+
+
+class TestCoordinatorInvariants:
+    """Under DEBUG_CHECK every iteration asserts xbar = sum_i alpha_i x_i and
+    that the running support count equals count_nonzero(x)."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 1000),
+        variant=st.sampled_from(["davepg", "spy", "slowdown"]),
+        schedule=st.sampled_from(["round_robin", "random_uniform", "heterogeneous"]),
+        weighted=st.booleans(),
+    )
+    def test_average_support_count_and_ledger(self, seed, variant, schedule, weighted):
+        d, M = 30, 3
+        rng = stream(seed, 5)
+        reg = (pb.Regularizer(kind="weighted_l1", lam=0.3, weights=rng.uniform(0.5, 2.0, d))
+               if weighted else pb.Regularizer(kind="l1", lam=0.3))
+        ds, _ = data.generate_lasso(d=d, m=60, sparsity=0.8, noise_std=0.01, seed=seed)
+        shards = data.make_shards(ds, data.shard_even(ds, M, seed=seed), pb.LEAST_SQUARES)
+        prob = pb.composite_problem(shards, reg=reg)
+        gamma = engine.gamma_max(prob)
+        sched = {
+            "round_robin": engine.DelaySchedule.round_robin(M),
+            "random_uniform": engine.DelaySchedule.random_uniform(M, seed=seed),
+            "heterogeneous": engine.DelaySchedule.heterogeneous([1.0, 2.0, 4.0], seed=seed),
+        }[schedule]
+        stop = engine.StopRule(max_iterations=300)
+        init = np.zeros(d)
+        init[rng.choice(d, 4, replace=False)] = 1.0
+        old, engine.DEBUG_CHECK = engine.DEBUG_CHECK, True
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                if variant == "davepg":
+                    trace = engine.run_davepg(prob, gamma, sched, init, stop, seed=seed,
+                                              dense_down=False)
+                elif variant == "spy":
+                    trace = engine.run_spy(prob, gamma, uniform_distribution(d, 0.2), sched,
+                                           init, stop, seed=seed)
+                else:
+                    trace = engine.run_adaptive_spy_slowdown(prob, gamma, 0.3, sched, init,
+                                                             stop, seed=seed)
+        finally:
+            engine.DEBUG_CHECK = old
+        assert trace.cum_up == trace.priming_up + sum(r.coords_up for r in trace.records)
+        assert trace.cum_down == trace.priming_down + sum(r.coords_down for r in trace.records)
+        assert trace.records[-1].support_size == np.count_nonzero(trace.final_x)
+        assert np.array_equal(trace.final_x, pb.prox_reg(prob.reg, gamma, trace.final_xbar))
 
 
 class TestDeterminismAndModes:

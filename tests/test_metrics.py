@@ -1,7 +1,9 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sparsepg import data, direct, engine, metrics, problem as pb, recondition as rc
 
@@ -71,6 +73,40 @@ class TestReferenceSolution:
         zeros = pb.reconditioned(prob, 1.0, np.zeros(40))
         ones = pb.reconditioned(prob, 1.0, np.ones(40))
         assert metrics.problem_fingerprint(zeros) != metrics.problem_fingerprint(ones)
+
+    @staticmethod
+    def _row_major_fingerprint(rows, alphas, reg):
+        """The fingerprint recipe applied to row-major copies of the shards:
+        C-order bytes for dense data, CSR arrays for sparse data."""
+        h = hashlib.sha256()
+        for A, b in rows:
+            if sp.issparse(A):
+                h.update(A.indptr.tobytes())
+                h.update(A.indices.tobytes())
+                h.update(A.data.tobytes())
+            else:
+                h.update(np.ascontiguousarray(A).tobytes())
+            h.update(b.tobytes())
+            h.update(repr((pb.LEAST_SQUARES, 0.0, 0.0)).encode())
+        h.update(alphas.tobytes())
+        h.update(repr((reg.kind, reg.lam)).encode())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_fingerprint_hashes_row_major_bytes(self, sparse):
+        ds, _ = data.generate_lasso(d=12, m=20, sparsity=0.5, noise_std=0.1, seed=4)
+        X = ds.X * (np.random.default_rng(4).random(ds.X.shape) < 0.3)
+        ds = data.Dataset(X=sp.csr_matrix(X) if sparse else X, y=ds.y)
+        plan = data.shard_even(ds, 2, seed=4)
+        prob = data.lasso_problem(ds, plan, lam1=0.1)
+        rows = [(ds.X[plan.indices(w)], ds.y[plan.indices(w)]) for w in range(2)]
+        A = prob.shards[0].A
+        if sparse:
+            assert A.format == "csc"
+        else:
+            assert A.flags.f_contiguous
+        assert metrics.problem_fingerprint(prob) == \
+            self._row_major_fingerprint(rows, prob.alphas, prob.reg)
 
 
 class TestNondegeneracy:
@@ -239,6 +275,18 @@ class TestCommLedger:
         led = metrics.CommLedger.from_trace(trace)
         assert led.n_epochs == 10
         assert led.total == trace.cum_up + trace.cum_down
+
+    def test_from_outer_trace_without_outer_steps(self):
+        prob = small_lasso()
+        ref = metrics.reference_solution(prob, tol=1e-11, assume_unique_minimizer=True)
+        params = rc.make_params(prob.mu, prob.lip, c=6.0, d=40)
+        trace = rc.run_reconditioned(prob, params,
+                                     engine.DelaySchedule.round_robin(3), ref.x_star,
+                                     criterion=rc.InnerCriterion(kind="fixed", epochs=2),
+                                     outer_budget=5, target_objective=ref.f_star + 1e-9, seed=7)
+        assert trace.n_outer == 0
+        led = metrics.CommLedger.from_trace(trace)
+        assert (led.coords_up, led.coords_down, led.n_iterations, led.n_epochs) == (0, 0, 0, 0)
 
     def test_ledger_conservation(self):
         prob = strongly_convex_problem(d=8, M=2, seed=7)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -224,3 +225,118 @@ class TestReconditioned:
         assert got == pytest.approx(base + 0.75 * np.sum((x - center) ** 2))
         g = pb.smooth_gradient(sub, x)
         assert g == pytest.approx(pb.smooth_gradient(prob, x) + 1.5 * (x - center))
+
+
+class TestNonFiniteShards:
+    def test_nan_labels_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            pb.LossShard(kind=pb.LEAST_SQUARES, A=np.eye(2), b=np.array([0.0, np.nan]))
+
+    def test_infinite_ridge_center_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            pb.LossShard(kind=pb.LEAST_SQUARES, A=np.eye(2), b=np.zeros(2),
+                         ridge_weight=1.0, ridge_center=np.array([np.inf, 0.0]))
+
+
+class TestColumnMajorStorage:
+    def test_dense_is_fortran_and_reconditioning_keeps_it(self):
+        rng = np.random.default_rng(8)
+        prob = random_problem(rng)
+        A = prob.shards[0].A
+        assert A.flags.f_contiguous
+        sub = pb.reconditioned(prob, 1.0, np.ones(6))
+        assert sub.shards[0].A is A
+
+    def test_sparse_is_csc(self):
+        A = sp.random(5, 7, density=0.4, format="csr", random_state=1)
+        shard = pb.LossShard(kind=pb.LEAST_SQUARES, A=A, b=np.zeros(5))
+        assert shard.A.format == "csc"
+        assert np.array_equal(shard.A.toarray(), A.toarray())
+
+
+def _brute_shard(kind, A, b, l2, ridge, center, x):
+    """Value and gradient from the formulas on a dense row-major copy."""
+    A = np.ascontiguousarray(A.toarray() if sp.issparse(A) else A)
+    m = A.shape[0]
+    z = A @ x
+    if kind == pb.LEAST_SQUARES:
+        v = np.sum((z - b) ** 2) / m
+        g = 2.0 / m * A.T @ (z - b)
+    else:
+        v = np.sum(np.logaddexp(0.0, -b * z)) / m + 0.5 * l2 * x @ x
+        g = A.T @ (-b / (1.0 + np.exp(b * z))) / m + l2 * x
+    if ridge:
+        v += 0.5 * ridge * np.sum((x - center) ** 2)
+        g = g + ridge * (x - center)
+    return v, g
+
+
+def _pick(rng, d, how):
+    """Sorted coordinate subset; "few" (at most 3) takes the gathering
+    branches once d >= 24, "many" the full products."""
+    if how == "empty":
+        return np.zeros(0, dtype=np.int64)
+    if how == "few":
+        return np.sort(rng.choice(d, size=min(d, int(rng.integers(1, 4))), replace=False))
+    if how == "many":
+        return np.flatnonzero(rng.random(d) < rng.uniform(0.3, 0.9))
+    return np.arange(d)
+
+
+class TestRestrictedOracles:
+    """grad_shard on coords and the support-restricted margins agree with
+    the full formulas, whichever product the sizes select."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        kind=st.sampled_from([pb.LEAST_SQUARES, pb.LOGISTIC]),
+        sparse=st.booleans(),
+        l2=st.booleans(),
+        ridge=st.booleans(),
+        support=st.sampled_from(["empty", "few", "many", "full"]),
+        mask=st.sampled_from(["empty", "few", "many", "full"]),
+    )
+    def test_matches_full_gradient_and_value(self, seed, kind, sparse, l2, ridge, support, mask):
+        rng = np.random.default_rng(seed)
+        m, d = int(rng.integers(1, 12)), int(rng.integers(1, 80))
+        A = rng.standard_normal((m, d)) * (rng.random((m, d)) < 0.5)
+        if sparse:
+            A = sp.csr_matrix(A)
+        b = rng.choice([-1.0, 1.0], size=m) if kind == pb.LOGISTIC else rng.standard_normal(m)
+        l2_w = 0.1 if (l2 and kind == pb.LOGISTIC) else 0.0
+        ridge_w = 0.7 if ridge else 0.0
+        center = rng.standard_normal(d) if ridge else None
+        shard = pb.LossShard(kind=kind, A=A, b=b, l2=l2_w, ridge_weight=ridge_w,
+                             ridge_center=center)
+        x = np.zeros(d)
+        supp = _pick(rng, d, support)
+        x[supp] = rng.standard_normal(supp.size)
+        S = _pick(rng, d, mask)
+
+        v_ref, g_ref = _brute_shard(kind, A, b, l2_w, ridge_w, center, x)
+        scale = max(np.max(np.abs(g_ref)), 1.0)
+        g_S = pb.grad_shard(shard, x, S)
+        assert g_S.shape == (S.size,)
+        assert np.all(np.abs(g_S - g_ref[S]) <= 1e-12 * scale)
+        assert np.all(np.abs(g_S - pb.grad_shard(shard, x)[S]) <= 1e-12 * scale)
+        assert abs(pb.shard_value(shard, x) - v_ref) <= 1e-12 * max(abs(v_ref), 1.0)
+
+    def test_objective_on_sparse_iterate(self):
+        rng = np.random.default_rng(9)
+        prob = random_problem(rng, d=40, reg=pb.Regularizer(kind="l1", lam=0.5))
+        x = np.zeros(40)
+        x[[3, 17]] = [1.5, -2.0]
+        want = sum(a * _brute_shard(s.kind, s.A, s.b, 0.0, 0.0, None, x)[0]
+                   for a, s in zip(prob.alphas, prob.shards)) + 0.5 * 3.5
+        assert pb.eval_objective(prob, x) == pytest.approx(want, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), gamma=st.floats(0.01, 10))
+    def test_prox_on_coords_weighted_l1(self, seed, gamma):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 30))
+        reg = pb.Regularizer(kind="weighted_l1", lam=0.8, weights=rng.uniform(0.1, 3.0, d))
+        u = rng.standard_normal(d) * 3
+        S = _pick(rng, d, "many")
+        assert np.array_equal(pb.prox_reg(reg, gamma, u[S], S), pb.prox_reg(reg, gamma, u)[S])

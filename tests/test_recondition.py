@@ -151,6 +151,28 @@ class TestReconditionedLoop:
         for r, center in zip(trace.records, trace.centers):
             assert r.pi_ell == pytest.approx(adaptive_distribution(center, 6.0).p_min)
 
+    def test_target_check_reuses_logged_objective(self, monkeypatch):
+        calls = []
+        evaluate = pb.eval_objective
+
+        def counted(problem, x):
+            calls.append(None)
+            return evaluate(problem, x)
+
+        monkeypatch.setattr(pb, "eval_objective", counted)
+        target = self.f_star + 1e-6
+        plain = rc.run_reconditioned(self.prob, self.params, self.sched, np.zeros(40),
+                                     criterion=rc.InnerCriterion(kind="fixed", epochs=1),
+                                     outer_budget=2000, target_objective=target, seed=4)
+        assert plain.records[-1].objective <= target < plain.records[-2].objective
+        assert len(calls) == plain.n_outer + 1
+        calls.clear()
+        mom = rc.run_momentum(self.prob, self.params, self.sched, np.zeros(40),
+                              criterion=rc.MomentumCriterion(kind="fixed", epochs=1),
+                              outer_budget=2000, target_objective=target, seed=4)
+        assert mom.records[-1].objective <= target < mom.records[-2].objective
+        assert len(calls) == mom.n_outer + 1
+
     def test_priming_charged_once_in_both_modes(self):
         charges = {}
         for mode in ("sim", "concurrent"):
