@@ -419,17 +419,12 @@ def _run(
         k = 0
         while stop.max_iterations is None or k < stop.max_iterations:
             i, delta, up = source.receive()
-            S = masks[i]
-            if S is None:
-                xbar += problem.alphas[i] * delta
-                x = pb.prox_reg(problem.reg, gamma, xbar)
-                nnz = int(np.count_nonzero(x))
-            else:
-                # only the mask's coordinates of xbar, and so of x, move
-                xbar[S] += problem.alphas[i] * delta
-                x_S = pb.prox_reg(problem.reg, gamma, xbar[S], S)
-                nnz += int(np.count_nonzero(x_S)) - int(np.count_nonzero(x[S]))
-                x[S] = x_S
+            # only the mask's coordinates of xbar, and so of x, move
+            S = masks[i] if masks[i] is not None else slice(None)
+            xbar[S] += problem.alphas[i] * delta
+            x_S = pb.prox_reg(problem.reg, gamma, xbar[S], S)
+            nnz += int(np.count_nonzero(x_S)) - int(np.count_nonzero(x[S]))
+            x[S] = x_S
             if DEBUG_CHECK:
                 assert nnz == np.count_nonzero(x), "running support count drifted"
                 if mode == "sim":
