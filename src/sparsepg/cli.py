@@ -21,7 +21,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -309,23 +309,23 @@ def build_problem(cfg: ExperimentConfig):
     if cfg.scale:
         dataset = data.scale_features(dataset)
     plan = data.shard_even(dataset, cfg.workers, seed=cfg.data_seed)
-    lasso = cfg.kind.endswith("lasso")
-    if lasso and cfg.lam1 is None:
-        lam_hi = _lam_max(dataset, plan)
-        lam1 = metrics.calibrate_l1(
-            lambda lam: data.lasso_problem(dataset, plan, lam),
-            cfg.target_support, lam_hi,
-        )
-        cfg.lam1 = lam1
-    if lasso:
+    if not cfg.kind.endswith("lasso"):
+        return data.logistic_problem(dataset, plan, cfg.lam1, cfg.lam2)
+    if cfg.lam1 is not None:
         return data.lasso_problem(dataset, plan, cfg.lam1)
-    return data.logistic_problem(dataset, plan, cfg.lam1, cfg.lam2)
+    # lam1 changes only the regularizer: build the shards and (mu, L) once
+    base = data.lasso_problem(dataset, plan, 1.0)
+
+    def at(lam):
+        return replace(base, reg=pb.Regularizer("l1", lam))
+
+    cfg.lam1 = metrics.calibrate_l1(at, cfg.target_support, _lam_max(base))
+    return at(cfg.lam1)
 
 
-def _lam_max(dataset, plan) -> float:
+def _lam_max(problem) -> float:
     """Smallest l1 weight giving the all-zero lasso solution."""
-    prob = data.lasso_problem(dataset, plan, 1.0)
-    g = pb.smooth_gradient(prob, np.zeros(dataset.d))
+    g = pb.smooth_gradient(problem, np.zeros(problem.dim))
     return float(np.max(np.abs(g)))
 
 

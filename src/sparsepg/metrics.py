@@ -5,7 +5,8 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import pickle
+import tempfile
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,7 @@ from . import problem as pb
 from .recondition import OuterTrace
 
 CACHE_ENV = "SPARSEPG_CACHE"
-_CACHE_VERSION = 2
+_CACHE_VERSION = 3
 
 
 # -- reference solutions -----------------------------------------------------
@@ -63,7 +64,39 @@ def _cache_path(cache_dir, fingerprint: str):
     if cache_dir is None:
         return None
     os.makedirs(cache_dir, exist_ok=True)
-    return os.path.join(cache_dir, f"ref-{fingerprint[:32]}.pkl")
+    return os.path.join(cache_dir, f"ref-{fingerprint[:32]}.npz")
+
+
+def _load_entry(path, fingerprint: str, tol: float, dim: int):
+    """(x_star, tol) of a cache entry that fits this problem and tolerance, or
+    None.  An entry that is missing, unreadable, from another version or for
+    another problem is a miss."""
+    try:
+        with np.load(path, allow_pickle=False) as z:
+            x = z["x_star"]
+            if (
+                int(z["version"]) == _CACHE_VERSION
+                and str(z["fingerprint"]) == fingerprint
+                and float(z["tol"]) <= tol
+                and x.shape == (dim,)
+            ):
+                return x, float(z["tol"])
+    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile):
+        pass
+    return None
+
+
+def _store_entry(path, fingerprint: str, tol: float, x: np.ndarray) -> None:
+    """Write to a temp file beside ``path`` and rename it into place, so a
+    reader never sees a partly written entry."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, version=_CACHE_VERSION, fingerprint=fingerprint, tol=tol, x_star=x)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def reference_solution(
@@ -87,30 +120,14 @@ def reference_solution(
         )
     fingerprint = problem_fingerprint(problem)
     path = _cache_path(cache_dir, fingerprint)
-    if path is not None and os.path.exists(path):
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-        if (
-            payload.get("version") == _CACHE_VERSION
-            and payload["fingerprint"] == fingerprint
-            and payload["tol"] <= tol
-        ):
-            x = payload["x_star"]
-            return ReferenceSolution(
-                x_star=x,
-                f_star=pb.eval_objective(problem, x),
-                s_star=int(np.count_nonzero(x)),
-                tol=payload["tol"],
-                fingerprint=fingerprint,
-            )
-    x, err = direct.solve(problem, tol=tol)
-    x = direct.polish_l1_least_squares(problem, x)
-    if path is not None:
-        with open(path, "wb") as fh:
-            pickle.dump(
-                {"version": _CACHE_VERSION, "fingerprint": fingerprint, "tol": tol, "x_star": x},
-                fh,
-            )
+    cached = None if path is None else _load_entry(path, fingerprint, tol, problem.dim)
+    if cached is not None:
+        x, tol = cached
+    else:
+        x, err = direct.solve(problem, tol=tol)
+        x = direct.polish_l1_least_squares(problem, x)
+        if path is not None:
+            _store_entry(path, fingerprint, tol, x)
     return ReferenceSolution(
         x_star=x,
         f_star=pb.eval_objective(problem, x),

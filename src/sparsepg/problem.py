@@ -18,8 +18,8 @@ Array = np.ndarray
 LEAST_SQUARES = "least_squares"
 LOGISTIC = "logistic"
 
-_POWER_ITERS = 1000
-_POWER_RTOL = 1e-9
+# lambda_min(A^T A) at or below this fraction of lambda_max counts as zero
+_ZERO_EIG_RTOL = 1e-9
 
 
 def _as_matrix(A):
@@ -247,46 +247,59 @@ def shard_value(shard: LossShard, x: Array) -> float:
 
 
 def _gram_extreme_eigs(A) -> tuple[float, float]:
-    """(lambda_min, lambda_max) of A^T A by power iteration, no eigensolver."""
-    d = A.shape[1]
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(d)
-    v /= np.linalg.norm(v)
-    lam_max = 0.0
-    for _ in range(_POWER_ITERS):
-        w = A.T @ (A @ v)
-        w = np.asarray(w).ravel()
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            return 0.0, 0.0
-        est = float(v @ w)
-        v = w / nrm
-        if abs(est - lam_max) <= _POWER_RTOL * max(abs(est), 1.0):
-            lam_max = est
-            break
-        lam_max = est
+    """(lambda_min, lambda_max) of A^T A, exact up to rounding.
+
+    Dense A: ``eigvalsh`` of the Gram matrix of the shorter side, A^T A or
+    A A^T; both have the nonzero spectrum of A^T A and no more entries than A.
+    Sparse A: Lanczos on v -> A^T (A v), and on lambda_max I - A^T A for
+    lambda_min.  lambda_min is 0 when A has fewer rows than columns or when
+    it is at most 1e-9 lambda_max.
+    """
+    m, d = A.shape
+    if sp.issparse(A):
+        lam_min, lam_max = _lanczos_extreme_eigs(A)
+    else:
+        eigs = np.linalg.eigvalsh(A.T @ A if m >= d else A @ A.T)
+        lam_min, lam_max = float(eigs[0]), float(eigs[-1])
     lam_max = max(lam_max, 0.0)
-    if A.shape[0] < d:
-        return 0.0, lam_max  # rank deficient by shape
-    # power iteration on lam_max * I - A^T A gives the smallest eigenvalue
-    v = rng.standard_normal(d)
-    v /= np.linalg.norm(v)
-    shift_est = 0.0
-    for _ in range(_POWER_ITERS):
-        w = lam_max * v - np.asarray(A.T @ (A @ v)).ravel()
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            break
-        est = float(v @ w)
-        v = w / nrm
-        if abs(est - shift_est) <= _POWER_RTOL * max(abs(est), 1.0):
-            shift_est = est
-            break
-        shift_est = est
-    lam_min = max(lam_max - shift_est, 0.0)
-    if lam_min <= _POWER_RTOL * lam_max:
+    if m < d or lam_min <= _ZERO_EIG_RTOL * lam_max:
         lam_min = 0.0
     return lam_min, lam_max
+
+
+def _lanczos_extreme_eigs(A) -> tuple[float, float]:
+    """Extreme eigenvalues of A^T A for a sparse A, by ARPACK's Lanczos.
+
+    lambda_min is only computed when A has at least as many rows as columns.
+    """
+    # imported here: it costs about 6 MB and 90 ms that dense runs never need
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    m, d = A.shape
+    if not A.count_nonzero():
+        return 0.0, 0.0  # ARPACK rejects the zero operator
+    if d == 1:
+        lam = float(A.power(2).sum())  # ARPACK needs k = 1 < d
+        return lam, lam
+    v0 = np.random.default_rng(0).standard_normal(d)
+
+    def gram(v):
+        return A.T @ (A @ v)
+
+    def top(matvec) -> float:
+        op = LinearOperator((d, d), matvec=matvec, dtype=float)
+        return float(eigsh(op, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
+
+    lam_max = top(gram)
+    if m < d:
+        return 0.0, lam_max
+
+    def shifted(v):
+        return lam_max * v - gram(v)
+
+    if not np.any(shifted(v0)):
+        return lam_max, lam_max  # A^T A = lambda_max I: ARPACK rejects the zero operator
+    return lam_max - top(shifted), lam_max
 
 
 def _shard_constants(shard: LossShard) -> tuple[float, float]:

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from sparsepg import cli, metrics, problem as pb
+from sparsepg import cli, data, metrics, problem as pb
 
 SMALL_LASSO = """
 [problem]
@@ -88,6 +88,27 @@ class TestBuildProblem:
         ref = metrics.reference_solution(prob, tol=1e-10, assume_unique_minimizer=True)
         assert ref.s_star == 5
         assert cfg.lam1 is not None
+
+    def test_calibration_builds_shards_once(self, monkeypatch):
+        # the same bisection over problems rebuilt from the data at every weight
+        cfg = cli.parse_config(SMALL_LASSO)
+        dataset, _ = data.generate_lasso(cfg.d, cfg.m, cfg.sparsity, cfg.noise_std, cfg.data_seed)
+        plan = data.shard_even(dataset, cfg.workers, seed=cfg.data_seed)
+        lam_hi = float(np.max(np.abs(pb.smooth_gradient(
+            data.lasso_problem(dataset, plan, 1.0), np.zeros(cfg.d)))))
+        lam = metrics.calibrate_l1(lambda v: data.lasso_problem(dataset, plan, v),
+                                   cfg.target_support, lam_hi)
+        want = data.lasso_problem(dataset, plan, lam)
+
+        builds = []
+        make_shards = data.make_shards
+        monkeypatch.setattr(data, "make_shards",
+                            lambda *a, **k: builds.append(1) or make_shards(*a, **k))
+        prob = cli.build_problem(cfg)
+        assert len(builds) == 1
+        assert cfg.lam1 == lam
+        assert metrics.problem_fingerprint(prob) == metrics.problem_fingerprint(want)
+        assert (prob.mu, prob.lip) == (want.mu, want.lip)
 
 
 class TestRun:

@@ -54,6 +54,28 @@ class TestReferenceSolution:
         assert np.array_equal(a.x_star, b.x_star)
         assert list(tmp_path.iterdir()) == files
 
+    @pytest.mark.parametrize("entry", ["truncated", "garbage", "old version", "other problem"])
+    def test_bad_cache_entry_is_a_miss(self, tmp_path, entry):
+        prob = strongly_convex_problem(d=8, M=2, seed=2)
+        fresh = metrics.reference_solution(prob, tol=1e-9)
+        metrics.reference_solution(prob, tol=1e-9, cache_dir=str(tmp_path))
+        (path,) = tmp_path.iterdir()
+        good = path.read_bytes()
+        if entry == "truncated":
+            path.write_bytes(good[: len(good) // 2])
+        elif entry == "garbage":
+            path.write_bytes(b"\x80\x04not a cache entry" * 10)
+        else:
+            version = metrics._CACHE_VERSION - (entry == "old version")
+            key = "0" * 64 if entry == "other problem" else fresh.fingerprint
+            np.savez(path, version=version, fingerprint=key, tol=1e-9, x_star=fresh.x_star + 1.0)
+        got = metrics.reference_solution(prob, tol=1e-9, cache_dir=str(tmp_path))
+        assert np.array_equal(got.x_star, fresh.x_star)
+        assert list(tmp_path.iterdir()) == [path]
+        with np.load(path) as rewritten:
+            assert int(rewritten["version"]) == metrics._CACHE_VERSION
+            assert np.array_equal(rewritten["x_star"], fresh.x_star)
+
     def test_cache_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv(metrics.CACHE_ENV, str(tmp_path))
         prob = strongly_convex_problem(d=6, M=2, seed=3)

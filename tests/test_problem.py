@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sparsepg import problem as pb
+from sparsepg import data, problem as pb
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def quad_shard(a=1.0, b=0.0):
@@ -120,6 +126,78 @@ class TestSmoothnessConstants:
     def test_empty_shards_error(self):
         with pytest.raises(ValueError):
             pb.composite_problem([])
+
+
+def _csc(rng, m, d, density):
+    return sp.random(m, d, density=density, format="csc", random_state=rng,
+                     data_rvs=rng.standard_normal)
+
+
+_SHAPES = {
+    "dense tall": lambda rng: rng.standard_normal((40, 12)),
+    "dense wide": lambda rng: rng.standard_normal((9, 25)),
+    "csc tall": lambda rng: _csc(rng, 300, 40, 0.1),
+    "csc wide": lambda rng: _csc(rng, 20, 60, 0.2),
+    "csc two columns": lambda rng: _csc(rng, 9, 2, 1.0),
+    "dense d=1": lambda rng: rng.standard_normal((7, 1)),
+    "csc d=1": lambda rng: _csc(rng, 7, 1, 1.0),
+    "csc identity": lambda rng: sp.identity(6, format="csc"),
+    "dense all-zero": lambda rng: np.zeros((5, 4)),
+    "csc all-zero": lambda rng: sp.csc_matrix((5, 4)),
+}
+
+
+class TestExactConstants:
+    """(mu, L) equal the extremes of the dense eigensolver's spectrum of A^T A."""
+
+    @staticmethod
+    def exact_extremes(A):
+        D = A.toarray() if sp.issparse(A) else A
+        m, d = D.shape
+        eigs = np.linalg.eigvalsh(D.T @ D)
+        lam_min = eigs[0] if m >= d and eigs[0] > 1e-9 * eigs[-1] else 0.0
+        return lam_min, eigs[-1]
+
+    @pytest.mark.parametrize("shape", list(_SHAPES))
+    @pytest.mark.parametrize("kind", [pb.LEAST_SQUARES, pb.LOGISTIC])
+    def test_equal_to_eigvalsh(self, shape, kind):
+        rng = np.random.default_rng(11)
+        A = _SHAPES[shape](rng)
+        m = A.shape[0]
+        b = rng.choice([-1.0, 1.0], size=m)
+        shard = pb.LossShard(kind=kind, A=A, b=b, l2=0.01 if kind == pb.LOGISTIC else 0.0)
+        mu, lip = pb.smoothness_constants(pb.composite_problem([shard]))
+        lam_min, lam_max = self.exact_extremes(A)
+        if kind == pb.LEAST_SQUARES:
+            want = (2 * lam_min / m, 2 * lam_max / m)
+        else:
+            want = (0.01, lam_max / (4 * m) + 0.01)
+        assert mu == pytest.approx(want[0], rel=1e-10, abs=1e-300)
+        assert lip == pytest.approx(want[1], rel=1e-10, abs=1e-300)
+
+    def test_mu_not_overestimated_on_lasso_shard(self):
+        # a power iteration stopped at 1e-9 between steps gave 68.74 here
+        ds, _ = data.generate_lasso(d=200, m=2000, sparsity=0.96, noise_std=0.01, seed=0)
+        plan = data.shard_even(ds, M=4, seed=0)
+        A = data.make_shards(ds, plan, pb.LEAST_SQUARES)[0].A
+        lam_min, lam_max = pb._gram_extreme_eigs(A)
+        eigs = np.linalg.eigvalsh(A.T @ A)
+        assert lam_min == pytest.approx(eigs[0], rel=1e-10)
+        assert lam_max == pytest.approx(eigs[-1], rel=1e-10)
+
+    def test_dense_problem_does_not_import_sparse_linalg(self):
+        code = (
+            "import sys, numpy as np\n"
+            "from sparsepg import problem as pb\n"
+            "A = np.random.default_rng(0).standard_normal((30, 8))\n"
+            "pb.composite_problem([pb.LossShard(kind=pb.LEAST_SQUARES, A=A, b=np.zeros(30))])\n"
+            "print('scipy.sparse.linalg' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.strip() == "False"
 
 
 class TestProx:
