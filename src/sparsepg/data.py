@@ -94,7 +94,9 @@ def generate_lasso(d: int, m: int, sparsity: float, noise_std: float, seed: int)
     x0 = np.zeros(d)
     x0[support] = rng.standard_normal(k)
     e = noise_std * rng.standard_normal(m)
-    b = A @ x0 + e
+    # not A @ x0: BLAS sums in an order that depends on its thread count
+    supp = np.sort(support)
+    b = (A[:, supp] * x0[supp]).sum(axis=1) + e
     return Dataset(X=A, y=b), x0
 
 

@@ -148,23 +148,27 @@ def epoch_boundaries(worker_log, M: int | None = None) -> list[int]:
 
 
 class _EpochTracker:
+    """epoch_boundaries, one firing at a time.  Plain lists: numpy calls on
+    M-element arrays cost more than the work in them."""
+
     def __init__(self, M: int):
-        self.last = np.full(M, -1, dtype=int)
-        self.penult = np.full(M, -1, dtype=int)
+        self.last = [-1] * M
+        self.penult = [-1] * M
         self.fired_twice = 0
         self.boundaries = [0]
 
     def record(self, k: int, i: int) -> bool:
         """Returns True when k starts a new epoch."""
-        if self.last[i] >= 0:
+        last = self.last[i]
+        if last >= 0:
             if self.penult[i] < 0:
                 self.fired_twice += 1
-            self.penult[i] = self.last[i]
+            self.penult[i] = last
         self.last[i] = k
         if (
             k > 0
-            and self.fired_twice == self.last.size
-            and self.penult.min() >= self.boundaries[-1]
+            and self.fired_twice == len(self.last)
+            and min(self.penult) >= self.boundaries[-1]
         ):
             self.boundaries.append(k)
             return True
@@ -430,8 +434,8 @@ def _run(
                 if mode == "sim":
                     rebuilt = sum(a * w.x for a, w in zip(problem.alphas, workers))
                     assert np.allclose(xbar, rebuilt, atol=1e-10), "coordinator average drifted"
-            # NaN fails the comparison too
-            if not np.linalg.norm(x) <= DIVERGENCE_NORM:
+            # ||x||^2 as np.linalg.norm computes it; NaN fails the comparison too
+            if not x @ x <= DIVERGENCE_NORM ** 2:
                 raise DivergenceError(k)
             masks[i] = mask = new_mask(i, x)
             down = _count_down(nnz, mask, dense_down, d)

@@ -34,6 +34,17 @@ def _finite(v) -> bool:
     return bool(np.all(np.isfinite(v)))
 
 
+def _gram_form(kind, A, b, prev):
+    """(A, b, A^T A, A^T b) for a dense least-squares shard with m >= d, where
+    a gradient from the d x d Gram matrix never costs more than one from A;
+    None otherwise.  ``prev`` is kept when it was built from these A and b."""
+    if kind != LEAST_SQUARES or sp.issparse(A) or A.shape[0] < A.shape[1]:
+        return None
+    if prev is not None and prev[0] is A and prev[1] is b:
+        return prev
+    return A, b, A.T @ A, A.T @ b
+
+
 @dataclass(frozen=True)
 class LossShard:
     """One worker's share of the smooth part.
@@ -42,6 +53,11 @@ class LossShard:
     (mean logistic loss with labels in {-1,+1} plus an l2 term of weight
     ``l2``).  ``ridge_weight``/``ridge_center`` add (w/2)||x - c||^2, used by
     proximal reconditioning.  ``A`` is stored column-major.
+
+    ``_gram`` is derived state, not a parameter: (A, b, A^T A, A^T b) for a
+    dense least-squares shard with m >= d, else None.  ``dataclasses.replace``
+    carries it over, so ``reconditioned`` reuses it; it is rebuilt whenever
+    A or b is another object.
     """
 
     kind: str
@@ -50,6 +66,7 @@ class LossShard:
     l2: float = 0.0
     ridge_weight: float = 0.0
     ridge_center: Array | None = None
+    _gram: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         A = _as_matrix(self.A)
@@ -80,6 +97,7 @@ class LossShard:
             if not _finite(c):
                 raise ValueError("ridge center has non-finite entries")
             object.__setattr__(self, "ridge_center", c)
+        object.__setattr__(self, "_gram", _gram_form(self.kind, A, b, self._gram))
 
     @property
     def n_examples(self) -> int:
@@ -212,18 +230,24 @@ def _adjoint(shard: LossShard, r: Array, coords) -> Array:
 
 def grad_shard(shard: LossShard, x: Array, coords=None) -> Array:
     """Gradient of the shard's local smooth loss at x; only its entries on
-    the index array ``coords`` when given.  While coords and supp(x) are small
-    next to d, the cost is O(m (|coords| + |supp(x)|)) rather than O(m d)."""
+    the index array ``coords`` when given.
+
+    A dense least-squares shard with m >= d uses its Gram form,
+    (2/m) (G[coords] x - c[coords]) with G = A^T A and c = A^T b: O(|coords| d).
+    Other shards gather columns of A: while coords and supp(x) are small next
+    to d, the cost is O(m (|coords| + |supp(x)|)) rather than O(m d)."""
     x = _check_dim(shard, x)
     m = shard.n_examples
-    z = _margins(shard, x)
     xc = x if coords is None else x[coords]
-    if shard.kind == LEAST_SQUARES:
-        g = (2.0 / m) * _adjoint(shard, z - shard.b, coords)
+    if shard._gram is not None:
+        _, _, G, c = shard._gram
+        g = (2.0 / m) * (G @ x - c if coords is None else G[coords] @ x - c[coords])
+    elif shard.kind == LEAST_SQUARES:
+        g = (2.0 / m) * _adjoint(shard, _margins(shard, x) - shard.b, coords)
     else:
         y = shard.b
         # d/dz log(1 + exp(-y z)) = -y * sigmoid(-y z)
-        coeff = -y * expit(-y * z)
+        coeff = -y * expit(-y * _margins(shard, x))
         g = _adjoint(shard, coeff, coords) / m + shard.l2 * xc
     if shard.ridge_weight > 0:
         center = shard.ridge_center if coords is None else shard.ridge_center[coords]
@@ -246,11 +270,12 @@ def shard_value(shard: LossShard, x: Array) -> float:
     return v
 
 
-def _gram_extreme_eigs(A) -> tuple[float, float]:
+def _gram_extreme_eigs(A, gram=None) -> tuple[float, float]:
     """(lambda_min, lambda_max) of A^T A, exact up to rounding.
 
     Dense A: ``eigvalsh`` of the Gram matrix of the shorter side, A^T A or
     A A^T; both have the nonzero spectrum of A^T A and no more entries than A.
+    ``gram``, when given, is that matrix already formed.
     Sparse A: Lanczos on v -> A^T (A v), and on lambda_max I - A^T A for
     lambda_min.  lambda_min is 0 when A has fewer rows than columns or when
     it is at most 1e-9 lambda_max.
@@ -259,7 +284,9 @@ def _gram_extreme_eigs(A) -> tuple[float, float]:
     if sp.issparse(A):
         lam_min, lam_max = _lanczos_extreme_eigs(A)
     else:
-        eigs = np.linalg.eigvalsh(A.T @ A if m >= d else A @ A.T)
+        if gram is None:
+            gram = A.T @ A if m >= d else A @ A.T
+        eigs = np.linalg.eigvalsh(gram)
         lam_min, lam_max = float(eigs[0]), float(eigs[-1])
     lam_max = max(lam_max, 0.0)
     if m < d or lam_min <= _ZERO_EIG_RTOL * lam_max:
@@ -303,7 +330,8 @@ def _lanczos_extreme_eigs(A) -> tuple[float, float]:
 
 
 def _shard_constants(shard: LossShard) -> tuple[float, float]:
-    lam_min, lam_max = _gram_extreme_eigs(shard.A)
+    gram = None if shard._gram is None else shard._gram[2]
+    lam_min, lam_max = _gram_extreme_eigs(shard.A, gram)
     m = shard.n_examples
     if shard.kind == LEAST_SQUARES:
         mu = 2.0 * lam_min / m

@@ -276,6 +276,15 @@ def _inner_run(problem, params, center, ell, criterion, schedule, seed,
     return trace, pi_ell
 
 
+def _final_objective(problem, inner: RunTrace) -> float:
+    """F at the inner run's last iterate: the value the run logged there (both
+    outer loops log F itself), or a fresh evaluation when it logged none."""
+    log = inner.objective_log
+    if log and log[-1].k == inner.n_iterations - 1:
+        return log[-1].value
+    return pb.eval_objective(problem, inner.final_x)
+
+
 def _log_outer(trace: OuterTrace, inner: RunTrace, ell, pi_ell, objective):
     prev_up, prev_down, base_iter = trace.cum_up, trace.cum_down, trace.total_iterations
     x = inner.final_x
@@ -335,7 +344,7 @@ def run_reconditioned(
         )
         x = inner.final_x.copy()
         trace.centers.append(x.copy())
-        f_x = pb.eval_objective(problem, x)
+        f_x = _final_objective(problem, inner)
         _log_outer(trace, inner, ell, pi_ell, f_x)
     trace.final_x = x
     return trace
@@ -439,7 +448,7 @@ def run_momentum(
         y = x_new + b * (x_new - x)
         x = x_new
         trace.centers.append(y.copy())
-        f_x = pb.eval_objective(problem, x)
+        f_x = _final_objective(problem, inner)
         _log_outer(trace, inner, ell, pi_ell, f_x)
     trace.final_x = x
     return trace

@@ -1,5 +1,8 @@
 import gzip
 import io
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsepg import data
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 class TestGenerateLasso:
@@ -29,6 +34,22 @@ class TestGenerateLasso:
     def test_model_consistency(self):
         ds, x0 = data.generate_lasso(d=8, m=6, sparsity=0.5, noise_std=0.0, seed=2)
         assert ds.X @ x0 == pytest.approx(ds.y)
+
+    def test_labels_do_not_depend_on_blas_threads(self):
+        code = (
+            "import hashlib\n"
+            "from sparsepg import data\n"
+            "ds, _ = data.generate_lasso(d=1000, m=500, sparsity=0.985, noise_std=0.01, seed=2)\n"
+            "print(hashlib.sha256(ds.y.tobytes()).hexdigest())\n"
+        )
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+            out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                 capture_output=True, text=True, timeout=120)
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1
 
     @pytest.mark.parametrize("bad", [
         dict(d=0, m=1, sparsity=0.5, noise_std=0.1, seed=0),

@@ -111,6 +111,17 @@ class TestEpochBoundaries:
             tracker.record(k, i)
         assert tracker.boundaries == engine.epoch_boundaries(log, 5)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_tracker_equals_function_on_random_logs(self, data):
+        M = data.draw(st.integers(1, 8))
+        log = data.draw(st.lists(st.integers(0, M - 1), max_size=300))
+        tracker = engine._EpochTracker(M)
+        starts = [k for k, i in enumerate(log) if tracker.record(k, i)]
+        want = engine.epoch_boundaries(log, M)
+        assert tracker.boundaries == want
+        assert [0] + starts == want
+
 
 class TestRunDavePG:
     def test_quadratic_converges(self):
@@ -136,6 +147,17 @@ class TestRunDavePG:
             engine.run_davepg(prob, engine.gamma_max(prob),
                               engine.DelaySchedule.round_robin(1),
                               np.zeros(1), engine.StopRule(max_iterations=500))
+
+    def test_nan_iterate_is_divergence(self):
+        # LossShard does not scan A, so a NaN entry reaches the iterate
+        shard = pb.LossShard(kind=pb.LEAST_SQUARES, A=np.array([[np.nan]]), b=np.array([2.0]))
+        prob = pb.CompositeProblem(shards=(shard,), alphas=np.array([1.0]),
+                                   reg=pb.Regularizer(), mu=0.5, lip=1.0)
+        with pytest.raises(engine.DivergenceError) as info:
+            engine.run_davepg(prob, engine.gamma_max(prob),
+                              engine.DelaySchedule.round_robin(1),
+                              np.zeros(1), engine.StopRule(max_iterations=10))
+        assert info.value.iteration == 0
 
     def test_stop_at_epoch_budget(self):
         prob = strongly_convex_problem(d=6, M=3, seed=1)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sparsepg import data, problem as pb
+from sparsepg import data, metrics, problem as pb
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -418,3 +419,100 @@ class TestRestrictedOracles:
         u = rng.standard_normal(d) * 3
         S = _pick(rng, d, "many")
         assert np.array_equal(pb.prox_reg(reg, gamma, u[S], S), pb.prox_reg(reg, gamma, u)[S])
+
+
+class TestGramForm:
+    """Dense least-squares shards with m >= d take their gradient from
+    G = A^T A and c = A^T b, built once per (A, b)."""
+
+    @staticmethod
+    def tall_shard(rng, m, d, ridge):
+        A = rng.standard_normal((m, d))
+        center = rng.standard_normal(d) if ridge else None
+        return pb.LossShard(kind=pb.LEAST_SQUARES, A=A, b=rng.standard_normal(m),
+                            ridge_weight=0.7 if ridge else 0.0, ridge_center=center)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        ridge=st.booleans(),
+        support=st.sampled_from(["empty", "few", "many", "full"]),
+        coords=st.sampled_from([None, "empty", "few", "full"]),
+    )
+    def test_matches_column_path(self, seed, ridge, support, coords):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 60))
+        m = d + int(rng.integers(0, 40))
+        shard = self.tall_shard(rng, m, d, ridge)
+        assert shard._gram is not None
+        # the same shard stored CSC takes the column path
+        twin = pb.LossShard(kind=pb.LEAST_SQUARES, A=sp.csc_matrix(shard.A), b=shard.b,
+                            ridge_weight=shard.ridge_weight, ridge_center=shard.ridge_center)
+        assert twin._gram is None
+        x = np.zeros(d)
+        supp = _pick(rng, d, support)
+        x[supp] = rng.standard_normal(supp.size)
+        S = None if coords is None else _pick(rng, d, coords)
+
+        _, g_ref = _brute_shard(pb.LEAST_SQUARES, shard.A, shard.b, 0.0,
+                                shard.ridge_weight, shard.ridge_center, x)
+        want = g_ref if S is None else g_ref[S]
+        got = pb.grad_shard(shard, x, S)
+        scale = max(np.max(np.abs(g_ref)), 1.0)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+        assert np.all(np.abs(got - pb.grad_shard(twin, x, S)) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("case", ["wide", "csc", "logistic"])
+    def test_other_shards_carry_no_gram(self, case):
+        rng = np.random.default_rng(12)
+        A = rng.standard_normal((20, 30) if case == "wide" else (30, 20))
+        if case == "csc":
+            A = sp.csc_matrix(A)
+        kind = pb.LOGISTIC if case == "logistic" else pb.LEAST_SQUARES
+        b = rng.choice([-1.0, 1.0], size=A.shape[0])
+        assert pb.LossShard(kind=kind, A=A, b=b)._gram is None
+
+    def test_reconditioning_reuses_gram(self):
+        rng = np.random.default_rng(13)
+        prob = pb.composite_problem([self.tall_shard(rng, 30, 10, False) for _ in range(2)])
+        sub = pb.reconditioned(prob, 0.5, np.ones(10))
+        again = pb.reconditioned(sub, 0.25, np.zeros(10))
+        for old, new, newer in zip(prob.shards, sub.shards, again.shards):
+            assert new._gram is old._gram
+            assert newer._gram is old._gram
+        _, _, G, c = prob.shards[0]._gram
+        assert G.flags.c_contiguous
+        A, b = prob.shards[0].A, prob.shards[0].b
+        assert np.allclose(G, A.T @ A, rtol=1e-13, atol=1e-12)
+        assert np.allclose(c, A.T @ b, rtol=1e-13, atol=1e-12)
+
+    def test_replace_of_data_rebuilds_gram(self):
+        rng = np.random.default_rng(14)
+        shard = self.tall_shard(rng, 30, 10, True)
+        x = rng.standard_normal(10)
+        changed = [
+            replace(shard, b=rng.standard_normal(30)),
+            replace(shard, A=rng.standard_normal((30, 10))),
+            replace(shard, A=np.ascontiguousarray(shard.A) * 2.0),
+            replace(shard, A=shard.A[:12], b=shard.b[:12]),
+        ]
+        for new in changed:
+            assert new._gram is not shard._gram
+            assert new._gram[0] is new.A and new._gram[1] is new.b
+            _, g = _brute_shard(pb.LEAST_SQUARES, new.A, new.b, 0.0,
+                                new.ridge_weight, new.ridge_center, x)
+            assert np.allclose(pb.grad_shard(new, x), g, rtol=1e-12, atol=1e-12)
+        wide = replace(shard, A=rng.standard_normal((30, 40)), ridge_weight=0.0,
+                       ridge_center=None)
+        assert wide._gram is None
+
+    def test_gram_is_not_part_of_identity(self):
+        rng = np.random.default_rng(15)
+        shard = self.tall_shard(rng, 30, 10, False)
+        twin = pb.LossShard(kind=shard.kind, A=shard.A, b=shard.b)
+        assert twin._gram is not shard._gram
+        assert twin == shard
+        assert "_gram" not in repr(shard)
+        assert metrics.problem_fingerprint(pb.composite_problem([twin])) == \
+            metrics.problem_fingerprint(pb.composite_problem([shard]))

@@ -173,6 +173,40 @@ class TestReconditionedLoop:
         assert mom.records[-1].objective <= target < mom.records[-2].objective
         assert len(calls) == mom.n_outer + 1
 
+    @pytest.mark.parametrize("loop", ["plain", "momentum"])
+    @pytest.mark.parametrize("stride", [3, 4])
+    def test_final_objective_taken_from_the_log(self, loop, stride, monkeypatch):
+        # an inner run whose last iteration was logged already holds F at its
+        # final point; F is evaluated again only for the others.  Every inner
+        # run here is 7 iterations long: stride 3 logs k = 6, stride 4 does not
+        evaluate = pb.eval_objective
+        calls = []
+
+        def counted(problem, x):
+            calls.append(None)
+            return evaluate(problem, x)
+
+        monkeypatch.setattr(pb, "eval_objective", counted)
+        target = self.f_star + 1e-6
+        if loop == "plain":
+            trace = rc.run_reconditioned(self.prob, self.params, self.sched, np.zeros(40),
+                                         criterion=rc.InnerCriterion(kind="fixed", epochs=1),
+                                         outer_budget=2000, target_objective=target, seed=4,
+                                         objective_stride=stride)
+        else:
+            trace = rc.run_momentum(self.prob, self.params, self.sched, np.zeros(40),
+                                    criterion=rc.MomentumCriterion(kind="fixed", epochs=1),
+                                    outer_budget=2000, target_objective=target, seed=4,
+                                    objective_stride=stride)
+        assert trace.records[-1].objective <= target < trace.records[-2].objective
+        logged_last = [t.objective_log[-1].k == t.n_iterations - 1 for t in trace.inner_traces]
+        assert all(t.n_iterations == 7 for t in trace.inner_traces)
+        assert logged_last == [stride == 3] * trace.n_outer
+        logged = sum(len(t.objective_log) for t in trace.inner_traces)
+        assert len(calls) == 1 + logged + logged_last.count(False)
+        for r, inner in zip(trace.records, trace.inner_traces):
+            assert r.objective == evaluate(self.prob, inner.final_x)
+
     def test_priming_charged_once_in_both_modes(self):
         charges = {}
         for mode in ("sim", "concurrent"):
