@@ -14,7 +14,6 @@ rows over the common prefix; no resampling or smoothing.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import configparser
 import csv
 import io
@@ -390,13 +389,6 @@ def _subopt_curves(trace, f_star, up_offset=0, down_offset=0, iter_offset=0):
              p.value - f_star) for p in trace.objective_log]
 
 
-def _support_curve(trace, stride=1, iter_offset=0):
-    """[(iteration-or-outer-step, support_size)]."""
-    if hasattr(trace, "centers"):
-        return [(r.ell, r.support_size) for r in trace.records]
-    return [(r.k + iter_offset, r.support_size) for r in trace.records[::stride]]
-
-
 def _write_curves_csv(path, header, per_seed):
     """per_seed: {label: [(x, y), ...]}; adds pointwise median/q25/q75 rows."""
     with open(path, "w", newline="") as fh:
@@ -440,30 +432,24 @@ def _execute_seed(problem, cfg, seed, ref, mode, phase1=None) -> SeedResult:
         return SeedResult(seed=seed, status="diverged", error=str(exc))
     gap = pb.eval_objective(problem, trace.final_x) - ref.f_star
     status = "ok" if gap <= cfg.target_eps else "target-not-reached"
-    n_iter = trace.total_iterations if isinstance(trace, rc.OuterTrace) else trace.n_iterations
     subopt, support = [], []
     up0 = down0 = it0 = 0
     if phase1 is not None:
         subopt = _subopt_curves(phase1, ref.f_star)
-        support = _support_curve(phase1, stride=cfg.log_stride)
+        support = phase1.support_curve(cfg.log_stride)
         up0, down0, it0 = phase1.cum_up, phase1.cum_down, phase1.n_iterations
     return SeedResult(
-        seed=seed, status=status, final_gap=gap, iterations=it0 + n_iter,
+        seed=seed, status=status, final_gap=gap, iterations=it0 + trace.n_iterations,
         cum_up=up0 + trace.cum_up, cum_down=down0 + trace.cum_down,
         identification=metrics.identification_time(trace, ref),
         trace=trace,
         subopt=subopt + _subopt_curves(trace, ref.f_star, up0, down0, it0),
-        support=support + _support_curve(trace, stride=cfg.log_stride, iter_offset=it0),
+        support=support + trace.support_curve(cfg.log_stride, it0),
     )
 
 
-def _run_seeds(problem, cfg, ref, mode, jobs=None) -> list[SeedResult]:
-    workers = min(len(cfg.seeds), jobs or (os.cpu_count() or 1))
-    if workers <= 1:
-        return [_execute_seed(problem, cfg, s, ref, mode) for s in cfg.seeds]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_execute_seed, problem, cfg, s, ref, mode) for s in cfg.seeds]
-        return [f.result() for f in futures]
+def _run_seeds(problem, cfg, ref, mode) -> list[SeedResult]:
+    return [_execute_seed(problem, cfg, s, ref, mode) for s in cfg.seeds]
 
 
 def _emit_experiment(out_dir, cfg, problem, ref, results, extra_summary=None):
@@ -472,11 +458,7 @@ def _emit_experiment(out_dir, cfg, problem, ref, results, extra_summary=None):
         fh.write(cfg.to_ini())
     for r in results:
         if r.trace is not None:
-            path = os.path.join(out_dir, f"trace_seed{r.seed}.csv")
-            if hasattr(r.trace, "centers"):
-                r.trace.to_csv(path, f_star=ref.f_star)
-            else:
-                r.trace.to_csv(path)
+            r.trace.to_csv(os.path.join(out_dir, f"trace_seed{r.seed}.csv"), f_star=ref.f_star)
     ok = {str(r.seed): r for r in results if r.status != "diverged"}
     _write_curves_csv(
         os.path.join(out_dir, "support_vs_iters.csv"),

@@ -201,7 +201,8 @@ class RunTrace:
     """Complete per-iteration log of one engine run.
 
     ``cum_up``/``cum_down`` are running totals: the priming charge plus every
-    iteration's ``coords_up``/``coords_down``."""
+    iteration's ``coords_up``/``coords_down``.  Iterating the trace yields its
+    epoch snapshots, one point per epoch."""
 
     records: list = field(default_factory=list)
     epoch_starts: list = field(default_factory=lambda: [0])
@@ -226,7 +227,17 @@ class RunTrace:
     def worker_fires(self) -> list[int]:
         return [r.worker for r in self.records]
 
-    def to_csv(self, path) -> None:
+    def __iter__(self):
+        return iter(self.epoch_snapshots)
+
+    def support_curve(self, stride: int = 1, iter_offset: int = 0) -> list:
+        """[(iteration, support_size)] of every stride-th iteration, the
+        iteration index shifted by iter_offset."""
+        return [(r.k + iter_offset, r.support_size) for r in self.records[::stride]]
+
+    def to_csv(self, path, f_star: float | None = None) -> None:
+        """One row per iteration with the logged objective where there is
+        one; the rows carry no gap, so f_star is not used."""
         values = {p.k: p.value for p in self.objective_log}
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)

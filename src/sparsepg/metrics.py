@@ -1,4 +1,4 @@
-"""Reference solutions, identification detection, and communication accounting."""
+"""Reference solutions, identification detection, and communication complexity."""
 
 from __future__ import annotations
 
@@ -14,10 +14,9 @@ import scipy.sparse as sp
 
 from . import direct
 from . import problem as pb
-from .recondition import OuterTrace
 
 CACHE_ENV = "SPARSEPG_CACHE"
-_CACHE_VERSION = 3
+_CACHE_VERSION = 4
 
 
 # -- reference solutions -----------------------------------------------------
@@ -35,17 +34,20 @@ class ReferenceSolution:
 
 
 def problem_fingerprint(problem: pb.CompositeProblem) -> str:
-    """Hash of the data and hyperparameters identifying a problem instance."""
+    """Hash of the data and hyperparameters identifying a problem instance.
+
+    Shard matrices are hashed in their stored column-major layout: the CSC
+    arrays of a sparse shard, the column-by-column bytes of a dense one."""
     h = hashlib.sha256()
     for shard in problem.shards:
         A = shard.A
         if sp.issparse(A):
-            A = sp.csr_matrix(A)
+            A = sp.csc_matrix(A)
             h.update(A.indptr.tobytes())
             h.update(A.indices.tobytes())
-            h.update(np.ascontiguousarray(A.data, dtype=float).tobytes())
+            h.update(np.ascontiguousarray(A.data, dtype=float))
         else:
-            h.update(np.ascontiguousarray(A, dtype=float).tobytes())
+            h.update(np.ascontiguousarray(A.T, dtype=float))
         h.update(np.ascontiguousarray(shard.b, dtype=float).tobytes())
         h.update(repr((shard.kind, shard.l2, shard.ridge_weight)).encode())
         if shard.ridge_center is not None:
@@ -155,18 +157,13 @@ def check_nondegeneracy(problem: pb.CompositeProblem, ref: ReferenceSolution) ->
 # -- identification ----------------------------------------------------------
 
 
-def _iterate_list(trace):
-    if hasattr(trace, "centers"):  # outer trace
-        return list(trace.centers)
-    if hasattr(trace, "epoch_snapshots"):  # engine trace: one point per epoch
-        return list(trace.epoch_snapshots)
-    return list(trace)
-
-
 def identification_time(trace, ref: ReferenceSolution, tol: float = 0.0):
     """Smallest logged index after which supp(x) == supp(x*) holds for every
-    subsequent iterate; None when the support never stabilizes to supp(x*)."""
-    points = _iterate_list(trace)
+    subsequent iterate; None when the support never stabilizes to supp(x*).
+
+    ``trace`` is any iterable of points: a list, an engine trace (one point per
+    epoch) or an outer trace (one center per outer step)."""
+    points = list(trace)
     target = np.abs(ref.x_star) > tol
     match = [bool(np.array_equal(np.abs(x) > tol, target)) for x in points]
     lam = None
@@ -179,77 +176,7 @@ def identification_time(trace, ref: ReferenceSolution, tol: float = 0.0):
     return lam
 
 
-# -- communication accounting ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CommLedger:
-    """Totals of exchanged coordinates plus the measured epoch length K."""
-
-    coords_up: int
-    coords_down: int
-    n_iterations: int
-    n_epochs: int
-
-    @property
-    def total(self) -> int:
-        return self.coords_up + self.coords_down
-
-    @property
-    def iterations_per_epoch(self) -> float:
-        if self.n_epochs == 0:
-            return math.nan
-        return self.n_iterations / self.n_epochs
-
-    @staticmethod
-    def from_trace(trace) -> "CommLedger":
-        if isinstance(trace, OuterTrace):
-            return CommLedger(
-                coords_up=trace.cum_up,
-                coords_down=trace.cum_down,
-                n_iterations=trace.total_iterations,
-                n_epochs=sum(r.inner_epochs for r in trace.records),
-            )
-        return CommLedger(
-            coords_up=trace.cum_up,
-            coords_down=trace.cum_down,
-            n_iterations=trace.n_iterations,
-            n_epochs=trace.n_epochs,
-        )
-
-
-def theoretical_complexity(mu: float, L: float, d: int, s_star: int, c: float, eps: float) -> float:
-    """Leading-order communication complexity of the sparsified scheme.
-
-    ((L - mu)/mu) * sqrt(d * s_star) * max(sqrt(c/s_star), sqrt(s_star/c))
-    * log(1/eps), up to constants and polylog factors -- comparable across
-    parameter settings, not an absolute prediction.
-    """
-    if mu <= 0:
-        raise ValueError("the complexity expression needs mu > 0")
-    if not 0 < s_star <= d:
-        raise ValueError("need 0 < s_star <= d")
-    if c <= 0:
-        raise ValueError("need c > 0")
-    if not 0 < eps < 1:
-        raise ValueError("need eps in (0, 1)")
-    balance = max(math.sqrt(c / s_star), math.sqrt(s_star / c))
-    return (L - mu) / mu * math.sqrt(d * s_star) * balance * math.log(1.0 / eps)
-
-
-def complexity_gain_ratio(mu: float, L: float, d: int, s_star: int, c: float) -> float:
-    """Leading-order ratio dense-baseline / sparsified communication cost.
-
-    (1 + kappa)/(1 - kappa) * min(sqrt(c/s_star), sqrt(s_star/c))
-    * (d + s_star)/sqrt(d * s_star), with kappa = mu/L.
-    """
-    if mu <= 0 or L <= 0:
-        raise ValueError("need mu, L > 0")
-    kappa = mu / L
-    if kappa >= 1:
-        raise ValueError("need mu < L")
-    balance = min(math.sqrt(c / s_star), math.sqrt(s_star / c))
-    return (1 + kappa) / (1 - kappa) * balance * (d + s_star) / math.sqrt(d * s_star)
+# -- communication complexity ------------------------------------------------
 
 
 class TargetNotReachedError(RuntimeError):

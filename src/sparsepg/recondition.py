@@ -157,7 +157,10 @@ class OuterRecord:
 @dataclass
 class OuterTrace:
     """Per-outer-step log plus the concatenated fine-grained objective log,
-    whose points count iterations and coordinates from the start of the run."""
+    whose points count iterations and coordinates from the start of the run.
+
+    Iterating the trace yields its centers, one per outer step, starting with
+    the initial point."""
 
     records: list = field(default_factory=list)
     centers: list = field(default_factory=list)
@@ -165,6 +168,13 @@ class OuterTrace:
     objective_log: list = field(default_factory=list)
     total_iterations: int = 0
     final_x: np.ndarray | None = None
+
+    def __iter__(self):
+        return iter(self.centers)
+
+    @property
+    def n_iterations(self) -> int:
+        return self.total_iterations
 
     @property
     def n_outer(self) -> int:
@@ -178,7 +188,18 @@ class OuterTrace:
     def cum_down(self) -> int:
         return self.records[-1].cum_down if self.records else 0
 
+    def support_curve(self, stride: int = 1, iter_offset: int = 0) -> list:
+        """[(iteration, support_size)], one point per outer step: the run-wide
+        index of the step's last inner iteration, plus iter_offset.  Every step
+        is kept, so stride is not used."""
+        curve, end = [], iter_offset
+        for r in self.records:
+            end += r.inner_iterations
+            curve.append((end - 1, r.support_size))
+        return curve
+
     def to_csv(self, path, f_star: float | None = None) -> None:
+        """One row per outer step; the gap column is empty without f_star."""
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["ell", "pi_ell", "inner_epochs", "inner_iterations",
@@ -218,11 +239,11 @@ class InnerCriterion:
 
 
 def _inner_stop(criterion, ell, params, pi_ell, problem, center):
-    """Build the engine StopRule plus the proximal point when one is needed."""
+    """The engine StopRule of outer step ell of the plain loop."""
     if criterion.kind == "budget":
-        return StopRule(max_epochs=epoch_budget(ell, params, pi_ell)), None
+        return StopRule(max_epochs=epoch_budget(ell, params, pi_ell))
     if criterion.kind == "fixed":
-        return StopRule(max_epochs=criterion.epochs), None
+        return StopRule(max_epochs=criterion.epochs)
     prox_pt = prox_oracle(problem, params.rho, center, tol=criterion.oracle_tol)
     mu, rho, delta = params.mu, params.rho, params.delta
     if criterion.kind == "absolute":
@@ -237,7 +258,7 @@ def _inner_stop(criterion, ell, params, pi_ell, problem, center):
         def pred(x, m):
             return float(np.sum((x - prox_pt) ** 2)) <= coeff * float(np.sum((x - center) ** 2))
 
-    return StopRule(max_epochs=criterion.safety_epochs, epoch_predicate=pred), prox_pt
+    return StopRule(max_epochs=criterion.safety_epochs, epoch_predicate=pred)
 
 
 def _check_probability_chain(params: ReconditionParams, pi_ell: float):
@@ -251,34 +272,9 @@ def _check_probability_chain(params: ReconditionParams, pi_ell: float):
         )
 
 
-def _inner_run(problem, params, center, ell, criterion, schedule, seed,
-               objective_fn, objective_stride, dense_down, mode="sim"):
-    dist = adaptive_distribution(center, params.c)
-    pi_ell = dist.p_min
-    _check_probability_chain(params, pi_ell)
-    sub = pb.reconditioned(problem, params.rho, center)
-    stop, _ = _inner_stop(criterion, ell, params, pi_ell, problem, center)
-    trace = run_spy(
-        sub, params.gamma, dist, schedule, init=center, stop=stop,
-        seed=seed + _SEED_STRIDE * ell, dense_down=dense_down,
-        objective_stride=objective_stride, objective_fn=objective_fn, mode=mode,
-        # only the first inner solve pays for the initial dense exchange;
-        # later solves warm-start from worker state already in place
-        charge_priming=(ell == 1),
-    )
-    if criterion.kind in ("absolute", "relative"):
-        hit = stop.epoch_predicate(trace.final_x, trace.n_epochs)
-        if not hit:
-            raise InnerBudgetError(
-                f"outer step {ell}: inner run exhausted {criterion.safety_epochs} "
-                "epochs without meeting its accuracy test"
-            )
-    return trace, pi_ell
-
-
 def _final_objective(problem, inner: RunTrace) -> float:
-    """F at the inner run's last iterate: the value the run logged there (both
-    outer loops log F itself), or a fresh evaluation when it logged none."""
+    """F at the inner run's last iterate: the value the run logged there (the
+    outer loop logs F itself), or a fresh evaluation when it logged none."""
     log = inner.objective_log
     if log and log[-1].k == inner.n_iterations - 1:
         return log[-1].value
@@ -306,6 +302,54 @@ def _log_outer(trace: OuterTrace, inner: RunTrace, ell, pi_ell, objective):
     trace.inner_traces.append(inner)
 
 
+def _outer_loop(problem, params, schedule, init, outer_budget, target_objective,
+                seed, objective_stride, mode, stop_rule, weight) -> OuterTrace:
+    """The proximal outer loop behind run_reconditioned and run_momentum.
+
+    Step ell solves the problem reconditioned at the current center with the
+    inner StopRule ``stop_rule(ell, center, sub, pi_ell)``; ``sub`` is that
+    reconditioned problem.  Its result x_ell gives the next center
+    x_ell + b (x_ell - x_{ell-1}) with b = ``weight(ell)``, and x_ell itself
+    when b is 0.
+    """
+    x = np.asarray(init, dtype=float).copy()
+    center = x
+    trace = OuterTrace()
+    trace.centers.append(center.copy())
+    # F(x): at the start, then the value each outer step logs
+    f_x = pb.eval_objective(problem, x) if target_objective is not None else None
+    for ell in range(1, outer_budget + 1):
+        if target_objective is not None and f_x <= target_objective:
+            break
+        dist = adaptive_distribution(center, params.c)
+        pi_ell = dist.p_min
+        _check_probability_chain(params, pi_ell)
+        sub = pb.reconditioned(problem, params.rho, center)
+        stop = stop_rule(ell, center, sub, pi_ell)
+        inner = run_spy(
+            sub, params.gamma, dist, schedule, init=center, stop=stop,
+            seed=seed + _SEED_STRIDE * ell, objective_stride=objective_stride,
+            objective_fn=lambda z: pb.eval_objective(problem, z), mode=mode,
+            # only the first inner solve pays for the initial dense exchange;
+            # later solves are not charged for re-priming their workers
+            charge_priming=(ell == 1),
+        )
+        if stop.epoch_predicate is not None and not stop.epoch_predicate(inner.final_x, inner.n_epochs):
+            raise InnerBudgetError(
+                f"outer step {ell}: inner run exhausted {stop.max_epochs} "
+                "epochs without meeting its accuracy test"
+            )
+        x_new = inner.final_x.copy()
+        b = weight(ell)
+        center = x_new if b == 0 else x_new + b * (x_new - x)
+        x = x_new
+        trace.centers.append(center.copy())
+        f_x = _final_objective(problem, inner)
+        _log_outer(trace, inner, ell, pi_ell, f_x)
+    trace.final_x = x
+    return trace
+
+
 def run_reconditioned(
     problem: pb.CompositeProblem,
     params: ReconditionParams,
@@ -316,10 +360,10 @@ def run_reconditioned(
     target_objective: float | None = None,
     seed: int = 0,
     objective_stride: int | None = None,
-    dense_down: bool = False,
     mode: str = "sim",
 ) -> OuterTrace:
-    """Outer proximal loop around sparsified asynchronous inner solves.
+    """Outer proximal loop around sparsified asynchronous inner solves, each
+    centered at the previous step's result.
 
     Stops when F(x_ell) <= target_objective (checked before each step, so a
     start at the solution performs no inner work) or after outer_budget steps.
@@ -329,25 +373,12 @@ def run_reconditioned(
             "rho = 0: the problem is already conditioned for this exploration "
             "level; run the sparsified engine directly"
         )
-    x = np.asarray(init, dtype=float).copy()
-    trace = OuterTrace()
-    trace.centers.append(x.copy())
-    # F(x): at the start, then the value each outer step logs
-    f_x = pb.eval_objective(problem, x) if target_objective is not None else None
-    for ell in range(1, outer_budget + 1):
-        if target_objective is not None and f_x <= target_objective:
-            break
-        inner, pi_ell = _inner_run(
-            problem, params, x, ell, criterion, schedule, seed,
-            objective_fn=lambda z: pb.eval_objective(problem, z),
-            objective_stride=objective_stride, dense_down=dense_down, mode=mode,
-        )
-        x = inner.final_x.copy()
-        trace.centers.append(x.copy())
-        f_x = _final_objective(problem, inner)
-        _log_outer(trace, inner, ell, pi_ell, f_x)
-    trace.final_x = x
-    return trace
+
+    def stop_rule(ell, center, sub, pi_ell):
+        return _inner_stop(criterion, ell, params, pi_ell, problem, center)
+
+    return _outer_loop(problem, params, schedule, init, outer_budget, target_objective,
+                       seed, objective_stride, mode, stop_rule, weight=lambda ell: 0.0)
 
 
 # -- accelerated variant -----------------------------------------------------
@@ -399,7 +430,6 @@ def run_momentum(
     target_objective: float | None = None,
     seed: int = 0,
     objective_stride: int | None = None,
-    dense_down: bool = False,
     mode: str = "sim",
     beta: float | None = None,
 ) -> OuterTrace:
@@ -410,48 +440,23 @@ def run_momentum(
     if not params.needs_reconditioning:
         raise ValueError("rho = 0: nothing to accelerate; run the engine directly")
     mu, rho = params.mu, params.rho
-    x = np.asarray(init, dtype=float).copy()
-    y = x.copy()
-    trace = OuterTrace()
-    trace.centers.append(y.copy())
     gap0 = None
     if criterion.kind == "absolute":
-        f1 = criterion.f_init if criterion.f_init is not None else pb.eval_objective(problem, y)
+        f1 = criterion.f_init
+        if f1 is None:
+            f1 = pb.eval_objective(problem, np.asarray(init, dtype=float))
         gap0 = (2.0 / 9.0) * (f1 - criterion.f_star)
-    # F(x): at the start, then the value each outer step logs
-    f_x = pb.eval_objective(problem, x) if target_objective is not None else None
-    for ell in range(1, outer_budget + 1):
-        if target_objective is not None and f_x <= target_objective:
-            break
-        dist = adaptive_distribution(y, params.c)
-        pi_ell = dist.p_min
-        _check_probability_chain(params, pi_ell)
-        sub = pb.reconditioned(problem, rho, y)
-        stop = _momentum_stop(criterion, ell, params, problem, y, sub, gap0)
-        inner = run_spy(
-            sub, params.gamma, dist, schedule, init=y, stop=stop,
-            seed=seed + _SEED_STRIDE * ell, dense_down=dense_down,
-            objective_stride=objective_stride, mode=mode,
-            objective_fn=lambda z: pb.eval_objective(problem, z),
-            charge_priming=(ell == 1),
-        )
-        if criterion.kind != "fixed" and not stop.epoch_predicate(inner.final_x, inner.n_epochs):
-            raise InnerBudgetError(
-                f"outer step {ell}: inner run exhausted {criterion.safety_epochs} "
-                "epochs without meeting its accuracy test"
-            )
-        x_new = inner.final_x.copy()
-        if beta is None:
-            b = momentum_weight(ell + 1, mu, rho) if mu == 0 else momentum_weight(ell, mu, rho)
-        else:
-            b = beta
-        y = x_new + b * (x_new - x)
-        x = x_new
-        trace.centers.append(y.copy())
-        f_x = _final_objective(problem, inner)
-        _log_outer(trace, inner, ell, pi_ell, f_x)
-    trace.final_x = x
-    return trace
+
+    def stop_rule(ell, center, sub, pi_ell):
+        return _momentum_stop(criterion, ell, params, problem, center, sub, gap0)
+
+    def weight(ell):
+        if beta is not None:
+            return beta
+        return momentum_weight(ell + 1, mu, rho) if mu == 0 else momentum_weight(ell, mu, rho)
+
+    return _outer_loop(problem, params, schedule, init, outer_budget, target_objective,
+                       seed, objective_stride, mode, stop_rule, weight)
 
 
 def _momentum_stop(criterion, ell, params, problem, center, sub, gap0):

@@ -235,6 +235,24 @@ class TestWarmstart:
         ex = [float(r["exchanged"]) for r in rows]
         assert all(a <= b for a, b in zip(ex, ex[1:]))
 
+    def test_outer_support_curve_counts_iterations(self, tmp_path):
+        # the outer loop's support points sit on the run-wide iteration scale
+        # of subopt_vs_iters.csv, after the dense phase's points
+        text = SMALL_LASSO + (
+            "\n[warmstart]\nalgorithm = davepg\nsubopt_threshold = 1e-1\n"
+            "density_threshold = 0.5\nmax_epochs = 4000\n"
+        )
+        cfgp = write(tmp_path, "exp.ini", text)
+        out = tmp_path / "ws"
+        assert cli.main(["warmstart", "--config", cfgp, "--out", str(out),
+                         "--seeds", "1"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["warmstart"]["1"]["phase1_exchanges"] > 0
+        with open(out / "support_vs_iters.csv") as fh:
+            its = [int(r["iteration"]) for r in csv.DictReader(fh) if r["seed"] == "1"]
+        assert all(a <= b for a, b in zip(its, its[1:]))
+        assert its[-1] == summary["seeds"]["1"]["iterations"] - 1
+
     def test_trigger_satisfied_at_init_skips_phase_one(self, tmp_path):
         text = SMALL_LASSO + (
             "\n[warmstart]\nalgorithm = davepg\nsubopt_threshold = 1e9\n"

@@ -309,7 +309,9 @@ class TestMomentum:
         mom = rc.run_momentum(self.prob, self.params, self.sched, np.zeros(40),
                               criterion=rc.MomentumCriterion(kind="fixed", epochs=2),
                               outer_budget=8, seed=9, beta=0.0)
-        assert np.max(np.abs(plain.final_x - mom.final_x)) <= 1e-12
+        assert np.array_equal(plain.final_x, mom.final_x)
+        assert len(plain.centers) == len(mom.centers) == 9
+        assert all(np.array_equal(a, b) for a, b in zip(plain.centers, mom.centers))
 
     @pytest.mark.parametrize("kind", ["fixed", "adaptive", "absolute"])
     def test_criteria_converge(self, kind):
@@ -321,6 +323,14 @@ class TestMomentum:
                                 criterion=criterion, outer_budget=400,
                                 target_objective=self.f_star + 1e-7, seed=10)
         assert pb.eval_objective(self.prob, trace.final_x) <= self.f_star + 1e-7
+
+    def test_safety_cap_raises(self):
+        # mu = 0 here, so the adaptive test's coefficient shrinks like 1/ell^2
+        # and a one-epoch cap must eventually fall short
+        criterion = rc.MomentumCriterion(kind="adaptive", safety_epochs=1)
+        with pytest.raises(rc.InnerBudgetError, match="exhausted 1 epochs"):
+            rc.run_momentum(self.prob, self.params, self.sched, np.zeros(40),
+                            criterion=criterion, outer_budget=300, seed=6)
 
     def test_absolute_requires_f_star(self):
         with pytest.raises(ValueError):
