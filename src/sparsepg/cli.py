@@ -297,7 +297,10 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def build_problem(cfg: ExperimentConfig):
-    """Deterministic problem instance for a config (independent of run seeds)."""
+    """Deterministic problem instance for a config (independent of run seeds).
+
+    A lasso without ``lam1`` is calibrated to ``target_support``; the weight
+    found is the problem's ``reg.lam``, and ``cfg`` is left unchanged."""
     if cfg.kind == "synthetic-lasso":
         dataset, _ = data.generate_lasso(cfg.d, cfg.m, cfg.sparsity, cfg.noise_std, cfg.data_seed)
     elif cfg.kind == "synthetic-logistic":
@@ -318,8 +321,13 @@ def build_problem(cfg: ExperimentConfig):
     def at(lam):
         return replace(base, reg=pb.Regularizer("l1", lam))
 
-    cfg.lam1 = metrics.calibrate_l1(at, cfg.target_support, _lam_max(base))
-    return at(cfg.lam1)
+    return at(metrics.calibrate_l1(at, cfg.target_support, _lam_max(base)))
+
+
+def _problem_key(cfg: ExperimentConfig) -> tuple:
+    """The config fields that ``build_problem`` reads."""
+    return (cfg.kind, cfg.d, cfg.m, cfg.sparsity, cfg.noise_std, cfg.data_seed, cfg.path,
+            cfg.lam1, cfg.target_support, cfg.lam2, cfg.scale, cfg.workers)
 
 
 def _lam_max(problem) -> float:
@@ -453,6 +461,7 @@ def _run_seeds(problem, cfg, ref, mode) -> list[SeedResult]:
 
 
 def _emit_experiment(out_dir, cfg, problem, ref, results, extra_summary=None):
+    cfg = replace(cfg, lam1=problem.reg.lam)  # the weight used, calibrated or not
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.ini"), "w") as fh:
         fh.write(cfg.to_ini())
@@ -526,12 +535,15 @@ def cmd_run(cfg: ExperimentConfig, out_dir: str, mode: str, cache_dir=None) -> i
 
 
 def cmd_compare(cfgs, labels, out_dir: str, mode: str, cache_dir=None) -> int:
-    problems = [build_problem(c) for c in cfgs]
-    fps = [metrics.problem_fingerprint(p) for p in problems]
-    if len(set(fps)) != 1:
+    built = {}
+    for cfg in cfgs:
+        key = _problem_key(cfg)
+        if key not in built:
+            built[key] = build_problem(cfg)
+    if len({metrics.problem_fingerprint(p) for p in built.values()}) != 1:
         print("error: compare requires identical problems in every config", file=sys.stderr)
         return EXIT_CONFIG
-    problem = problems[0]
+    problem = built[_problem_key(cfgs[0])]
     ref = get_reference(problem, cfgs[0], cache_dir)
     os.makedirs(out_dir, exist_ok=True)
     merged = []

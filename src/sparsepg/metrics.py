@@ -162,7 +162,8 @@ def identification_time(trace, ref: ReferenceSolution, tol: float = 0.0):
     subsequent iterate; None when the support never stabilizes to supp(x*).
 
     ``trace`` is any iterable of points: a list, an engine trace (one point per
-    epoch) or an outer trace (one center per outer step)."""
+    epoch) or an outer trace (the initial point, then each outer step's
+    result x_ell)."""
     points = list(trace)
     target = np.abs(ref.x_star) > tol
     match = [bool(np.array_equal(np.abs(x) > tol, target)) for x in points]

@@ -7,6 +7,7 @@ operator.  Everything here is a pure function over immutable inputs.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -45,6 +46,73 @@ def _gram_form(kind, A, b, prev):
     return A, b, A.T @ A, A.T @ b
 
 
+class _ColumnStore:
+    """Columns of G = A^T A for a dense least-squares shard with m < d, each
+    computed the first time its coordinate is in supp(x), and c = A^T b.
+
+    At most m columns are kept, so the store never holds more numbers than A
+    (m d).  Columns are only appended, under a lock, and each is written
+    before its position is published, so readers take no lock.  Each column
+    is computed alone and products run over supp(x) in index order, so while
+    the store has room a result does not depend on which columns were stored
+    before, or in what order."""
+
+    def __init__(self, A, b):
+        m, d = A.shape
+        self.A, self.b = A, b
+        self.c = A.T @ b
+        self.cols = np.empty((d, m), order="F")  # cols[:, pos[j]] = G[:, j]
+        self.pos = np.full(d, -1, dtype=np.intp)
+        self.n = 0
+        self.lock = threading.Lock()
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "lock"}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, lock=threading.Lock())
+
+    def product(self, x: Array, coords):
+        """(G x - c)[coords], all of it when coords is None: O(|coords|
+        |supp(x)|), plus O(m d) for each column used for the first time.
+        None when supp(x) is not few or the store has no room left for its
+        missing columns."""
+        supp = x.nonzero()[0]
+        if not _few(supp.size, x.size):
+            return None
+        p = self.pos[supp]
+        if p.size and p.min() < 0:
+            if not self._append(supp[p < 0]):
+                return None
+            p = self.pos[supp]
+        xs = x[supp]
+        if coords is None:
+            return self.cols[:, p] @ xs - self.c
+        return self.cols[np.asarray(coords)[:, None], p] @ xs - self.c[coords]
+
+    def _append(self, missing) -> bool:
+        with self.lock:
+            missing = missing[self.pos[missing] < 0]
+            n = self.n
+            if n + missing.size > self.cols.shape[1]:
+                return False
+            for t, j in enumerate(missing, start=n):
+                self.cols[:, t] = self.A.T @ self.A[:, j]
+            self.n = n + missing.size
+            self.pos[missing] = np.arange(n, self.n)
+            return True
+
+
+def _column_store(kind, A, b, prev):
+    """A column store for a dense least-squares shard with m < d, None
+    otherwise.  ``prev`` is kept when it was built from these A and b."""
+    if kind != LEAST_SQUARES or sp.issparse(A) or A.shape[0] >= A.shape[1]:
+        return None
+    if prev is not None and prev.A is A and prev.b is b:
+        return prev
+    return _ColumnStore(A, b)
+
+
 @dataclass(frozen=True)
 class LossShard:
     """One worker's share of the smooth part.
@@ -54,10 +122,12 @@ class LossShard:
     ``l2``).  ``ridge_weight``/``ridge_center`` add (w/2)||x - c||^2, used by
     proximal reconditioning.  ``A`` is stored column-major.
 
-    ``_gram`` is derived state, not a parameter: (A, b, A^T A, A^T b) for a
-    dense least-squares shard with m >= d, else None.  ``dataclasses.replace``
-    carries it over, so ``reconditioned`` reuses it; it is rebuilt whenever
-    A or b is another object.
+    ``_gram`` and ``_cols`` are derived state, not parameters: ``_gram`` is
+    (A, b, A^T A, A^T b) for a dense least-squares shard with m >= d, and
+    ``_cols`` the on-demand columns of A^T A (a ``_ColumnStore``) for one
+    with m < d; each is None otherwise.  ``dataclasses.replace`` carries them
+    over, so ``reconditioned`` reuses them; they are rebuilt whenever A or b
+    is another object.
     """
 
     kind: str
@@ -67,6 +137,7 @@ class LossShard:
     ridge_weight: float = 0.0
     ridge_center: Array | None = None
     _gram: tuple | None = field(default=None, repr=False, compare=False)
+    _cols: _ColumnStore | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         A = _as_matrix(self.A)
@@ -98,6 +169,7 @@ class LossShard:
                 raise ValueError("ridge center has non-finite entries")
             object.__setattr__(self, "ridge_center", c)
         object.__setattr__(self, "_gram", _gram_form(self.kind, A, b, self._gram))
+        object.__setattr__(self, "_cols", _column_store(self.kind, A, b, self._cols))
 
     @property
     def n_examples(self) -> int:
@@ -234,14 +306,19 @@ def grad_shard(shard: LossShard, x: Array, coords=None) -> Array:
 
     A dense least-squares shard with m >= d uses its Gram form,
     (2/m) (G[coords] x - c[coords]) with G = A^T A and c = A^T b: O(|coords| d).
-    Other shards gather columns of A: while coords and supp(x) are small next
-    to d, the cost is O(m (|coords| + |supp(x)|)) rather than O(m d)."""
+    One with m < d does the same from the columns of G on supp(x), which its
+    column store computes on first use: O(|coords| |supp(x)|) while supp(x)
+    is few and the store has room.  Otherwise columns of A are gathered:
+    while coords and supp(x) are small next to d, the cost is
+    O(m (|coords| + |supp(x)|)) rather than O(m d)."""
     x = _check_dim(shard, x)
     m = shard.n_examples
     xc = x if coords is None else x[coords]
     if shard._gram is not None:
         _, _, G, c = shard._gram
         g = (2.0 / m) * (G @ x - c if coords is None else G[coords] @ x - c[coords])
+    elif shard._cols is not None and (Gx := shard._cols.product(x, coords)) is not None:
+        g = (2.0 / m) * Gx
     elif shard.kind == LEAST_SQUARES:
         g = (2.0 / m) * _adjoint(shard, _margins(shard, x) - shard.b, coords)
     else:

@@ -159,8 +159,10 @@ class OuterTrace:
     """Per-outer-step log plus the concatenated fine-grained objective log,
     whose points count iterations and coordinates from the start of the run.
 
-    Iterating the trace yields its centers, one per outer step, starting with
-    the initial point."""
+    Iterating the trace yields the initial point and then each outer step's
+    result x_ell, the final point of its inner run.  These are the centers
+    of the plain loop but not of the momentum loop, whose centers are
+    extrapolated."""
 
     records: list = field(default_factory=list)
     centers: list = field(default_factory=list)
@@ -170,7 +172,7 @@ class OuterTrace:
     final_x: np.ndarray | None = None
 
     def __iter__(self):
-        return iter(self.centers)
+        return iter(self.centers[:1] + [t.final_x for t in self.inner_traces])
 
     @property
     def n_iterations(self) -> int:
@@ -238,13 +240,14 @@ class InnerCriterion:
             raise ValueError("fixed criterion needs epochs >= 1")
 
 
-def _inner_stop(criterion, ell, params, pi_ell, problem, center):
-    """The engine StopRule of outer step ell of the plain loop."""
+def _inner_stop(criterion, ell, params, pi_ell, center, sub):
+    """The engine StopRule of outer step ell of the plain loop; ``sub`` is the
+    problem reconditioned at ``center``, whose minimizer is the proximal point."""
     if criterion.kind == "budget":
         return StopRule(max_epochs=epoch_budget(ell, params, pi_ell))
     if criterion.kind == "fixed":
         return StopRule(max_epochs=criterion.epochs)
-    prox_pt = prox_oracle(problem, params.rho, center, tol=criterion.oracle_tol)
+    prox_pt, _ = direct.solve(sub, tol=criterion.oracle_tol, x0=center)
     mu, rho, delta = params.mu, params.rho, params.delta
     if criterion.kind == "absolute":
         thresh = (1.0 - delta) * rho / ((2.0 * mu + rho) * ell ** (1.0 + delta))
@@ -375,7 +378,7 @@ def run_reconditioned(
         )
 
     def stop_rule(ell, center, sub, pi_ell):
-        return _inner_stop(criterion, ell, params, pi_ell, problem, center)
+        return _inner_stop(criterion, ell, params, pi_ell, center, sub)
 
     return _outer_loop(problem, params, schedule, init, outer_budget, target_objective,
                        seed, objective_stride, mode, stop_rule, weight=lambda ell: 0.0)
@@ -448,7 +451,7 @@ def run_momentum(
         gap0 = (2.0 / 9.0) * (f1 - criterion.f_star)
 
     def stop_rule(ell, center, sub, pi_ell):
-        return _momentum_stop(criterion, ell, params, problem, center, sub, gap0)
+        return _momentum_stop(criterion, ell, params, center, sub, gap0)
 
     def weight(ell):
         if beta is not None:
@@ -459,11 +462,11 @@ def run_momentum(
                        seed, objective_stride, mode, stop_rule, weight)
 
 
-def _momentum_stop(criterion, ell, params, problem, center, sub, gap0):
+def _momentum_stop(criterion, ell, params, center, sub, gap0):
     if criterion.kind == "fixed":
         return StopRule(max_epochs=criterion.epochs)
     mu, rho = params.mu, params.rho
-    prox_pt = prox_oracle(problem, rho, center, tol=criterion.oracle_tol)
+    prox_pt, _ = direct.solve(sub, tol=criterion.oracle_tol, x0=center)
     h_min = pb.eval_objective(sub, prox_pt)
     if criterion.kind == "absolute":
         if mu > 0:

@@ -87,7 +87,8 @@ class TestBuildProblem:
         prob = cli.build_problem(cfg)
         ref = metrics.reference_solution(prob, tol=1e-10, assume_unique_minimizer=True)
         assert ref.s_star == 5
-        assert cfg.lam1 is not None
+        assert prob.reg.lam > 0
+        assert cfg.lam1 is None  # the weight lives in the problem, not the config
 
     def test_calibration_builds_shards_once(self, monkeypatch):
         # the same bisection over problems rebuilt from the data at every weight
@@ -106,7 +107,8 @@ class TestBuildProblem:
                             lambda *a, **k: builds.append(1) or make_shards(*a, **k))
         prob = cli.build_problem(cfg)
         assert len(builds) == 1
-        assert cfg.lam1 == lam
+        assert prob.reg.lam == lam
+        assert cfg.lam1 is None
         assert metrics.problem_fingerprint(prob) == metrics.problem_fingerprint(want)
         assert (prob.mu, prob.lip) == (want.mu, want.lip)
 
@@ -201,6 +203,30 @@ class TestCompare:
             rows = list(csv.DictReader(fh))
         labels = {r["label"] for r in rows}
         assert labels == {"reco", "dave"}
+
+    def test_builds_once_per_problem_key(self, tmp_path, monkeypatch):
+        lam = cli.build_problem(cli.parse_config(SMALL_LASSO)).reg.lam
+        builds = []
+        build = cli.build_problem
+        monkeypatch.setattr(cli, "build_problem", lambda cfg: builds.append(cfg) or build(cfg))
+        a = write(tmp_path, "reco.ini", SMALL_LASSO)
+        b = write(tmp_path, "dave.ini", SMALL_DAVE)
+        out = tmp_path / "cmp"
+        assert cli.main(["compare", "--config", a, "--config", b,
+                         "--out", str(out), "--seeds", "1"]) == 0
+        assert len(builds) == 1  # both configs have the same data and weight
+        # another key that gives the same problem: built, then fingerprinted
+        fixed = write(tmp_path, "fixed.ini", SMALL_LASSO.replace(
+            "target_support = 5", f"target_support = 5\nlam1 = {lam!r}"))
+        builds.clear()
+        assert cli.main(["compare", "--config", a, "--config", fixed, "--config", b,
+                         "--out", str(out), "--seeds", "1"]) == 0
+        assert len(builds) == 2
+        assert all(c.lam1 in (None, lam) for c in builds)  # configs are not changed
+        for label in ("reco", "fixed", "dave"):
+            summary = json.loads((out / label / "summary.json").read_text())
+            assert summary["lam1"] == lam
+            assert cli.parse_config((out / label / "config.ini").read_text()).lam1 == lam
 
     def test_fingerprint_mismatch(self, tmp_path):
         a = write(tmp_path, "a.ini", SMALL_LASSO)

@@ -1,6 +1,8 @@
 import os
+import pickle
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sparsepg import data, metrics, problem as pb
+from sparsepg import data, engine, metrics, problem as pb
+from sparsepg.sparsifier import uniform_distribution
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -516,3 +519,223 @@ class TestGramForm:
         assert "_gram" not in repr(shard)
         assert metrics.problem_fingerprint(pb.composite_problem([twin])) == \
             metrics.problem_fingerprint(pb.composite_problem([shard]))
+
+
+class TestColumnStore:
+    """Dense least-squares shards with m < d take their gradient from the
+    columns of G = A^T A on supp(x), computed on first use and kept, at most
+    m of them."""
+
+    @staticmethod
+    def wide_shard(rng, m, d, ridge):
+        center = rng.standard_normal(d) if ridge else None
+        return pb.LossShard(kind=pb.LEAST_SQUARES, A=rng.standard_normal((m, d)),
+                            b=rng.standard_normal(m), ridge_weight=0.7 if ridge else 0.0,
+                            ridge_center=center)
+
+    @staticmethod
+    def point(rng, d, supp):
+        x = np.zeros(d)
+        x[supp] = rng.standard_normal(len(supp))
+        return x
+
+    def check(self, shard, x, S):
+        _, g_ref = _brute_shard(pb.LEAST_SQUARES, shard.A, shard.b, 0.0,
+                                shard.ridge_weight, shard.ridge_center, x)
+        want = g_ref if S is None else g_ref[S]
+        got = pb.grad_shard(shard, x, S)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * max(np.max(np.abs(g_ref)), 1.0))
+        return got
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        ridge=st.booleans(),
+        calls=st.lists(st.tuples(st.sampled_from(["empty", "few", "many", "full"]),
+                                 st.sampled_from([None, "empty", "few", "full"])),
+                       min_size=1, max_size=8),
+    )
+    def test_call_sequences_match_formula(self, seed, ridge, calls):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(24, 80))
+        m = int(rng.integers(1, d))
+        shard = self.wide_shard(rng, m, d, ridge)
+        assert shard._gram is None and shard._cols is not None
+        for support, coords in calls:
+            x = self.point(rng, d, _pick(rng, d, support))
+            S = None if coords is None else _pick(rng, d, coords)
+            self.check(shard, x, S)
+            store = shard._cols
+            assert store.n <= m
+            stored = np.flatnonzero(store.pos >= 0)
+            assert stored.size == store.n
+            assert np.array_equal(np.sort(store.pos[stored]), np.arange(store.n))
+            for j in stored[:3]:
+                assert np.allclose(store.cols[:, store.pos[j]], shard.A.T @ shard.A[:, j],
+                                   rtol=1e-13, atol=1e-12)
+
+    def test_columns_are_added_on_first_use(self):
+        rng = np.random.default_rng(20)
+        shard = self.wide_shard(rng, 10, 48, False)
+        store = shard._cols
+        self.check(shard, np.zeros(48), None)  # x = 0 needs no column
+        assert store.n == 0
+        self.check(shard, self.point(rng, 48, [5, 9]), np.array([1, 5, 30]))
+        self.check(shard, self.point(rng, 48, [9, 5, 2]), None)
+        assert store.n == 3
+        assert list(store.pos[[5, 9, 2]]) == [0, 1, 2]
+
+    def test_full_store_and_large_support_fall_back(self):
+        rng = np.random.default_rng(21)
+        shard = self.wide_shard(rng, 3, 48, True)  # room for 3 columns
+        store = shard._cols
+        self.check(shard, self.point(rng, 48, [0, 1]), None)
+        assert store.n == 2
+        # two missing columns, room for one: the column path, nothing stored
+        self.check(shard, self.point(rng, 48, [1, 2, 3]), np.array([0, 2, 7]))
+        assert store.n == 2 and np.all(store.pos[[2, 3]] < 0)
+        self.check(shard, self.point(rng, 48, [2]), None)
+        assert store.n == 3
+        self.check(shard, self.point(rng, 48, [4]), np.array([4]))  # full
+        assert store.n == 3 and store.pos[4] < 0
+        assert store.product(self.point(rng, 48, [4]), None) is None
+        # 7 > 48/8 nonzeros: not few, so not from the store even if stored
+        self.check(shard, self.point(rng, 48, np.arange(7)), None)
+        assert store.product(self.point(rng, 48, [0, 1, 2, 5, 6, 7, 8]), None) is None
+        assert store.product(self.point(rng, 48, [0, 2]), np.array([3])) is not None
+
+    def test_never_more_entries_than_A(self):
+        rng = np.random.default_rng(22)
+        for m, d in ((1, 24), (5, 40), (30, 31)):
+            shard = self.wide_shard(rng, m, d, False)
+            assert shard._cols.cols.size == shard.A.size
+            for _ in range(4 * d):
+                k = int(rng.integers(0, d // 8 + 1))
+                self.check(shard, self.point(rng, d, rng.choice(d, k, replace=False)), None)
+            assert shard._cols.n <= m
+            assert np.count_nonzero(shard._cols.pos >= 0) == shard._cols.n
+
+    def test_other_shards_carry_no_store(self):
+        rng = np.random.default_rng(23)
+        A = rng.standard_normal((20, 30))
+        b = rng.choice([-1.0, 1.0], size=20)
+        assert pb.LossShard(kind=pb.LOGISTIC, A=A, b=b)._cols is None
+        assert pb.LossShard(kind=pb.LEAST_SQUARES, A=sp.csc_matrix(A), b=b)._cols is None
+        tall = pb.LossShard(kind=pb.LEAST_SQUARES, A=A.T, b=rng.standard_normal(30))
+        assert tall._cols is None and tall._gram is not None
+
+    def test_reconditioning_shares_and_replace_rebuilds(self):
+        rng = np.random.default_rng(24)
+        prob = pb.composite_problem([self.wide_shard(rng, 8, 40, False) for _ in range(2)])
+        x = self.point(rng, 40, [3, 11])
+        pb.smooth_gradient(prob, x)
+        sub = pb.reconditioned(prob, 0.5, x)
+        again = pb.reconditioned(sub, 0.25, np.zeros(40))
+        for old, new, newer in zip(prob.shards, sub.shards, again.shards):
+            assert new._cols is old._cols and newer._cols is old._cols
+            assert old._cols.n == 2
+        shard = self.wide_shard(rng, 8, 40, True)
+        pb.grad_shard(shard, x)
+        changed = [
+            replace(shard, b=rng.standard_normal(8)),
+            replace(shard, A=rng.standard_normal((8, 40))),
+            replace(shard, A=np.ascontiguousarray(shard.A) * 2.0),
+            replace(shard, A=shard.A[:5], b=shard.b[:5]),
+        ]
+        for new in changed:
+            assert new._cols is not shard._cols
+            assert new._cols.A is new.A and new._cols.b is new.b and new._cols.n == 0
+            self.check(new, x, None)
+        tall = replace(shard, A=rng.standard_normal((50, 40)), b=rng.standard_normal(50))
+        assert tall._cols is None and tall._gram is not None
+
+    def test_store_is_not_part_of_identity(self):
+        rng = np.random.default_rng(25)
+        shard = self.wide_shard(rng, 8, 40, True)
+        pb.grad_shard(shard, self.point(rng, 40, [1, 2, 3]))
+        twin = pb.LossShard(kind=shard.kind, A=shard.A, b=shard.b,
+                            ridge_weight=shard.ridge_weight, ridge_center=shard.ridge_center)
+        assert twin._cols is not shard._cols and twin._cols.n == 0 < shard._cols.n
+        assert twin == shard
+        assert repr(twin) == repr(shard) and "_cols" not in repr(shard)
+        assert metrics.problem_fingerprint(pb.composite_problem([twin])) == \
+            metrics.problem_fingerprint(pb.composite_problem([shard]))
+
+    def test_pickle_round_trip(self):
+        rng = np.random.default_rng(26)
+        shard = self.wide_shard(rng, 8, 40, True)
+        x = self.point(rng, 40, [4, 17])
+        S = np.array([0, 4, 33])
+        g = pb.grad_shard(shard, x, S)
+        back = pickle.loads(pickle.dumps(shard))
+        assert np.array_equal(back.A, shard.A) and np.array_equal(back.b, shard.b)
+        assert back._cols.A is back.A and back._cols.b is back.b
+        assert back._cols.n == 2
+        assert np.array_equal(back._cols.pos, shard._cols.pos)
+        assert np.array_equal(pb.grad_shard(back, x, S), g)
+        self.check(back, self.point(rng, 40, [4, 5]), None)  # appends under its own lock
+        assert back._cols.n == 3 and shard._cols.n == 2
+
+    def test_threads_give_serial_results(self):
+        rng = np.random.default_rng(27)
+        d = 96
+        shard = self.wide_shard(rng, 60, d, True)
+        # supports from 48 coordinates: the store never fills, so every call
+        # with at most 12 nonzeros takes it
+        pool = rng.choice(d, 48, replace=False)
+        calls = [[(self.point(rng, d, rng.choice(pool, int(rng.integers(0, 13)), replace=False)),
+                   None if rng.random() < 0.3 else np.sort(rng.choice(d, 10, replace=False)))
+                  for _ in range(40)] for _ in range(4)]
+        fresh = replace(shard, b=shard.b.copy())  # same data, its own empty store
+        want = [[pb.grad_shard(fresh, x, S) for x, S in thread] for thread in calls]
+        got = [[None] * len(thread) for thread in calls]
+        errors = []
+
+        def work(t):
+            try:
+                for _ in range(3):
+                    for i, (x, S) in enumerate(calls[t]):
+                        got[t][i] = pb.grad_shard(shard, x, S)
+                        assert np.array_equal(got[t][i], want[t][i])
+            except BaseException as exc:  # reported in the main thread
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(len(calls))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not errors, errors
+        assert not any(th.is_alive() for th in threads)
+        assert shard._cols.n == fresh._cols.n <= 60
+
+    def test_two_runs_in_two_threads_match_serial_runs(self):
+        ds, _ = data.generate_lasso(d=64, m=30, sparsity=0.9, noise_std=0.01, seed=3)
+        plan = data.shard_even(ds, 2, seed=3)
+
+        def run(prob, seed):
+            return engine.run_spy(prob, engine.gamma_max(prob), uniform_distribution(64, 0.2),
+                                  engine.DelaySchedule.round_robin(2), np.zeros(64),
+                                  engine.StopRule(max_iterations=400), seed=seed)
+
+        want = [run(data.lasso_problem(ds, plan, 0.3), s).final_x for s in (1, 2)]
+        shared = data.lasso_problem(ds, plan, 0.3)
+        got = [None, None]
+
+        def work(i):
+            got[i] = run(shared, i + 1).final_x
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(60)
+        # the stores never fill here, so no result depends on the interleaving
+        assert all(0 < s._cols.n < s.n_examples for s in shared.shards)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sparsepg import data, direct, engine, problem as pb, recondition as rc
+from sparsepg import data, direct, engine, metrics, problem as pb, recondition as rc
 from sparsepg.sparsifier import adaptive_distribution
 
 from conftest import strongly_convex_problem
@@ -207,6 +207,37 @@ class TestReconditionedLoop:
         for r, inner in zip(trace.records, trace.inner_traces):
             assert r.objective == evaluate(self.prob, inner.final_x)
 
+    @pytest.mark.parametrize("loop", ["plain", "momentum"])
+    def test_one_reconditioned_problem_per_outer_step(self, loop, monkeypatch):
+        # the proximal-point criteria solve the step's own reconditioned problem
+        calls = []
+        recondition = pb.reconditioned
+        monkeypatch.setattr(pb, "reconditioned",
+                            lambda *a, **k: calls.append(None) or recondition(*a, **k))
+        if loop == "plain":
+            trace = rc.run_reconditioned(self.prob, self.params, self.sched, np.zeros(40),
+                                         criterion=rc.InnerCriterion(kind="relative"),
+                                         outer_budget=20, seed=3)
+        else:
+            trace = rc.run_momentum(self.prob, self.params, self.sched, np.zeros(40),
+                                    criterion=rc.MomentumCriterion(kind="adaptive"),
+                                    outer_budget=20, seed=3)
+        assert trace.n_outer == 20
+        assert len(calls) == 20
+
+    def test_iteration_yields_centers(self):
+        # the plain loop centers each step at the previous step's result
+        trace = rc.run_reconditioned(self.prob, self.params, self.sched, np.zeros(40),
+                                     criterion=rc.InnerCriterion(kind="fixed", epochs=1),
+                                     outer_budget=2000, target_objective=self.f_star + 1e-8,
+                                     seed=1)
+        points = list(trace)
+        assert len(points) == len(trace.centers) == trace.n_outer + 1
+        assert all(np.array_equal(p, c) for p, c in zip(points, trace.centers))
+        ref = metrics.reference_solution(self.prob, tol=1e-12, assume_unique_minimizer=True)
+        lam = metrics.identification_time(trace, ref)
+        assert lam is not None and lam == metrics.identification_time(trace.centers, ref)
+
     def test_priming_charged_once_in_both_modes(self):
         charges = {}
         for mode in ("sim", "concurrent"):
@@ -312,6 +343,24 @@ class TestMomentum:
         assert np.array_equal(plain.final_x, mom.final_x)
         assert len(plain.centers) == len(mom.centers) == 9
         assert all(np.array_equal(a, b) for a, b in zip(plain.centers, mom.centers))
+
+    def test_iteration_yields_iterates_not_centers(self):
+        # centers are the extrapolated points y_ell; identification is read on
+        # the iterates x_ell, the final points of the inner runs
+        init = np.zeros(40)
+        trace = rc.run_momentum(self.prob, self.params, self.sched, init,
+                                criterion=rc.MomentumCriterion(kind="fixed", epochs=1),
+                                outer_budget=2000, target_objective=self.f_star + 1e-8, seed=1)
+        points = list(trace)
+        assert len(points) == len(trace.centers) == trace.n_outer + 1
+        assert np.array_equal(points[0], init)
+        assert all(np.array_equal(p, t.final_x) for p, t in zip(points[1:], trace.inner_traces))
+        assert np.array_equal(points[-1], trace.final_x)
+        ref = metrics.reference_solution(self.prob, tol=1e-12, assume_unique_minimizer=True)
+        lam = metrics.identification_time(trace, ref)
+        assert lam == metrics.identification_time(points, ref)
+        # on the centers it reads one step later here (18 against 17)
+        assert lam < metrics.identification_time(trace.centers, ref)
 
     @pytest.mark.parametrize("kind", ["fixed", "adaptive", "absolute"])
     def test_criteria_converge(self, kind):
