@@ -20,7 +20,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -36,45 +36,39 @@ ALGORITHMS = ("davepg", "spy-uniform", "spy-slowdown", "reconditioned", "catalys
 PROBLEM_KINDS = ("synthetic-lasso", "synthetic-logistic", "libsvm-lasso", "libsvm-logistic")
 SCHEDULES = ("round_robin", "random_uniform", "heterogeneous")
 
-DEFAULTS = {
-    "problem": {
-        "kind": "synthetic-lasso",
-        "d": "1000",
-        "m": "500",
-        "sparsity": "0.99",
-        "noise_std": "0.01",
-        "data_seed": "0",
-        "path": "",
-        "lam1": "",
-        "target_support": "12",
-        "lam2": "0.001",
-        "scale": "false",
-    },
-    "run": {
-        "algorithm": "reconditioned",
-        "workers": "5",
-        "pi": "0.3",
-        "c": "12",
-        "criterion": "fixed",
-        "epochs": "1",
-        "delta": "0.5",
-        "schedule": "random_uniform",
-        "weights": "",
-        "seeds": "1,2,3,4,5,6,7,8,9,10",
-        "target_eps": "1e-6",
-        "max_iterations": "200000",
-        "outer_budget": "600",
-        "log_stride": "20",
-        "gamma_frac": "1.0",
-        "ref_tol": "1e-12",
-    },
-    "warmstart": {
-        "algorithm": "davepg",
-        "subopt_threshold": "1e-2",
-        "density_threshold": "0.01",
-        "max_epochs": "2000",
-    },
+_REQUIRED = object()  # the empty value of an option that must be set
+
+
+def boolean(raw):
+    low = raw.strip().lower()
+    if low in ("true", "yes", "1", "on"):
+        return True
+    if low in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(raw)
+
+
+def int_list(raw):
+    return tuple(int(t) for t in raw.split(",") if t.strip())
+
+
+def float_list(raw):
+    return tuple(float(t) for t in raw.split(",") if t.strip())
+
+
+# the INI spelling of a value, by the parser that reads it back
+_TEXT = {
+    str: str, int: str, float: repr, boolean: lambda v: str(v).lower(),
+    int_list: lambda v: ",".join(str(s) for s in v),
+    float_list: lambda v: ",".join(repr(w) for w in v),
 }
+
+
+def _option(section, key, default, parse, check=None, empty=_REQUIRED):
+    """A config field read from ``[section] key`` by ``parse``: ``check`` is
+    its range test and ``empty`` the value of an empty entry."""
+    return field(default=default, metadata={
+        "section": section, "key": key, "parse": parse, "check": check, "empty": empty})
 
 
 class ConfigError(ValueError):
@@ -87,177 +81,115 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    # problem
-    kind: str = "synthetic-lasso"
-    d: int = 1000
-    m: int = 500
-    sparsity: float = 0.99
-    noise_std: float = 0.01
-    data_seed: int = 0
-    path: str = ""
-    lam1: float | None = None
-    target_support: int | None = 12
-    lam2: float = 0.001
-    scale: bool = False
-    # run
-    algorithm: str = "reconditioned"
-    workers: int = 5
-    pi: float = 0.3
-    c: float = 12.0
-    criterion: str = "fixed"
-    epochs: int = 1
-    delta: float = 0.5
-    schedule: str = "random_uniform"
-    weights: tuple = ()
-    seeds: tuple = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
-    target_eps: float = 1e-6
-    max_iterations: int = 200000
-    outer_budget: int = 600
-    log_stride: int = 20
-    gamma_frac: float = 1.0
-    ref_tol: float = 1e-12
-    # warmstart
-    warmstart: bool = False
-    ws_algorithm: str = "davepg"
-    ws_subopt: float = 1e-2
-    ws_density: float = 0.01
-    ws_max_epochs: int = 2000
+    """One experiment; every field but ``warmstart`` is one INI option."""
+
+    kind: str = _option("problem", "kind", "synthetic-lasso", str, lambda v: v in PROBLEM_KINDS)
+    d: int = _option("problem", "d", 1000, int, lambda v: v >= 1)
+    m: int = _option("problem", "m", 500, int, lambda v: v >= 1)
+    sparsity: float = _option("problem", "sparsity", 0.99, float, lambda v: 0 <= v <= 1)
+    noise_std: float = _option("problem", "noise_std", 0.01, float, lambda v: v >= 0)
+    data_seed: int = _option("problem", "data_seed", 0, int)
+    path: str = _option("problem", "path", "", str, empty="")
+    lam1: float | None = _option("problem", "lam1", None, float, lambda v: v > 0, empty=None)
+    target_support: int | None = _option("problem", "target_support", 12, int, lambda v: v >= 1,
+                                         empty=None)
+    lam2: float = _option("problem", "lam2", 0.001, float, lambda v: v >= 0)
+    scale: bool = _option("problem", "scale", False, boolean)
+    algorithm: str = _option("run", "algorithm", "reconditioned", str, lambda v: v in ALGORITHMS)
+    workers: int = _option("run", "workers", 5, int, lambda v: v >= 1)
+    pi: float = _option("run", "pi", 0.3, float, lambda v: 0 < v <= 1)
+    c: float = _option("run", "c", 12.0, float, lambda v: v > 0)
+    criterion: str = _option("run", "criterion", "fixed", str)
+    epochs: int = _option("run", "epochs", 1, int, lambda v: v >= 1)
+    delta: float = _option("run", "delta", 0.5, float, lambda v: 0 < v < 1)
+    schedule: str = _option("run", "schedule", "random_uniform", str, lambda v: v in SCHEDULES)
+    weights: tuple = _option("run", "weights", (), float_list, empty=())
+    seeds: tuple = _option("run", "seeds", tuple(range(1, 11)), int_list, lambda v: len(v) > 0)
+    target_eps: float = _option("run", "target_eps", 1e-6, float, lambda v: v > 0)
+    max_iterations: int = _option("run", "max_iterations", 200000, int, lambda v: v >= 1)
+    outer_budget: int = _option("run", "outer_budget", 600, int, lambda v: v >= 1)
+    log_stride: int = _option("run", "log_stride", 20, int, lambda v: v >= 1)
+    gamma_frac: float = _option("run", "gamma_frac", 1.0, float, lambda v: 0 < v <= 1)
+    ref_tol: float = _option("run", "ref_tol", 1e-12, float, lambda v: v > 0)
+    warmstart: bool = False  # whether the config has a [warmstart] section
+    ws_algorithm: str = _option("warmstart", "algorithm", "davepg", str,
+                                lambda v: v in ("davepg", "spy-uniform"))
+    ws_subopt: float = _option("warmstart", "subopt_threshold", 1e-2, float, lambda v: v > 0)
+    ws_density: float = _option("warmstart", "density_threshold", 0.01, float,
+                                lambda v: 0 < v <= 1)
+    ws_max_epochs: int = _option("warmstart", "max_epochs", 2000, int, lambda v: v >= 1)
 
     def to_ini(self) -> str:
-        cp = configparser.ConfigParser()
-        cp["problem"] = {
-            "kind": self.kind,
-            "d": str(self.d),
-            "m": str(self.m),
-            "sparsity": repr(self.sparsity),
-            "noise_std": repr(self.noise_std),
-            "data_seed": str(self.data_seed),
-            "path": self.path,
-            "lam1": "" if self.lam1 is None else repr(self.lam1),
-            "target_support": "" if self.target_support is None else str(self.target_support),
-            "lam2": repr(self.lam2),
-            "scale": str(self.scale).lower(),
-        }
-        cp["run"] = {
-            "algorithm": self.algorithm,
-            "workers": str(self.workers),
-            "pi": repr(self.pi),
-            "c": repr(self.c),
-            "criterion": self.criterion,
-            "epochs": str(self.epochs),
-            "delta": repr(self.delta),
-            "schedule": self.schedule,
-            "weights": ",".join(repr(w) for w in self.weights),
-            "seeds": ",".join(str(s) for s in self.seeds),
-            "target_eps": repr(self.target_eps),
-            "max_iterations": str(self.max_iterations),
-            "outer_budget": str(self.outer_budget),
-            "log_stride": str(self.log_stride),
-            "gamma_frac": repr(self.gamma_frac),
-            "ref_tol": repr(self.ref_tol),
-        }
-        if self.warmstart:
-            cp["warmstart"] = {
-                "algorithm": self.ws_algorithm,
-                "subopt_threshold": repr(self.ws_subopt),
-                "density_threshold": repr(self.ws_density),
-                "max_epochs": str(self.ws_max_epochs),
-            }
-        out = io.StringIO()
-        cp.write(out)
-        return out.getvalue()
+        sections = _ini_sections(self)
+        if not self.warmstart:
+            del sections["warmstart"]
+        return _write_ini(sections)
 
 
-def default_config_text() -> str:
+_OPTIONS = {f.name: f for f in fields(ExperimentConfig) if f.metadata}
+
+
+def _ini_sections(cfg: ExperimentConfig) -> dict:
+    """{section: {key: text}} of every option, in declaration order."""
+    sections: dict = {}
+    for f in _OPTIONS.values():
+        value = getattr(cfg, f.name)
+        text = "" if value is None else _TEXT[f.metadata["parse"]](value)
+        sections.setdefault(f.metadata["section"], {})[f.metadata["key"]] = text
+    return sections
+
+
+def _write_ini(sections: dict) -> str:
     cp = configparser.ConfigParser()
-    for section, kv in DEFAULTS.items():
-        cp[section] = dict(kv)
+    cp.read_dict(sections)
     out = io.StringIO()
     cp.write(out)
     return out.getvalue()
 
 
+def default_config_text() -> str:
+    return _write_ini(_ini_sections(ExperimentConfig()))
+
+
+def _parse_option(f, raw: str, problems: list):
+    """The value of option ``f`` spelled ``raw``.  A problem with it is
+    appended to ``problems``, and the option's empty value is returned, or its
+    default when an empty entry is an error."""
+    meta = f.metadata
+    section, key, parse, check, empty = (
+        meta["section"], meta["key"], meta["parse"], meta["check"], meta["empty"])
+    if raw == "":
+        if empty is not _REQUIRED:
+            return empty
+        problems.append(f"[{section}] {key} must be set")
+    else:
+        try:
+            value = parse(raw)
+        except Exception:
+            problems.append(f"[{section}] {key}={raw!r} is not a valid {parse.__name__}")
+        else:
+            if check is None or check(value):
+                return value
+            problems.append(f"[{section}] {key}={raw!r} out of range")
+    return f.default if empty is _REQUIRED else empty
+
+
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse an INI config on top of the embedded defaults, validating fully."""
+    """Parse an INI config on top of the defaults, validating fully."""
+    defaults = _ini_sections(ExperimentConfig())
     cp = configparser.ConfigParser()
-    cp.read_dict({k: dict(v) for k, v in DEFAULTS.items() if k != "warmstart"})
+    cp.read_dict({k: v for k, v in defaults.items() if k != "warmstart"})
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError([f"malformed config: {exc}"]) from None
     problems: list[str] = []
-
-    def get(section, key, conv, check=None, allow_empty=False):
-        raw = cp.get(section, key, fallback=DEFAULTS.get(section, {}).get(key, ""))
-        if raw == "":
-            if allow_empty:
-                return None
-            problems.append(f"[{section}] {key} must be set")
-            return None
-        try:
-            val = conv(raw)
-        except Exception:
-            problems.append(f"[{section}] {key}={raw!r} is not a valid {conv.__name__}")
-            return None
-        if check is not None and not check(val):
-            problems.append(f"[{section}] {key}={raw!r} out of range")
-            return None
-        return val
-
-    def boolean(raw):
-        low = raw.strip().lower()
-        if low in ("true", "yes", "1", "on"):
-            return True
-        if low in ("false", "no", "0", "off"):
-            return False
-        raise ValueError(raw)
-
-    def int_list(raw):
-        return tuple(int(t) for t in raw.split(",") if t.strip())
-
-    def float_list(raw):
-        return tuple(float(t) for t in raw.split(",") if t.strip())
-
-    kind = get("problem", "kind", str, lambda v: v in PROBLEM_KINDS)
-    cfg = ExperimentConfig()
-    cfg.kind = kind or cfg.kind
-    cfg.d = get("problem", "d", int, lambda v: v >= 1) or cfg.d
-    cfg.m = get("problem", "m", int, lambda v: v >= 1) or cfg.m
-    cfg.sparsity = _or(get("problem", "sparsity", float, lambda v: 0 <= v <= 1), cfg.sparsity)
-    cfg.noise_std = _or(get("problem", "noise_std", float, lambda v: v >= 0), cfg.noise_std)
-    cfg.data_seed = _or(get("problem", "data_seed", int), cfg.data_seed)
-    cfg.path = cp.get("problem", "path", fallback="")
-    cfg.lam1 = get("problem", "lam1", float, lambda v: v > 0, allow_empty=True)
-    cfg.target_support = get("problem", "target_support", int, lambda v: v >= 1, allow_empty=True)
-    cfg.lam2 = _or(get("problem", "lam2", float, lambda v: v >= 0), cfg.lam2)
-    cfg.scale = _or(get("problem", "scale", boolean), cfg.scale)
-
-    cfg.algorithm = get("run", "algorithm", str, lambda v: v in ALGORITHMS) or cfg.algorithm
-    cfg.workers = get("run", "workers", int, lambda v: v >= 1) or cfg.workers
-    cfg.pi = _or(get("run", "pi", float, lambda v: 0 < v <= 1), cfg.pi)
-    cfg.c = _or(get("run", "c", float, lambda v: v > 0), cfg.c)
-    cfg.criterion = get("run", "criterion", str) or cfg.criterion
-    cfg.epochs = _or(get("run", "epochs", int, lambda v: v >= 1), cfg.epochs)
-    cfg.delta = _or(get("run", "delta", float, lambda v: 0 < v < 1), cfg.delta)
-    cfg.schedule = get("run", "schedule", str, lambda v: v in SCHEDULES) or cfg.schedule
-    cfg.weights = _or(get("run", "weights", float_list, allow_empty=True), ())
-    cfg.seeds = get("run", "seeds", int_list, lambda v: len(v) > 0) or cfg.seeds
-    cfg.target_eps = _or(get("run", "target_eps", float, lambda v: v > 0), cfg.target_eps)
-    cfg.max_iterations = _or(get("run", "max_iterations", int, lambda v: v >= 1), cfg.max_iterations)
-    cfg.outer_budget = _or(get("run", "outer_budget", int, lambda v: v >= 1), cfg.outer_budget)
-    cfg.log_stride = _or(get("run", "log_stride", int, lambda v: v >= 1), cfg.log_stride)
-    cfg.gamma_frac = _or(get("run", "gamma_frac", float, lambda v: 0 < v <= 1), cfg.gamma_frac)
-    cfg.ref_tol = _or(get("run", "ref_tol", float, lambda v: v > 0), cfg.ref_tol)
-
-    if cp.has_section("warmstart"):
-        cfg.warmstart = True
-        cfg.ws_algorithm = (
-            get("warmstart", "algorithm", str, lambda v: v in ("davepg", "spy-uniform"))
-            or cfg.ws_algorithm
-        )
-        cfg.ws_subopt = _or(get("warmstart", "subopt_threshold", float, lambda v: v > 0), cfg.ws_subopt)
-        cfg.ws_density = _or(get("warmstart", "density_threshold", float, lambda v: 0 < v <= 1), cfg.ws_density)
-        cfg.ws_max_epochs = _or(get("warmstart", "max_epochs", int, lambda v: v >= 1), cfg.ws_max_epochs)
+    cfg = ExperimentConfig(warmstart=cp.has_section("warmstart"))
+    for f in _OPTIONS.values():
+        section, key = f.metadata["section"], f.metadata["key"]
+        if section != "warmstart" or cfg.warmstart:
+            raw = cp.get(section, key, fallback=defaults[section][key])
+            setattr(cfg, f.name, _parse_option(f, raw, problems))
 
     # cross-field validation
     if cfg.kind.startswith("libsvm"):
@@ -280,10 +212,6 @@ def parse_config(text: str) -> ExperimentConfig:
     if problems:
         raise ConfigError(problems)
     return cfg
-
-
-def _or(value, fallback):
-    return fallback if value is None else value
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -325,9 +253,10 @@ def build_problem(cfg: ExperimentConfig):
 
 
 def _problem_key(cfg: ExperimentConfig) -> tuple:
-    """The config fields that ``build_problem`` reads."""
-    return (cfg.kind, cfg.d, cfg.m, cfg.sparsity, cfg.noise_std, cfg.data_seed, cfg.path,
-            cfg.lam1, cfg.target_support, cfg.lam2, cfg.scale, cfg.workers)
+    """The config fields that ``build_problem`` reads: every [problem] option
+    and ``workers``."""
+    return tuple(getattr(cfg, f.name) for f in _OPTIONS.values()
+                 if f.metadata["section"] == "problem") + (cfg.workers,)
 
 
 def _lam_max(problem) -> float:
@@ -353,30 +282,34 @@ def _make_schedule(cfg: ExperimentConfig, seed: int) -> engine.DelaySchedule:
     return engine.DelaySchedule.random_uniform(cfg.workers, seed)
 
 
+def _run_engine(problem, cfg: ExperimentConfig, algorithm: str, seed: int,
+                init: np.ndarray, stop: engine.StopRule, mode: str) -> engine.RunTrace:
+    """One engine run of ``davepg``, ``spy-uniform`` or ``spy-slowdown``."""
+    gamma = cfg.gamma_frac * engine.gamma_max(problem)
+    schedule = _make_schedule(cfg, seed)
+    kwargs = dict(seed=seed, objective_stride=cfg.log_stride, mode=mode)
+    if algorithm == "davepg":
+        return engine.run_davepg(problem, gamma, schedule, init, stop, **kwargs)
+    if algorithm == "spy-uniform":
+        dist = uniform_distribution(problem.dim, cfg.pi)
+        return engine.run_spy(problem, gamma, dist, schedule, init, stop, **kwargs)
+    return engine.run_adaptive_spy_slowdown(problem, gamma, cfg.pi, schedule, init, stop,
+                                            **kwargs)
+
+
 def run_algorithm(problem, cfg: ExperimentConfig, seed: int,
                   ref: metrics.ReferenceSolution, mode: str = "sim",
-                  init: np.ndarray | None = None, algorithm: str | None = None):
+                  init: np.ndarray | None = None):
     """One seed of the configured algorithm; returns an engine or outer trace."""
-    algorithm = algorithm or cfg.algorithm
     d = problem.dim
     init = np.zeros(d) if init is None else init
     target = ref.f_star + cfg.target_eps
-    schedule = _make_schedule(cfg, seed)
-    if algorithm in ("davepg", "spy-uniform", "spy-slowdown"):
-        gamma = cfg.gamma_frac * engine.gamma_max(problem)
+    if cfg.algorithm in ("davepg", "spy-uniform", "spy-slowdown"):
         stop = engine.StopRule(max_iterations=cfg.max_iterations, target_objective=target)
-        if algorithm == "davepg":
-            return engine.run_davepg(problem, gamma, schedule, init, stop, seed=seed,
-                                     dense_down=True, objective_stride=cfg.log_stride, mode=mode)
-        if algorithm == "spy-uniform":
-            dist = uniform_distribution(d, cfg.pi)
-            return engine.run_spy(problem, gamma, dist, schedule, init, stop, seed=seed,
-                                  objective_stride=cfg.log_stride, mode=mode)
-        return engine.run_adaptive_spy_slowdown(problem, gamma, cfg.pi, schedule, init, stop,
-                                                seed=seed, objective_stride=cfg.log_stride,
-                                                mode=mode)
+        return _run_engine(problem, cfg, cfg.algorithm, seed, init, stop, mode)
+    schedule = _make_schedule(cfg, seed)
     params = rc.make_params(problem.mu, problem.lip, cfg.c, d, delta=cfg.delta)
-    if algorithm == "reconditioned":
+    if cfg.algorithm == "reconditioned":
         criterion = rc.InnerCriterion(kind=cfg.criterion, epochs=cfg.epochs)
         return rc.run_reconditioned(problem, params, schedule, init, criterion=criterion,
                                     outer_budget=cfg.outer_budget, target_objective=target,
@@ -585,20 +518,9 @@ def cmd_warmstart(cfg: ExperimentConfig, out_dir: str, mode: str, cache_dir=None
         if triggered(init):
             phase1 = None  # trigger already satisfied; dense phase skipped
         else:
-            gamma = cfg.gamma_frac * engine.gamma_max(problem)
-            stop = engine.StopRule(
-                max_epochs=cfg.ws_max_epochs,
-                epoch_predicate=lambda x, m: triggered(x),
-            )
-            schedule = _make_schedule(cfg, seed)
-            if cfg.ws_algorithm == "davepg":
-                phase1 = engine.run_davepg(problem, gamma, schedule, init, stop, seed=seed,
-                                           dense_down=True, objective_stride=cfg.log_stride,
-                                           mode=mode)
-            else:
-                dist = uniform_distribution(d, cfg.pi)
-                phase1 = engine.run_spy(problem, gamma, dist, schedule, init, stop, seed=seed,
-                                        objective_stride=cfg.log_stride, mode=mode)
+            stop = engine.StopRule(max_epochs=cfg.ws_max_epochs,
+                                   epoch_predicate=lambda x, m: triggered(x))
+            phase1 = _run_engine(problem, cfg, cfg.ws_algorithm, seed, init, stop, mode)
             if not triggered(phase1.final_x):
                 print(f"error: seed {seed}: warmstart trigger unreachable within "
                       f"{cfg.ws_max_epochs} epochs", file=sys.stderr)
@@ -712,8 +634,12 @@ def _build_parser():
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    if args.seeds:
-        cfg.seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
+    """``--seeds``, read and checked as ``[run] seeds`` is."""
+    if args.seeds is not None:
+        problems: list[str] = []
+        cfg.seeds = _parse_option(_OPTIONS["seeds"], args.seeds, problems)
+        if problems:
+            raise ConfigError(problems)
     return cfg
 
 

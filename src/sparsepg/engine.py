@@ -358,12 +358,6 @@ def gamma_max(problem: pb.CompositeProblem) -> float:
     return 2.0 / (problem.mu + problem.lip)
 
 
-def _count_down(nnz, mask, dense_down, d):
-    if dense_down:
-        return d
-    return nnz + (d if mask is None else mask.size)
-
-
 def _run(
     problem: pb.CompositeProblem,
     gamma: float,
@@ -374,7 +368,6 @@ def _run(
     seed: int,
     mode: str,
     slowdown_pi: float | None = None,
-    dense_down: bool = False,
     objective_stride: int | None = None,
     objective_fn=None,
     charge_priming: bool = True,
@@ -400,10 +393,16 @@ def _run(
 
     trace = RunTrace()
 
-    # synchronous priming round: x_i^0 = init - gamma * grad_i(init)
+    def down(nnz, mask):
+        """Coordinates of a model message: d when dense (no mask), else the
+        model's support and the mask."""
+        return d if mask is None else nnz + mask.size
+
+    # synchronous priming round: x_i^0 = init - gamma * grad_i(init); a masked
+    # run sends init's support down, a dense run all of init
     workers = []
     xbar = np.zeros(d)
-    init_down = d if dense_down else int(np.count_nonzero(init))
+    init_down = d if dist is None and slowdown_pi is None else int(np.count_nonzero(init))
     for i, shard in enumerate(problem.shards):
         workers.append(_Worker(shard, gamma, slowdown_pi, init - gamma * pb.grad_shard(shard, init)))
         xbar += problem.alphas[i] * workers[i].x
@@ -423,7 +422,7 @@ def _run(
         for i in range(M):
             masks[i] = mask = new_mask(i, x)
             if charge_priming:
-                trace.priming_down += _count_down(nnz, mask, dense_down, d)
+                trace.priming_down += down(nnz, mask)
             source.send(i, x.copy(), mask)
         trace.cum_up, trace.cum_down = trace.priming_up, trace.priming_down
         tracker = _EpochTracker(M)
@@ -449,16 +448,16 @@ def _run(
             if not x @ x <= DIVERGENCE_NORM ** 2:
                 raise DivergenceError(k)
             masks[i] = mask = new_mask(i, x)
-            down = _count_down(nnz, mask, dense_down, d)
+            sent = down(nnz, mask)
             trace.cum_up += up
-            trace.cum_down += down
+            trace.cum_down += sent
 
             new_epoch = tracker.record(k, i)
             if new_epoch:
                 trace.epoch_starts.append(k)
                 trace.epoch_snapshots.append(x.copy())
             m = len(tracker.boundaries) - 1
-            trace.records.append(IterRecord(k, i, up, down, nnz, m))
+            trace.records.append(IterRecord(k, i, up, sent, nnz, m))
             if objective_stride and (k % objective_stride == 0):
                 log_objective(k, x)
             if new_epoch and (
@@ -495,7 +494,6 @@ def run_davepg(
     init: np.ndarray,
     stop: StopRule,
     seed: int = 0,
-    dense_down: bool = True,
     objective_stride: int | None = None,
     mode: str = "sim",
     objective_fn=None,
@@ -503,7 +501,7 @@ def run_davepg(
     """Asynchronous proximal gradient without sparsification (dense deltas)."""
     _check_gamma(problem, gamma)
     return _run(problem, gamma, None, schedule, init, stop, seed, mode,
-                dense_down=dense_down, objective_stride=objective_stride,
+                objective_stride=objective_stride,
                 objective_fn=objective_fn)
 
 
@@ -515,7 +513,6 @@ def run_spy(
     init: np.ndarray,
     stop: StopRule,
     seed: int = 0,
-    dense_down: bool = False,
     objective_stride: int | None = None,
     mode: str = "sim",
     objective_fn=None,
@@ -537,7 +534,7 @@ def run_spy(
             RuntimeWarning,
         )
     return _run(problem, gamma, dist, schedule, init, stop, seed, mode,
-                dense_down=dense_down, objective_stride=objective_stride,
+                objective_stride=objective_stride,
                 objective_fn=objective_fn, charge_priming=charge_priming)
 
 
@@ -549,7 +546,6 @@ def run_adaptive_spy_slowdown(
     init: np.ndarray,
     stop: StopRule,
     seed: int = 0,
-    dense_down: bool = False,
     objective_stride: int | None = None,
     mode: str = "sim",
     objective_fn=None,
@@ -560,5 +556,5 @@ def run_adaptive_spy_slowdown(
     if not 0 < pi <= 1:
         raise ValueError("pi must lie in (0, 1]")
     return _run(problem, gamma, None, schedule, init, stop, seed, mode,
-                slowdown_pi=pi, dense_down=dense_down,
-                objective_stride=objective_stride, objective_fn=objective_fn)
+                slowdown_pi=pi, objective_stride=objective_stride,
+                objective_fn=objective_fn)

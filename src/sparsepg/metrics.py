@@ -17,6 +17,8 @@ from . import problem as pb
 
 CACHE_ENV = "SPARSEPG_CACHE"
 _CACHE_VERSION = 4
+_CALIBRATE_TOL = 1e-10  # solver tolerance of each calibration solve
+_MAX_BISECT = 60
 
 
 # -- reference solutions -----------------------------------------------------
@@ -203,8 +205,7 @@ def empirical_complexity(trace, ref: ReferenceSolution, eps: float) -> int:
     raise TargetNotReachedError(eps, best)
 
 
-def calibrate_l1(problem_builder, target_support: int, lam_hi: float,
-                 ref_tol: float = 1e-10, max_bisect: int = 60) -> float:
+def calibrate_l1(problem_builder, target_support: int, lam_hi: float) -> float:
     """Bisect lam1 in (0, lam_hi] until the solution support size hits target.
 
     ``problem_builder(lam1)`` must return the problem at that weight.  Returns
@@ -212,7 +213,7 @@ def calibrate_l1(problem_builder, target_support: int, lam_hi: float,
     """
     def support_at(lam):
         prob = problem_builder(lam)
-        x, _ = direct.solve(prob, tol=ref_tol)
+        x, _ = direct.solve(prob, tol=_CALIBRATE_TOL)
         x = direct.polish_l1_least_squares(prob, x)
         return int(np.count_nonzero(x)), lam
 
@@ -222,7 +223,7 @@ def calibrate_l1(problem_builder, target_support: int, lam_hi: float,
         raise ValueError(f"lam_hi={lam_hi} already gives support {s_hi} > {target_support}")
     if s_hi == target_support:
         return hi
-    for _ in range(max_bisect):
+    for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break

@@ -28,6 +28,7 @@ from .engine import DelaySchedule, ObjectivePoint, RunTrace, StopRule, run_spy
 from .sparsifier import adaptive_distribution
 
 _SEED_STRIDE = 100_003
+_ORACLE_TOL = 1e-11  # tolerance of the proximal point the stopping tests solve for
 
 
 class InnerBudgetError(RuntimeError):
@@ -231,7 +232,6 @@ class InnerCriterion:
     kind: str = "budget"
     epochs: int = 1
     safety_epochs: int = 20_000
-    oracle_tol: float = 1e-11
 
     def __post_init__(self):
         if self.kind not in ("budget", "fixed", "absolute", "relative"):
@@ -247,7 +247,7 @@ def _inner_stop(criterion, ell, params, pi_ell, center, sub):
         return StopRule(max_epochs=epoch_budget(ell, params, pi_ell))
     if criterion.kind == "fixed":
         return StopRule(max_epochs=criterion.epochs)
-    prox_pt, _ = direct.solve(sub, tol=criterion.oracle_tol, x0=center)
+    prox_pt, _ = direct.solve(sub, tol=_ORACLE_TOL, x0=center)
     mu, rho, delta = params.mu, params.rho, params.delta
     if criterion.kind == "absolute":
         thresh = (1.0 - delta) * rho / ((2.0 * mu + rho) * ell ** (1.0 + delta))
@@ -402,10 +402,8 @@ class MomentumCriterion:
     kind: str = "adaptive"
     epochs: int = 1
     f_star: float | None = None
-    f_init: float | None = None  # F at the first center; computed if omitted
     delta: float = 0.1
     safety_epochs: int = 20_000
-    oracle_tol: float = 1e-11
 
     def __post_init__(self):
         if self.kind not in ("fixed", "absolute", "adaptive"):
@@ -445,9 +443,7 @@ def run_momentum(
     mu, rho = params.mu, params.rho
     gap0 = None
     if criterion.kind == "absolute":
-        f1 = criterion.f_init
-        if f1 is None:
-            f1 = pb.eval_objective(problem, np.asarray(init, dtype=float))
+        f1 = pb.eval_objective(problem, np.asarray(init, dtype=float))
         gap0 = (2.0 / 9.0) * (f1 - criterion.f_star)
 
     def stop_rule(ell, center, sub, pi_ell):
@@ -466,7 +462,7 @@ def _momentum_stop(criterion, ell, params, center, sub, gap0):
     if criterion.kind == "fixed":
         return StopRule(max_epochs=criterion.epochs)
     mu, rho = params.mu, params.rho
-    prox_pt, _ = direct.solve(sub, tol=criterion.oracle_tol, x0=center)
+    prox_pt, _ = direct.solve(sub, tol=_ORACLE_TOL, x0=center)
     h_min = pb.eval_objective(sub, prox_pt)
     if criterion.kind == "absolute":
         if mu > 0:

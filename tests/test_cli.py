@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import filecmp
 import json
 import os
@@ -44,6 +45,42 @@ class TestConfig:
     def test_defaults_round_trip(self):
         cfg = cli.parse_config(cli.default_config_text())
         assert cli.parse_config(cfg.to_ini()) == cfg
+
+    # a valid value other than the default for every option, each valid on
+    # its own on top of ROUND_TRIP_BASE
+    NON_DEFAULT = {
+        "kind": "synthetic-logistic", "d": 37, "m": 41, "sparsity": 0.25, "noise_std": 0.5,
+        "data_seed": -3, "path": "data/train.svm", "lam1": 0.125, "target_support": None,
+        "lam2": 0.0, "scale": True, "algorithm": "catalyst", "workers": 2, "pi": 1.0,
+        "c": 3.7, "criterion": "absolute", "epochs": 4, "delta": 0.01,
+        "schedule": "round_robin", "weights": (1.5, 0.1), "seeds": (7, 0, -2),
+        "target_eps": 2.5e-9, "max_iterations": 5, "outer_budget": 9, "log_stride": 3,
+        "gamma_frac": 0.3333333333333333, "ref_tol": 1e-15, "ws_algorithm": "spy-uniform",
+        "ws_subopt": 7.0, "ws_density": 1.0, "ws_max_epochs": 1,
+    }
+    ROUND_TRIP_BASE = cli.ExperimentConfig(lam1=0.05, warmstart=True)
+
+    def test_every_option_round_trips(self):
+        options = [f.name for f in dataclasses.fields(cli.ExperimentConfig) if f.metadata]
+        assert sorted(options) == sorted(self.NON_DEFAULT)
+        base = self.ROUND_TRIP_BASE
+        assert cli.parse_config(base.to_ini()) == base
+        for name, value in self.NON_DEFAULT.items():
+            cfg = dataclasses.replace(base, **{name: value})
+            assert getattr(cfg, name) != getattr(cli.ExperimentConfig(), name), name
+            assert cli.parse_config(cfg.to_ini()) == cfg, name
+        everything = dataclasses.replace(base, **self.NON_DEFAULT)
+        assert cli.parse_config(everything.to_ini()) == everything
+
+    def test_problem_key_covers_problem_options(self):
+        # every [problem] option, and the worker count that shards the data
+        read_by_build = {"kind", "d", "m", "sparsity", "noise_std", "data_seed", "path",
+                         "lam1", "target_support", "lam2", "scale", "workers"}
+        base = self.ROUND_TRIP_BASE
+        for name, value in self.NON_DEFAULT.items():
+            cfg = dataclasses.replace(base, **{name: value})
+            changed = cli._problem_key(cfg) != cli._problem_key(base)
+            assert changed == (name in read_by_build), name
 
     def test_all_errors_reported_at_once(self):
         bad = "[run]\nalgorithm = nope\nworkers = 0\nseeds = \n"
@@ -141,6 +178,15 @@ class TestRun:
         cli.main(["run", "--config", cfgp, "--out", str(out), "--seeds", "3"])
         summary = json.loads((out / "summary.json").read_text())
         assert list(summary["seeds"]) == ["3"]
+
+    @pytest.mark.parametrize("seeds", [",", "1,x", ""])
+    def test_seed_override_is_validated(self, tmp_path, capsys, seeds):
+        cfgp = write(tmp_path, "exp.ini", SMALL_LASSO)
+        out = tmp_path / "out"
+        code = cli.main(["run", "--config", cfgp, "--out", str(out), "--seeds", seeds])
+        assert code == cli.EXIT_CONFIG
+        assert "[run] seeds" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_row_counts_match_logs(self, tmp_path):
         cfgp = write(tmp_path, "exp.ini", SMALL_LASSO)

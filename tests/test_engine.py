@@ -211,8 +211,7 @@ class TestRunSpy:
             gamma = engine.gamma_max(prob)
             sched = engine.DelaySchedule.random_uniform(3, seed=seed)
             stop = engine.StopRule(max_iterations=150)
-            a = engine.run_davepg(prob, gamma, sched, np.zeros(7), stop, seed=seed,
-                                  dense_down=False)
+            a = engine.run_davepg(prob, gamma, sched, np.zeros(7), stop, seed=seed)
             b = engine.run_spy(prob, gamma, uniform_distribution(7, 1.0), sched,
                                np.zeros(7), stop, seed=seed)
             assert np.max(np.abs(a.final_x - b.final_x)) <= 1e-12
@@ -323,8 +322,7 @@ class TestCoordinatorInvariants:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 if variant == "davepg":
-                    trace = engine.run_davepg(prob, gamma, sched, init, stop, seed=seed,
-                                              dense_down=False)
+                    trace = engine.run_davepg(prob, gamma, sched, init, stop, seed=seed)
                 elif variant == "spy":
                     trace = engine.run_spy(prob, gamma, uniform_distribution(d, 0.2), sched,
                                            init, stop, seed=seed)
@@ -470,7 +468,7 @@ class TestTrace:
         prob = strongly_convex_problem(d=9, M=3, seed=10)
         trace = engine.run_davepg(prob, engine.gamma_max(prob),
                                   engine.DelaySchedule.round_robin(3), np.zeros(9),
-                                  engine.StopRule(max_iterations=30), dense_down=True)
+                                  engine.StopRule(max_iterations=30))
         assert all(r.coords_down == 9 and r.coords_up == 9 for r in trace.records)
         # priming: every worker receives and sends one dense vector, then gets
         # the dense post-priming model

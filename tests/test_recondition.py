@@ -260,7 +260,7 @@ class TestReconditionedLoop:
         sub = pb.reconditioned(self.prob, params.rho, np.zeros(40))
         ref = engine.run_davepg(sub, params.gamma, self.sched, np.zeros(40),
                                 engine.StopRule(max_epochs=1),
-                                seed=5 + rc._SEED_STRIDE, dense_down=False)
+                                seed=5 + rc._SEED_STRIDE)
         assert np.max(np.abs(trace.final_x - ref.final_x)) <= 1e-12
 
     def test_inner_epoch_contraction(self):
