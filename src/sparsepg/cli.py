@@ -140,7 +140,7 @@ def _ini_sections(cfg: ExperimentConfig) -> dict:
 
 
 def _write_ini(sections: dict) -> str:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp.read_dict(sections)
     out = io.StringIO()
     cp.write(out)
@@ -177,7 +177,8 @@ def _parse_option(f, raw: str, problems: list):
 def parse_config(text: str) -> ExperimentConfig:
     """Parse an INI config on top of the defaults, validating fully."""
     defaults = _ini_sections(ExperimentConfig())
-    cp = configparser.ConfigParser()
+    # no interpolation: a % in a value is an ordinary character
+    cp = configparser.ConfigParser(interpolation=None)
     cp.read_dict({k: v for k, v in defaults.items() if k != "warmstart"})
     try:
         cp.read_string(text)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gzip
 import io
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,16 +181,10 @@ def _read_lines(source):
         return content.splitlines()
     if isinstance(source, bytes):
         return source.decode("utf-8").splitlines()
-    if isinstance(source, str):
-        if "\n" in source:
-            return source.splitlines()
-        # a single line without newline is taken to be a path
-        opener = gzip.open if source.endswith(".gz") else open
-        with opener(source, "rt") as fh:
-            return fh.read().splitlines()
-    import os
-
-    if isinstance(source, os.PathLike):
+    if isinstance(source, str) and "\n" in source:
+        return source.splitlines()
+    if isinstance(source, (str, os.PathLike)):
+        # a str without a newline is taken to be a path
         path = os.fspath(source)
         opener = gzip.open if path.endswith(".gz") else open
         with opener(path, "rt") as fh:

@@ -174,8 +174,6 @@ def identification_time(trace, ref: ReferenceSolution, tol: float = 0.0):
         if not match[idx]:
             break
         lam = idx
-    if lam is None or lam == len(match):
-        return None
     return lam
 
 

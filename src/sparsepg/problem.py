@@ -35,35 +35,30 @@ def _finite(v) -> bool:
     return bool(np.all(np.isfinite(v)))
 
 
-def _gram_form(kind, A, b, prev):
-    """(A, b, A^T A, A^T b) for a dense least-squares shard with m >= d, where
-    a gradient from the d x d Gram matrix never costs more than one from A;
-    None otherwise.  ``prev`` is kept when it was built from these A and b."""
-    if kind != LEAST_SQUARES or sp.issparse(A) or A.shape[0] < A.shape[1]:
-        return None
-    if prev is not None and prev[0] is A and prev[1] is b:
-        return prev
-    return A, b, A.T @ A, A.T @ b
-
-
 class _ColumnStore:
-    """Columns of G = A^T A for a dense least-squares shard with m < d, each
-    computed the first time its coordinate is in supp(x), and c = A^T b.
+    """Columns of G = A^T A for a dense least-squares shard, and c = A^T b.
 
-    At most m columns are kept, so the store never holds more numbers than A
-    (m d).  Columns are only appended, under a lock, and each is written
-    before its position is published, so readers take no lock.  Each column
-    is computed alone and products run over supp(x) in index order, so while
-    the store has room a result does not depend on which columns were stored
-    before, or in what order."""
+    With m >= d the store holds all of G, computed when it is built.  With
+    m < d each column is computed the first time its coordinate is in
+    supp(x), and at most m columns are kept, so the store never holds more
+    numbers than A (m d).  Columns are only appended, under a lock, and each
+    is written before its position is published, so readers take no lock.
+    Each column is computed alone and products run over supp(x) in index
+    order, so while the store has room a result does not depend on which
+    columns were stored before, or in what order."""
 
     def __init__(self, A, b):
         m, d = A.shape
         self.A, self.b = A, b
         self.c = A.T @ b
-        self.cols = np.empty((d, m), order="F")  # cols[:, pos[j]] = G[:, j]
-        self.pos = np.full(d, -1, dtype=np.intp)
-        self.n = 0
+        if m >= d:
+            self.cols = A.T @ A  # C order; cols[:, j] = G[:, j]
+            self.pos = np.arange(d)
+            self.n = d
+        else:
+            self.cols = np.empty((d, m), order="F")  # cols[:, pos[j]] = G[:, j]
+            self.pos = np.full(d, -1, dtype=np.intp)
+            self.n = 0
         self.lock = threading.Lock()
 
     def __getstate__(self):
@@ -73,10 +68,13 @@ class _ColumnStore:
         self.__dict__.update(state, lock=threading.Lock())
 
     def product(self, x: Array, coords):
-        """(G x - c)[coords], all of it when coords is None: O(|coords|
-        |supp(x)|), plus O(m d) for each column used for the first time.
-        None when supp(x) is not few or the store has no room left for its
-        missing columns."""
+        """(G x - c)[coords], all of it when coords is None.  From all of G:
+        O(|coords| d).  Otherwise O(|coords| |supp(x)|), plus O(m d) for each
+        column used for the first time, and None when supp(x) is not few or
+        the store has no room left for its missing columns."""
+        if self.n == x.size:
+            G = self.cols
+            return G @ x - self.c if coords is None else G[coords] @ x - self.c[coords]
         supp = x.nonzero()[0]
         if not _few(supp.size, x.size):
             return None
@@ -104,9 +102,9 @@ class _ColumnStore:
 
 
 def _column_store(kind, A, b, prev):
-    """A column store for a dense least-squares shard with m < d, None
-    otherwise.  ``prev`` is kept when it was built from these A and b."""
-    if kind != LEAST_SQUARES or sp.issparse(A) or A.shape[0] >= A.shape[1]:
+    """A column store for a dense least-squares shard, None otherwise.
+    ``prev`` is kept when it was built from these A and b."""
+    if kind != LEAST_SQUARES or sp.issparse(A):
         return None
     if prev is not None and prev.A is A and prev.b is b:
         return prev
@@ -122,12 +120,11 @@ class LossShard:
     ``l2``).  ``ridge_weight``/``ridge_center`` add (w/2)||x - c||^2, used by
     proximal reconditioning.  ``A`` is stored column-major.
 
-    ``_gram`` and ``_cols`` are derived state, not parameters: ``_gram`` is
-    (A, b, A^T A, A^T b) for a dense least-squares shard with m >= d, and
-    ``_cols`` the on-demand columns of A^T A (a ``_ColumnStore``) for one
-    with m < d; each is None otherwise.  ``dataclasses.replace`` carries them
-    over, so ``reconditioned`` reuses them; they are rebuilt whenever A or b
-    is another object.
+    ``_cols`` is derived state, not a parameter: the columns of A^T A (a
+    ``_ColumnStore``) for a dense least-squares shard, all of them when
+    m >= d and those in use when m < d, and None for other shards.
+    ``dataclasses.replace`` carries it over, so ``reconditioned`` reuses it;
+    it is rebuilt whenever A or b is another object.
     """
 
     kind: str
@@ -136,7 +133,6 @@ class LossShard:
     l2: float = 0.0
     ridge_weight: float = 0.0
     ridge_center: Array | None = None
-    _gram: tuple | None = field(default=None, repr=False, compare=False)
     _cols: _ColumnStore | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -168,7 +164,6 @@ class LossShard:
             if not _finite(c):
                 raise ValueError("ridge center has non-finite entries")
             object.__setattr__(self, "ridge_center", c)
-        object.__setattr__(self, "_gram", _gram_form(self.kind, A, b, self._gram))
         object.__setattr__(self, "_cols", _column_store(self.kind, A, b, self._cols))
 
     @property
@@ -304,20 +299,16 @@ def grad_shard(shard: LossShard, x: Array, coords=None) -> Array:
     """Gradient of the shard's local smooth loss at x; only its entries on
     the index array ``coords`` when given.
 
-    A dense least-squares shard with m >= d uses its Gram form,
-    (2/m) (G[coords] x - c[coords]) with G = A^T A and c = A^T b: O(|coords| d).
-    One with m < d does the same from the columns of G on supp(x), which its
-    column store computes on first use: O(|coords| |supp(x)|) while supp(x)
-    is few and the store has room.  Otherwise columns of A are gathered:
-    while coords and supp(x) are small next to d, the cost is
-    O(m (|coords| + |supp(x)|)) rather than O(m d)."""
+    A dense least-squares shard takes it from its column store, as
+    (2/m) (G x - c)[coords] with G = A^T A and c = A^T b: O(|coords| d) when
+    m >= d and the store holds all of G; O(|coords| |supp(x)|) when m < d,
+    while supp(x) is few and the store has room for its columns.  Otherwise
+    columns of A are gathered: while coords and supp(x) are small next to d,
+    the cost is O(m (|coords| + |supp(x)|)) rather than O(m d)."""
     x = _check_dim(shard, x)
     m = shard.n_examples
     xc = x if coords is None else x[coords]
-    if shard._gram is not None:
-        _, _, G, c = shard._gram
-        g = (2.0 / m) * (G @ x - c if coords is None else G[coords] @ x - c[coords])
-    elif shard._cols is not None and (Gx := shard._cols.product(x, coords)) is not None:
+    if shard._cols is not None and (Gx := shard._cols.product(x, coords)) is not None:
         g = (2.0 / m) * Gx
     elif shard.kind == LEAST_SQUARES:
         g = (2.0 / m) * _adjoint(shard, _margins(shard, x) - shard.b, coords)
@@ -407,8 +398,9 @@ def _lanczos_extreme_eigs(A) -> tuple[float, float]:
 
 
 def _shard_constants(shard: LossShard) -> tuple[float, float]:
-    gram = None if shard._gram is None else shard._gram[2]
-    lam_min, lam_max = _gram_extreme_eigs(shard.A, gram)
+    store = shard._cols
+    full = store is not None and store.n == shard.dim
+    lam_min, lam_max = _gram_extreme_eigs(shard.A, store.cols if full else None)
     m = shard.n_examples
     if shard.kind == LEAST_SQUARES:
         mu = 2.0 * lam_min / m

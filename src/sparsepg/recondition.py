@@ -25,7 +25,7 @@ import numpy as np
 from . import direct
 from . import problem as pb
 from .engine import DelaySchedule, ObjectivePoint, RunTrace, StopRule, run_spy
-from .sparsifier import adaptive_distribution
+from .sparsifier import adaptive_distribution, min_conditioning
 
 _SEED_STRIDE = 100_003
 _ORACLE_TOL = 1e-11  # tolerance of the proximal point the stopping tests solve for
@@ -91,8 +91,7 @@ def make_params(
         raise ValueError("delta must lie in (0, 1)")
     pi = c / d
     alpha = c / (2.0 * d)
-    s = math.sqrt(pi - alpha)
-    kappa = (1.0 - s) / (1.0 + s)
+    kappa = min_conditioning(pi - alpha)
     rho = (kappa * lip - mu) / (1.0 - kappa)
     if rho <= 0:
         rho = 0.0  # already conditioned enough for this exploration level
@@ -111,7 +110,7 @@ def epoch_budget(ell: int, params: ReconditionParams, pi_ell: float) -> int:
     """Inner epoch count guaranteeing the required outer accuracy at step ell."""
     if ell < 1:
         raise ValueError("outer steps are counted from 1")
-    rate = 1.0 - params.alpha - (pi_ell - params.pi)
+    rate = params.inner_contraction(pi_ell)
     if rate >= 1.0:
         raise ValueError("inner runs do not contract with these probabilities")
     rate = max(rate, 1e-300)
@@ -129,7 +128,7 @@ def prox_oracle(
     problem: pb.CompositeProblem,
     rho: float,
     center: np.ndarray,
-    tol: float = 1e-11,
+    tol: float = _ORACLE_TOL,
     x0: np.ndarray | None = None,
 ) -> np.ndarray:
     """prox_{F/rho}(center) to distance tol, by the direct solver."""
@@ -318,7 +317,7 @@ def _outer_loop(problem, params, schedule, init, outer_budget, target_objective,
     x = np.asarray(init, dtype=float).copy()
     center = x
     trace = OuterTrace()
-    trace.centers.append(center.copy())
+    trace.centers.append(center)
     # F(x): at the start, then the value each outer step logs
     f_x = pb.eval_objective(problem, x) if target_objective is not None else None
     for ell in range(1, outer_budget + 1):
@@ -342,11 +341,12 @@ def _outer_loop(problem, params, schedule, init, outer_budget, target_objective,
                 f"outer step {ell}: inner run exhausted {stop.max_epochs} "
                 "epochs without meeting its accuracy test"
             )
-        x_new = inner.final_x.copy()
+        # nothing writes to the inner run's final point: it is kept as is
+        x_new = inner.final_x
         b = weight(ell)
         center = x_new if b == 0 else x_new + b * (x_new - x)
         x = x_new
-        trace.centers.append(center.copy())
+        trace.centers.append(center)
         f_x = _final_objective(problem, inner)
         _log_outer(trace, inner, ell, pi_ell, f_x)
     trace.final_x = x

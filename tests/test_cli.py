@@ -93,6 +93,17 @@ class TestConfig:
         with pytest.raises(cli.ConfigError, match="not found"):
             cli.parse_config(text)
 
+    def test_percent_in_value(self, tmp_path, capsys):
+        # a % is an ordinary character in a value, not an interpolation
+        cfg = cli.parse_config("[problem]\nkind = synthetic-lasso\npath = a%b\nlam1 = 0.1\n")
+        assert cfg.path == "a%b"
+        assert cli.parse_config(cfg.to_ini()) == cfg
+        missing = str(tmp_path / "data%1.svm")
+        cfgp = write(tmp_path, "pct.ini",
+                     f"[problem]\nkind = libsvm-lasso\npath = {missing}\nlam1 = 0.1\n")
+        assert cli.main(["run", "--config", cfgp, "--out", str(tmp_path / "o")]) == 2
+        assert f"dataset file not found: {missing}" in capsys.readouterr().err
+
     def test_criterion_algorithm_mismatch(self):
         text = "[run]\nalgorithm = catalyst\ncriterion = relative\n"
         with pytest.raises(cli.ConfigError, match="criterion"):

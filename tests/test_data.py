@@ -97,11 +97,16 @@ class TestParseLibsvm:
             data.parse_libsvm("1 0:1\n")
 
     def test_gzip_path(self, tmp_path):
+        text = "1 1:2.5\n-1 2:1\n"
         path = tmp_path / "toy.txt.gz"
         with gzip.open(path, "wt") as fh:
-            fh.write("1 1:2.5\n-1 2:1\n")
-        ds = data.parse_libsvm(str(path))
-        assert (ds.n, ds.d) == (2, 2)
+            fh.write(text)
+        plain = tmp_path / "toy.txt"
+        plain.write_text(text)
+        for source in (str(path), path, str(plain), plain):
+            ds = data.parse_libsvm(source)
+            assert (ds.n, ds.d) == (2, 2)
+            assert np.array_equal(ds.X.toarray(), [[2.5, 0.0], [0.0, 1.0]])
 
     def test_stream_input(self):
         ds = data.parse_libsvm(io.StringIO("1 1:1\n"))

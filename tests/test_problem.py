@@ -424,16 +424,22 @@ class TestRestrictedOracles:
         assert np.array_equal(pb.prox_reg(reg, gamma, u[S], S), pb.prox_reg(reg, gamma, u)[S])
 
 
-class TestGramForm:
-    """Dense least-squares shards with m >= d take their gradient from
-    G = A^T A and c = A^T b, built once per (A, b)."""
+def _ls_shard(rng, m, d, ridge):
+    """A dense least-squares shard, with a ridge term when ``ridge``."""
+    center = rng.standard_normal(d) if ridge else None
+    return pb.LossShard(kind=pb.LEAST_SQUARES, A=rng.standard_normal((m, d)),
+                        b=rng.standard_normal(m), ridge_weight=0.7 if ridge else 0.0,
+                        ridge_center=center)
 
-    @staticmethod
-    def tall_shard(rng, m, d, ridge):
-        A = rng.standard_normal((m, d))
-        center = rng.standard_normal(d) if ridge else None
-        return pb.LossShard(kind=pb.LEAST_SQUARES, A=A, b=rng.standard_normal(m),
-                            ridge_weight=0.7 if ridge else 0.0, ridge_center=center)
+
+# (m, d) of a tall shard, whose store holds all of G, and of a wide one
+_TALL_AND_WIDE = ((30, 10), (8, 40))
+
+
+class TestGramForm:
+    """Dense least-squares shards take their gradient from a store of the
+    columns of G = A^T A and of c = A^T b, built once per (A, b); the store
+    of a shard with m >= d holds all of G from the start."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -446,12 +452,12 @@ class TestGramForm:
         rng = np.random.default_rng(seed)
         d = int(rng.integers(1, 60))
         m = d + int(rng.integers(0, 40))
-        shard = self.tall_shard(rng, m, d, ridge)
-        assert shard._gram is not None
+        shard = _ls_shard(rng, m, d, ridge)
+        assert shard._cols is not None and shard._cols.n == d
         # the same shard stored CSC takes the column path
         twin = pb.LossShard(kind=pb.LEAST_SQUARES, A=sp.csc_matrix(shard.A), b=shard.b,
                             ridge_weight=shard.ridge_weight, ridge_center=shard.ridge_center)
-        assert twin._gram is None
+        assert twin._cols is None
         x = np.zeros(d)
         supp = _pick(rng, d, support)
         x[supp] = rng.standard_normal(supp.size)
@@ -466,72 +472,54 @@ class TestGramForm:
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
         assert np.all(np.abs(got - pb.grad_shard(twin, x, S)) <= 1e-12 * scale)
 
-    @pytest.mark.parametrize("case", ["wide", "csc", "logistic"])
-    def test_other_shards_carry_no_gram(self, case):
-        rng = np.random.default_rng(12)
-        A = rng.standard_normal((20, 30) if case == "wide" else (30, 20))
-        if case == "csc":
-            A = sp.csc_matrix(A)
-        kind = pb.LOGISTIC if case == "logistic" else pb.LEAST_SQUARES
-        b = rng.choice([-1.0, 1.0], size=A.shape[0])
-        assert pb.LossShard(kind=kind, A=A, b=b)._gram is None
-
     def test_reconditioning_reuses_gram(self):
         rng = np.random.default_rng(13)
-        prob = pb.composite_problem([self.tall_shard(rng, 30, 10, False) for _ in range(2)])
-        sub = pb.reconditioned(prob, 0.5, np.ones(10))
-        again = pb.reconditioned(sub, 0.25, np.zeros(10))
-        for old, new, newer in zip(prob.shards, sub.shards, again.shards):
-            assert new._gram is old._gram
-            assert newer._gram is old._gram
-        _, _, G, c = prob.shards[0]._gram
-        assert G.flags.c_contiguous
-        A, b = prob.shards[0].A, prob.shards[0].b
-        assert np.allclose(G, A.T @ A, rtol=1e-13, atol=1e-12)
-        assert np.allclose(c, A.T @ b, rtol=1e-13, atol=1e-12)
+        for m, d in _TALL_AND_WIDE:
+            prob = pb.composite_problem([_ls_shard(rng, m, d, False) for _ in range(2)])
+            x = np.zeros(d)
+            x[[3, 7]] = [1.0, -2.0]
+            pb.smooth_gradient(prob, x)
+            sub = pb.reconditioned(prob, 0.5, x)
+            again = pb.reconditioned(sub, 0.25, np.zeros(d))
+            for old, new, newer in zip(prob.shards, sub.shards, again.shards):
+                assert new._cols is old._cols
+                assert newer._cols is old._cols
+                assert old._cols.n == (d if m >= d else 2)
+            store = prob.shards[0]._cols
+            A, b = prob.shards[0].A, prob.shards[0].b
+            assert np.allclose(store.c, A.T @ b, rtol=1e-13, atol=1e-12)
+            if m >= d:
+                assert store.cols.flags.c_contiguous
+                assert np.array_equal(store.pos, np.arange(d))
+                assert np.allclose(store.cols, A.T @ A, rtol=1e-13, atol=1e-12)
 
     def test_replace_of_data_rebuilds_gram(self):
         rng = np.random.default_rng(14)
-        shard = self.tall_shard(rng, 30, 10, True)
-        x = rng.standard_normal(10)
-        changed = [
-            replace(shard, b=rng.standard_normal(30)),
-            replace(shard, A=rng.standard_normal((30, 10))),
-            replace(shard, A=np.ascontiguousarray(shard.A) * 2.0),
-            replace(shard, A=shard.A[:12], b=shard.b[:12]),
-        ]
-        for new in changed:
-            assert new._gram is not shard._gram
-            assert new._gram[0] is new.A and new._gram[1] is new.b
-            _, g = _brute_shard(pb.LEAST_SQUARES, new.A, new.b, 0.0,
-                                new.ridge_weight, new.ridge_center, x)
-            assert np.allclose(pb.grad_shard(new, x), g, rtol=1e-12, atol=1e-12)
-        wide = replace(shard, A=rng.standard_normal((30, 40)), ridge_weight=0.0,
-                       ridge_center=None)
-        assert wide._gram is None
-
-    def test_gram_is_not_part_of_identity(self):
-        rng = np.random.default_rng(15)
-        shard = self.tall_shard(rng, 30, 10, False)
-        twin = pb.LossShard(kind=shard.kind, A=shard.A, b=shard.b)
-        assert twin._gram is not shard._gram
-        assert twin == shard
-        assert "_gram" not in repr(shard)
-        assert metrics.problem_fingerprint(pb.composite_problem([twin])) == \
-            metrics.problem_fingerprint(pb.composite_problem([shard]))
+        for m, d in _TALL_AND_WIDE:
+            shard = _ls_shard(rng, m, d, True)
+            x = np.zeros(d)
+            x[[3, 7]] = rng.standard_normal(2)
+            pb.grad_shard(shard, x)
+            changed = [
+                replace(shard, b=rng.standard_normal(m)),
+                replace(shard, A=rng.standard_normal((m, d))),
+                replace(shard, A=np.ascontiguousarray(shard.A) * 2.0),
+                replace(shard, A=shard.A[:5], b=shard.b[:5]),  # wide
+                replace(shard, A=rng.standard_normal((50, d)), b=rng.standard_normal(50)),  # tall
+            ]
+            for new in changed:
+                assert new._cols is not shard._cols
+                assert new._cols.A is new.A and new._cols.b is new.b
+                assert new._cols.n == (d if new.n_examples >= d else 0)
+                _, g = _brute_shard(pb.LEAST_SQUARES, new.A, new.b, 0.0,
+                                    new.ridge_weight, new.ridge_center, x)
+                assert np.allclose(pb.grad_shard(new, x), g, rtol=1e-12, atol=1e-12)
 
 
 class TestColumnStore:
     """Dense least-squares shards with m < d take their gradient from the
     columns of G = A^T A on supp(x), computed on first use and kept, at most
     m of them."""
-
-    @staticmethod
-    def wide_shard(rng, m, d, ridge):
-        center = rng.standard_normal(d) if ridge else None
-        return pb.LossShard(kind=pb.LEAST_SQUARES, A=rng.standard_normal((m, d)),
-                            b=rng.standard_normal(m), ridge_weight=0.7 if ridge else 0.0,
-                            ridge_center=center)
 
     @staticmethod
     def point(rng, d, supp):
@@ -560,8 +548,8 @@ class TestColumnStore:
         rng = np.random.default_rng(seed)
         d = int(rng.integers(24, 80))
         m = int(rng.integers(1, d))
-        shard = self.wide_shard(rng, m, d, ridge)
-        assert shard._gram is None and shard._cols is not None
+        shard = _ls_shard(rng, m, d, ridge)
+        assert shard._cols is not None and shard._cols.n == 0
         for support, coords in calls:
             x = self.point(rng, d, _pick(rng, d, support))
             S = None if coords is None else _pick(rng, d, coords)
@@ -577,7 +565,7 @@ class TestColumnStore:
 
     def test_columns_are_added_on_first_use(self):
         rng = np.random.default_rng(20)
-        shard = self.wide_shard(rng, 10, 48, False)
+        shard = _ls_shard(rng, 10, 48, False)
         store = shard._cols
         self.check(shard, np.zeros(48), None)  # x = 0 needs no column
         assert store.n == 0
@@ -588,7 +576,7 @@ class TestColumnStore:
 
     def test_full_store_and_large_support_fall_back(self):
         rng = np.random.default_rng(21)
-        shard = self.wide_shard(rng, 3, 48, True)  # room for 3 columns
+        shard = _ls_shard(rng, 3, 48, True)  # room for 3 columns
         store = shard._cols
         self.check(shard, self.point(rng, 48, [0, 1]), None)
         assert store.n == 2
@@ -608,7 +596,7 @@ class TestColumnStore:
     def test_never_more_entries_than_A(self):
         rng = np.random.default_rng(22)
         for m, d in ((1, 24), (5, 40), (30, 31)):
-            shard = self.wide_shard(rng, m, d, False)
+            shard = _ls_shard(rng, m, d, False)
             assert shard._cols.cols.size == shard.A.size
             for _ in range(4 * d):
                 k = int(rng.integers(0, d // 8 + 1))
@@ -618,69 +606,52 @@ class TestColumnStore:
 
     def test_other_shards_carry_no_store(self):
         rng = np.random.default_rng(23)
-        A = rng.standard_normal((20, 30))
-        b = rng.choice([-1.0, 1.0], size=20)
-        assert pb.LossShard(kind=pb.LOGISTIC, A=A, b=b)._cols is None
-        assert pb.LossShard(kind=pb.LEAST_SQUARES, A=sp.csc_matrix(A), b=b)._cols is None
-        tall = pb.LossShard(kind=pb.LEAST_SQUARES, A=A.T, b=rng.standard_normal(30))
-        assert tall._cols is None and tall._gram is not None
-
-    def test_reconditioning_shares_and_replace_rebuilds(self):
-        rng = np.random.default_rng(24)
-        prob = pb.composite_problem([self.wide_shard(rng, 8, 40, False) for _ in range(2)])
-        x = self.point(rng, 40, [3, 11])
-        pb.smooth_gradient(prob, x)
-        sub = pb.reconditioned(prob, 0.5, x)
-        again = pb.reconditioned(sub, 0.25, np.zeros(40))
-        for old, new, newer in zip(prob.shards, sub.shards, again.shards):
-            assert new._cols is old._cols and newer._cols is old._cols
-            assert old._cols.n == 2
-        shard = self.wide_shard(rng, 8, 40, True)
-        pb.grad_shard(shard, x)
-        changed = [
-            replace(shard, b=rng.standard_normal(8)),
-            replace(shard, A=rng.standard_normal((8, 40))),
-            replace(shard, A=np.ascontiguousarray(shard.A) * 2.0),
-            replace(shard, A=shard.A[:5], b=shard.b[:5]),
-        ]
-        for new in changed:
-            assert new._cols is not shard._cols
-            assert new._cols.A is new.A and new._cols.b is new.b and new._cols.n == 0
-            self.check(new, x, None)
-        tall = replace(shard, A=rng.standard_normal((50, 40)), b=rng.standard_normal(50))
-        assert tall._cols is None and tall._gram is not None
+        for m, d in _TALL_AND_WIDE:
+            A = rng.standard_normal((m, d))
+            labels = rng.choice([-1.0, 1.0], size=m)
+            assert pb.LossShard(kind=pb.LOGISTIC, A=A, b=labels)._cols is None
+            assert pb.LossShard(kind=pb.LEAST_SQUARES, A=sp.csc_matrix(A), b=labels)._cols is None
+            dense = pb.LossShard(kind=pb.LEAST_SQUARES, A=A, b=rng.standard_normal(m))
+            assert dense._cols.n == (d if m >= d else 0)
 
     def test_store_is_not_part_of_identity(self):
         rng = np.random.default_rng(25)
-        shard = self.wide_shard(rng, 8, 40, True)
-        pb.grad_shard(shard, self.point(rng, 40, [1, 2, 3]))
-        twin = pb.LossShard(kind=shard.kind, A=shard.A, b=shard.b,
-                            ridge_weight=shard.ridge_weight, ridge_center=shard.ridge_center)
-        assert twin._cols is not shard._cols and twin._cols.n == 0 < shard._cols.n
-        assert twin == shard
-        assert repr(twin) == repr(shard) and "_cols" not in repr(shard)
-        assert metrics.problem_fingerprint(pb.composite_problem([twin])) == \
-            metrics.problem_fingerprint(pb.composite_problem([shard]))
+        for m, d in _TALL_AND_WIDE:
+            shard = _ls_shard(rng, m, d, True)
+            pb.grad_shard(shard, self.point(rng, d, [1, 2, 3]))
+            twin = pb.LossShard(kind=shard.kind, A=shard.A, b=shard.b,
+                                ridge_weight=shard.ridge_weight,
+                                ridge_center=shard.ridge_center)
+            assert twin._cols is not shard._cols
+            assert twin._cols.n == (d if m >= d else 0)
+            assert twin == shard
+            assert repr(twin) == repr(shard) and "_cols" not in repr(shard)
+            assert metrics.problem_fingerprint(pb.composite_problem([twin])) == \
+                metrics.problem_fingerprint(pb.composite_problem([shard]))
 
     def test_pickle_round_trip(self):
         rng = np.random.default_rng(26)
-        shard = self.wide_shard(rng, 8, 40, True)
-        x = self.point(rng, 40, [4, 17])
-        S = np.array([0, 4, 33])
-        g = pb.grad_shard(shard, x, S)
-        back = pickle.loads(pickle.dumps(shard))
-        assert np.array_equal(back.A, shard.A) and np.array_equal(back.b, shard.b)
-        assert back._cols.A is back.A and back._cols.b is back.b
-        assert back._cols.n == 2
-        assert np.array_equal(back._cols.pos, shard._cols.pos)
-        assert np.array_equal(pb.grad_shard(back, x, S), g)
-        self.check(back, self.point(rng, 40, [4, 5]), None)  # appends under its own lock
-        assert back._cols.n == 3 and shard._cols.n == 2
+        for m, d in _TALL_AND_WIDE:
+            shard = _ls_shard(rng, m, d, True)
+            x = self.point(rng, d, [4, 7])
+            S = np.array([0, 4, 9])
+            g = pb.grad_shard(shard, x, S)
+            back = pickle.loads(pickle.dumps(shard))
+            assert np.array_equal(back.A, shard.A) and np.array_equal(back.b, shard.b)
+            assert back._cols.A is back.A and back._cols.b is back.b
+            assert back._cols.n == shard._cols.n == (d if m >= d else 2)
+            assert np.array_equal(back._cols.pos, shard._cols.pos)
+            assert np.array_equal(back._cols.cols[:, :shard._cols.n],
+                                  shard._cols.cols[:, :shard._cols.n])
+            assert np.array_equal(pb.grad_shard(back, x, S), g)
+            self.check(back, self.point(rng, d, [4, 5]), None)  # appends under its own lock
+            assert back._cols.n == (d if m >= d else 3)
+            assert shard._cols.n == (d if m >= d else 2)
 
     def test_threads_give_serial_results(self):
         rng = np.random.default_rng(27)
         d = 96
-        shard = self.wide_shard(rng, 60, d, True)
+        shard = _ls_shard(rng, 60, d, True)
         # supports from 48 coordinates: the store never fills, so every call
         # with at most 12 nonzeros takes it
         pool = rng.choice(d, 48, replace=False)

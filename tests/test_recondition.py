@@ -234,6 +234,9 @@ class TestReconditionedLoop:
         points = list(trace)
         assert len(points) == len(trace.centers) == trace.n_outer + 1
         assert all(np.array_equal(p, c) for p, c in zip(points, trace.centers))
+        # each center is the previous inner run's final point, not a copy of it
+        assert all(c is t.final_x for c, t in zip(trace.centers[1:], trace.inner_traces))
+        assert trace.final_x is trace.inner_traces[-1].final_x
         ref = metrics.reference_solution(self.prob, tol=1e-12, assume_unique_minimizer=True)
         lam = metrics.identification_time(trace, ref)
         assert lam is not None and lam == metrics.identification_time(trace.centers, ref)
