@@ -92,6 +92,8 @@ class DelaySchedule:
         weights = tuple(float(w) for w in weights)
         if any(w <= 0 for w in weights):
             raise ValueError("speed weights must be positive")
+        if not np.isfinite(weights).all():
+            raise ValueError("speed weights must be finite")
         return DelaySchedule(kind="heterogeneous", M=len(weights), weights=weights, seed=seed)
 
     def sequence(self):

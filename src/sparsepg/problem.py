@@ -32,7 +32,7 @@ def _as_matrix(A):
 
 
 def _finite(v) -> bool:
-    return bool(np.all(np.isfinite(v)))
+    return bool(np.isfinite(v).all())
 
 
 class _ColumnStore:
@@ -75,7 +75,7 @@ class _ColumnStore:
         if self.n == x.size:
             G = self.cols
             return G @ x - self.c if coords is None else G[coords] @ x - self.c[coords]
-        supp = x.nonzero()[0]
+        supp = (x != 0).nonzero()[0]
         if not _few(supp.size, x.size):
             return None
         p = self.pos[supp]
@@ -278,12 +278,19 @@ def _check_dim(shard: LossShard, x) -> Array:
     return x
 
 
-def _margins(shard: LossShard, x: Array) -> Array:
-    """A @ x, from the columns of supp(x) alone when the support is small."""
+def _gather_support(x: Array):
+    """supp(x) when it is few enough to gather its columns, None otherwise."""
     if _few(np.count_nonzero(x), x.size):
-        supp = x.nonzero()[0]
-        return shard.A[:, supp] @ x[supp]
-    return shard.A @ x
+        return (x != 0).nonzero()[0]
+    return None
+
+
+def _margins(shard: LossShard, x: Array, supp) -> Array:
+    """A @ x, from the columns of ``supp`` alone when it is given; ``supp``
+    is ``_gather_support(x)``."""
+    if supp is None:
+        return shard.A @ x
+    return shard.A[:, supp] @ x[supp]
 
 
 def _adjoint(shard: LossShard, r: Array, coords) -> Array:
@@ -311,11 +318,11 @@ def grad_shard(shard: LossShard, x: Array, coords=None) -> Array:
     if shard._cols is not None and (Gx := shard._cols.product(x, coords)) is not None:
         g = (2.0 / m) * Gx
     elif shard.kind == LEAST_SQUARES:
-        g = (2.0 / m) * _adjoint(shard, _margins(shard, x) - shard.b, coords)
+        g = (2.0 / m) * _adjoint(shard, _margins(shard, x, _gather_support(x)) - shard.b, coords)
     else:
         y = shard.b
         # d/dz log(1 + exp(-y z)) = -y * sigmoid(-y z)
-        coeff = -y * expit(-y * _margins(shard, x))
+        coeff = -y * expit(-y * _margins(shard, x, _gather_support(x)))
         g = _adjoint(shard, coeff, coords) / m + shard.l2 * xc
     if shard.ridge_weight > 0:
         center = shard.ridge_center if coords is None else shard.ridge_center[coords]
@@ -325,12 +332,16 @@ def grad_shard(shard: LossShard, x: Array, coords=None) -> Array:
 
 def shard_value(shard: LossShard, x: Array) -> float:
     x = _check_dim(shard, x)
+    return _value(shard, x, _margins(shard, x, _gather_support(x)))
+
+
+def _value(shard: LossShard, x: Array, z: Array) -> float:
+    """The shard's loss at x, given its margins z = A @ x."""
     m = shard.n_examples
-    z = _margins(shard, x)
     if shard.kind == LEAST_SQUARES:
-        v = float(np.sum((z - shard.b) ** 2)) / m
+        v = float(((z - shard.b) ** 2).sum()) / m
     else:
-        v = float(np.sum(np.logaddexp(0.0, -shard.b * z))) / m
+        v = float(np.logaddexp(0.0, -shard.b * z).sum()) / m
         v += 0.5 * shard.l2 * float(x @ x)
     if shard.ridge_weight > 0:
         diff = x - shard.ridge_center
@@ -445,8 +456,8 @@ def reg_value(reg: Regularizer, x: Array) -> float:
     if reg.kind == "none":
         return 0.0
     if reg.kind == "weighted_l1":
-        return reg.lam * float(np.sum(reg.weights * np.abs(x)))
-    return reg.lam * float(np.sum(np.abs(x)))
+        return reg.lam * float((reg.weights * np.abs(x)).sum())
+    return reg.lam * float(np.abs(x).sum())
 
 
 # -- whole objective --------------------------------------------------------
@@ -464,7 +475,10 @@ def eval_objective(problem: CompositeProblem, x: Array) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.dim,):
         raise ValueError(f"expected dimension {problem.dim}, got {x.shape}")
-    v = sum(a * shard_value(s, x) for a, s in zip(problem.alphas, problem.shards))
+    # supp(x) is found once and every shard gathers its columns
+    supp = _gather_support(x)
+    v = sum(a * _value(s, x, _margins(s, x, supp))
+            for a, s in zip(problem.alphas, problem.shards))
     return float(v) + reg_value(problem.reg, x)
 
 

@@ -7,38 +7,37 @@ update).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-
-from .problem import null_pattern
 
 
 @dataclass(frozen=True)
 class SelectorDistribution:
-    """Per-coordinate inclusion probabilities, all in (0, 1]."""
+    """Per-coordinate inclusion probabilities, all in (0, 1].
+
+    ``p_min`` and ``p_max`` are computed once, when the distribution is built;
+    ``p`` is not to be written to afterwards."""
 
     p: np.ndarray
+    p_min: float = field(init=False, repr=False, compare=False)
+    p_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
         object.__setattr__(self, "p", p)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("probability vector must be one-dimensional and non-empty")
-        if np.any(p <= 0) or np.any(p > 1):
+        lo, hi = float(p.min()), float(p.max())
+        # a NaN entry makes both extremes NaN, and fails both comparisons
+        if not (0.0 < lo and hi <= 1.0):
             raise ValueError("probabilities must lie in (0, 1]")
+        object.__setattr__(self, "p_min", lo)
+        object.__setattr__(self, "p_max", hi)
 
     @property
     def d(self) -> int:
         return self.p.size
-
-    @property
-    def p_min(self) -> float:
-        return float(self.p.min())
-
-    @property
-    def p_max(self) -> float:
-        return float(self.p.max())
 
 
 def uniform_distribution(d: int, pi: float) -> SelectorDistribution:
@@ -54,20 +53,18 @@ def adaptive_distribution(center: np.ndarray, c: float) -> SelectorDistribution:
     Exploration is spread over the currently-null coordinates so that about c
     of them are selected per draw.
     """
-    if c <= 0:
+    if not c > 0:
         raise ValueError("exploration budget c must be positive")
     center = np.asarray(center, dtype=float)
-    null = null_pattern(center)
-    p = np.ones(center.size)
-    if null.size > 0:
-        p[null] = min(c / null.size, 1.0)
-    return SelectorDistribution(p=p)
+    n_null = center.size - np.count_nonzero(center)
+    q = min(c / n_null, 1.0) if n_null else 1.0
+    return SelectorDistribution(p=np.where(center != 0, 1.0, q))
 
 
 def draw_mask(dist: SelectorDistribution, rng: np.random.Generator) -> np.ndarray:
-    """Sorted indices of an i.i.d. Bernoulli(p) coordinate mask."""
-    u = rng.random(dist.d)
-    return np.flatnonzero(u < dist.p)
+    """Sorted indices of an i.i.d. Bernoulli(p) coordinate mask: the j with
+    u_j < p_j for u uniform on [0, 1)^d."""
+    return (rng.random(dist.d) < dist.p).nonzero()[0]
 
 
 def min_conditioning(pi: float) -> float:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from sparsepg import data, direct, engine, problem as pb
 from sparsepg.rng import stream
-from sparsepg.sparsifier import SelectorDistribution, uniform_distribution
+from sparsepg.sparsifier import SelectorDistribution, adaptive_distribution, uniform_distribution
 
 from conftest import shifted_initial_radius, strongly_convex_problem
 
@@ -69,6 +69,9 @@ class TestDelaySchedule:
     def test_heterogeneous_validation(self):
         with pytest.raises(ValueError):
             engine.DelaySchedule.heterogeneous([1.0, 0.0], seed=0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                engine.DelaySchedule.heterogeneous([1.0, bad], seed=0)
 
     @pytest.mark.parametrize("sched", [
         engine.DelaySchedule.round_robin(3),
@@ -293,10 +296,10 @@ class TestCoordinatorInvariants:
     """Under DEBUG_CHECK every iteration asserts xbar = sum_i alpha_i x_i and
     that the running support count equals count_nonzero(x)."""
 
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=16, deadline=None)
     @given(
         seed=st.integers(0, 1000),
-        variant=st.sampled_from(["davepg", "spy", "slowdown"]),
+        variant=st.sampled_from(["davepg", "spy", "spy-adaptive", "slowdown"]),
         schedule=st.sampled_from(["round_robin", "random_uniform", "heterogeneous"]),
         weighted=st.booleans(),
     )
@@ -325,6 +328,10 @@ class TestCoordinatorInvariants:
                     trace = engine.run_davepg(prob, gamma, sched, init, stop, seed=seed)
                 elif variant == "spy":
                     trace = engine.run_spy(prob, gamma, uniform_distribution(d, 0.2), sched,
+                                           init, stop, seed=seed)
+                elif variant == "spy-adaptive":
+                    # the distribution of the reconditioned loop's inner runs
+                    trace = engine.run_spy(prob, gamma, adaptive_distribution(init, 3.0), sched,
                                            init, stop, seed=seed)
                 else:
                     trace = engine.run_adaptive_spy_slowdown(prob, gamma, 0.3, sched, init,

@@ -260,7 +260,40 @@ class TestObjective:
         rng = np.random.default_rng(5)
         prob = random_problem(rng, reg=pb.Regularizer(kind="l1", lam=1.0))
         smooth = sum(a * pb.shard_value(s, np.zeros(6)) for a, s in zip(prob.alphas, prob.shards))
-        assert pb.eval_objective(prob, np.zeros(6)) == pytest.approx(smooth)
+        assert pb.eval_objective(prob, np.zeros(6)) == smooth
+
+    @pytest.mark.parametrize("reg", ["l1", "weighted_l1"])
+    @pytest.mark.parametrize("shape", ["tall", "wide", "csc", "logistic"])
+    def test_equals_sum_of_shard_values(self, shape, reg):
+        """The one support scan of eval_objective changes no bit: on points
+        sparse enough to gather, dense points and points with -0.0 entries,
+        plain and reconditioned."""
+        rng = np.random.default_rng(13)
+        d = 12 if shape == "tall" else 40
+        shards = []
+        for _ in range(3):
+            m = 30 if shape == "tall" else 8
+            A = _csc(rng, m, d, 0.3) if shape == "csc" else rng.standard_normal((m, d))
+            if shape == "logistic":
+                shards.append(pb.LossShard(kind=pb.LOGISTIC, A=A, b=rng.choice([-1.0, 1.0], m),
+                                           l2=0.1))
+            else:
+                shards.append(pb.LossShard(kind=pb.LEAST_SQUARES, A=A, b=rng.standard_normal(m)))
+        weights = rng.uniform(0.5, 2.0, d) if reg == "weighted_l1" else None
+        prob = pb.composite_problem(shards, reg=pb.Regularizer(kind=reg, lam=0.3, weights=weights))
+        sparse = np.zeros(d)
+        sparse[d - 2] = -1.3
+        dense = rng.standard_normal(d)
+        signed_zeros = sparse.copy()
+        signed_zeros[[0, 5]] = -0.0
+        dense_signed_zeros = dense.copy()
+        dense_signed_zeros[::3] = -0.0
+        points = [sparse, dense, signed_zeros, dense_signed_zeros, np.zeros(d)]
+        assert pb._gather_support(sparse) is not None and pb._gather_support(dense) is None
+        for p in (prob, pb.reconditioned(prob, 0.4, dense)):
+            for x in points:
+                want = float(sum(a * pb.shard_value(s, x) for a, s in zip(p.alphas, p.shards)))
+                assert pb.eval_objective(p, x) == want + pb.reg_value(p.reg, x)
 
     def test_toy_lasso_value(self):
         prob = pb.composite_problem([quad_shard(1, 2)], reg=pb.Regularizer(kind="l1", lam=1.0))

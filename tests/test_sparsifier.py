@@ -1,9 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from sparsepg import problem as pb
 from sparsepg import sparsifier as sf
 from sparsepg.rng import stream
 
@@ -47,8 +50,27 @@ class TestAdaptiveDistribution:
         assert dist.p == pytest.approx(np.ones(7))
 
     def test_c_validation(self):
-        with pytest.raises(ValueError):
-            sf.adaptive_distribution(np.zeros(3), c=0.0)
+        for c in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError):
+                sf.adaptive_distribution(np.zeros(3), c=c)
+
+    @pytest.mark.parametrize("center, c", [
+        (np.zeros(6), 2.0),
+        (np.array([1.0, -2.0, 0.5]), 1.0),
+        (np.array([-0.0, 0.0, 1.0, np.nan, 0.0, 2.5]), 1.5),
+        (np.array([0.0, 3.0, 0.0, -0.0, 0.0]), 4.0),
+        (np.array([0.0, 3.0, 0.0, -0.0, 0.0]), 10.0),
+        (np.array([0.0, 1e-300, -np.inf, 0.0]), 0.3),
+    ])
+    def test_matches_null_index_construction(self, center, c):
+        """Same bits as p = 1, then min(c/|null|, 1) written on null(center)."""
+        null = pb.null_pattern(center)
+        want = np.ones(center.size)
+        if null.size > 0:
+            want[null] = min(c / null.size, 1.0)
+        dist = sf.adaptive_distribution(center, c)
+        assert dist.p.dtype == want.dtype and dist.p.tobytes() == want.tobytes()
+        assert (dist.p_min, dist.p_max) == (want.min(), want.max())
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -99,6 +121,18 @@ class TestDrawMask:
         sigma = np.sqrt(np.sum(p * (1 - p)) / n)
         assert abs(mean - expected) < 3 * sigma
 
+    def test_matches_flatnonzero_on_cloned_generator(self):
+        """Masks are the indices of u < p, and the stream advances by d draws
+        per mask."""
+        dist = sf.adaptive_distribution(np.repeat([0.0, 1.0, 0.0, 0.0, -0.0], 20), c=9.0)
+        rng = stream(7, 8)
+        clone = copy.deepcopy(rng)
+        for _ in range(50):
+            mask = sf.draw_mask(dist, rng)
+            want = np.flatnonzero(clone.random(dist.d) < dist.p)
+            assert mask.dtype == want.dtype and np.array_equal(mask, want)
+        assert np.array_equal(rng.random(16), clone.random(16))
+
     def test_sorted_unique(self):
         dist = sf.uniform_distribution(20, 0.5)
         rng = stream(6, 7)
@@ -129,6 +163,9 @@ class TestValidation:
             sf.SelectorDistribution(p=np.array([0.5, 0.0]))
         with pytest.raises(ValueError):
             sf.SelectorDistribution(p=np.array([0.5, 1.1]))
+        for p in ([0.5, np.nan], [np.nan], [np.nan, 1.0, 0.2]):
+            with pytest.raises(ValueError):
+                sf.SelectorDistribution(p=np.array(p))
 
     def test_convergence_gap(self):
         dist = sf.uniform_distribution(3, 0.5)
