@@ -18,6 +18,7 @@ import configparser
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -103,8 +104,10 @@ class ExperimentConfig:
     epochs: int = _option("run", "epochs", 1, int, lambda v: v >= 1)
     delta: float = _option("run", "delta", 0.5, float, lambda v: 0 < v < 1)
     schedule: str = _option("run", "schedule", "random_uniform", str, lambda v: v in SCHEDULES)
-    weights: tuple = _option("run", "weights", (), float_list, empty=())
-    seeds: tuple = _option("run", "seeds", tuple(range(1, 11)), int_list, lambda v: len(v) > 0)
+    weights: tuple = _option("run", "weights", (), float_list,
+                             lambda v: all(0 < w < math.inf for w in v), empty=())
+    seeds: tuple = _option("run", "seeds", tuple(range(1, 11)), int_list,
+                           lambda v: 0 < len(v) == len(set(v)))
     target_eps: float = _option("run", "target_eps", 1e-6, float, lambda v: v > 0)
     max_iterations: int = _option("run", "max_iterations", 200000, int, lambda v: v >= 1)
     outer_budget: int = _option("run", "outer_budget", 600, int, lambda v: v >= 1)
@@ -204,8 +207,7 @@ def parse_config(text: str) -> ExperimentConfig:
     elif cfg.lam1 is None:
         cfg.lam1 = 0.03  # logistic default weight when uncalibrated
     if cfg.algorithm in ("reconditioned", "catalyst"):
-        valid = ("budget", "fixed", "absolute", "relative") if cfg.algorithm == "reconditioned" \
-            else ("fixed", "absolute", "adaptive")
+        valid = rc.INNER_KINDS if cfg.algorithm == "reconditioned" else rc.MOMENTUM_KINDS
         if cfg.criterion not in valid:
             problems.append(f"[run] criterion {cfg.criterion!r} invalid for {cfg.algorithm} (use one of {valid})")
     if cfg.schedule == "heterogeneous" and len(cfg.weights) != cfg.workers:
@@ -469,6 +471,11 @@ def cmd_run(cfg: ExperimentConfig, out_dir: str, mode: str, cache_dir=None) -> i
 
 
 def cmd_compare(cfgs, labels, out_dir: str, mode: str, cache_dir=None) -> int:
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        print(f"error: compare writes each config to out/<label>, and two configs share "
+              f"the label {', '.join(repeated)} (the config file name)", file=sys.stderr)
+        return EXIT_CONFIG
     built = {}
     for cfg in cfgs:
         key = _problem_key(cfg)

@@ -12,6 +12,8 @@ import scipy.sparse as sp
 
 from . import problem as pb
 
+MAX_ITER = 200_000  # accelerated steps before solve gives up
+
 
 class SolveBudgetError(RuntimeError):
     def __init__(self, achieved: float, tol: float):
@@ -24,7 +26,6 @@ class SolveBudgetError(RuntimeError):
 def solve(
     problem: pb.CompositeProblem,
     tol: float,
-    max_iter: int = 200_000,
     x0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
     """Minimize the composite objective to estimated distance ``tol`` from x*.
@@ -44,7 +45,7 @@ def solve(
     y = x.copy()
     t = 1.0
     err = np.inf
-    for it in range(max_iter):
+    for it in range(MAX_ITER):
         g = pb.smooth_gradient(problem, y)
         x_new = pb.prox_reg(problem.reg, gamma, y - gamma * g)
         step = x_new - x

@@ -34,8 +34,8 @@ from .sparsifier import SelectorDistribution, convergence_gap_ok, draw_mask
 DIVERGENCE_NORM = 1e12
 
 # when True, every iteration asserts that the running support count equals
-# count_nonzero(x), and simulation mode re-derives xbar from the worker
-# mirrors and asserts agreement (slow; meant for tests)
+# count_nonzero(x) and that x = prox(xbar), and simulation mode re-derives xbar
+# from the worker mirrors and asserts agreement (slow; meant for tests)
 DEBUG_CHECK = False
 
 _MASK_TAG = 101
@@ -58,9 +58,9 @@ class DivergenceError(RuntimeError):
 class DelaySchedule:
     """Which worker fires at each global time in simulation mode.
 
-    Kinds: round_robin, random_uniform, fixed_trace (cycled), heterogeneous
-    (categorical draw by speed weights).  Every worker fires infinitely often
-    in any infinite extension.
+    Kinds: fixed_trace (cycled; round robin is the trace 0, 1, ..., M-1),
+    random_uniform, heterogeneous (categorical draw by speed weights).  Every
+    worker fires infinitely often in any infinite extension.
     """
 
     kind: str
@@ -71,7 +71,7 @@ class DelaySchedule:
 
     @staticmethod
     def round_robin(M: int) -> "DelaySchedule":
-        return DelaySchedule(kind="round_robin", M=M)
+        return DelaySchedule.fixed_trace(range(M), M)
 
     @staticmethod
     def random_uniform(M: int, seed: int) -> "DelaySchedule":
@@ -98,13 +98,6 @@ class DelaySchedule:
 
     def sequence(self):
         """Infinite iterator of worker ids."""
-        if self.kind == "round_robin":
-            def gen():
-                k = 0
-                while True:
-                    yield k % self.M
-                    k += 1
-            return gen()
         if self.kind == "fixed_trace":
             def gen():
                 while True:
@@ -130,28 +123,12 @@ class DelaySchedule:
 # -- epochs -----------------------------------------------------------------
 
 
-def epoch_boundaries(worker_log, M: int | None = None) -> list[int]:
-    """Stopping times (k_m) from a firing log (i^k for k = 0, 1, ...).
+class _EpochTracker:
+    """The epoch stopping times (k_m) of M workers, one firing at a time.
 
     k_0 = 0; the next boundary is the first k at which every worker's
-    penultimate firing happened at or after the previous boundary.
-    """
-    last: dict[int, int] = {}
-    penult: dict[int, int] = {}
-    workers = set(range(M)) if M is not None else set(worker_log)
-    boundaries = [0]
-    for k, i in enumerate(worker_log):
-        if i in last:
-            penult[i] = last[i]
-        last[i] = k
-        if len(penult) == len(workers) and min(penult.values()) >= boundaries[-1] and k > 0:
-            boundaries.append(k)
-    return boundaries
-
-
-class _EpochTracker:
-    """epoch_boundaries, one firing at a time.  Plain lists: numpy calls on
-    M-element arrays cost more than the work in them."""
+    penultimate firing happened at or after the previous boundary.  Plain
+    lists: numpy calls on M-element arrays cost more than the work in them."""
 
     def __init__(self, M: int):
         self.last = [-1] * M
@@ -175,6 +152,15 @@ class _EpochTracker:
             self.boundaries.append(k)
             return True
         return False
+
+
+def epoch_boundaries(worker_log, M: int) -> list[int]:
+    """Stopping times (k_m) from a firing log (i^k for k = 0, 1, ...), as the
+    engine's tracker finds them."""
+    tracker = _EpochTracker(M)
+    for k, i in enumerate(worker_log):
+        tracker.record(k, i)
+    return tracker.boundaries
 
 
 # -- traces -----------------------------------------------------------------
@@ -215,7 +201,6 @@ class RunTrace:
     cum_up: int = 0
     cum_down: int = 0
     final_x: np.ndarray | None = None
-    final_xbar: np.ndarray | None = None
 
     @property
     def n_iterations(self) -> int:
@@ -393,7 +378,8 @@ def _run(
             return None  # dense
         return draw_mask(dist, mask_rngs[i])
 
-    trace = RunTrace()
+    tracker = _EpochTracker(M)
+    trace = RunTrace(epoch_starts=tracker.boundaries)
 
     def down(nnz, mask):
         """Coordinates of a model message: d when dense (no mask), else the
@@ -427,7 +413,6 @@ def _run(
                 trace.priming_down += down(nnz, mask)
             source.send(i, x.copy(), mask)
         trace.cum_up, trace.cum_down = trace.priming_up, trace.priming_down
-        tracker = _EpochTracker(M)
         trace.epoch_snapshots.append(x.copy())
         if objective_stride:
             log_objective(-1, x)
@@ -443,6 +428,7 @@ def _run(
             x[S] = x_S
             if DEBUG_CHECK:
                 assert nnz == np.count_nonzero(x), "running support count drifted"
+                assert np.array_equal(x, pb.prox_reg(problem.reg, gamma, xbar)), "x != prox(xbar)"
                 if mode == "sim":
                     rebuilt = sum(a * w.x for a, w in zip(problem.alphas, workers))
                     assert np.allclose(xbar, rebuilt, atol=1e-10), "coordinator average drifted"
@@ -456,7 +442,6 @@ def _run(
 
             new_epoch = tracker.record(k, i)
             if new_epoch:
-                trace.epoch_starts.append(k)
                 trace.epoch_snapshots.append(x.copy())
             m = len(tracker.boundaries) - 1
             trace.records.append(IterRecord(k, i, up, sent, nnz, m))
@@ -475,7 +460,6 @@ def _run(
         source.close()
 
     trace.final_x = x
-    trace.final_xbar = xbar
     return trace
 
 
@@ -522,9 +506,9 @@ def run_spy(
 ) -> RunTrace:
     """Sparsified variant: workers update and send only masked coordinates.
 
-    ``charge_priming=False`` skips the communication charge for the synchronous
-    priming round (used by warm-started inner solves, where workers already
-    hold state and no fresh dense exchange takes place).
+    ``charge_priming=False`` runs the synchronous priming round as usual but
+    leaves its communication out of the ledger: the reconditioned outer loop
+    charges it on its first inner run only.
     """
     _check_gamma(problem, gamma)
     if dist.d != problem.dim:

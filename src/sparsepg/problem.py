@@ -423,15 +423,11 @@ def _shard_constants(shard: LossShard) -> tuple[float, float]:
 
 
 def _constants(shards) -> tuple[float, float]:
+    """(mu, L) of the shards; L is the worst shard bound."""
     pairs = [_shard_constants(s) for s in shards]
     mu = min(p[0] for p in pairs)
     lip = max(p[1] for p in pairs)
     return mu, lip
-
-
-def smoothness_constants(problem: CompositeProblem) -> tuple[float, float]:
-    """Recompute (mu, L) from the shards; L is the worst shard bound."""
-    return _constants(problem.shards)
 
 
 # -- regularizer ------------------------------------------------------------

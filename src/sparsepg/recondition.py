@@ -29,6 +29,10 @@ from .sparsifier import adaptive_distribution, min_conditioning
 
 _SEED_STRIDE = 100_003
 _ORACLE_TOL = 1e-11  # tolerance of the proximal point the stopping tests solve for
+_MOMENTUM_DELTA = 0.1  # the absolute momentum threshold falls as 1/ell^(4 + delta) when mu = 0
+
+INNER_KINDS = ("budget", "fixed", "absolute", "relative")
+MOMENTUM_KINDS = ("fixed", "absolute", "adaptive")
 
 
 class InnerBudgetError(RuntimeError):
@@ -73,13 +77,14 @@ def make_params(
     c: float,
     d: int,
     delta: float = 0.5,
-    gamma: float | None = None,
 ) -> ReconditionParams:
     """Choose (rho, gamma) so that exploration probability pi = c/d is safe.
 
     The reconditioned problem is given condition number kappa such that masks
     with p_min >= pi - alpha still contract, leaving a margin alpha = c/(2d)
-    for the adaptive probabilities.
+    for the adaptive probabilities.  The inner stepsize is 2/(mu + L + 2 rho),
+    at which (1 - gamma (mu + rho))^2 = pi - alpha: any smaller stepsize breaks
+    that chain.
     """
     if not 0 < c <= d:
         raise ValueError("exploration budget c must lie in (0, d]")
@@ -95,14 +100,9 @@ def make_params(
     rho = (kappa * lip - mu) / (1.0 - kappa)
     if rho <= 0:
         rho = 0.0  # already conditioned enough for this exploration level
-    g_max = 2.0 / (mu + lip + 2.0 * rho)
-    if gamma is None:
-        gamma = g_max
-    elif not 0 < gamma <= g_max * (1 + 1e-12):
-        raise ValueError(f"gamma={gamma} outside (0, {g_max}]")
     return ReconditionParams(
         c=c, d=d, mu=mu, lip=lip, delta=delta,
-        pi=pi, alpha=alpha, kappa=kappa, rho=rho, gamma=gamma,
+        pi=pi, alpha=alpha, kappa=kappa, rho=rho, gamma=2.0 / (mu + lip + 2.0 * rho),
     )
 
 
@@ -129,13 +129,13 @@ def prox_oracle(
     rho: float,
     center: np.ndarray,
     tol: float = _ORACLE_TOL,
-    x0: np.ndarray | None = None,
 ) -> np.ndarray:
-    """prox_{F/rho}(center) to distance tol, by the direct solver."""
+    """prox_{F/rho}(center) to distance tol, by the direct solver started at
+    center."""
     if rho <= 0:
         raise ValueError("rho must be positive")
     sub = pb.reconditioned(problem, rho, np.asarray(center, dtype=float))
-    x, _ = direct.solve(sub, tol=tol, x0=center if x0 is None else x0)
+    x, _ = direct.solve(sub, tol=tol, x0=center)
     return x
 
 
@@ -233,10 +233,16 @@ class InnerCriterion:
     safety_epochs: int = 20_000
 
     def __post_init__(self):
-        if self.kind not in ("budget", "fixed", "absolute", "relative"):
+        if self.kind not in INNER_KINDS:
             raise ValueError(f"unknown inner criterion {self.kind!r}")
-        if self.kind == "fixed" and self.epochs < 1:
-            raise ValueError("fixed criterion needs epochs >= 1")
+        _check_epochs(self)
+
+
+def _check_epochs(criterion):
+    if criterion.kind == "fixed" and criterion.epochs < 1:
+        raise ValueError("fixed criterion needs epochs >= 1")
+    if criterion.safety_epochs < 1:
+        raise ValueError("safety_epochs must be >= 1")
 
 
 def _inner_stop(criterion, ell, params, pi_ell, center, sub):
@@ -263,14 +269,15 @@ def _inner_stop(criterion, ell, params, pi_ell, center, sub):
     return StopRule(max_epochs=criterion.safety_epochs, epoch_predicate=pred)
 
 
-def _check_probability_chain(params: ReconditionParams, pi_ell: float):
-    """The adaptive probabilities must keep the inner runs contracting."""
+def _check_probability_chain(params: ReconditionParams):
+    """Masks with p_min >= pi - alpha must keep the inner runs contracting.
+    The adaptive probabilities never fall below pi = c/d, so the check
+    depends on params only."""
     floor = (1.0 - params.gamma * (params.mu + params.rho)) ** 2
     lo = params.pi - params.alpha
-    if pi_ell < params.pi - 1e-12 or lo < floor - 1e-9:
+    if lo < floor - 1e-9:
         raise RuntimeError(
-            f"probability chain violated: pi_ell={pi_ell}, pi={params.pi}, "
-            f"pi-alpha={lo}, (1-gamma(mu+rho))^2={floor}"
+            f"probability chain violated: pi-alpha={lo}, (1-gamma(mu+rho))^2={floor}"
         )
 
 
@@ -314,6 +321,7 @@ def _outer_loop(problem, params, schedule, init, outer_budget, target_objective,
     x_ell + b (x_ell - x_{ell-1}) with b = ``weight(ell)``, and x_ell itself
     when b is 0.
     """
+    _check_probability_chain(params)
     x = np.asarray(init, dtype=float).copy()
     center = x
     trace = OuterTrace()
@@ -325,7 +333,6 @@ def _outer_loop(problem, params, schedule, init, outer_budget, target_objective,
             break
         dist = adaptive_distribution(center, params.c)
         pi_ell = dist.p_min
-        _check_probability_chain(params, pi_ell)
         sub = pb.reconditioned(problem, params.rho, center)
         stop = stop_rule(ell, center, sub, pi_ell)
         inner = run_spy(
@@ -402,12 +409,12 @@ class MomentumCriterion:
     kind: str = "adaptive"
     epochs: int = 1
     f_star: float | None = None
-    delta: float = 0.1
     safety_epochs: int = 20_000
 
     def __post_init__(self):
-        if self.kind not in ("fixed", "absolute", "adaptive"):
+        if self.kind not in MOMENTUM_KINDS:
             raise ValueError(f"unknown momentum criterion {self.kind!r}")
+        _check_epochs(self)
         if self.kind == "absolute" and self.f_star is None:
             raise ValueError("the absolute momentum criterion needs f_star")
 
@@ -468,7 +475,7 @@ def _momentum_stop(criterion, ell, params, center, sub, gap0):
         if mu > 0:
             factor = (1.0 - math.sqrt(mu / (4.0 * (mu + rho)))) ** ell
         else:
-            factor = 1.0 / ell ** (4.0 + criterion.delta)
+            factor = 1.0 / ell ** (4.0 + _MOMENTUM_DELTA)
         thresh = factor * gap0
 
         def pred(x, m):

@@ -114,6 +114,15 @@ class TestConfig:
         with pytest.raises(cli.ConfigError, match="weight"):
             cli.parse_config(text)
 
+    @pytest.mark.parametrize("weights", ["1,2,0", "1,nan,2", "-1,2,3", "1,2,inf"])
+    def test_heterogeneous_weights_range(self, tmp_path, capsys, weights):
+        cfgp = write(tmp_path, "exp.ini",
+                     SMALL_LASSO + f"schedule = heterogeneous\nweights = {weights}\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfgp, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert f"[run] weights={weights!r} out of range" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_ini(self):
         with pytest.raises(cli.ConfigError):
             cli.parse_config("not an ini file [[[")
@@ -190,7 +199,7 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert list(summary["seeds"]) == ["3"]
 
-    @pytest.mark.parametrize("seeds", [",", "1,x", ""])
+    @pytest.mark.parametrize("seeds", [",", "1,x", "", "2,1,2"])
     def test_seed_override_is_validated(self, tmp_path, capsys, seeds):
         cfgp = write(tmp_path, "exp.ini", SMALL_LASSO)
         out = tmp_path / "out"
@@ -290,6 +299,18 @@ class TestCompare:
         b = write(tmp_path, "b.ini", SMALL_LASSO.replace("data_seed = 4", "data_seed = 5"))
         assert cli.main(["compare", "--config", a, "--config", b,
                          "--out", str(tmp_path / "o")]) == 2
+
+    def test_duplicate_labels(self, tmp_path, capsys):
+        # the label is the config's file name, and it names the output directory
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        a = write(tmp_path / "a", "x.ini", SMALL_LASSO)
+        b = write(tmp_path / "b", "x.ini", SMALL_DAVE)
+        out = tmp_path / "cmp"
+        assert cli.main(["compare", "--config", a, "--config", b,
+                         "--out", str(out), "--seeds", "1"]) == cli.EXIT_CONFIG
+        assert "share the label x" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_needs_two_configs(self, tmp_path):
         a = write(tmp_path, "a.ini", SMALL_LASSO)

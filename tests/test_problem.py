@@ -93,7 +93,7 @@ class TestGradShard:
 class TestSmoothnessConstants:
     def test_scalar_shard(self):
         prob = pb.composite_problem([quad_shard(1, 0)])
-        assert pb.smoothness_constants(prob) == pytest.approx((2.0, 2.0))
+        assert (prob.mu, prob.lip) == pytest.approx((2.0, 2.0))
 
     def test_logistic_mu_is_l2(self):
         rng = np.random.default_rng(1)
@@ -170,7 +170,8 @@ class TestExactConstants:
         m = A.shape[0]
         b = rng.choice([-1.0, 1.0], size=m)
         shard = pb.LossShard(kind=kind, A=A, b=b, l2=0.01 if kind == pb.LOGISTIC else 0.0)
-        mu, lip = pb.smoothness_constants(pb.composite_problem([shard]))
+        prob = pb.composite_problem([shard])
+        mu, lip = prob.mu, prob.lip
         lam_min, lam_max = self.exact_extremes(A)
         if kind == pb.LEAST_SQUARES:
             want = (2 * lam_min / m, 2 * lam_max / m)
@@ -325,7 +326,7 @@ class TestReconditioned:
         sub = pb.reconditioned(prob, 2.5, np.ones(6))
         assert sub.mu == pytest.approx(prob.mu + 2.5)
         assert sub.lip == pytest.approx(prob.lip + 2.5)
-        mu, lip = pb.smoothness_constants(sub)
+        mu, lip = pb._constants(sub.shards)
         assert mu == pytest.approx(prob.mu + 2.5, abs=1e-6)
         assert lip == pytest.approx(prob.lip + 2.5, rel=1e-6)
 

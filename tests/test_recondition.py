@@ -1,8 +1,12 @@
 import csv
 import math
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sparsepg import data, direct, engine, metrics, problem as pb, recondition as rc
 from sparsepg.sparsifier import adaptive_distribution
@@ -47,9 +51,17 @@ class TestMakeParams:
         with pytest.raises(ValueError):
             rc.make_params(mu=0.0, lip=1.0, c=1.0, d=10, delta=1.0)
 
-    def test_gamma_range(self):
-        with pytest.raises(ValueError):
-            rc.make_params(mu=0.0, lip=1.0, c=5.0, d=10, gamma=2.0)
+    @settings(max_examples=200, deadline=None)
+    @given(mu=st.floats(0.0, 10.0), lip=st.floats(1e-3, 1e3), d=st.integers(1, 10_000),
+           frac=st.floats(1e-4, 1.0))
+    def test_stepsize_closes_probability_chain(self, mu, lip, d, frac):
+        """gamma = 2/(mu + L + 2 rho) gives (1 - gamma (mu + rho))^2 = pi - alpha."""
+        mu = min(mu, lip)
+        p = rc.make_params(mu=mu, lip=lip, c=max(frac * d, 1e-3), d=d)
+        assume(p.needs_reconditioning)
+        assert p.gamma == 2.0 / (mu + lip + 2.0 * p.rho)
+        chain = (1.0 - p.gamma * (mu + p.rho)) ** 2
+        assert chain == pytest.approx(p.pi - p.alpha, rel=0, abs=1e-9)
 
 
 class TestEpochBudget:
@@ -85,6 +97,28 @@ class TestEpochBudget:
             rc.epoch_budget(0, self.make(), 0.5)
 
 
+class TestCriteria:
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError):
+            rc.InnerCriterion(kind="adaptive")
+        with pytest.raises(ValueError):
+            rc.MomentumCriterion(kind="relative")
+
+    def test_fixed_needs_an_epoch(self):
+        with pytest.raises(ValueError, match="epochs >= 1"):
+            rc.InnerCriterion(kind="fixed", epochs=0)
+        with pytest.raises(ValueError, match="epochs >= 1"):
+            rc.MomentumCriterion(kind="fixed", epochs=0)
+
+    def test_safety_epochs_positive(self):
+        for kind in rc.INNER_KINDS:
+            with pytest.raises(ValueError, match="safety_epochs"):
+                rc.InnerCriterion(kind=kind, safety_epochs=0)
+        for kind in rc.MOMENTUM_KINDS:
+            with pytest.raises(ValueError, match="safety_epochs"):
+                rc.MomentumCriterion(kind=kind, f_star=0.0, safety_epochs=0)
+
+
 class TestProxOracle:
     def test_quadratic_closed_form(self):
         # f(x) = x^2/2 via least squares with A = 1/sqrt(2)
@@ -112,6 +146,11 @@ class TestProxOracle:
     def test_rho_validation(self):
         with pytest.raises(ValueError):
             rc.prox_oracle(small_lasso(), rho=0.0, center=np.zeros(40))
+
+    def test_solver_budget(self, monkeypatch):
+        monkeypatch.setattr(direct, "MAX_ITER", 3)
+        with pytest.raises(direct.SolveBudgetError):
+            rc.prox_oracle(small_lasso(), rho=1.0, center=np.zeros(40), tol=1e-14)
 
 
 class TestReconditionedLoop:
@@ -303,9 +342,11 @@ class TestReconditionedLoop:
             rc.run_reconditioned(self.prob, params, self.sched, np.zeros(40))
 
     def test_probability_chain_checked(self):
-        good = self.params
-        with pytest.raises(RuntimeError):
-            rc._check_probability_chain(good, good.pi - good.alpha - 1e-6)
+        # any stepsize below make_params' breaks the chain; caught before any work
+        rc._check_probability_chain(self.params)
+        slow = dataclasses.replace(self.params, gamma=0.5 * self.params.gamma)
+        with pytest.raises(RuntimeError, match="probability chain violated"):
+            rc.run_reconditioned(self.prob, slow, self.sched, np.zeros(40), outer_budget=1)
 
     def test_csv_schema(self, tmp_path):
         trace = rc.run_reconditioned(self.prob, self.params, self.sched, np.zeros(40),
