@@ -188,12 +188,16 @@ def parse_config(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError([f"malformed config: {exc}"]) from None
     problems: list[str] = []
+    failed = set()  # options that did not parse or were out of range
     cfg = ExperimentConfig(warmstart=cp.has_section("warmstart"))
     for f in _OPTIONS.values():
         section, key = f.metadata["section"], f.metadata["key"]
         if section != "warmstart" or cfg.warmstart:
             raw = cp.get(section, key, fallback=defaults[section][key])
+            n = len(problems)
             setattr(cfg, f.name, _parse_option(f, raw, problems))
+            if len(problems) > n:
+                failed.add(f.name)
 
     # cross-field validation
     if cfg.kind.startswith("libsvm"):
@@ -210,7 +214,8 @@ def parse_config(text: str) -> ExperimentConfig:
         valid = rc.INNER_KINDS if cfg.algorithm == "reconditioned" else rc.MOMENTUM_KINDS
         if cfg.criterion not in valid:
             problems.append(f"[run] criterion {cfg.criterion!r} invalid for {cfg.algorithm} (use one of {valid})")
-    if cfg.schedule == "heterogeneous" and len(cfg.weights) != cfg.workers:
+    if (cfg.schedule == "heterogeneous" and failed.isdisjoint({"weights", "workers"})
+            and len(cfg.weights) != cfg.workers):
         problems.append("[run] heterogeneous schedule needs one weight per worker")
     if problems:
         raise ConfigError(problems)
@@ -621,7 +626,7 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
+    def common(p):
         p.add_argument("--config", action="append", default=[],
                        required=False, help="experiment config file (INI)")
         p.add_argument("--out", default="experiment-out", help="output directory")

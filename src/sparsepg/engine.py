@@ -6,9 +6,12 @@ modes that differ only in where worker replies come from:
 * simulation (default): a delay schedule picks which worker replies at each
   global time k, and that worker's step runs in-process.  Single-threaded,
   bit-identical for a fixed (seed, schedule, problem).
-* concurrent: one thread per worker runs the same step and replies through a
-  queue; arrival order defines k, so trajectories vary between runs but the
-  limit point does not.  A worker's exception is re-raised in the caller.
+* concurrent: a pool of M threads runs the same steps, and replies are taken
+  in the order the steps finish; that arrival order defines k, so
+  trajectories vary between runs but the limit point does not.  A run equals,
+  bit for bit, the simulation run on ``DelaySchedule.fixed_trace`` of its own
+  ``worker_fires`` (tested for stop rules without an ``epoch_predicate``).  A
+  worker's exception is raised in the caller.
 
 The coordinator holds xbar (the alpha-weighted average of the workers'
 points) and x = prox(xbar).  A worker, when served, applies a gradient step
@@ -20,9 +23,10 @@ both modes, and both modes charge communication by the same rules.
 from __future__ import annotations
 
 import csv
+import itertools
 import queue
-import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,9 +44,6 @@ DEBUG_CHECK = False
 
 _MASK_TAG = 101
 _SCHED_TAG = 102
-
-# how long closing a concurrent run waits for each worker thread to exit
-_JOIN_SECONDS = 5.0
 
 
 class DivergenceError(RuntimeError):
@@ -99,24 +100,14 @@ class DelaySchedule:
     def sequence(self):
         """Infinite iterator of worker ids."""
         if self.kind == "fixed_trace":
-            def gen():
-                while True:
-                    yield from self.trace
-            return gen()
+            return itertools.cycle(self.trace)
+        rng = stream(self.seed, _SCHED_TAG)
         if self.kind == "random_uniform":
-            def gen():
-                rng = stream(self.seed, _SCHED_TAG)
-                while True:
-                    yield int(rng.integers(self.M))
-            return gen()
+            return (int(rng.integers(self.M)) for _ in itertools.count())
         if self.kind == "heterogeneous":
             w = np.array(self.weights)
             p = w / w.sum()
-            def gen():
-                rng = stream(self.seed, _SCHED_TAG)
-                while True:
-                    yield int(rng.choice(self.M, p=p))
-            return gen()
+            return (int(rng.choice(self.M, p=p)) for _ in itertools.count())
         raise ValueError(f"unknown schedule kind {self.kind!r}")
 
 
@@ -301,41 +292,27 @@ class _Inline:
         pass
 
 
-class _Threads:
-    """Concurrent mode: one thread per worker; replies arrive in completion
-    order.  A worker's exception is its last reply and is re-raised here."""
+class _Pool:
+    """Concurrent mode: the steps run on a pool of one thread per worker, and
+    replies are taken in the order the steps finish."""
 
     def __init__(self, workers):
-        self.replies: queue.Queue = queue.Queue()
-        self.inboxes = [queue.Queue() for _ in workers]
-        self.threads = [threading.Thread(target=self._serve, args=(i, w), daemon=True)
-                        for i, w in enumerate(workers)]
-        for t in self.threads:
-            t.start()
-
-    def _serve(self, i, worker):
-        inbox = self.inboxes[i]
-        while (msg := inbox.get()) is not None:
-            try:
-                self.replies.put((i, *worker.step(*msg)))
-            except BaseException as exc:
-                self.replies.put(exc)
-                return
+        self.workers = workers
+        self.pool = ThreadPoolExecutor(len(workers))
+        self.replies: queue.SimpleQueue = queue.SimpleQueue()
 
     def send(self, i, model, mask):
-        self.inboxes[i].put((model, mask))
+        future = self.pool.submit(self.workers[i].step, model, mask)
+        future.add_done_callback(lambda f: self.replies.put((i, f)))
 
     def receive(self):
-        reply = self.replies.get()
-        if isinstance(reply, BaseException):
-            raise reply
-        return reply
+        i, future = self.replies.get()
+        return (i, *future.result())  # a worker's exception is raised here
 
     def close(self):
-        for inbox in self.inboxes:
-            inbox.put(None)
-        for t in self.threads:
-            t.join(timeout=_JOIN_SECONDS)
+        # the replies a run never takes are of steps sim mode never computes,
+        # so their results and errors are dropped
+        self.pool.shutdown(cancel_futures=True)
 
 
 # -- the coordinator --------------------------------------------------------
@@ -404,7 +381,7 @@ def _run(
     def log_objective(k, xx):
         trace.objective_log.append(ObjectivePoint(k, trace.cum_up, trace.cum_down, obj(xx)))
 
-    source = _Inline(workers, schedule) if mode == "sim" else _Threads(workers)
+    source = _Inline(workers, schedule) if mode == "sim" else _Pool(workers)
     masks = [None] * M  # the mask each worker was last sent
     try:
         for i in range(M):

@@ -213,10 +213,10 @@ def calibrate_l1(problem_builder, target_support: int, lam_hi: float) -> float:
         prob = problem_builder(lam)
         x, _ = direct.solve(prob, tol=_CALIBRATE_TOL)
         x = direct.polish_l1_least_squares(prob, x)
-        return int(np.count_nonzero(x)), lam
+        return int(np.count_nonzero(x))
 
     lo, hi = 0.0, lam_hi
-    s_hi, _ = support_at(hi)
+    s_hi = support_at(hi)
     if s_hi > target_support:
         raise ValueError(f"lam_hi={lam_hi} already gives support {s_hi} > {target_support}")
     if s_hi == target_support:
@@ -225,7 +225,7 @@ def calibrate_l1(problem_builder, target_support: int, lam_hi: float) -> float:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        s_mid, _ = support_at(mid)
+        s_mid = support_at(mid)
         if s_mid == target_support:
             return mid
         if s_mid > target_support:

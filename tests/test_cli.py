@@ -123,6 +123,18 @@ class TestConfig:
         assert f"[run] weights={weights!r} out of range" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers, weights, problem", [
+        ("2", "1.0,0.0", "[run] weights='1.0,0.0' out of range"),
+        ("2", "1,x", "[run] weights='1,x' is not a valid float_list"),
+        ("0", "1,2", "[run] workers='0' out of range"),
+    ], ids=["zero-weight", "bad-weight", "zero-workers"])
+    def test_failed_weights_or_workers_skip_weight_count(self, workers, weights, problem):
+        # the weight count is only checked on values that were read
+        text = f"[run]\nschedule = heterogeneous\nworkers = {workers}\nweights = {weights}\n"
+        with pytest.raises(cli.ConfigError) as info:
+            cli.parse_config(text)
+        assert info.value.problems == [problem]
+
     def test_malformed_ini(self):
         with pytest.raises(cli.ConfigError):
             cli.parse_config("not an ini file [[[")

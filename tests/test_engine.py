@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsepg import data, direct, engine, problem as pb
+from sparsepg import data, direct, engine, problem as pb, recondition as rc
 from sparsepg.rng import stream
 from sparsepg.sparsifier import SelectorDistribution, adaptive_distribution, uniform_distribution
 
@@ -194,6 +194,45 @@ class TestRunDavePG:
                                   init, engine.StopRule(max_epochs=15), seed=4)
         radius = shifted_initial_radius(prob, gamma, init, x_star)
         rate = (1 - prob.kappa) / (1 + prob.kappa)
+        for m, snap in enumerate(trace.epoch_snapshots):
+            assert np.sum((snap - x_star) ** 2) <= rate ** (2 * m) * radius + 1e-12
+
+
+class TestDelayIndependence:
+    """c04's dense bound ||x^{k_m} - x*||^2 <= ((1-kappa)/(1+kappa))^{2m}
+    max_i ||x_i^0 - x_i*||^2 is indexed by epochs, so it holds at every epoch
+    whatever the arrival order: bursts, a worker that fires once per cycle,
+    skewed speed weights."""
+
+    @staticmethod
+    @st.composite
+    def schedules(draw):
+        M = draw(st.integers(2, 8))
+        if draw(st.booleans()):
+            weights = draw(st.lists(st.floats(1.0, 20.0), min_size=M, max_size=M))
+            return engine.DelaySchedule.heterogeneous(weights, seed=draw(st.integers(0, 100)))
+        bursts = draw(st.lists(st.tuples(st.integers(0, M - 1), st.integers(1, 30)),
+                               min_size=1, max_size=10))
+        rare = draw(st.none() | st.integers(0, M - 1))
+        trace = [i for i, n in bursts for _ in range(n) if i != rare]
+        # every worker missing from the bursts (the rare one among them)
+        # fires once per cycle
+        for i in sorted(set(range(M)) - set(trace)):
+            trace.insert(draw(st.integers(0, len(trace))), i)
+        return engine.DelaySchedule.fixed_trace(trace, M)
+
+    @settings(max_examples=40, deadline=None)
+    @given(sched=schedules(), seed=st.integers(0, 1000))
+    def test_dense_epoch_bound_under_any_order(self, sched, seed):
+        prob = strongly_convex_problem(d=20, M=sched.M, kappa=0.1, seed=seed)
+        gamma = engine.gamma_max(prob)
+        x_star, _ = direct.solve(prob, tol=1e-13)
+        init = np.zeros(20)
+        trace = engine.run_davepg(prob, gamma, sched, init, engine.StopRule(max_epochs=12),
+                                  seed=seed)
+        radius = shifted_initial_radius(prob, gamma, init, x_star)
+        rate = (1 - prob.kappa) / (1 + prob.kappa)
+        assert len(trace.epoch_snapshots) == 13
         for m, snap in enumerate(trace.epoch_snapshots):
             assert np.sum((snap - x_star) ** 2) <= rate ** (2 * m) * radius + 1e-12
 
@@ -437,6 +476,121 @@ class TestConcurrentWorkerFailure:
         assert isinstance(out.get("error"), FloatingPointError)
         left = [t for t in threading.enumerate() if t not in before and t.is_alive()]
         assert not left
+
+
+class TestConcurrentThreads:
+    """A concurrent run keeps at most M worker threads alive and leaves none
+    behind, whether it returns or a worker raises."""
+
+    @pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
+    @pytest.mark.parametrize("loop", ["engine", "reconditioned"])
+    def test_at_most_M_threads_and_none_left(self, monkeypatch, loop, fail):
+        M, d = 4, 40
+        ds, _ = data.generate_lasso(d=d, m=60, sparsity=0.9, noise_std=0.01, seed=14)
+        prob = data.lasso_problem(ds, data.shard_even(ds, M, seed=14), lam1=0.2)
+        before = set(threading.enumerate())
+        caller = []  # the thread that runs the engine; priming runs there
+        alive = []  # worker threads alive at each worker step
+        lock = threading.Lock()
+        grad = pb.grad_shard
+
+        def counting_grad(shard, x, coords=None):
+            if threading.get_ident() != caller[0]:
+                with lock:
+                    alive.append(sum(t not in before and t.ident != caller[0]
+                                     for t in threading.enumerate()))
+                    n = len(alive)
+                # every step from the 40th fails: a step whose reply the run
+                # never takes (the last M - 1 of each run) is not an error
+                if fail and n >= 40:
+                    raise FloatingPointError("injected")
+            return grad(shard, x, coords)
+
+        monkeypatch.setattr(pb, "grad_shard", counting_grad)
+
+        def run():
+            caller.append(threading.get_ident())
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                if loop == "engine":
+                    return engine.run_spy(prob, engine.gamma_max(prob),
+                                          uniform_distribution(d, 0.5),
+                                          engine.DelaySchedule.round_robin(M), np.zeros(d),
+                                          engine.StopRule(max_iterations=200), seed=14,
+                                          mode="concurrent")
+                params = rc.make_params(prob.mu, prob.lip, c=8.0, d=d)
+                return rc.run_reconditioned(prob, params, engine.DelaySchedule.round_robin(M),
+                                            np.zeros(d), rc.InnerCriterion(kind="fixed", epochs=1),
+                                            outer_budget=10, seed=14, mode="concurrent")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # let the caller submit before a thread goes idle
+        try:
+            out = _within(60, run)
+        finally:
+            sys.setswitchinterval(interval)
+        if fail:
+            assert isinstance(out.get("error"), FloatingPointError)
+        else:
+            assert "error" not in out
+        assert len(alive) >= 40
+        assert 1 <= max(alive) <= M
+        assert [t for t in threading.enumerate() if t not in before] == []
+
+
+class TestConcurrentReplay:
+    """A concurrent run is the simulation run on its own arrival order: the
+    sim run on fixed_trace(worker_fires) gives the same bytes, and under
+    DEBUG_CHECK it also checks xbar = sum_i alpha_i x_i on that order."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 1000),
+        M=st.integers(2, 8),
+        variant=st.sampled_from(["davepg", "spy", "spy-adaptive", "slowdown"]),
+        switch=st.sampled_from([None, 1e-5]),
+    )
+    def test_equals_sim_replay(self, seed, M, variant, switch):
+        d = 40
+        ds, _ = data.generate_lasso(d=d, m=64, sparsity=0.8, noise_std=0.01, seed=seed)
+        shards = data.make_shards(ds, data.shard_even(ds, M, seed=seed), pb.LEAST_SQUARES)
+        prob = pb.composite_problem(shards, reg=pb.Regularizer(kind="l1", lam=0.3))
+        gamma = engine.gamma_max(prob)
+        init = np.zeros(d)
+        init[stream(seed, 5).choice(d, 4, replace=False)] = 1.0
+        stop = engine.StopRule(max_epochs=25, max_iterations=20_000)
+
+        def run(sched, mode):
+            kw = dict(seed=seed, objective_stride=5, mode=mode)
+            if variant == "davepg":
+                return engine.run_davepg(prob, gamma, sched, init, stop, **kw)
+            if variant == "slowdown":
+                return engine.run_adaptive_spy_slowdown(prob, gamma, 0.3, sched, init, stop, **kw)
+            dist = (uniform_distribution(d, 0.3) if variant == "spy"
+                    else adaptive_distribution(init, 3.0))
+            return engine.run_spy(prob, gamma, dist, sched, init, stop, **kw)
+
+        interval = sys.getswitchinterval()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                if switch is not None:  # switch threads more often than by default
+                    sys.setswitchinterval(switch)
+                conc = run(engine.DelaySchedule.round_robin(M), "concurrent")
+            finally:
+                sys.setswitchinterval(interval)
+            old, engine.DEBUG_CHECK = engine.DEBUG_CHECK, True
+            try:
+                replay = run(engine.DelaySchedule.fixed_trace(conc.worker_fires, M), "sim")
+            finally:
+                engine.DEBUG_CHECK = old
+        assert conc.final_x.tobytes() == replay.final_x.tobytes()
+        assert conc.records == replay.records
+        assert conc.epoch_starts == replay.epoch_starts
+        assert [s.tobytes() for s in conc] == [s.tobytes() for s in replay]
+        assert conc.objective_log == replay.objective_log
+        ledger = lambda t: (t.priming_up, t.priming_down, t.cum_up, t.cum_down)
+        assert ledger(conc) == ledger(replay)
 
 
 class TestTrace:
