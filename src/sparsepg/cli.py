@@ -673,6 +673,9 @@ def main(argv=None) -> int:
         return EXIT_OK
     try:
         if args.command == "compare" and args.preset:
+            if args.config:
+                print("error: compare takes --preset or --config, not both", file=sys.stderr)
+                return EXIT_CONFIG
             cfgs, labels = preset_configs(args.preset)
             for c in cfgs:
                 _apply_overrides(c, args)

@@ -322,6 +322,11 @@ def gamma_max(problem: pb.CompositeProblem) -> float:
     return 2.0 / (problem.mu + problem.lip)
 
 
+def _check_stride(stride):
+    if stride is not None and not (isinstance(stride, (int, np.integer)) and stride >= 1):
+        raise ValueError(f"objective_stride must be None or an integer >= 1, not {stride!r}")
+
+
 def _run(
     problem: pb.CompositeProblem,
     gamma: float,
@@ -340,6 +345,7 @@ def _run(
     d = problem.dim
     if mode not in ("sim", "concurrent"):
         raise ValueError(f"unknown mode {mode!r} (sim or concurrent)")
+    _check_stride(objective_stride)
     if schedule.M != M:
         raise ValueError("schedule worker count does not match the problem")
     init = np.asarray(init, dtype=float)

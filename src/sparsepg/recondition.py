@@ -24,7 +24,7 @@ import numpy as np
 
 from . import direct
 from . import problem as pb
-from .engine import DelaySchedule, ObjectivePoint, RunTrace, StopRule, run_spy
+from .engine import DelaySchedule, ObjectivePoint, StopRule, _check_stride, run_spy
 from .sparsifier import adaptive_distribution, min_conditioning
 
 _SEED_STRIDE = 100_003
@@ -156,8 +156,10 @@ class OuterRecord:
 
 @dataclass
 class OuterTrace:
-    """Per-outer-step log plus the concatenated fine-grained objective log,
-    whose points count iterations and coordinates from the start of the run.
+    """Per-outer-step log plus the objective log of the outer sequence: with
+    a stride s, F(init) at k = -1, then F(x_ell) at the run-wide index of step
+    ell's last inner iteration when the step's iterations include a multiple
+    of s.  Inner runs log no objective.
 
     Iterating the trace yields the initial point and then each outer step's
     result x_ell, the final point of its inner run.  These are the centers
@@ -281,36 +283,6 @@ def _check_probability_chain(params: ReconditionParams):
         )
 
 
-def _final_objective(problem, inner: RunTrace) -> float:
-    """F at the inner run's last iterate: the value the run logged there (the
-    outer loop logs F itself), or a fresh evaluation when it logged none."""
-    log = inner.objective_log
-    if log and log[-1].k == inner.n_iterations - 1:
-        return log[-1].value
-    return pb.eval_objective(problem, inner.final_x)
-
-
-def _log_outer(trace: OuterTrace, inner: RunTrace, ell, pi_ell, objective):
-    prev_up, prev_down, base_iter = trace.cum_up, trace.cum_down, trace.total_iterations
-    x = inner.final_x
-    trace.records.append(OuterRecord(
-        ell=ell,
-        pi_ell=pi_ell,
-        inner_epochs=inner.n_epochs,
-        inner_iterations=inner.n_iterations,
-        support_size=int(np.count_nonzero(x)),
-        cum_up=prev_up + inner.cum_up,
-        cum_down=prev_down + inner.cum_down,
-        objective=objective,
-    ))
-    trace.total_iterations += inner.n_iterations
-    trace.objective_log.extend(
-        ObjectivePoint(base_iter + max(p.k, 0), prev_up + p.cum_up, prev_down + p.cum_down, p.value)
-        for p in inner.objective_log
-    )
-    trace.inner_traces.append(inner)
-
-
 def _outer_loop(problem, params, schedule, init, outer_budget, target_objective,
                 seed, objective_stride, mode, stop_rule, weight) -> OuterTrace:
     """The proximal outer loop behind run_reconditioned and run_momentum.
@@ -321,13 +293,15 @@ def _outer_loop(problem, params, schedule, init, outer_budget, target_objective,
     x_ell + b (x_ell - x_{ell-1}) with b = ``weight(ell)``, and x_ell itself
     when b is 0.
     """
+    _check_stride(objective_stride)
     _check_probability_chain(params)
     x = np.asarray(init, dtype=float).copy()
     center = x
     trace = OuterTrace()
     trace.centers.append(center)
-    # F(x): at the start, then the value each outer step logs
-    f_x = pb.eval_objective(problem, x) if target_objective is not None else None
+    f_x = pb.eval_objective(problem, x)  # F(x): at the start, then at each result x_ell
+    if objective_stride:
+        trace.objective_log.append(ObjectivePoint(-1, 0, 0, f_x))
     for ell in range(1, outer_budget + 1):
         if target_objective is not None and f_x <= target_objective:
             break
@@ -337,13 +311,14 @@ def _outer_loop(problem, params, schedule, init, outer_budget, target_objective,
         stop = stop_rule(ell, center, sub, pi_ell)
         inner = run_spy(
             sub, params.gamma, dist, schedule, init=center, stop=stop,
-            seed=seed + _SEED_STRIDE * ell, objective_stride=objective_stride,
-            objective_fn=lambda z: pb.eval_objective(problem, z), mode=mode,
+            seed=seed + _SEED_STRIDE * ell, mode=mode,
             # only the first inner solve pays for the initial dense exchange;
             # later solves are not charged for re-priming their workers
             charge_priming=(ell == 1),
         )
-        if stop.epoch_predicate is not None and not stop.epoch_predicate(inner.final_x, inner.n_epochs):
+        # the engine tests max_epochs first, so a run stopped earlier met its predicate
+        if (stop.epoch_predicate is not None and inner.n_epochs >= stop.max_epochs
+                and not stop.epoch_predicate(inner.final_x, inner.n_epochs)):
             raise InnerBudgetError(
                 f"outer step {ell}: inner run exhausted {stop.max_epochs} "
                 "epochs without meeting its accuracy test"
@@ -354,8 +329,24 @@ def _outer_loop(problem, params, schedule, init, outer_budget, target_objective,
         center = x_new if b == 0 else x_new + b * (x_new - x)
         x = x_new
         trace.centers.append(center)
-        f_x = _final_objective(problem, inner)
-        _log_outer(trace, inner, ell, pi_ell, f_x)
+        f_x = pb.eval_objective(problem, x)
+        start = trace.total_iterations
+        trace.records.append(OuterRecord(
+            ell=ell,
+            pi_ell=pi_ell,
+            inner_epochs=inner.n_epochs,
+            inner_iterations=inner.n_iterations,
+            support_size=int(np.count_nonzero(x)),
+            cum_up=trace.cum_up + inner.cum_up,
+            cum_down=trace.cum_down + inner.cum_down,
+            objective=f_x,
+        ))
+        trace.total_iterations += inner.n_iterations
+        end = trace.total_iterations - 1
+        # logged when the step's run-wide iterations [start, end] contain a multiple of the stride
+        if objective_stride and end // objective_stride > (start - 1) // objective_stride:
+            trace.objective_log.append(ObjectivePoint(end, trace.cum_up, trace.cum_down, f_x))
+        trace.inner_traces.append(inner)
     trace.final_x = x
     return trace
 
@@ -377,6 +368,7 @@ def run_reconditioned(
 
     Stops when F(x_ell) <= target_objective (checked before each step, so a
     start at the solution performs no inner work) or after outer_budget steps.
+    ``objective_stride`` logs F at init and at the x_ell, as ``OuterTrace`` says.
     """
     if not params.needs_reconditioning:
         raise ValueError(
@@ -439,12 +431,9 @@ def run_momentum(
     seed: int = 0,
     objective_stride: int | None = None,
     mode: str = "sim",
-    beta: float | None = None,
 ) -> OuterTrace:
     """Accelerated outer loop: inner solves centered at an extrapolated point.
-
-    ``beta`` overrides the extrapolation weight (0 disables momentum, which
-    reduces the trajectory to the plain outer loop)."""
+    ``objective_stride`` logs F at init and at the x_ell, as ``OuterTrace`` says."""
     if not params.needs_reconditioning:
         raise ValueError("rho = 0: nothing to accelerate; run the engine directly")
     mu, rho = params.mu, params.rho
@@ -457,8 +446,6 @@ def run_momentum(
         return _momentum_stop(criterion, ell, params, center, sub, gap0)
 
     def weight(ell):
-        if beta is not None:
-            return beta
         return momentum_weight(ell + 1, mu, rho) if mu == 0 else momentum_weight(ell, mu, rho)
 
     return _outer_loop(problem, params, schedule, init, outer_budget, target_objective,

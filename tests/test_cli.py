@@ -235,6 +235,21 @@ class TestRun:
         assert min(gaps) <= 1e-6
         assert n_outer >= 1
 
+    def test_outer_subopt_iterations_increase(self, tmp_path):
+        # one point at the start and at most one per outer step, each at the
+        # run-wide index of the step's last inner iteration
+        cfgp = write(tmp_path, "exp.ini", SMALL_LASSO.replace("log_stride = 5", "log_stride = 1"))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfgp, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        with open(out / "subopt_vs_iters.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        for seed in ("1", "2"):
+            its = [int(r["iteration"]) for r in rows if r["seed"] == seed]
+            assert its[0] == 0 and len(its) > 2
+            assert all(a < b for a, b in zip(its, its[1:])), seed
+            assert its[-1] == summary["seeds"][seed]["iterations"] - 1
+
     def test_target_not_reached_exit_code(self, tmp_path):
         text = SMALL_LASSO.replace("outer_budget = 600", "outer_budget = 2")
         cfgp = write(tmp_path, "exp.ini", text)
@@ -327,6 +342,14 @@ class TestCompare:
     def test_needs_two_configs(self, tmp_path):
         a = write(tmp_path, "a.ini", SMALL_LASSO)
         assert cli.main(["compare", "--config", a, "--out", str(tmp_path / "o")]) == 2
+
+    def test_preset_with_config_rejected(self, tmp_path, capsys):
+        a = write(tmp_path, "a.ini", SMALL_LASSO)
+        out = tmp_path / "o"
+        assert cli.main(["compare", "--preset", "sm1", "--config", a,
+                         "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "--preset or --config" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestWarmstart:

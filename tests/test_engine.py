@@ -617,6 +617,15 @@ class TestTrace:
         ups = [p.cum_up for p in trace.objective_log]
         assert all(a <= b for a, b in zip(ups, ups[1:]))
 
+    @pytest.mark.parametrize("stride", [0, -3, 2.5, "7"])
+    def test_objective_stride_checked(self, stride):
+        # 0 would silently log nothing and -3 would log at multiples of 3
+        prob = quad_problem()
+        with pytest.raises(ValueError, match="objective_stride"):
+            engine.run_davepg(prob, engine.gamma_max(prob), engine.DelaySchedule.round_robin(1),
+                              np.zeros(1), engine.StopRule(max_iterations=10),
+                              objective_stride=stride)
+
     def test_dense_down_accounting(self):
         prob = strongly_convex_problem(d=9, M=3, seed=10)
         trace = engine.run_davepg(prob, engine.gamma_max(prob),

@@ -213,16 +213,18 @@ class TestReconditionedLoop:
         assert len(calls) == mom.n_outer + 1
 
     @pytest.mark.parametrize("loop", ["plain", "momentum"])
-    @pytest.mark.parametrize("stride", [3, 4])
-    def test_final_objective_taken_from_the_log(self, loop, stride, monkeypatch):
-        # an inner run whose last iteration was logged already holds F at its
-        # final point; F is evaluated again only for the others.  Every inner
-        # run here is 7 iterations long: stride 3 logs k = 6, stride 4 does not
+    @pytest.mark.parametrize("stride", [1, 5, 16, 1000])
+    def test_objective_log_holds_f_at_outer_iterates(self, loop, stride, monkeypatch):
+        # F(init) at k = -1, then F(x_ell) at the run-wide index of step ell's
+        # last inner iteration when the step's iterations include a multiple of
+        # the stride.  F is evaluated once at init and once per outer step,
+        # whatever the stride, and inner runs log nothing
         evaluate = pb.eval_objective
         calls = []
 
         def counted(problem, x):
-            calls.append(None)
+            if problem is self.prob:
+                calls.append(None)
             return evaluate(problem, x)
 
         monkeypatch.setattr(pb, "eval_objective", counted)
@@ -238,13 +240,56 @@ class TestReconditionedLoop:
                                     outer_budget=2000, target_objective=target, seed=4,
                                     objective_stride=stride)
         assert trace.records[-1].objective <= target < trace.records[-2].objective
-        logged_last = [t.objective_log[-1].k == t.n_iterations - 1 for t in trace.inner_traces]
-        assert all(t.n_iterations == 7 for t in trace.inner_traces)
-        assert logged_last == [stride == 3] * trace.n_outer
-        logged = sum(len(t.objective_log) for t in trace.inner_traces)
-        assert len(calls) == 1 + logged + logged_last.count(False)
-        for r, inner in zip(trace.records, trace.inner_traces):
-            assert r.objective == evaluate(self.prob, inner.final_x)
+        assert len(calls) == trace.n_outer + 1
+        assert all(t.objective_log == [] for t in trace.inner_traces)
+        expected = [(-1, 0, 0, evaluate(self.prob, np.zeros(40)))]
+        start = 0
+        for r, x in zip(trace.records, list(trace)[1:]):
+            assert r.objective == evaluate(self.prob, x)
+            end = start + r.inner_iterations - 1
+            if any(k % stride == 0 for k in range(start, end + 1)):
+                expected.append((end, r.cum_up, r.cum_down, r.objective))
+            start = end + 1
+        assert [(p.k, p.cum_up, p.cum_down, p.value) for p in trace.objective_log] == expected
+        if stride == 1:
+            assert len(expected) == trace.n_outer + 1
+
+    @pytest.mark.parametrize("loop", ["plain", "momentum"])
+    @pytest.mark.parametrize("capped", [False, True])
+    def test_predicate_tested_once_per_epoch(self, loop, capped, monkeypatch):
+        # the engine tests the predicate at every epoch boundary but the last
+        # of a run cut by max_epochs; the outer loop re-tests that one only.
+        # With these caps, some runs (every one of momentum's) reach the cap
+        safety_epochs = {"plain": 2, "momentum": 1}[loop] if capped else 20_000
+        calls = []
+
+        def counting(make_stop):
+            def make(*args):
+                stop = make_stop(*args)
+                calls.append([])
+
+                def pred(x, m):
+                    calls[-1].append(m)
+                    return stop.epoch_predicate(x, m)
+
+                return dataclasses.replace(stop, epoch_predicate=pred)
+            return make
+
+        if loop == "plain":
+            monkeypatch.setattr(rc, "_inner_stop", counting(rc._inner_stop))
+            trace = rc.run_reconditioned(
+                self.prob, self.params, self.sched, np.zeros(40),
+                criterion=rc.InnerCriterion(kind="relative", safety_epochs=safety_epochs),
+                outer_budget=20, seed=3)
+        else:
+            monkeypatch.setattr(rc, "_momentum_stop", counting(rc._momentum_stop))
+            trace = rc.run_momentum(
+                self.prob, self.params, self.sched, np.zeros(40),
+                criterion=rc.MomentumCriterion(kind="adaptive", safety_epochs=safety_epochs),
+                outer_budget=20, seed=3)
+        assert trace.n_outer == 20
+        assert calls == [list(range(1, t.n_epochs + 1)) for t in trace.inner_traces]
+        assert capped == any(t.n_epochs == safety_epochs for t in trace.inner_traces)
 
     @pytest.mark.parametrize("loop", ["plain", "momentum"])
     def test_one_reconditioned_problem_per_outer_step(self, loop, monkeypatch):
@@ -348,6 +393,15 @@ class TestReconditionedLoop:
         with pytest.raises(RuntimeError, match="probability chain violated"):
             rc.run_reconditioned(self.prob, slow, self.sched, np.zeros(40), outer_budget=1)
 
+    @pytest.mark.parametrize("stride", [0, -3, 2.5])
+    def test_objective_stride_checked(self, stride):
+        with pytest.raises(ValueError, match="objective_stride"):
+            rc.run_reconditioned(self.prob, self.params, self.sched, np.zeros(40),
+                                 outer_budget=1, objective_stride=stride)
+        with pytest.raises(ValueError, match="objective_stride"):
+            rc.run_momentum(self.prob, self.params, self.sched, np.zeros(40),
+                            outer_budget=1, objective_stride=stride)
+
     def test_csv_schema(self, tmp_path):
         trace = rc.run_reconditioned(self.prob, self.params, self.sched, np.zeros(40),
                                      criterion=rc.InnerCriterion(kind="fixed", epochs=1),
@@ -377,13 +431,14 @@ class TestMomentum:
         assert rc.momentum_weight(1, mu=0.0, rho=1.0) == 0.0
         assert rc.momentum_weight(4, mu=0.0, rho=1.0) == pytest.approx(3 / 6)
 
-    def test_beta_zero_matches_plain_loop(self):
+    def test_beta_zero_matches_plain_loop(self, monkeypatch):
+        monkeypatch.setattr(rc, "momentum_weight", lambda ell, mu, rho: 0.0)
         criterion = rc.InnerCriterion(kind="fixed", epochs=2)
         plain = rc.run_reconditioned(self.prob, self.params, self.sched, np.zeros(40),
                                      criterion=criterion, outer_budget=8, seed=9)
         mom = rc.run_momentum(self.prob, self.params, self.sched, np.zeros(40),
                               criterion=rc.MomentumCriterion(kind="fixed", epochs=2),
-                              outer_budget=8, seed=9, beta=0.0)
+                              outer_budget=8, seed=9)
         assert np.array_equal(plain.final_x, mom.final_x)
         assert len(plain.centers) == len(mom.centers) == 9
         assert all(np.array_equal(a, b) for a, b in zip(plain.centers, mom.centers))
