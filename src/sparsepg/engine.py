@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import csv
 import itertools
+import operator
 import queue
 import warnings
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -175,23 +177,184 @@ class ObjectivePoint:
     value: float
 
 
+class _Rows(Sequence):
+    """Sequence reads over ``_row(i)``: negative indices, and slices as lists."""
+
+    def __getitem__(self, i):
+        n = len(self)
+        if isinstance(i, slice):
+            return [self._row(j) for j in range(*i.indices(n))]
+        i = operator.index(i)
+        if not -n <= i < n:
+            raise IndexError("index out of range")
+        return self._row(i % n)
+
+    def __iter__(self):
+        return (self._row(i) for i in range(len(self)))
+
+
+_RECORD_CHUNK = 1024  # records kept as Python tuples before they become columns
+_POINT_BUFFER = 8192  # dense entries of appended points kept before they are encoded
+# row b holds the eight zeros whose sign bits are the bits of b, first bit first
+_SIGNED_ZEROS = (np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).astype(np.uint64)
+                 << np.uint64(63)).view(np.float64)
+
+
+class RecordColumns(_Rows):
+    """A run's per-iteration records as int64 columns, grown a chunk of rows
+    at a time.  Iteration k is row k.  Items are ``IterRecord``s built when
+    read."""
+
+    FIELDS = ("worker", "coords_up", "coords_down", "support_size", "epoch_m")
+
+    def __init__(self):
+        self._blocks = []  # (rows, len(FIELDS)) int64 arrays
+        self._tail = []  # rows not yet in a block
+
+    def append(self, worker, coords_up, coords_down, support_size, epoch_m):
+        tail = self._tail
+        tail.append((worker, coords_up, coords_down, support_size, epoch_m))
+        if len(tail) == _RECORD_CHUNK:
+            self.flush()
+
+    def flush(self):
+        """Moves the pending rows into the columns."""
+        if self._tail:
+            self._blocks.append(np.array(self._tail, dtype=np.int64))
+            self._tail = []
+
+    def columns(self) -> np.ndarray:
+        """All records as one (len(FIELDS), n) int64 array, a row per field."""
+        self.flush()
+        if len(self._blocks) != 1:
+            self._blocks = [np.concatenate(self._blocks) if self._blocks
+                            else np.empty((0, len(self.FIELDS)), dtype=np.int64)]
+        return self._blocks[0].T
+
+    def column(self, name) -> np.ndarray:
+        return self.columns()[self.FIELDS.index(name)]
+
+    def __len__(self):
+        return sum(len(b) for b in self._blocks) + len(self._tail)
+
+    def _row(self, k):
+        return IterRecord(k, *self.columns()[:, k].tolist())
+
+    def __iter__(self):
+        return (IterRecord(k, *row) for k, row in enumerate(self.columns().T.tolist()))
+
+    def __eq__(self, other):
+        if isinstance(other, RecordColumns):
+            return np.array_equal(self.columns(), other.columns())
+        if isinstance(other, Sequence):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+class SparsePoints(_Rows):
+    """Float vectors of one length, each stored as the indices and values of
+    its nonzero entries (NaN counts as nonzero) plus the packed sign bits of
+    all its entries, so that -0.0 reads back as -0.0.  Appended points wait
+    in a dense buffer and are encoded a buffer at a time.  Reads return dense
+    copies with the bytes of the points given."""
+
+    def __init__(self, points=()):
+        self.dim = None
+        self._buf = None  # dense points not yet encoded, the first _n rows
+        self._n = 0
+        # (offsets, indices, values, packed sign bits) per block of points;
+        # point j's nonzeros are entries offsets[j]:offsets[j + 1]
+        self._blocks = []
+        for x in points:
+            self.append(np.asarray(x, dtype=float))
+        self.flush()
+
+    def append(self, x):
+        if self._buf is None:
+            self.dim = x.size
+            self._buf = np.empty((max(1, _POINT_BUFFER // x.size), x.size))
+        self._buf[self._n] = x
+        self._n += 1
+        if self._n == len(self._buf):
+            self.flush()
+
+    def flush(self):
+        """Encodes the buffered points and releases the buffer."""
+        if self._n:
+            self._encode(self._buf[:self._n])
+        self._buf, self._n = None, 0
+
+    def _encode(self, rows):
+        # few numpy calls per block: each costs microseconds next to the
+        # short inner runs of the outer loops
+        k, d = rows.shape
+        flat = (rows.ravel() != 0).nonzero()[0]  # nonzero() is several times faster on bools
+        # flat < k d <= max(d, _POINT_BUFFER), so the cast is exact
+        index = np.int32 if d < 2**31 else np.int64
+        indices = np.remainder(flat, d, dtype=index, casting="unsafe")
+        offsets = np.searchsorted(flat, np.arange(0, k * d + 1, d))
+        signs = np.packbits(np.signbit(rows), axis=1)
+        self._blocks.append((offsets, indices, rows.ravel()[flat], signs))
+
+    def _block(self):
+        """All points as one block, joining the blocks when there are several."""
+        self.flush()
+        if len(self._blocks) > 1:
+            offsets, indices, values, signs = zip(*self._blocks)
+            counts = np.concatenate([np.diff(o) for o in offsets])
+            self._blocks = [(np.concatenate(([0], np.cumsum(counts))), np.concatenate(indices),
+                             np.concatenate(values), np.concatenate(signs))]
+        return self._blocks[0]
+
+    def __len__(self):
+        return sum(len(b[3]) for b in self._blocks) + self._n
+
+    def _row(self, j):
+        offsets, indices, values, signs = self._block()
+        start, stop = offsets[j], offsets[j + 1]
+        x = _SIGNED_ZEROS[signs[j]].reshape(-1)[:self.dim]
+        x[indices[start:stop]] = values[start:stop]
+        return x
+
+
 @dataclass
 class RunTrace:
     """Complete per-iteration log of one engine run.
 
-    ``cum_up``/``cum_down`` are running totals: the priming charge plus every
-    iteration's ``coords_up``/``coords_down``.  Iterating the trace yields its
-    epoch snapshots, one point per epoch."""
+    ``records`` keeps one ``IterRecord`` per iteration as integer columns
+    (``RecordColumns``); ``epoch_snapshots``, the point at the start of each
+    epoch, and ``final_x`` are kept as their nonzeros (``SparsePoints``), the
+    final point apart only when the run did not end at an epoch start.  Reads
+    of points return dense copies.  ``cum_up``/``cum_down`` are running
+    totals: the priming charge plus every iteration's
+    ``coords_up``/``coords_down``.  Iterating the trace yields its epoch
+    snapshots, one point per epoch."""
 
-    records: list = field(default_factory=list)
+    records: RecordColumns = field(default_factory=RecordColumns)
     epoch_starts: list = field(default_factory=lambda: [0])
-    epoch_snapshots: list = field(default_factory=list)
+    epoch_snapshots: SparsePoints = field(default_factory=SparsePoints)
     objective_log: list = field(default_factory=list)
     priming_up: int = 0
     priming_down: int = 0
     cum_up: int = 0
     cum_down: int = 0
-    final_x: np.ndarray | None = None
+    _final: SparsePoints | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if not isinstance(self.epoch_snapshots, SparsePoints):
+            self.epoch_snapshots = SparsePoints(self.epoch_snapshots)
+
+    @property
+    def final_x(self) -> np.ndarray | None:
+        """The last iterate, a dense copy: the last epoch snapshot unless
+        another point was set.  None while there is neither."""
+        if self._final is not None:
+            return self._final[0]
+        return self.epoch_snapshots[-1] if len(self.epoch_snapshots) else None
+
+    @final_x.setter
+    def final_x(self, x):
+        self._final = SparsePoints([x])
 
     @property
     def n_iterations(self) -> int:
@@ -203,7 +366,7 @@ class RunTrace:
 
     @property
     def worker_fires(self) -> list[int]:
-        return [r.worker for r in self.records]
+        return self.records.column("worker").tolist()
 
     def __iter__(self):
         return iter(self.epoch_snapshots)
@@ -211,7 +374,8 @@ class RunTrace:
     def support_curve(self, stride: int = 1, iter_offset: int = 0) -> list:
         """[(iteration, support_size)] of every stride-th iteration, the
         iteration index shifted by iter_offset."""
-        return [(r.k + iter_offset, r.support_size) for r in self.records[::stride]]
+        support = self.records.column("support_size")[::stride].tolist()
+        return list(zip(range(iter_offset, iter_offset + self.n_iterations, stride), support))
 
     def to_csv(self, path, f_star: float | None = None) -> None:
         """One row per iteration with the logged objective where there is
@@ -220,9 +384,8 @@ class RunTrace:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["k", "worker", "coords_up", "coords_down", "support_size", "epoch_m", "objective"])
-            for r in self.records:
-                obj = values.get(r.k, "")
-                w.writerow([r.k, r.worker, r.coords_up, r.coords_down, r.support_size, r.epoch_m, obj])
+            w.writerows([k, *row, values.get(k, "")]
+                        for k, row in enumerate(self.records.columns().T.tolist()))
 
 
 @dataclass
@@ -389,6 +552,7 @@ def _run(
 
     source = _Inline(workers, schedule) if mode == "sim" else _Pool(workers)
     masks = [None] * M  # the mask each worker was last sent
+    record, snapshot = trace.records.append, trace.epoch_snapshots.append
     try:
         for i in range(M):
             masks[i] = mask = new_mask(i, x)
@@ -396,11 +560,12 @@ def _run(
                 trace.priming_down += down(nnz, mask)
             source.send(i, x.copy(), mask)
         trace.cum_up, trace.cum_down = trace.priming_up, trace.priming_down
-        trace.epoch_snapshots.append(x.copy())
+        snapshot(x)
         if objective_stride:
             log_objective(-1, x)
 
         k = 0
+        new_epoch = True  # x is the last snapshot
         while stop.max_iterations is None or k < stop.max_iterations:
             i, delta, up = source.receive()
             # only the mask's coordinates of xbar, and so of x, move
@@ -425,9 +590,9 @@ def _run(
 
             new_epoch = tracker.record(k, i)
             if new_epoch:
-                trace.epoch_snapshots.append(x.copy())
+                snapshot(x)
             m = len(tracker.boundaries) - 1
-            trace.records.append(IterRecord(k, i, up, sent, nnz, m))
+            record(i, up, sent, nnz, m)
             if objective_stride and (k % objective_stride == 0):
                 log_objective(k, x)
             if new_epoch and (
@@ -442,7 +607,10 @@ def _run(
     finally:
         source.close()
 
-    trace.final_x = x
+    trace.records.flush()
+    trace.epoch_snapshots.flush()
+    if not new_epoch:
+        trace.final_x = x
     return trace
 
 

@@ -35,17 +35,22 @@ def _finite(v) -> bool:
     return bool(np.isfinite(v).all())
 
 
+_FIRST_COLUMNS = 32
+
+
 class _ColumnStore:
     """Columns of G = A^T A for a dense least-squares shard, and c = A^T b.
 
     With m >= d the store holds all of G, computed when it is built.  With
     m < d each column is computed the first time its coordinate is in
     supp(x), and at most m columns are kept, so the store never holds more
-    numbers than A (m d).  Columns are only appended, under a lock, and each
-    is written before its position is published, so readers take no lock.
-    Each column is computed alone and products run over supp(x) in index
-    order, so while the store has room a result does not depend on which
-    columns were stored before, or in what order."""
+    numbers than A (m d).  Their buffer starts with room for _FIRST_COLUMNS
+    columns and doubles when full.  Columns are only appended, under a lock;
+    each is written, and the buffer holding it published, before its position
+    is published, so readers take no lock.  Each column is computed alone and
+    products run over supp(x) in index order, so while the store has room a
+    result does not depend on which columns were stored before, or in what
+    order."""
 
     def __init__(self, A, b):
         m, d = A.shape
@@ -56,7 +61,8 @@ class _ColumnStore:
             self.pos = np.arange(d)
             self.n = d
         else:
-            self.cols = np.empty((d, m), order="F")  # cols[:, pos[j]] = G[:, j]
+            # cols[:, pos[j]] = G[:, j]
+            self.cols = np.empty((d, min(m, _FIRST_COLUMNS)), order="F")
             self.pos = np.full(d, -1, dtype=np.intp)
             self.n = 0
         self.lock = threading.Lock()
@@ -91,11 +97,17 @@ class _ColumnStore:
     def _append(self, missing) -> bool:
         with self.lock:
             missing = missing[self.pos[missing] < 0]
-            n = self.n
-            if n + missing.size > self.cols.shape[1]:
+            n, m = self.n, self.A.shape[0]
+            if n + missing.size > m:
                 return False
+            cols = self.cols
+            if n + missing.size > cols.shape[1]:
+                room = min(m, max(n + missing.size, 2 * cols.shape[1]))
+                cols = np.empty((cols.shape[0], room), order="F")
+                cols[:, :n] = self.cols[:, :n]
             for t, j in enumerate(missing, start=n):
-                self.cols[:, t] = self.A.T @ self.A[:, j]
+                cols[:, t] = self.A.T @ self.A[:, j]
+            self.cols = cols
             self.n = n + missing.size
             self.pos[missing] = np.arange(n, self.n)
             return True

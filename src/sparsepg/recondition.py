@@ -24,7 +24,8 @@ import numpy as np
 
 from . import direct
 from . import problem as pb
-from .engine import DelaySchedule, ObjectivePoint, StopRule, _check_stride, run_spy
+from .engine import (DelaySchedule, ObjectivePoint, SparsePoints, StopRule, _check_stride, _Rows,
+                     run_spy)
 from .sparsifier import adaptive_distribution, min_conditioning
 
 _SEED_STRIDE = 100_003
@@ -154,6 +155,21 @@ class OuterRecord:
     objective: float
 
 
+class _Centers(_Rows):
+    """An outer trace's centers as dense arrays: the stored ones first (the
+    start, then every extrapolated center), then x_ell, the final point of
+    inner run ell, for each step whose center was not stored."""
+
+    def __init__(self, stored, inner_traces):
+        self.stored, self.inner_traces = stored, inner_traces
+
+    def __len__(self):
+        return len(self.inner_traces) + 1 if len(self.stored) else 0
+
+    def _row(self, ell):
+        return self.stored[ell] if ell < len(self.stored) else self.inner_traces[ell - 1].final_x
+
+
 @dataclass
 class OuterTrace:
     """Per-outer-step log plus the objective log of the outer sequence: with
@@ -161,17 +177,26 @@ class OuterTrace:
     ell's last inner iteration when the step's iterations include a multiple
     of s.  Inner runs log no objective.
 
+    ``centers`` reads the start and each step's center as dense copies.  Each
+    point is stored once, as its nonzeros (``SparsePoints``): x_ell as the
+    final point of inner run ell, and the start and the momentum loop's
+    extrapolated centers in the trace.  ``final_x`` is a dense array.
+
     Iterating the trace yields the initial point and then each outer step's
     result x_ell, the final point of its inner run.  These are the centers
     of the plain loop but not of the momentum loop, whose centers are
     extrapolated."""
 
     records: list = field(default_factory=list)
-    centers: list = field(default_factory=list)
     inner_traces: list = field(default_factory=list)
     objective_log: list = field(default_factory=list)
     total_iterations: int = 0
     final_x: np.ndarray | None = None
+    stored_centers: SparsePoints = field(default_factory=SparsePoints, repr=False)
+
+    @property
+    def centers(self) -> _Centers:
+        return _Centers(self.stored_centers, self.inner_traces)
 
     def __iter__(self):
         return iter(self.centers[:1] + [t.final_x for t in self.inner_traces])
@@ -284,22 +309,22 @@ def _check_probability_chain(params: ReconditionParams):
 
 
 def _outer_loop(problem, params, schedule, init, outer_budget, target_objective,
-                seed, objective_stride, mode, stop_rule, weight) -> OuterTrace:
+                seed, objective_stride, mode, stop_rule, weight=None) -> OuterTrace:
     """The proximal outer loop behind run_reconditioned and run_momentum.
 
     Step ell solves the problem reconditioned at the current center with the
-    inner StopRule ``stop_rule(ell, center, sub, pi_ell)``; ``sub`` is that
-    reconditioned problem.  Its result x_ell gives the next center
-    x_ell + b (x_ell - x_{ell-1}) with b = ``weight(ell)``, and x_ell itself
-    when b is 0.
+    inner StopRule ``stop_rule(ell, center, sub, pi_ell, f_init)``; ``sub`` is
+    that reconditioned problem and ``f_init`` is F(init).  Its result x_ell
+    gives the next center x_ell + b (x_ell - x_{ell-1}) with b =
+    ``weight(ell)``, and x_ell itself when there is no weight.
     """
     _check_stride(objective_stride)
     _check_probability_chain(params)
     x = np.asarray(init, dtype=float).copy()
     center = x
     trace = OuterTrace()
-    trace.centers.append(center)
-    f_x = pb.eval_objective(problem, x)  # F(x): at the start, then at each result x_ell
+    trace.stored_centers.append(center)
+    f_init = f_x = pb.eval_objective(problem, x)  # F(x): at the start, then at each result x_ell
     if objective_stride:
         trace.objective_log.append(ObjectivePoint(-1, 0, 0, f_x))
     for ell in range(1, outer_budget + 1):
@@ -308,7 +333,7 @@ def _outer_loop(problem, params, schedule, init, outer_budget, target_objective,
         dist = adaptive_distribution(center, params.c)
         pi_ell = dist.p_min
         sub = pb.reconditioned(problem, params.rho, center)
-        stop = stop_rule(ell, center, sub, pi_ell)
+        stop = stop_rule(ell, center, sub, pi_ell, f_init)
         inner = run_spy(
             sub, params.gamma, dist, schedule, init=center, stop=stop,
             seed=seed + _SEED_STRIDE * ell, mode=mode,
@@ -323,12 +348,13 @@ def _outer_loop(problem, params, schedule, init, outer_budget, target_objective,
                 f"outer step {ell}: inner run exhausted {stop.max_epochs} "
                 "epochs without meeting its accuracy test"
             )
-        # nothing writes to the inner run's final point: it is kept as is
         x_new = inner.final_x
-        b = weight(ell)
-        center = x_new if b == 0 else x_new + b * (x_new - x)
+        if weight is None:
+            center = x_new
+        else:
+            center = x_new + weight(ell) * (x_new - x)
+            trace.stored_centers.append(center)
         x = x_new
-        trace.centers.append(center)
         f_x = pb.eval_objective(problem, x)
         start = trace.total_iterations
         trace.records.append(OuterRecord(
@@ -347,6 +373,7 @@ def _outer_loop(problem, params, schedule, init, outer_budget, target_objective,
         if objective_stride and end // objective_stride > (start - 1) // objective_stride:
             trace.objective_log.append(ObjectivePoint(end, trace.cum_up, trace.cum_down, f_x))
         trace.inner_traces.append(inner)
+    trace.stored_centers.flush()
     trace.final_x = x
     return trace
 
@@ -376,11 +403,11 @@ def run_reconditioned(
             "level; run the sparsified engine directly"
         )
 
-    def stop_rule(ell, center, sub, pi_ell):
+    def stop_rule(ell, center, sub, pi_ell, f_init):
         return _inner_stop(criterion, ell, params, pi_ell, center, sub)
 
     return _outer_loop(problem, params, schedule, init, outer_budget, target_objective,
-                       seed, objective_stride, mode, stop_rule, weight=lambda ell: 0.0)
+                       seed, objective_stride, mode, stop_rule)
 
 
 # -- accelerated variant -----------------------------------------------------
@@ -437,13 +464,9 @@ def run_momentum(
     if not params.needs_reconditioning:
         raise ValueError("rho = 0: nothing to accelerate; run the engine directly")
     mu, rho = params.mu, params.rho
-    gap0 = None
-    if criterion.kind == "absolute":
-        f1 = pb.eval_objective(problem, np.asarray(init, dtype=float))
-        gap0 = (2.0 / 9.0) * (f1 - criterion.f_star)
 
-    def stop_rule(ell, center, sub, pi_ell):
-        return _momentum_stop(criterion, ell, params, center, sub, gap0)
+    def stop_rule(ell, center, sub, pi_ell, f_init):
+        return _momentum_stop(criterion, ell, params, center, sub, f_init)
 
     def weight(ell):
         return momentum_weight(ell + 1, mu, rho) if mu == 0 else momentum_weight(ell, mu, rho)
@@ -452,7 +475,7 @@ def run_momentum(
                        seed, objective_stride, mode, stop_rule, weight)
 
 
-def _momentum_stop(criterion, ell, params, center, sub, gap0):
+def _momentum_stop(criterion, ell, params, center, sub, f_init):
     if criterion.kind == "fixed":
         return StopRule(max_epochs=criterion.epochs)
     mu, rho = params.mu, params.rho
@@ -463,7 +486,7 @@ def _momentum_stop(criterion, ell, params, center, sub, gap0):
             factor = (1.0 - math.sqrt(mu / (4.0 * (mu + rho)))) ** ell
         else:
             factor = 1.0 / ell ** (4.0 + _MOMENTUM_DELTA)
-        thresh = factor * gap0
+        thresh = factor * ((2.0 / 9.0) * (f_init - criterion.f_star))
 
         def pred(x, m):
             return pb.eval_objective(sub, x) - h_min <= thresh

@@ -37,3 +37,17 @@ def shifted_initial_radius(problem, gamma, init, x_star):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+def trace_bytes(trace):
+    """Every field of an engine trace as bytes or exact values, for
+    byte-for-byte comparison of two traces."""
+    return {
+        "records": trace.records.columns().tobytes(),
+        "epoch_starts": list(trace.epoch_starts),
+        "epoch_snapshots": [x.tobytes() for x in trace.epoch_snapshots],
+        "objective_log": [(p.k, p.cum_up, p.cum_down, float(p.value).hex())
+                          for p in trace.objective_log],
+        "ledger": (trace.priming_up, trace.priming_down, trace.cum_up, trace.cum_down),
+        "final_x": trace.final_x.tobytes(),
+    }

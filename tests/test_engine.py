@@ -1,4 +1,5 @@
 import csv
+import pickle
 import sys
 import threading
 import warnings
@@ -12,7 +13,7 @@ from sparsepg import data, direct, engine, problem as pb, recondition as rc
 from sparsepg.rng import stream
 from sparsepg.sparsifier import SelectorDistribution, adaptive_distribution, uniform_distribution
 
-from conftest import shifted_initial_radius, strongly_convex_problem
+from conftest import shifted_initial_radius, strongly_convex_problem, trace_bytes
 
 
 def quad_problem():
@@ -646,3 +647,75 @@ class TestTrace:
         for r in trace.records:
             assert r.coords_down <= 9 + 9
             assert r.coords_up <= 9
+
+
+# bit patterns of the entries points are built from: both zeros, both
+# infinities, NaNs of either sign with payloads, subnormals and normals
+_ENTRIES = np.array([0x0, 0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
+                     0x7FF8000000000000, 0xFFF8000000000001, 0x7FF0000000000123,
+                     0x0000000000000001, 0x8000000000000003, 0x3FF0000000000000,
+                     0xC004000000000000], dtype=np.uint64).view(np.float64)
+_POOLS = {"zero": _ENTRIES[:2], "nonzero": _ENTRIES[2:], "mixed": _ENTRIES}
+
+
+def _as_bytes(points):
+    return [x.tobytes() for x in points]
+
+
+class TestCompactTraces:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           # from hundreds of buffered points down to one
+           d=st.sampled_from([1, 2, 7, 64, 3000, 9000]),
+           kinds=st.lists(st.sampled_from(sorted(_POOLS)), max_size=12),
+           reads=st.sets(st.integers(0, 12)),
+           cut=st.slices(14))
+    def test_points_read_back_exactly(self, seed, d, kinds, reads, cut):
+        rng = np.random.default_rng(seed)
+        dense = [_POOLS[k][rng.integers(len(_POOLS[k]), size=d)] for k in kinds]
+        appended = engine.SparsePoints()
+        for n, x in enumerate(dense):
+            if n in reads:  # a read between appends encodes the buffered points
+                assert _as_bytes(appended) == _as_bytes(dense[:n])
+            appended.append(x)
+        n = len(dense)
+        for points in (appended, engine.SparsePoints(dense), pickle.loads(pickle.dumps(appended))):
+            assert len(points) == n
+            assert _as_bytes(points) == _as_bytes(dense)
+            assert [points[i].tobytes() for i in range(-n, n)] == _as_bytes(dense + dense)
+            for part in (cut, slice(None, None, -1), slice(-3, None), slice(5, 1, -2)):
+                assert _as_bytes(points[part]) == _as_bytes(dense[part])
+            for i in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    points[i]
+
+    def test_records_read_as_a_sequence(self):
+        prob = strongly_convex_problem(d=9, M=3, seed=12, reg=pb.Regularizer(kind="l1", lam=0.1))
+        trace = engine.run_spy(prob, engine.gamma_max(prob), uniform_distribution(9, 0.4),
+                               engine.DelaySchedule.random_uniform(3, seed=12), np.zeros(9),
+                               engine.StopRule(max_iterations=2500), seed=12)
+        records = trace.records
+        as_list = list(records)
+        assert len(records) == len(as_list) == trace.n_iterations == 2500
+        assert all(isinstance(r, engine.IterRecord) for r in as_list)
+        assert [r.k for r in as_list] == list(range(2500))
+        assert records == as_list and records != as_list[:-1]
+        assert [records[i] for i in (0, 1023, 1024, -1, -2500)] == \
+            [as_list[i] for i in (0, 1023, 1024, -1, -2500)]
+        assert records[1020:1030] == as_list[1020:1030]
+        assert records[::-7] == as_list[::-7]
+        assert trace.worker_fires == [r.worker for r in as_list]
+        assert trace.support_curve(3, 10) == [(r.k + 10, r.support_size) for r in as_list[::3]]
+        assert trace.cum_down == trace.priming_down + sum(r.coords_down for r in as_list)
+
+    @pytest.mark.parametrize("mode", ["sim", "concurrent"])
+    def test_trace_pickles_byte_identical(self, mode):
+        prob = strongly_convex_problem(d=30, M=3, seed=13, reg=pb.Regularizer(kind="l1", lam=0.2))
+        trace = engine.run_spy(prob, engine.gamma_max(prob), uniform_distribution(30, 0.3),
+                               engine.DelaySchedule.round_robin(3), np.zeros(30),
+                               engine.StopRule(max_iterations=3000), seed=13,
+                               objective_stride=7, mode=mode)
+        back = pickle.loads(pickle.dumps(trace))
+        assert trace_bytes(back) == trace_bytes(trace)
+        assert back.records == trace.records
+        assert trace.n_epochs > 100 and len(trace.epoch_snapshots) == trace.n_epochs + 1

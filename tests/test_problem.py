@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sparsepg import data, engine, metrics, problem as pb
+from sparsepg import data, engine, metrics, problem as pb, recondition as rc
 from sparsepg.sparsifier import uniform_distribution
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -719,6 +719,23 @@ class TestColumnStore:
         assert not errors, errors
         assert not any(th.is_alive() for th in threads)
         assert shard._cols.n == fresh._cols.n <= 60
+
+    def test_readme_lasso_solve_leaves_room_unused(self):
+        # the README lasso (d=1000, 125 examples per shard, s*=12): its solve
+        # stores a few dozen columns per shard, and the buffer grows only to
+        # hold them, short of the m columns a shard allows
+        ds, _ = data.generate_lasso(d=1000, m=500, sparsity=0.985, noise_std=0.01, seed=2)
+        prob = data.lasso_problem(ds, data.shard_even(ds, 4, seed=0), lam1=0.64)
+        assert all(s._cols.cols.shape[1] == pb._FIRST_COLUMNS for s in prob.shards)
+        ref = metrics.reference_solution(prob, tol=1e-12, assume_unique_minimizer=True)
+        trace = rc.run_reconditioned(prob, rc.make_params(prob.mu, prob.lip, c=12, d=1000),
+                                     engine.DelaySchedule.round_robin(4), np.zeros(1000),
+                                     criterion=rc.InnerCriterion(kind="fixed", epochs=1),
+                                     outer_budget=20_000, target_objective=ref.f_star + 1e-6,
+                                     seed=1)
+        assert pb.eval_objective(prob, trace.final_x) <= ref.f_star + 1e-6
+        for s in prob.shards:
+            assert pb._FIRST_COLUMNS < s._cols.n <= s._cols.cols.shape[1] < s.n_examples
 
     def test_two_runs_in_two_threads_match_serial_runs(self):
         ds, _ = data.generate_lasso(d=64, m=30, sparsity=0.9, noise_std=0.01, seed=3)

@@ -1,5 +1,6 @@
 import csv
 import math
+import pickle
 
 import dataclasses
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from sparsepg import data, direct, engine, metrics, problem as pb, recondition as rc
 from sparsepg.sparsifier import adaptive_distribution
 
-from conftest import strongly_convex_problem
+from conftest import strongly_convex_problem, trace_bytes
 
 
 def small_lasso(d=40, m=60, lam=0.2, M=3, seed=11):
@@ -318,9 +319,10 @@ class TestReconditionedLoop:
         points = list(trace)
         assert len(points) == len(trace.centers) == trace.n_outer + 1
         assert all(np.array_equal(p, c) for p, c in zip(points, trace.centers))
-        # each center is the previous inner run's final point, not a copy of it
-        assert all(c is t.final_x for c, t in zip(trace.centers[1:], trace.inner_traces))
-        assert trace.final_x is trace.inner_traces[-1].final_x
+        # each center is the previous inner run's final point, stored once and read as a copy
+        assert all(c.tobytes() == t.final_x.tobytes()
+                   for c, t in zip(trace.centers[1:], trace.inner_traces))
+        assert trace.final_x.tobytes() == trace.inner_traces[-1].final_x.tobytes()
         ref = metrics.reference_solution(self.prob, tol=1e-12, assume_unique_minimizer=True)
         lam = metrics.identification_time(trace, ref)
         assert lam is not None and lam == metrics.identification_time(trace.centers, ref)
@@ -460,6 +462,44 @@ class TestMomentum:
         assert lam == metrics.identification_time(points, ref)
         # on the centers it reads one step later here (18 against 17)
         assert lam < metrics.identification_time(trace.centers, ref)
+
+    def test_absolute_criterion_evaluates_f_once_per_point(self, monkeypatch):
+        # F(init) feeds both the outer log and the criterion's initial gap
+        evaluate = pb.eval_objective
+        calls = []
+
+        def counted(problem, x):
+            if problem is self.prob:
+                calls.append(None)
+            return evaluate(problem, x)
+
+        monkeypatch.setattr(pb, "eval_objective", counted)
+        trace = rc.run_momentum(self.prob, self.params, self.sched, np.zeros(40),
+                                criterion=rc.MomentumCriterion(kind="absolute", f_star=self.f_star),
+                                outer_budget=30, seed=2)
+        assert trace.n_outer == 30
+        assert len(calls) == 31
+
+    @pytest.mark.parametrize("loop", ["plain", "momentum"])
+    def test_trace_pickles_byte_identical(self, loop):
+        if loop == "plain":
+            trace = rc.run_reconditioned(self.prob, self.params, self.sched, np.zeros(40),
+                                         criterion=rc.InnerCriterion(kind="fixed", epochs=2),
+                                         outer_budget=25, seed=6, objective_stride=5)
+        else:
+            trace = rc.run_momentum(self.prob, self.params, self.sched, np.zeros(40),
+                                    criterion=rc.MomentumCriterion(kind="fixed", epochs=2),
+                                    outer_budget=25, seed=6, objective_stride=5)
+        back = pickle.loads(pickle.dumps(trace))
+        assert back.records == trace.records
+        assert back.objective_log == trace.objective_log
+        assert back.total_iterations == trace.total_iterations
+        assert back.final_x.tobytes() == trace.final_x.tobytes()
+        assert [c.tobytes() for c in back.centers] == [c.tobytes() for c in trace.centers]
+        assert [x.tobytes() for x in back] == [x.tobytes() for x in trace]
+        assert [trace_bytes(t) for t in back.inner_traces] == \
+            [trace_bytes(t) for t in trace.inner_traces]
+        assert len(trace.centers) == 26
 
     @pytest.mark.parametrize("kind", ["fixed", "adaptive", "absolute"])
     def test_criteria_converge(self, kind):
