@@ -1,18 +1,23 @@
 """Direct high-accuracy solver for composite problems.
 
-Accelerated proximal gradient with gradient-based restart, used as an
-independent oracle (reference solutions, proximal points) -- deliberately not
-built on the asynchronous engine so that it can validate it.
+Accelerated proximal gradient with gradient-based restart, finished on the
+support it identifies, used as an independent oracle (reference solutions,
+proximal points) -- deliberately not built on the asynchronous engine so that
+it can validate it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.special import expit
 
 from . import problem as pb
 
 MAX_ITER = 200_000  # accelerated steps before solve gives up
+_NEWTON_STEPS = 50  # Newton steps of one finish on a support
+_NEWTON_QUADRATIC = 1e-10  # squared Newton decrement below which steps are full
+_FULL_STEPS = 2  # full steps after that: the second reaches rounding
 
 
 class SolveBudgetError(RuntimeError):
@@ -34,6 +39,15 @@ def solve(
     error bound dist(0, dF(x)) / mu; for mu = 0 it is the proximal-gradient
     fixed-point residual, which certifies optimality only under quadratic
     growth (unique minimizer), as for nondegenerate l1 problems.
+
+    The estimate is taken every 10 iterations.  At such a checkpoint, when
+    supp(x) and its signs are those of the previous checkpoint (the start
+    point counts as one) and have not been tried before, the problem
+    restricted to S = supp(x) with those signs is solved exactly, provided
+    its |S| x |S| system holds no more numbers than the shards store: by one
+    linear system when every shard is least squares, by Newton's method
+    otherwise.  That point is returned when its signs are those of x and its
+    error estimate is at most ``tol``; otherwise the iterations go on.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -45,6 +59,8 @@ def solve(
     y = x.copy()
     t = 1.0
     err = np.inf
+    room = sum(s.A.nnz if sp.issparse(s.A) else s.A.size for s in problem.shards)
+    prev, tried = _pattern(x), set()
     for it in range(MAX_ITER):
         g = pb.smooth_gradient(problem, y)
         x_new = pb.prox_reg(problem.reg, gamma, y - gamma * g)
@@ -62,6 +78,15 @@ def solve(
             err = _error_estimate(problem, x, gamma)
             if err <= tol:
                 return x, err
+            key = _pattern(x)
+            if key == prev and key not in tried and np.count_nonzero(x) ** 2 <= room:
+                tried.add(key)
+                point = _on_support(problem, x)
+                if point is not None:
+                    point_err = _error_estimate(problem, point, gamma)
+                    if point_err <= tol:
+                        return point, point_err
+            prev = key
     raise SolveBudgetError(err, tol)
 
 
@@ -74,43 +99,146 @@ def _error_estimate(problem: pb.CompositeProblem, x: np.ndarray, gamma: float) -
     return resid
 
 
-def polish_l1_least_squares(problem: pb.CompositeProblem, x: np.ndarray) -> np.ndarray:
-    """Exact minimizer on the identified support of an l1 least-squares problem.
+def _pattern(x: np.ndarray) -> bytes:
+    """supp(x) and its signs, as bytes."""
+    return np.packbits(x > 0).tobytes() + np.packbits(x < 0).tobytes()
 
-    On a fixed support with fixed signs the objective is a smooth quadratic
-    plus a linear term, solved by one linear system.  Returns the polished
-    point when it is optimal for the full problem, else the input unchanged.
-    """
-    if problem.reg.kind != "l1":
-        return x
-    if any(s.kind != pb.LEAST_SQUARES or s.ridge_weight > 0 for s in problem.shards):
-        return x
+
+def _on_support(problem, x):
+    """The minimizer of F over the points with the support and signs of x,
+    when it keeps those signs; else None.  On that set the l1 term is linear:
+    least-squares shards leave one linear system, other shards are handled by
+    Newton's method started at x."""
     supp = pb.support_of(x)
-    if supp.size == 0:
-        return x
-    d = problem.dim
-    lam = problem.reg.lam
-    # assemble sum_i alpha_i * (2/m_i) * A_i^T A_i restricted to the support
+    signs = np.sign(x[supp])
+    if all(s.kind == pb.LEAST_SQUARES for s in problem.shards):
+        z = _least_squares_on_support(problem, supp, signs)
+    else:
+        z = _newton_on_support(problem, supp, signs, x[supp])
+    if z is None or np.any(np.sign(z) != signs):
+        return None
+    point = np.zeros(problem.dim)
+    point[supp] = z
+    return point
+
+
+def _l1_weights(reg: pb.Regularizer, supp: np.ndarray):
+    """The l1 weight of each coordinate of supp: a scalar for plain l1."""
+    if reg.kind == "weighted_l1":
+        return reg.lam * reg.weights[supp]
+    return reg.lam if reg.kind == "l1" else 0.0
+
+
+def _columns(A, supp: np.ndarray) -> np.ndarray:
+    A_s = A[:, supp]
+    return A_s.toarray() if sp.issparse(A_s) else A_s
+
+
+def _least_squares_on_support(problem, supp, signs):
+    """Minimizer over x with supp(x) in supp of the least-squares problem with
+    its l1 term linearized at ``signs``: one linear system, None when it is
+    singular."""
     H = np.zeros((supp.size, supp.size))
     rhs = np.zeros(supp.size)
+    diag = np.diag_indices(supp.size)
+    # sum_i alpha_i * ((2/m_i) A_i^T A_i + w_i I) restricted to the support
     for alpha, s in zip(problem.alphas, problem.shards):
-        A_s = s.A[:, supp]
-        A_s = A_s.toarray() if sp.issparse(A_s) else A_s
+        A_s = _columns(s.A, supp)
         scale = 2.0 * alpha / s.n_examples
         H += scale * (A_s.T @ A_s)
         rhs += scale * (A_s.T @ s.b)
-    signs = np.sign(x[supp])
+        if s.ridge_weight > 0:
+            H[diag] += alpha * s.ridge_weight
+            rhs += alpha * s.ridge_weight * s.ridge_center[supp]
     try:
-        z = np.linalg.solve(H, rhs - lam * signs)
+        return np.linalg.solve(H, rhs - _l1_weights(problem.reg, supp) * signs)
     except np.linalg.LinAlgError:
+        return None
+
+
+def _newton_on_support(problem, supp, signs, z):
+    """The same minimizer for any shards, by Newton's method with
+    backtracking started at z; None when it fails."""
+    lin = _l1_weights(problem.reg, supp) * signs
+    parts = [(alpha, s, _columns(s.A, supp)) for alpha, s in zip(problem.alphas, problem.shards)]
+    diag = np.diag_indices(supp.size)
+
+    def model(z, derivatives=True):
+        """Value, gradient and Hessian in z of the smooth part plus lin @ z;
+        the ridge terms' constant parts off supp are left out."""
+        v, g, H = float(lin @ z), lin.copy(), np.zeros((z.size, z.size))
+        for alpha, s, A_s in parts:
+            m, t = s.n_examples, A_s @ z
+            if s.kind == pb.LEAST_SQUARES:
+                r = t - s.b
+                v += alpha * float(r @ r) / m
+                if derivatives:
+                    g += (2.0 * alpha / m) * (A_s.T @ r)
+                    H += (2.0 * alpha / m) * (A_s.T @ A_s)
+            else:
+                v += alpha * (float(np.logaddexp(0.0, -s.b * t).sum()) / m
+                              + 0.5 * s.l2 * float(z @ z))
+                if derivatives:
+                    p = expit(-s.b * t)
+                    g += alpha * (A_s.T @ (-s.b * p) / m + s.l2 * z)
+                    H += (alpha / m) * ((A_s.T * (p * (1.0 - p))) @ A_s)
+                    H[diag] += alpha * s.l2
+            if s.ridge_weight > 0:
+                diff = z - s.ridge_center[supp]
+                v += 0.5 * alpha * s.ridge_weight * float(diff @ diff)
+                if derivatives:
+                    g += alpha * s.ridge_weight * diff
+                    H[diag] += alpha * s.ridge_weight
+        return v, g, H
+
+    full = 0
+    for _ in range(_NEWTON_STEPS):
+        v, g, H = model(z)
+        try:
+            step = np.linalg.solve(H, g)
+        except np.linalg.LinAlgError:
+            return None
+        dec = float(g @ step)  # squared Newton decrement
+        if not np.isfinite(dec):
+            return None
+        t = 1.0
+        if dec <= _NEWTON_QUADRATIC:
+            full += 1
+        else:
+            while model(z - t * step, derivatives=False)[0] > v - 0.25 * t * dec:
+                t *= 0.5
+                if t < 1e-10:
+                    return None
+        z = z - t * step
+        if full == _FULL_STEPS:
+            return z
+    return None
+
+
+def polish_l1_least_squares(problem: pb.CompositeProblem, x: np.ndarray) -> np.ndarray:
+    """Exact minimizer on the identified support of an l1 least-squares problem.
+
+    On the support and signs of x the objective is a smooth quadratic plus a
+    linear term, minimized by one linear system (ridge terms and weighted l1
+    included): the system ``solve`` finishes least-squares problems with.
+    Returns that point when it keeps the signs of x and the averaged gradient
+    off the support lies within the l1 weights, so that it is optimal for the
+    full problem; else the input unchanged.
+    """
+    if problem.reg.kind not in ("l1", "weighted_l1"):
         return x
-    if np.any(np.sign(z) != signs):
+    if any(s.kind != pb.LEAST_SQUARES for s in problem.shards):
         return x
-    candidate = np.zeros(d)
-    candidate[supp] = z
-    # optimality off the support: averaged gradient strictly inside [-lam, lam]
+    if not np.any(x):
+        return x
+    candidate = _on_support(problem, x)
+    if candidate is None:
+        return x
+    # optimality off the support: averaged gradient inside [-lam_j, lam_j]
+    off = candidate == 0
     g = pb.smooth_gradient(problem, candidate)
-    off = np.setdiff1d(np.arange(d), supp)
-    if off.size and np.max(np.abs(g[off])) > lam:
+    reg = problem.reg
+    lam = reg.lam if reg.kind == "l1" else reg.lam * reg.weights[off]
+    if np.any(np.abs(g[off]) > lam):
         return x
     return candidate

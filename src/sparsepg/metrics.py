@@ -16,7 +16,7 @@ from . import direct
 from . import problem as pb
 
 CACHE_ENV = "SPARSEPG_CACHE"
-_CACHE_VERSION = 4
+_CACHE_VERSION = 5  # 5: direct.solve finishes on the identified support
 _CALIBRATE_TOL = 1e-10  # solver tolerance of each calibration solve
 _MAX_BISECT = 60
 

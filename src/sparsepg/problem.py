@@ -256,9 +256,14 @@ def composite_problem(shards, reg: Regularizer = Regularizer()) -> CompositeProb
 
 
 def reconditioned(problem: CompositeProblem, rho: float, center: Array) -> CompositeProblem:
-    """Add (rho/2)||x - center||^2 to every shard; shifts (mu, L) by rho."""
+    """Add (rho/2)||x - center||^2 to every shard; shifts (mu, L) by rho.
+
+    A shard holds one ridge term, so a problem that has one already (a
+    reconditioned problem) is refused: recondition the original instead."""
     if rho < 0:
         raise ValueError("rho must be nonnegative")
+    if any(s.ridge_weight > 0 for s in problem.shards):
+        raise ValueError("problem already has a ridge term: recondition the original problem")
     center = np.asarray(center, dtype=float)
     shards = tuple(
         replace(s, ridge_weight=s.ridge_weight + rho, ridge_center=center)

@@ -342,6 +342,18 @@ class TestReconditioned:
         g = pb.smooth_gradient(sub, x)
         assert g == pytest.approx(pb.smooth_gradient(prob, x) + 1.5 * (x - center))
 
+    def test_second_reconditioning_refused(self):
+        # a shard holds one ridge center; summing the weights while keeping
+        # only the new center (rho = 2 here) put the gradient at 0 off by 3.08
+        # in norm and the value by 2.84, so the second call is refused
+        rng = np.random.default_rng(17)
+        A, b = rng.standard_normal((30, 10)), rng.standard_normal(30)
+        prob = pb.composite_problem([pb.LossShard(kind=pb.LEAST_SQUARES, A=A, b=b)])
+        sub = pb.reconditioned(prob, 1.0, rng.standard_normal(10))
+        for rho in (2.0, 0.0):
+            with pytest.raises(ValueError, match="ridge"):
+                pb.reconditioned(sub, rho, rng.standard_normal(10))
+
 
 class TestNonFiniteShards:
     def test_nan_labels_rejected(self):
@@ -514,7 +526,7 @@ class TestGramForm:
             x[[3, 7]] = [1.0, -2.0]
             pb.smooth_gradient(prob, x)
             sub = pb.reconditioned(prob, 0.5, x)
-            again = pb.reconditioned(sub, 0.25, np.zeros(d))
+            again = pb.reconditioned(prob, 0.25, np.zeros(d))
             for old, new, newer in zip(prob.shards, sub.shards, again.shards):
                 assert new._cols is old._cols
                 assert newer._cols is old._cols

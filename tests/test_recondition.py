@@ -417,6 +417,28 @@ class TestReconditionedLoop:
         assert len(rows) == 6
 
 
+class TestIdentificationUnderSkew:
+    """c07's property, finite identification, on a small lasso whose workers
+    do not take turns: speed weights 1, 3, 9 and 27, and a bursty fixed
+    trace.  Skew stretches the epochs, not the outer loop."""
+
+    @pytest.mark.parametrize("sched", [
+        engine.DelaySchedule.heterogeneous([1, 3, 9, 27], seed=0),
+        engine.DelaySchedule.fixed_trace([0] * 30 + [1] * 5 + [2] + [3] * 10, 4),
+    ], ids=["heterogeneous", "bursty"])
+    def test_identification_is_finite(self, sched):
+        ds, _ = data.generate_lasso(d=100, m=80, sparsity=0.95, noise_std=0.01, seed=4)
+        prob = data.lasso_problem(ds, data.shard_even(ds, 4, seed=0), lam1=0.3)
+        ref = metrics.reference_solution(prob, tol=1e-12, assume_unique_minimizer=True)
+        assert metrics.check_nondegeneracy(prob, ref) > 0
+        params = rc.make_params(prob.mu, prob.lip, c=ref.s_star, d=prob.dim)
+        trace = rc.run_reconditioned(
+            prob, params, sched, np.zeros(prob.dim), criterion=rc.InnerCriterion("fixed", epochs=1),
+            outer_budget=20_000, target_objective=ref.f_star + 1e-7, seed=1)
+        assert trace.records[-1].objective <= ref.f_star + 1e-7
+        assert metrics.identification_time(trace, ref) is not None
+
+
 class TestMomentum:
     def setup_method(self):
         self.prob = small_lasso(seed=13)
