@@ -333,8 +333,10 @@ def run_algorithm(problem, cfg: ExperimentConfig, seed: int,
 
 
 def _subopt_curves(trace, f_star, up_offset=0, down_offset=0, iter_offset=0):
-    """[(iteration, exchanged, gap)] from a trace's objective log."""
-    return [(max(p.k, 0) + iter_offset, p.cum_up + up_offset + p.cum_down + down_offset,
+    """[(iteration, exchanged, gap)] from a trace's objective log; the
+    iteration is the number of iterations completed, k + 1, so that the point
+    logged before the first iteration (k = -1) is at 0."""
+    return [(p.k + 1 + iter_offset, p.cum_up + up_offset + p.cum_down + down_offset,
              p.value - f_star) for p in trace.objective_log]
 
 
@@ -384,9 +386,10 @@ def _execute_seed(problem, cfg, seed, ref, mode, phase1=None) -> SeedResult:
     subopt, support = [], []
     up0 = down0 = it0 = 0
     if phase1 is not None:
-        subopt = _subopt_curves(phase1, ref.f_star)
-        support = phase1.support_curve(cfg.log_stride)
         up0, down0, it0 = phase1.cum_up, phase1.cum_down, phase1.n_iterations
+        # the run's own curve starts at iteration it0, where phase 1 ended
+        subopt = [p for p in _subopt_curves(phase1, ref.f_star) if p[0] < it0]
+        support = phase1.support_curve(cfg.log_stride)
     return SeedResult(
         seed=seed, status=status, final_gap=gap, iterations=it0 + trace.n_iterations,
         cum_up=up0 + trace.cum_up, cum_down=down0 + trace.cum_down,

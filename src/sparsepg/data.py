@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import gzip
-import io
 import os
 from dataclasses import dataclass
 
@@ -71,11 +70,6 @@ class ShardingPlan:
     def indices(self, worker: int) -> np.ndarray:
         return np.flatnonzero(self.assignment == worker)
 
-    @property
-    def alphas(self) -> np.ndarray:
-        sizes = np.bincount(self.assignment, minlength=self.M).astype(float)
-        return sizes / sizes.sum()
-
 
 def generate_lasso(d: int, m: int, sparsity: float, noise_std: float, seed: int):
     """Random lasso instance: A ~ N(0,1), b = A x0 + noise, x0 mostly zero.
@@ -110,7 +104,7 @@ class LibSVMFormatError(ValueError):
 def parse_libsvm(source, n_features: int | None = None) -> Dataset:
     """Parse LibSVM text (``<label> <idx>:<val> ...``, 1-based indices).
 
-    ``source`` may be a path (``.gz`` accepted), a str, bytes, or a text
+    ``source`` is a path (a str or path-like; ``.gz`` accepted) or a text
     stream.  Labels 0 are mapped to -1.  The dimension is the largest index
     seen unless ``n_features`` overrides it.
     """
@@ -159,32 +153,10 @@ def parse_libsvm(source, n_features: int | None = None) -> Dataset:
     return Dataset(X=X, y=np.array(labels))
 
 
-def to_libsvm(dataset: Dataset) -> str:
-    """Serialize back to LibSVM text; round-trips through parse_libsvm."""
-    X = dataset.X if sp.issparse(dataset.X) else sp.csr_matrix(dataset.X)
-    out = io.StringIO()
-    for i in range(dataset.n):
-        row = X.getrow(i)
-        feats = " ".join(
-            "%d:%.17g" % (j + 1, v) for j, v in zip(row.indices, row.data)
-        )
-        label = "%.17g" % dataset.y[i]
-        out.write(label + (" " + feats if feats else "") + "\n")
-    return out.getvalue()
-
-
 def _read_lines(source):
     if hasattr(source, "read"):
-        content = source.read()
-        if isinstance(content, bytes):
-            content = content.decode("utf-8")
-        return content.splitlines()
-    if isinstance(source, bytes):
-        return source.decode("utf-8").splitlines()
-    if isinstance(source, str) and "\n" in source:
-        return source.splitlines()
+        return source.read().splitlines()
     if isinstance(source, (str, os.PathLike)):
-        # a str without a newline is taken to be a path
         path = os.fspath(source)
         opener = gzip.open if path.endswith(".gz") else open
         with opener(path, "rt") as fh:

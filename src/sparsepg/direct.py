@@ -45,9 +45,10 @@ def solve(
     point counts as one) and have not been tried before, the problem
     restricted to S = supp(x) with those signs is solved exactly, provided
     its |S| x |S| system holds no more numbers than the shards store: by one
-    linear system when every shard is least squares, by Newton's method
-    otherwise.  That point is returned when its signs are those of x and its
-    error estimate is at most ``tol``; otherwise the iterations go on.
+    linear system when every shard is least squares, by Newton's method when
+    every shard is logistic (problems that mix the two losses get no finish).
+    That point is returned when its signs are those of x and its error
+    estimate is at most ``tol``; otherwise the iterations go on.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -107,14 +108,17 @@ def _pattern(x: np.ndarray) -> bytes:
 def _on_support(problem, x):
     """The minimizer of F over the points with the support and signs of x,
     when it keeps those signs; else None.  On that set the l1 term is linear:
-    least-squares shards leave one linear system, other shards are handled by
-    Newton's method started at x."""
+    least-squares shards leave one linear system, logistic shards are handled
+    by Newton's method started at x, and mixed shards are not handled."""
     supp = pb.support_of(x)
     signs = np.sign(x[supp])
-    if all(s.kind == pb.LEAST_SQUARES for s in problem.shards):
+    kinds = {s.kind for s in problem.shards}
+    if kinds == {pb.LEAST_SQUARES}:
         z = _least_squares_on_support(problem, supp, signs)
-    else:
+    elif kinds == {pb.LOGISTIC}:
         z = _newton_on_support(problem, supp, signs, x[supp])
+    else:
+        return None
     if z is None or np.any(np.sign(z) != signs):
         return None
     point = np.zeros(problem.dim)
@@ -157,7 +161,7 @@ def _least_squares_on_support(problem, supp, signs):
 
 
 def _newton_on_support(problem, supp, signs, z):
-    """The same minimizer for any shards, by Newton's method with
+    """The same minimizer for logistic shards, by Newton's method with
     backtracking started at z; None when it fails."""
     lin = _l1_weights(problem.reg, supp) * signs
     parts = [(alpha, s, _columns(s.A, supp)) for alpha, s in zip(problem.alphas, problem.shards)]
@@ -169,20 +173,12 @@ def _newton_on_support(problem, supp, signs, z):
         v, g, H = float(lin @ z), lin.copy(), np.zeros((z.size, z.size))
         for alpha, s, A_s in parts:
             m, t = s.n_examples, A_s @ z
-            if s.kind == pb.LEAST_SQUARES:
-                r = t - s.b
-                v += alpha * float(r @ r) / m
-                if derivatives:
-                    g += (2.0 * alpha / m) * (A_s.T @ r)
-                    H += (2.0 * alpha / m) * (A_s.T @ A_s)
-            else:
-                v += alpha * (float(np.logaddexp(0.0, -s.b * t).sum()) / m
-                              + 0.5 * s.l2 * float(z @ z))
-                if derivatives:
-                    p = expit(-s.b * t)
-                    g += alpha * (A_s.T @ (-s.b * p) / m + s.l2 * z)
-                    H += (alpha / m) * ((A_s.T * (p * (1.0 - p))) @ A_s)
-                    H[diag] += alpha * s.l2
+            v += alpha * (float(np.logaddexp(0.0, -s.b * t).sum()) / m + 0.5 * s.l2 * float(z @ z))
+            if derivatives:
+                p = expit(-s.b * t)
+                g += alpha * (A_s.T @ (-s.b * p) / m + s.l2 * z)
+                H += (alpha / m) * ((A_s.T * (p * (1.0 - p))) @ A_s)
+                H[diag] += alpha * s.l2
             if s.ridge_weight > 0:
                 diff = z - s.ridge_center[supp]
                 v += 0.5 * alpha * s.ridge_weight * float(diff @ diff)

@@ -27,6 +27,7 @@ import itertools
 import operator
 import queue
 import warnings
+from array import array
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -74,18 +75,19 @@ class DelaySchedule:
 
     @staticmethod
     def round_robin(M: int) -> "DelaySchedule":
-        return DelaySchedule.fixed_trace(range(M), M)
+        return DelaySchedule.fixed_trace(range(M))
 
     @staticmethod
     def random_uniform(M: int, seed: int) -> "DelaySchedule":
         return DelaySchedule(kind="random_uniform", M=M, seed=seed)
 
     @staticmethod
-    def fixed_trace(trace, M: int | None = None) -> "DelaySchedule":
+    def fixed_trace(trace) -> "DelaySchedule":
+        """The trace of worker ids 0, ..., M-1, cycled; M = max(trace) + 1."""
         trace = tuple(int(t) for t in trace)
         if not trace:
             raise ValueError("fixed trace must be non-empty")
-        M = M if M is not None else max(trace) + 1
+        M = max(trace) + 1
         if set(trace) != set(range(M)):
             raise ValueError("a fixed trace must mention every worker (it is cycled)")
         return DelaySchedule(kind="fixed_trace", M=M, trace=trace)
@@ -193,7 +195,6 @@ class _Rows(Sequence):
         return (self._row(i) for i in range(len(self)))
 
 
-_RECORD_CHUNK = 1024  # records kept as Python tuples before they become columns
 _POINT_BUFFER = 8192  # dense entries of appended points kept before they are encoded
 # row b holds the eight zeros whose sign bits are the bits of b, first bit first
 _SIGNED_ZEROS = (np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).astype(np.uint64)
@@ -201,51 +202,39 @@ _SIGNED_ZEROS = (np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).
 
 
 class RecordColumns(_Rows):
-    """A run's per-iteration records as int64 columns, grown a chunk of rows
-    at a time.  Iteration k is row k.  Items are ``IterRecord``s built when
-    read."""
+    """A run's per-iteration records in one int64 buffer, a row of
+    len(FIELDS) values per iteration.  Iteration k is row k.  Items are
+    ``IterRecord``s built when read."""
 
     FIELDS = ("worker", "coords_up", "coords_down", "support_size", "epoch_m")
 
     def __init__(self):
-        self._blocks = []  # (rows, len(FIELDS)) int64 arrays
-        self._tail = []  # rows not yet in a block
+        self._values = array("q")
 
     def append(self, worker, coords_up, coords_down, support_size, epoch_m):
-        tail = self._tail
-        tail.append((worker, coords_up, coords_down, support_size, epoch_m))
-        if len(tail) == _RECORD_CHUNK:
-            self.flush()
-
-    def flush(self):
-        """Moves the pending rows into the columns."""
-        if self._tail:
-            self._blocks.append(np.array(self._tail, dtype=np.int64))
-            self._tail = []
+        self._values.extend((worker, coords_up, coords_down, support_size, epoch_m))
 
     def columns(self) -> np.ndarray:
-        """All records as one (len(FIELDS), n) int64 array, a row per field."""
-        self.flush()
-        if len(self._blocks) != 1:
-            self._blocks = [np.concatenate(self._blocks) if self._blocks
-                            else np.empty((0, len(self.FIELDS)), dtype=np.int64)]
-        return self._blocks[0].T
+        """All records as a fresh (len(FIELDS), n) int64 array, a row per
+        field; a copy, so that a run can go on appending."""
+        return np.array(self._values, dtype=np.int64).reshape(-1, len(self.FIELDS)).T
 
     def column(self, name) -> np.ndarray:
         return self.columns()[self.FIELDS.index(name)]
 
     def __len__(self):
-        return sum(len(b) for b in self._blocks) + len(self._tail)
+        return len(self._values) // len(self.FIELDS)
 
     def _row(self, k):
-        return IterRecord(k, *self.columns()[:, k].tolist())
+        n = len(self.FIELDS)
+        return IterRecord(k, *self._values[k * n:(k + 1) * n])
 
     def __iter__(self):
         return (IterRecord(k, *row) for k, row in enumerate(self.columns().T.tolist()))
 
     def __eq__(self, other):
         if isinstance(other, RecordColumns):
-            return np.array_equal(self.columns(), other.columns())
+            return self._values == other._values
         if isinstance(other, Sequence):
             return list(self) == list(other)
         return NotImplemented
@@ -340,10 +329,6 @@ class RunTrace:
     cum_down: int = 0
     _final: SparsePoints | None = field(default=None, repr=False)
 
-    def __post_init__(self):
-        if not isinstance(self.epoch_snapshots, SparsePoints):
-            self.epoch_snapshots = SparsePoints(self.epoch_snapshots)
-
     @property
     def final_x(self) -> np.ndarray | None:
         """The last iterate, a dense copy: the last epoch snapshot unless
@@ -372,10 +357,11 @@ class RunTrace:
         return iter(self.epoch_snapshots)
 
     def support_curve(self, stride: int = 1, iter_offset: int = 0) -> list:
-        """[(iteration, support_size)] of every stride-th iteration, the
-        iteration index shifted by iter_offset."""
+        """[(iteration, support_size)] after every stride-th iteration, the
+        iteration being the number of iterations completed (k + 1) plus
+        iter_offset."""
         support = self.records.column("support_size")[::stride].tolist()
-        return list(zip(range(iter_offset, iter_offset + self.n_iterations, stride), support))
+        return list(zip(range(iter_offset + 1, iter_offset + 1 + self.n_iterations, stride), support))
 
     def to_csv(self, path, f_star: float | None = None) -> None:
         """One row per iteration with the logged objective where there is
@@ -583,31 +569,33 @@ def _run(
             # ||x||^2 as np.linalg.norm computes it; NaN fails the comparison too
             if not x @ x <= DIVERGENCE_NORM ** 2:
                 raise DivergenceError(k)
+            # drawn on the last iteration too, so that a run's mask streams do
+            # not depend on how it stops
             masks[i] = mask = new_mask(i, x)
-            sent = down(nnz, mask)
-            trace.cum_up += up
-            trace.cum_down += sent
-
             new_epoch = tracker.record(k, i)
             if new_epoch:
                 snapshot(x)
             m = len(tracker.boundaries) - 1
-            record(i, up, sent, nnz, m)
-            if objective_stride and (k % objective_stride == 0):
-                log_objective(k, x)
-            if new_epoch and (
+            last = k + 1 == stop.max_iterations or (new_epoch and (
                 (stop.max_epochs is not None and m >= stop.max_epochs)
                 or (stop.target_objective is not None
                     and pb.eval_objective(problem, x) <= stop.target_objective)
                 or (stop.epoch_predicate is not None and stop.epoch_predicate(x, m))
-            ):
+            ))
+            # the last iteration sends no model, so it is charged none
+            sent = 0 if last else down(nnz, mask)
+            trace.cum_up += up
+            trace.cum_down += sent
+            record(i, up, sent, nnz, m)
+            if objective_stride and (k % objective_stride == 0):
+                log_objective(k, x)
+            if last:
                 break
             source.send(i, x.copy(), mask)
             k += 1
     finally:
         source.close()
 
-    trace.records.flush()
     trace.epoch_snapshots.flush()
     if not new_epoch:
         trace.final_x = x

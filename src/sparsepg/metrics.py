@@ -159,7 +159,7 @@ def check_nondegeneracy(problem: pb.CompositeProblem, ref: ReferenceSolution) ->
 # -- identification ----------------------------------------------------------
 
 
-def identification_time(trace, ref: ReferenceSolution, tol: float = 0.0):
+def identification_time(trace, ref: ReferenceSolution):
     """Smallest logged index after which supp(x) == supp(x*) holds for every
     subsequent iterate; None when the support never stabilizes to supp(x*).
 
@@ -167,8 +167,8 @@ def identification_time(trace, ref: ReferenceSolution, tol: float = 0.0):
     epoch) or an outer trace (the initial point, then each outer step's
     result x_ell)."""
     points = list(trace)
-    target = np.abs(ref.x_star) > tol
-    match = [bool(np.array_equal(np.abs(x) > tol, target)) for x in points]
+    target = np.abs(ref.x_star) > 0
+    match = [bool(np.array_equal(np.abs(x) > 0, target)) for x in points]
     lam = None
     for idx in range(len(match) - 1, -1, -1):
         if not match[idx]:

@@ -495,12 +495,11 @@ def eval_objective(problem: CompositeProblem, x: Array) -> float:
     return float(v) + reg_value(problem.reg, x)
 
 
-def support_of(x: Array, tol: float = 0.0) -> np.ndarray:
-    """Indices with |x_j| > tol (tol=0 means exact nonzeros)."""
-    x = np.asarray(x)
-    return np.flatnonzero(np.abs(x) > tol)
+def support_of(x: Array) -> np.ndarray:
+    """Indices with |x_j| > 0."""
+    return np.flatnonzero(np.abs(np.asarray(x)) > 0)
 
 
-def null_pattern(x: Array, tol: float = 0.0) -> np.ndarray:
-    x = np.asarray(x)
-    return np.flatnonzero(np.abs(x) <= tol)
+def null_pattern(x: Array) -> np.ndarray:
+    """Indices with x_j = 0."""
+    return np.flatnonzero(np.asarray(x) == 0)

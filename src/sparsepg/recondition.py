@@ -24,8 +24,7 @@ import numpy as np
 
 from . import direct
 from . import problem as pb
-from .engine import (DelaySchedule, ObjectivePoint, SparsePoints, StopRule, _check_stride, _Rows,
-                     run_spy)
+from .engine import DelaySchedule, ObjectivePoint, SparsePoints, StopRule, _check_stride, run_spy
 from .sparsifier import adaptive_distribution, min_conditioning
 
 _SEED_STRIDE = 100_003
@@ -155,21 +154,6 @@ class OuterRecord:
     objective: float
 
 
-class _Centers(_Rows):
-    """An outer trace's centers as dense arrays: the stored ones first (the
-    start, then every extrapolated center), then x_ell, the final point of
-    inner run ell, for each step whose center was not stored."""
-
-    def __init__(self, stored, inner_traces):
-        self.stored, self.inner_traces = stored, inner_traces
-
-    def __len__(self):
-        return len(self.inner_traces) + 1 if len(self.stored) else 0
-
-    def _row(self, ell):
-        return self.stored[ell] if ell < len(self.stored) else self.inner_traces[ell - 1].final_x
-
-
 @dataclass
 class OuterTrace:
     """Per-outer-step log plus the objective log of the outer sequence: with
@@ -177,10 +161,11 @@ class OuterTrace:
     ell's last inner iteration when the step's iterations include a multiple
     of s.  Inner runs log no objective.
 
-    ``centers`` reads the start and each step's center as dense copies.  Each
-    point is stored once, as its nonzeros (``SparsePoints``): x_ell as the
-    final point of inner run ell, and the start and the momentum loop's
-    extrapolated centers in the trace.  ``final_x`` is a dense array.
+    ``centers`` is a list, built when read, of the start and each step's
+    center as dense copies.  Each point is stored once, as its nonzeros
+    (``SparsePoints``): x_ell as the final point of inner run ell, and the
+    start and the momentum loop's extrapolated centers in the trace.
+    ``final_x`` is a dense array.
 
     Iterating the trace yields the initial point and then each outer step's
     result x_ell, the final point of its inner run.  These are the centers
@@ -195,11 +180,14 @@ class OuterTrace:
     stored_centers: SparsePoints = field(default_factory=SparsePoints, repr=False)
 
     @property
-    def centers(self) -> _Centers:
-        return _Centers(self.stored_centers, self.inner_traces)
+    def centers(self) -> list:
+        stored = list(self.stored_centers)
+        if len(stored) > 1:  # the loop stored its extrapolated centers
+            return stored
+        return stored + [t.final_x for t in self.inner_traces]
 
     def __iter__(self):
-        return iter(self.centers[:1] + [t.final_x for t in self.inner_traces])
+        return iter(self.stored_centers[:1] + [t.final_x for t in self.inner_traces])
 
     @property
     def n_iterations(self) -> int:
@@ -218,13 +206,13 @@ class OuterTrace:
         return self.records[-1].cum_down if self.records else 0
 
     def support_curve(self, stride: int = 1, iter_offset: int = 0) -> list:
-        """[(iteration, support_size)], one point per outer step: the run-wide
-        index of the step's last inner iteration, plus iter_offset.  Every step
-        is kept, so stride is not used."""
+        """[(iteration, support_size)], one point per outer step: the number
+        of inner iterations completed when the step ends, plus iter_offset.
+        Every step is kept, so stride is not used."""
         curve, end = [], iter_offset
         for r in self.records:
             end += r.inner_iterations
-            curve.append((end - 1, r.support_size))
+            curve.append((end, r.support_size))
         return curve
 
     def to_csv(self, path, f_star: float | None = None) -> None:

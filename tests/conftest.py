@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparsepg import problem as pb
+from sparsepg import engine, problem as pb
 from sparsepg.rng import stream
 
 
@@ -51,3 +51,44 @@ def trace_bytes(trace):
         "ledger": (trace.priming_up, trace.priming_down, trace.cum_up, trace.cum_down),
         "final_x": trace.final_x.tobytes(),
     }
+
+
+def count_messages(monkeypatch):
+    """Counts the messages the engine's message sources carry, from the
+    messages themselves: {source: ([model message sizes], [reply sizes])},
+    one source per engine run, in the order the runs started.  A model
+    message is d coordinates when dense (no mask), else the model's nonzeros
+    plus the mask; a reply is the delta the worker returned, counted when the
+    coordinator takes it."""
+    runs = {}
+    for cls in (engine._Inline, engine._Pool):
+        def send(self, i, model, mask, send=cls.send):
+            size = model.size if mask is None else np.count_nonzero(model) + mask.size
+            runs.setdefault(self, ([], []))[0].append(int(size))
+            send(self, i, model, mask)
+
+        def receive(self, receive=cls.receive):
+            reply = receive(self)
+            runs.setdefault(self, ([], []))[1].append(int(reply[1].size))
+            return reply
+
+        monkeypatch.setattr(cls, "send", send)
+        monkeypatch.setattr(cls, "receive", receive)
+    return runs
+
+
+def check_ledger(trace, messages, M, init, dense, charged=True):
+    """An engine trace's ledger and records against the messages of its run:
+    the priming round (init down to, and x_i^0 up from, each of the M
+    workers, then the first M model messages) when charged, then one reply
+    and one model message per iteration, and no model message after the
+    last."""
+    down, up = messages
+    d = init.size
+    init_down = d if dense else int(np.count_nonzero(init))
+    priming = (M * d, M * init_down + sum(down[:M])) if charged else (0, 0)
+    assert (trace.priming_up, trace.priming_down) == priming
+    assert [r.coords_up for r in trace.records] == up
+    assert [r.coords_down for r in trace.records] == down[M:] + [0] * (trace.n_iterations > 0)
+    assert trace.cum_up == priming[0] + sum(up)
+    assert trace.cum_down == priming[1] + sum(down[M:])

@@ -237,7 +237,7 @@ class TestRun:
 
     def test_outer_subopt_iterations_increase(self, tmp_path):
         # one point at the start and at most one per outer step, each at the
-        # run-wide index of the step's last inner iteration
+        # number of iterations completed when the step ends
         cfgp = write(tmp_path, "exp.ini", SMALL_LASSO.replace("log_stride = 5", "log_stride = 1"))
         out = tmp_path / "out"
         assert cli.main(["run", "--config", cfgp, "--out", str(out)]) == 0
@@ -248,7 +248,23 @@ class TestRun:
             its = [int(r["iteration"]) for r in rows if r["seed"] == seed]
             assert its[0] == 0 and len(its) > 2
             assert all(a < b for a, b in zip(its, its[1:])), seed
-            assert its[-1] == summary["seeds"][seed]["iterations"] - 1
+            assert its[-1] == summary["seeds"][seed]["iterations"]
+
+    @pytest.mark.parametrize("mode", ["sim", "concurrent"])
+    def test_engine_curves_count_iterations_completed(self, tmp_path, mode):
+        # the gap logged before the first iteration is at 0, and the points
+        # logged after iteration k (every 5th) are at k + 1
+        cfgp = write(tmp_path, "exp.ini", SMALL_DAVE)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfgp, "--out", str(out), "--mode", mode,
+                         "--seeds", "1"]) == 0
+        iterations = json.loads((out / "summary.json").read_text())["seeds"]["1"]["iterations"]
+        for name, start in (("subopt_vs_iters.csv", [0, 1, 6]), ("support_vs_iters.csv", [1, 6])):
+            with open(out / name) as fh:
+                its = [int(r["iteration"]) for r in csv.DictReader(fh) if r["seed"] == "1"]
+            assert its[:len(start)] == start, name
+            assert all(a < b for a, b in zip(its, its[1:])), name
+            assert its[-1] <= iterations, name
 
     def test_target_not_reached_exit_code(self, tmp_path):
         text = SMALL_LASSO.replace("outer_budget = 600", "outer_budget = 2")
@@ -390,7 +406,23 @@ class TestWarmstart:
         with open(out / "support_vs_iters.csv") as fh:
             its = [int(r["iteration"]) for r in csv.DictReader(fh) if r["seed"] == "1"]
         assert all(a <= b for a, b in zip(its, its[1:]))
-        assert its[-1] == summary["seeds"]["1"]["iterations"] - 1
+        assert its[-1] == summary["seeds"]["1"]["iterations"]
+
+    def test_iterations_strictly_increase_across_phases(self, tmp_path):
+        # seed 4's dense phase logs the gap after its last iteration, where
+        # the outer loop logs F at its start
+        text = SMALL_LASSO + (
+            "\n[warmstart]\nalgorithm = davepg\nsubopt_threshold = 1e-1\n"
+            "density_threshold = 0.5\nmax_epochs = 4000\n"
+        )
+        cfgp = write(tmp_path, "exp.ini", text)
+        out = tmp_path / "ws"
+        assert cli.main(["warmstart", "--config", cfgp, "--out", str(out),
+                         "--seeds", "4"]) == 0
+        for name in ("subopt_vs_iters.csv", "support_vs_iters.csv"):
+            with open(out / name) as fh:
+                its = [int(r["iteration"]) for r in csv.DictReader(fh) if r["seed"] == "4"]
+            assert all(a < b for a, b in zip(its, its[1:])), name
 
     def test_trigger_satisfied_at_init_skips_phase_one(self, tmp_path):
         text = SMALL_LASSO + (

@@ -69,32 +69,32 @@ class TestGenerateLasso:
 
 class TestParseLibsvm:
     def test_basic_line(self):
-        ds = data.parse_libsvm("+1 1:0.5 3:2\n")
+        ds = data.parse_libsvm(io.StringIO("+1 1:0.5 3:2\n"))
         assert (ds.n, ds.d) == (1, 3)
         assert ds.X.toarray().ravel() == pytest.approx([0.5, 0.0, 2.0])
         assert ds.y == pytest.approx([1.0])
 
     def test_zero_label_maps_to_minus_one(self):
-        ds = data.parse_libsvm("0 2:1\n")
+        ds = data.parse_libsvm(io.StringIO("0 2:1\n"))
         assert ds.y == pytest.approx([-1.0])
 
     def test_n_features_override(self):
-        ds = data.parse_libsvm("1 1:1\n", n_features=5)
+        ds = data.parse_libsvm(io.StringIO("1 1:1\n"), n_features=5)
         assert ds.d == 5
 
     def test_bad_token(self):
         with pytest.raises(data.LibSVMFormatError) as err:
-            data.parse_libsvm("1 1:1\n-1 2:x\n")
+            data.parse_libsvm(io.StringIO("1 1:1\n-1 2:x\n"))
         assert err.value.line_no == 2
 
     def test_non_increasing_indices(self):
         with pytest.raises(data.LibSVMFormatError) as err:
-            data.parse_libsvm("1 3:1 2:1\n")
+            data.parse_libsvm(io.StringIO("1 3:1 2:1\n"))
         assert err.value.line_no == 1
 
     def test_zero_based_index_rejected(self):
         with pytest.raises(data.LibSVMFormatError):
-            data.parse_libsvm("1 0:1\n")
+            data.parse_libsvm(io.StringIO("1 0:1\n"))
 
     def test_gzip_path(self, tmp_path):
         text = "1 1:2.5\n-1 2:1\n"
@@ -112,24 +112,20 @@ class TestParseLibsvm:
         ds = data.parse_libsvm(io.StringIO("1 1:1\n"))
         assert ds.n == 1
 
-    def test_round_trip(self):
-        rng = np.random.default_rng(0)
-        X = rng.standard_normal((6, 4)) * (rng.random((6, 4)) > 0.4)
-        y = rng.choice([-1.0, 1.0], 6)
-        ds = data.Dataset(X=X, y=y)
-        back = data.parse_libsvm(data.to_libsvm(ds), n_features=4)
-        assert np.asarray(back.X.todense()) == pytest.approx(X)
-        assert back.y == pytest.approx(y)
+    def test_str_is_a_path(self):
+        # text comes as a stream: a str, newline or not, names a file
+        with pytest.raises(FileNotFoundError):
+            data.parse_libsvm("1 1:1\n")
 
 
 class TestNonFiniteInput:
     def test_libsvm_values_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            data.parse_libsvm("1 1:nan 2:inf\n")
+            data.parse_libsvm(io.StringIO("1 1:nan 2:inf\n"))
 
     def test_libsvm_label_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            data.parse_libsvm("inf 1:1\n")
+            data.parse_libsvm(io.StringIO("inf 1:1\n"))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_dense_matrix_rejected(self, bad):
@@ -155,13 +151,11 @@ class TestSharding:
         plan = data.shard_even(ds, 5, seed=1)
         sizes = np.bincount(plan.assignment)
         assert list(sizes) == [2, 2, 2, 2, 2]
-        assert plan.alphas == pytest.approx([0.2] * 5)
 
     def test_remainder_rule(self):
         ds, _ = data.generate_lasso(d=3, m=7, sparsity=0.5, noise_std=0.0, seed=0)
         plan = data.shard_even(ds, 2, seed=1)
         assert sorted(np.bincount(plan.assignment)) == [3, 4]
-        assert plan.alphas.sum() == pytest.approx(1.0)
 
     def test_too_many_workers(self):
         ds, _ = data.generate_lasso(d=3, m=4, sparsity=0.5, noise_std=0.0, seed=0)
@@ -180,7 +174,6 @@ class TestSharding:
         assert sorted(all_idx) == list(range(n))
         sizes = np.bincount(plan.assignment, minlength=M)
         assert sizes.max() - sizes.min() <= 1
-        assert plan.alphas.sum() == pytest.approx(1.0)
 
     def test_shards_preserve_rows(self):
         ds, _ = data.generate_lasso(d=4, m=9, sparsity=0.5, noise_std=0.1, seed=3)

@@ -13,7 +13,8 @@ from sparsepg import data, direct, engine, problem as pb, recondition as rc
 from sparsepg.rng import stream
 from sparsepg.sparsifier import SelectorDistribution, adaptive_distribution, uniform_distribution
 
-from conftest import shifted_initial_radius, strongly_convex_problem, trace_bytes
+from conftest import (check_ledger, count_messages, shifted_initial_radius,
+                      strongly_convex_problem, trace_bytes)
 
 
 def quad_problem():
@@ -54,7 +55,7 @@ class TestDelaySchedule:
 
     def test_fixed_trace_must_mention_all(self):
         with pytest.raises(ValueError):
-            engine.DelaySchedule.fixed_trace([0, 2], M=3)
+            engine.DelaySchedule.fixed_trace([0, 2])
 
     def test_random_uniform_deterministic(self):
         a = engine.DelaySchedule.random_uniform(4, seed=5).sequence()
@@ -220,7 +221,7 @@ class TestDelayIndependence:
         # fires once per cycle
         for i in sorted(set(range(M)) - set(trace)):
             trace.insert(draw(st.integers(0, len(trace))), i)
-        return engine.DelaySchedule.fixed_trace(trace, M)
+        return engine.DelaySchedule.fixed_trace(trace)
 
     @settings(max_examples=40, deadline=None)
     @given(sched=schedules(), seed=st.integers(0, 1000))
@@ -582,7 +583,7 @@ class TestConcurrentReplay:
                 sys.setswitchinterval(interval)
             old, engine.DEBUG_CHECK = engine.DEBUG_CHECK, True
             try:
-                replay = run(engine.DelaySchedule.fixed_trace(conc.worker_fires, M), "sim")
+                replay = run(engine.DelaySchedule.fixed_trace(conc.worker_fires), "sim")
             finally:
                 engine.DEBUG_CHECK = old
         assert conc.final_x.tobytes() == replay.final_x.tobytes()
@@ -632,7 +633,9 @@ class TestTrace:
         trace = engine.run_davepg(prob, engine.gamma_max(prob),
                                   engine.DelaySchedule.round_robin(3), np.zeros(9),
                                   engine.StopRule(max_iterations=30))
-        assert all(r.coords_down == 9 and r.coords_up == 9 for r in trace.records)
+        assert all(r.coords_up == 9 for r in trace.records)
+        # the last iteration sends no model
+        assert [r.coords_down for r in trace.records] == [9] * 29 + [0]
         # priming: every worker receives and sends one dense vector, then gets
         # the dense post-priming model
         assert trace.priming_up == 3 * 9
@@ -647,6 +650,40 @@ class TestTrace:
         for r in trace.records:
             assert r.coords_down <= 9 + 9
             assert r.coords_up <= 9
+
+
+class TestLedgerCountsMessages:
+    """The ledger against the messages the sources carry, counted apart from
+    it (``conftest.count_messages``)."""
+
+    @pytest.mark.parametrize("stop", [engine.StopRule(max_iterations=50),
+                                      engine.StopRule(max_epochs=6)], ids=["iterations", "epochs"])
+    @pytest.mark.parametrize("variant", ["davepg", "spy", "slowdown"])
+    @pytest.mark.parametrize("mode", ["sim", "concurrent"])
+    def test_engine_runs(self, monkeypatch, mode, variant, stop):
+        prob = strongly_convex_problem(d=12, M=3, seed=14, reg=pb.Regularizer(kind="l1", lam=0.1))
+        gamma = engine.gamma_max(prob)
+        sched = engine.DelaySchedule.heterogeneous([1.0, 2.0, 4.0], seed=14)
+        init = np.zeros(12)
+        init[[2, 7]] = 1.0
+        runs = count_messages(monkeypatch)
+        kw = dict(seed=14, mode=mode, objective_stride=4)
+        if variant == "davepg":
+            trace = engine.run_davepg(prob, gamma, sched, init, stop, **kw)
+        elif variant == "spy":
+            dist = uniform_distribution(12, 0.4)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                trace = engine.run_spy(prob, gamma, dist, sched, init, stop, **kw)
+        else:
+            trace = engine.run_adaptive_spy_slowdown(prob, gamma, 0.3, sched, init, stop, **kw)
+        (messages,) = runs.values()
+        check_ledger(trace, messages, 3, init, dense=variant == "davepg")
+        up = np.cumsum([r.coords_up for r in trace.records])
+        down = np.cumsum([r.coords_down for r in trace.records])
+        assert [(p.cum_up, p.cum_down) for p in trace.objective_log[1:]] == \
+            [(trace.priming_up + up[p.k], trace.priming_down + down[p.k])
+             for p in trace.objective_log[1:]]
 
 
 # bit patterns of the entries points are built from: both zeros, both
@@ -705,7 +742,7 @@ class TestCompactTraces:
         assert records[1020:1030] == as_list[1020:1030]
         assert records[::-7] == as_list[::-7]
         assert trace.worker_fires == [r.worker for r in as_list]
-        assert trace.support_curve(3, 10) == [(r.k + 10, r.support_size) for r in as_list[::3]]
+        assert trace.support_curve(3, 10) == [(r.k + 11, r.support_size) for r in as_list[::3]]
         assert trace.cum_down == trace.priming_down + sum(r.coords_down for r in as_list)
 
     @pytest.mark.parametrize("mode", ["sim", "concurrent"])

@@ -193,14 +193,14 @@ class TestIdentificationTime:
                np.array([1.0, 0.0]), np.array([2.0, 0.0])]
         assert metrics.identification_time(pts, ref) == 2
         # an engine trace offers its epoch snapshots as the points
-        trace = engine.RunTrace(epoch_snapshots=pts)
+        trace = engine.RunTrace(epoch_snapshots=engine.SparsePoints(pts))
         assert metrics.identification_time(trace, ref) == 2
 
     def test_tolerance_mode(self):
+        # supports are compared by exact zeros: a tiny entry is not a zero
         ref = self.ref_for([1.0, 0.0])
-        pts = [np.array([1.0, 1e-14])]
-        assert metrics.identification_time(pts, ref) is None
-        assert metrics.identification_time(pts, ref, tol=1e-12) == 0
+        assert metrics.identification_time([np.array([1.0, 1e-14])], ref) is None
+        assert metrics.identification_time([np.array([1.0, -0.0])], ref) == 0
 
     def test_on_outer_trace(self):
         prob = small_lasso()

@@ -311,7 +311,10 @@ class TestSupport:
         assert list(pb.support_of(np.array([0.0, 1.0, 0.0]))) == [1]
 
     def test_tolerance(self):
-        assert list(pb.support_of(np.array([1e-12, 1.0]), tol=1e-10)) == [1]
+        # no tolerance: any nonzero entry, however small, is in the support
+        x = np.array([1e-300, 0.0, -0.0, -5e-324])
+        assert list(pb.support_of(x)) == [0, 3]
+        assert list(pb.null_pattern(x)) == [1, 2]
 
     @settings(max_examples=30, deadline=None)
     @given(x=arrays(np.float64, 8, elements=st.floats(-5, 5)))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from sparsepg import data, direct, engine, metrics, problem as pb, recondition as rc
 from sparsepg.sparsifier import adaptive_distribution
 
-from conftest import strongly_convex_problem, trace_bytes
+from conftest import check_ledger, count_messages, strongly_convex_problem, trace_bytes
 
 
 def small_lasso(d=40, m=60, lam=0.2, M=3, seed=11):
@@ -424,7 +424,7 @@ class TestIdentificationUnderSkew:
 
     @pytest.mark.parametrize("sched", [
         engine.DelaySchedule.heterogeneous([1, 3, 9, 27], seed=0),
-        engine.DelaySchedule.fixed_trace([0] * 30 + [1] * 5 + [2] + [3] * 10, 4),
+        engine.DelaySchedule.fixed_trace([0] * 30 + [1] * 5 + [2] + [3] * 10),
     ], ids=["heterogeneous", "bursty"])
     def test_identification_is_finite(self, sched):
         ds, _ = data.generate_lasso(d=100, m=80, sparsity=0.95, noise_std=0.01, seed=4)
@@ -556,3 +556,32 @@ class TestMomentum:
                               outer_budget=2000, target_objective=self.f_star + 1e-8,
                               seed=11)
         assert mom.n_outer <= plain.n_outer
+
+
+class TestLedgerCountsMessages:
+    """Each inner run's ledger against the messages its sources carry
+    (``conftest.count_messages``); the priming round is charged at ell = 1
+    only."""
+
+    @pytest.mark.parametrize("loop", ["reconditioned", "momentum"])
+    @pytest.mark.parametrize("mode", ["sim", "concurrent"])
+    def test_outer_loops(self, monkeypatch, mode, loop):
+        prob = small_lasso()
+        params = rc.make_params(prob.mu, prob.lip, c=5, d=prob.dim)
+        init = np.zeros(prob.dim)
+        init[:3] = 1.0
+        runs = count_messages(monkeypatch)
+        if loop == "reconditioned":
+            run, criterion = rc.run_reconditioned, rc.InnerCriterion("fixed", epochs=2)
+        else:
+            run, criterion = rc.run_momentum, rc.MomentumCriterion("fixed", epochs=2)
+        trace = run(prob, params, engine.DelaySchedule.round_robin(3), init,
+                    criterion=criterion, outer_budget=6, seed=2, mode=mode)
+        assert len(runs) == len(trace.inner_traces) == trace.n_outer == 6
+        cum_up = cum_down = 0
+        for ell, (inner, messages, center) in enumerate(
+                zip(trace.inner_traces, runs.values(), trace.centers), start=1):
+            check_ledger(inner, messages, 3, center, dense=False, charged=ell == 1)
+            cum_up, cum_down = cum_up + inner.cum_up, cum_down + inner.cum_down
+            assert (trace.records[ell - 1].cum_up, trace.records[ell - 1].cum_down) == \
+                (cum_up, cum_down)
