@@ -208,6 +208,11 @@ def parse_config(text: str) -> ExperimentConfig:
     if cfg.kind.startswith("synthetic") and cfg.kind.endswith("lasso"):
         if cfg.lam1 is None and cfg.target_support is None:
             problems.append("[problem] set lam1 or target_support")
+        elif (cfg.lam1 is None and failed.isdisjoint({"d", "m", "target_support"})
+                and cfg.target_support > min(cfg.d, cfg.m)):
+            # a unique lasso solution has at most min(d, m) nonzeros (Tibshirani 2013)
+            problems.append(f"[problem] target_support={cfg.target_support} exceeds "
+                            f"min(d, m)={min(cfg.d, cfg.m)}")
     elif cfg.lam1 is None:
         cfg.lam1 = 0.03  # logistic default weight when uncalibrated
     if cfg.algorithm in ("reconditioned", "catalyst"):
@@ -236,28 +241,34 @@ def build_problem(cfg: ExperimentConfig):
     """Deterministic problem instance for a config (independent of run seeds).
 
     A lasso without ``lam1`` is calibrated to ``target_support``; the weight
-    found is the problem's ``reg.lam``, and ``cfg`` is left unchanged."""
-    if cfg.kind == "synthetic-lasso":
-        dataset, _ = data.generate_lasso(cfg.d, cfg.m, cfg.sparsity, cfg.noise_std, cfg.data_seed)
-    elif cfg.kind == "synthetic-logistic":
-        dataset, _ = data.generate_lasso(cfg.d, cfg.m, cfg.sparsity, cfg.noise_std, cfg.data_seed)
-        dataset = data.Dataset(X=dataset.X, y=np.sign(dataset.y) + (dataset.y == 0))
-    else:
-        dataset = data.parse_libsvm(cfg.path)
-    if cfg.scale:
-        dataset = data.scale_features(dataset)
-    plan = data.shard_even(dataset, cfg.workers, seed=cfg.data_seed)
-    if not cfg.kind.endswith("lasso"):
-        return data.logistic_problem(dataset, plan, cfg.lam1, cfg.lam2)
-    if cfg.lam1 is not None:
-        return data.lasso_problem(dataset, plan, cfg.lam1)
-    # lam1 changes only the regularizer: build the shards and (mu, L) once
-    base = data.lasso_problem(dataset, plan, 1.0)
+    found is the problem's ``reg.lam``, and ``cfg`` is left unchanged.  Data
+    that cannot be made into the problem (a malformed file, labels other than
+    +/-1, fewer examples than workers) or calibrated raises ``ConfigError``."""
+    try:
+        if cfg.kind.startswith("synthetic"):
+            dataset, _ = data.generate_lasso(cfg.d, cfg.m, cfg.sparsity, cfg.noise_std,
+                                             cfg.data_seed)
+            if cfg.kind == "synthetic-logistic":
+                dataset = data.Dataset(X=dataset.X, y=np.sign(dataset.y) + (dataset.y == 0))
+        else:
+            dataset = data.parse_libsvm(cfg.path)
+        if cfg.scale:
+            dataset = data.scale_features(dataset)
+        plan = data.shard_even(dataset, cfg.workers, seed=cfg.data_seed)
+        if not cfg.kind.endswith("lasso"):
+            return data.logistic_problem(dataset, plan, cfg.lam1, cfg.lam2)
+        if cfg.lam1 is not None:
+            return data.lasso_problem(dataset, plan, cfg.lam1)
+        # lam1 changes only the regularizer: build the shards and (mu, L) once
+        base = data.lasso_problem(dataset, plan, 1.0)
 
-    def at(lam):
-        return replace(base, reg=pb.Regularizer("l1", lam))
+        def at(lam):
+            return replace(base, reg=pb.Regularizer("l1", lam))
 
-    return at(metrics.calibrate_l1(at, cfg.target_support, _lam_max(base)))
+        return at(metrics.calibrate_l1(at, cfg.target_support, _lam_max(base)))
+    except (OSError, ValueError) as exc:
+        source = f"dataset {cfg.path}" if cfg.kind.startswith("libsvm") else f"{cfg.kind} data"
+        raise ConfigError([f"[problem] {source}: {exc}"]) from None
 
 
 def _problem_key(cfg: ExperimentConfig) -> tuple:

@@ -145,15 +145,15 @@ def _least_squares_on_support(problem, supp, signs):
     H = np.zeros((supp.size, supp.size))
     rhs = np.zeros(supp.size)
     diag = np.diag_indices(supp.size)
-    # sum_i alpha_i * ((2/m_i) A_i^T A_i + w_i I) restricted to the support
+    # sum_i alpha_i * ((2/m_i) A_i^T A_i + rho I) restricted to the support
     for alpha, s in zip(problem.alphas, problem.shards):
         A_s = _columns(s.A, supp)
         scale = 2.0 * alpha / s.n_examples
         H += scale * (A_s.T @ A_s)
         rhs += scale * (A_s.T @ s.b)
-        if s.ridge_weight > 0:
-            H[diag] += alpha * s.ridge_weight
-            rhs += alpha * s.ridge_weight * s.ridge_center[supp]
+        if problem.rho > 0:
+            H[diag] += alpha * problem.rho
+            rhs += alpha * problem.rho * problem.center[supp]
     try:
         return np.linalg.solve(H, rhs - _l1_weights(problem.reg, supp) * signs)
     except np.linalg.LinAlgError:
@@ -169,7 +169,7 @@ def _newton_on_support(problem, supp, signs, z):
 
     def model(z, derivatives=True):
         """Value, gradient and Hessian in z of the smooth part plus lin @ z;
-        the ridge terms' constant parts off supp are left out."""
+        the ridge term's constant part off supp is left out."""
         v, g, H = float(lin @ z), lin.copy(), np.zeros((z.size, z.size))
         for alpha, s, A_s in parts:
             m, t = s.n_examples, A_s @ z
@@ -179,12 +179,12 @@ def _newton_on_support(problem, supp, signs, z):
                 g += alpha * (A_s.T @ (-s.b * p) / m + s.l2 * z)
                 H += (alpha / m) * ((A_s.T * (p * (1.0 - p))) @ A_s)
                 H[diag] += alpha * s.l2
-            if s.ridge_weight > 0:
-                diff = z - s.ridge_center[supp]
-                v += 0.5 * alpha * s.ridge_weight * float(diff @ diff)
+            if problem.rho > 0:
+                diff = z - problem.center[supp]
+                v += 0.5 * alpha * problem.rho * float(diff @ diff)
                 if derivatives:
-                    g += alpha * s.ridge_weight * diff
-                    H[diag] += alpha * s.ridge_weight
+                    g += alpha * problem.rho * diff
+                    H[diag] += alpha * problem.rho
         return v, g, H
 
     full = 0

@@ -393,24 +393,23 @@ class StopRule:
 
 
 class _Worker:
-    """Worker i's point x_i and its step, shared by both modes."""
+    """Worker i's point x_i, primed at init as init - gamma grad_i(init), and
+    its step, shared by both modes."""
 
-    def __init__(self, shard, gamma, slowdown_pi, x):
-        self.shard = shard
-        self.gamma = gamma
-        self.slowdown_pi = slowdown_pi
-        self.x = x
+    def __init__(self, problem, i, gamma, slowdown_pi, init):
+        self.problem, self.i, self.gamma, self.slowdown_pi = problem, i, gamma, slowdown_pi
+        self.x = init - gamma * pb.local_gradient(problem, i, init)
 
     def step(self, model, mask):
         """Gradient step at the received model on the mask's coordinates (all
         of them when mask is None); returns (the change of x_i on those
         coordinates, the number of coordinates sent)."""
         if mask is None:
-            u = model - self.gamma * pb.grad_shard(self.shard, model)
+            u = model - self.gamma * pb.local_gradient(self.problem, self.i, model)
             delta = u - self.x
             self.x = u
             return delta, u.size
-        u = model[mask] - self.gamma * pb.grad_shard(self.shard, model, mask)
+        u = model[mask] - self.gamma * pb.local_gradient(self.problem, self.i, model, mask)
         old = self.x[mask]
         if self.slowdown_pi is not None:
             # slowdown fix: the update of supp(model) is damped by pi; the
@@ -523,8 +522,8 @@ def _run(
     workers = []
     xbar = np.zeros(d)
     init_down = d if dist is None and slowdown_pi is None else int(np.count_nonzero(init))
-    for i, shard in enumerate(problem.shards):
-        workers.append(_Worker(shard, gamma, slowdown_pi, init - gamma * pb.grad_shard(shard, init)))
+    for i in range(M):
+        workers.append(_Worker(problem, i, gamma, slowdown_pi, init))
         xbar += problem.alphas[i] * workers[i].x
         if charge_priming:
             trace.priming_down += init_down

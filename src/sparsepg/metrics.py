@@ -51,9 +51,10 @@ def problem_fingerprint(problem: pb.CompositeProblem) -> str:
         else:
             h.update(np.ascontiguousarray(A.T, dtype=float))
         h.update(np.ascontiguousarray(shard.b, dtype=float).tobytes())
-        h.update(repr((shard.kind, shard.l2, shard.ridge_weight)).encode())
-        if shard.ridge_center is not None:
-            h.update(np.ascontiguousarray(shard.ridge_center, dtype=float).tobytes())
+        # the proximal term per shard: the layout cached references are keyed by
+        h.update(repr((shard.kind, shard.l2, problem.rho)).encode())
+        if problem.center is not None:
+            h.update(problem.center.tobytes())
     h.update(np.ascontiguousarray(problem.alphas, dtype=float).tobytes())
     reg = problem.reg
     h.update(repr((reg.kind, reg.lam)).encode())
@@ -207,7 +208,7 @@ def calibrate_l1(problem_builder, target_support: int, lam_hi: float) -> float:
     """Bisect lam1 in (0, lam_hi] until the solution support size hits target.
 
     ``problem_builder(lam1)`` must return the problem at that weight.  Returns
-    the calibrated weight; raises if the bracket never brackets the target.
+    the calibrated weight; raises ValueError if no weight it tries hits the target.
     """
     def support_at(lam):
         prob = problem_builder(lam)
@@ -232,4 +233,4 @@ def calibrate_l1(problem_builder, target_support: int, lam_hi: float) -> float:
             lo = mid
         else:
             hi = mid
-    raise RuntimeError(f"could not calibrate lam1 to support size {target_support}")
+    raise ValueError(f"could not calibrate lam1 to support size {target_support}")

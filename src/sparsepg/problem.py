@@ -113,39 +113,25 @@ class _ColumnStore:
             return True
 
 
-def _column_store(kind, A, b, prev):
-    """A column store for a dense least-squares shard, None otherwise.
-    ``prev`` is kept when it was built from these A and b."""
-    if kind != LEAST_SQUARES or sp.issparse(A):
-        return None
-    if prev is not None and prev.A is A and prev.b is b:
-        return prev
-    return _ColumnStore(A, b)
-
-
 @dataclass(frozen=True)
 class LossShard:
-    """One worker's share of the smooth part.
+    """One worker's data and smooth loss, built and checked once.
 
     ``kind`` is ``least_squares`` (f(x) = ||Ax-b||^2 / m) or ``logistic``
     (mean logistic loss with labels in {-1,+1} plus an l2 term of weight
-    ``l2``).  ``ridge_weight``/``ridge_center`` add (w/2)||x - c||^2, used by
-    proximal reconditioning.  ``A`` is stored column-major.
+    ``l2``).  ``A`` is stored column-major.
 
     ``_cols`` is derived state, not a parameter: the columns of A^T A (a
     ``_ColumnStore``) for a dense least-squares shard, all of them when
-    m >= d and those in use when m < d, and None for other shards.
-    ``dataclasses.replace`` carries it over, so ``reconditioned`` reuses it;
-    it is rebuilt whenever A or b is another object.
+    m >= d and those in use when m < d, and None for other shards.  Every
+    shard built, ``dataclasses.replace`` included, gets its own.
     """
 
     kind: str
     A: object
     b: Array
     l2: float = 0.0
-    ridge_weight: float = 0.0
-    ridge_center: Array | None = None
-    _cols: _ColumnStore | None = field(default=None, repr=False, compare=False)
+    _cols: _ColumnStore | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = _as_matrix(self.A)
@@ -165,18 +151,8 @@ class LossShard:
                 raise ValueError("logistic labels must be exactly +/-1")
             if self.l2 < 0:
                 raise ValueError("l2 weight must be nonnegative")
-        if self.ridge_weight < 0:
-            raise ValueError("ridge weight must be nonnegative")
-        if self.ridge_weight > 0 and self.ridge_center is None:
-            raise ValueError("ridge term needs a center")
-        if self.ridge_center is not None:
-            c = np.asarray(self.ridge_center, dtype=float)
-            if c.shape != (A.shape[1],):
-                raise ValueError("ridge center dimension mismatch")
-            if not _finite(c):
-                raise ValueError("ridge center has non-finite entries")
-            object.__setattr__(self, "ridge_center", c)
-        object.__setattr__(self, "_cols", _column_store(self.kind, A, b, self._cols))
+        dense = self.kind == LEAST_SQUARES and not sp.issparse(A)
+        object.__setattr__(self, "_cols", _ColumnStore(A, b) if dense else None)
 
     @property
     def n_examples(self) -> int:
@@ -209,13 +185,17 @@ class Regularizer:
 
 @dataclass(frozen=True)
 class CompositeProblem:
-    """F = sum_i alpha_i f_i + r with its strong convexity / smoothness moduli."""
+    """F = sum_i alpha_i (f_i + (rho/2)||x - center||^2) + r with its strong
+    convexity / smoothness moduli.  The proximal term, the same for every
+    worker, is zero unless ``reconditioned`` set it; rho > 0 needs a center."""
 
     shards: tuple
     alphas: Array
     reg: Regularizer
     mu: float
     lip: float
+    rho: float = 0.0
+    center: Array | None = None
 
     def __post_init__(self):
         alphas = np.asarray(self.alphas, dtype=float)
@@ -228,6 +208,17 @@ class CompositeProblem:
         d = self.shards[0].dim
         if any(s.dim != d for s in self.shards):
             raise ValueError("all shards must share the feature dimension")
+        if self.rho < 0:
+            raise ValueError("rho must be nonnegative")
+        if self.rho > 0 and self.center is None:
+            raise ValueError("ridge term needs a center")
+        if self.center is not None:
+            c = np.asarray(self.center, dtype=float)
+            if c.shape != (d,):
+                raise ValueError("ridge center dimension mismatch")
+            if not _finite(c):
+                raise ValueError("ridge center has non-finite entries")
+            object.__setattr__(self, "center", c)
         if not 0 <= self.mu <= self.lip:
             raise ValueError("need 0 <= mu <= L")
 
@@ -256,26 +247,14 @@ def composite_problem(shards, reg: Regularizer = Regularizer()) -> CompositeProb
 
 
 def reconditioned(problem: CompositeProblem, rho: float, center: Array) -> CompositeProblem:
-    """Add (rho/2)||x - center||^2 to every shard; shifts (mu, L) by rho.
+    """Add (rho/2)||x - center||^2 to every f_i; shifts (mu, L) by rho.
 
-    A shard holds one ridge term, so a problem that has one already (a
-    reconditioned problem) is refused: recondition the original instead."""
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
-    if any(s.ridge_weight > 0 for s in problem.shards):
+    The result shares the shards of ``problem``.  A problem holds one
+    proximal term, so a problem that has one already (a reconditioned
+    problem) is refused: recondition the original instead."""
+    if problem.rho > 0:
         raise ValueError("problem already has a ridge term: recondition the original problem")
-    center = np.asarray(center, dtype=float)
-    shards = tuple(
-        replace(s, ridge_weight=s.ridge_weight + rho, ridge_center=center)
-        for s in problem.shards
-    )
-    return CompositeProblem(
-        shards=shards,
-        alphas=problem.alphas,
-        reg=problem.reg,
-        mu=problem.mu + rho,
-        lip=problem.lip + rho,
-    )
+    return replace(problem, mu=problem.mu + rho, lip=problem.lip + rho, rho=rho, center=center)
 
 
 # -- smooth part ------------------------------------------------------------
@@ -331,19 +310,23 @@ def grad_shard(shard: LossShard, x: Array, coords=None) -> Array:
     the cost is O(m (|coords| + |supp(x)|)) rather than O(m d)."""
     x = _check_dim(shard, x)
     m = shard.n_examples
-    xc = x if coords is None else x[coords]
     if shard._cols is not None and (Gx := shard._cols.product(x, coords)) is not None:
-        g = (2.0 / m) * Gx
-    elif shard.kind == LEAST_SQUARES:
-        g = (2.0 / m) * _adjoint(shard, _margins(shard, x, _gather_support(x)) - shard.b, coords)
-    else:
-        y = shard.b
-        # d/dz log(1 + exp(-y z)) = -y * sigmoid(-y z)
-        coeff = -y * expit(-y * _margins(shard, x, _gather_support(x)))
-        g = _adjoint(shard, coeff, coords) / m + shard.l2 * xc
-    if shard.ridge_weight > 0:
-        center = shard.ridge_center if coords is None else shard.ridge_center[coords]
-        g = g + shard.ridge_weight * (xc - center)
+        return (2.0 / m) * Gx
+    if shard.kind == LEAST_SQUARES:
+        return (2.0 / m) * _adjoint(shard, _margins(shard, x, _gather_support(x)) - shard.b, coords)
+    y = shard.b
+    # d/dz log(1 + exp(-y z)) = -y * sigmoid(-y z)
+    coeff = -y * expit(-y * _margins(shard, x, _gather_support(x)))
+    return _adjoint(shard, coeff, coords) / m + shard.l2 * (x if coords is None else x[coords])
+
+
+def local_gradient(problem: CompositeProblem, i: int, x: Array, coords=None) -> Array:
+    """Gradient at x of worker i's smooth loss f_i + (rho/2)||x - center||^2;
+    only its entries on the index array ``coords`` when given."""
+    g = grad_shard(problem.shards[i], x, coords)
+    if problem.rho > 0:
+        xc, center = (x, problem.center) if coords is None else (x[coords], problem.center[coords])
+        g = g + problem.rho * (xc - center)
     return g
 
 
@@ -360,9 +343,6 @@ def _value(shard: LossShard, x: Array, z: Array) -> float:
     else:
         v = float(np.logaddexp(0.0, -shard.b * z).sum()) / m
         v += 0.5 * shard.l2 * float(x @ x)
-    if shard.ridge_weight > 0:
-        diff = x - shard.ridge_center
-        v += 0.5 * shard.ridge_weight * float(diff @ diff)
     return v
 
 
@@ -436,7 +416,7 @@ def _shard_constants(shard: LossShard) -> tuple[float, float]:
     else:
         mu = shard.l2
         lip = lam_max / (4.0 * m) + shard.l2
-    return mu + shard.ridge_weight, lip + shard.ridge_weight
+    return mu, lip
 
 
 def _constants(shards) -> tuple[float, float]:
@@ -479,8 +459,8 @@ def reg_value(reg: Regularizer, x: Array) -> float:
 def smooth_gradient(problem: CompositeProblem, x: Array) -> Array:
     """Gradient of the alpha-weighted smooth part at x."""
     g = np.zeros(problem.dim)
-    for alpha, shard in zip(problem.alphas, problem.shards):
-        g += alpha * grad_shard(shard, x)
+    for i, alpha in enumerate(problem.alphas):
+        g += alpha * local_gradient(problem, i, x)
     return g
 
 
@@ -490,7 +470,11 @@ def eval_objective(problem: CompositeProblem, x: Array) -> float:
         raise ValueError(f"expected dimension {problem.dim}, got {x.shape}")
     # supp(x) is found once and every shard gathers its columns
     supp = _gather_support(x)
-    v = sum(a * _value(s, x, _margins(s, x, supp))
+    ridge = 0.0
+    if problem.rho > 0:
+        diff = x - problem.center
+        ridge = 0.5 * problem.rho * float(diff @ diff)
+    v = sum(a * (_value(s, x, _margins(s, x, supp)) + ridge)
             for a, s in zip(problem.alphas, problem.shards))
     return float(v) + reg_value(problem.reg, x)
 

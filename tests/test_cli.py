@@ -139,6 +139,16 @@ class TestConfig:
         with pytest.raises(cli.ConfigError):
             cli.parse_config("not an ini file [[[")
 
+    @pytest.mark.parametrize("d, m", [(20, 500), (500, 20)])
+    def test_target_support_above_d_or_m(self, d, m):
+        # no lam1 gives 50 nonzeros: rejected before the bisection
+        with pytest.raises(cli.ConfigError) as info:
+            cli.parse_config(f"[problem]\nd = {d}\nm = {m}\ntarget_support = 50\n")
+        assert info.value.problems == ["[problem] target_support=50 exceeds min(d, m)=20"]
+        # a given lam1 is not calibrated, so target_support is not read
+        cfg = cli.parse_config(f"[problem]\nd = {d}\nm = {m}\ntarget_support = 50\nlam1 = 0.1\n")
+        assert cfg.target_support == 50
+
 
 class TestBuildProblem:
     def test_synthetic_logistic_labels(self):
@@ -183,6 +193,31 @@ class TestBuildProblem:
 
 
 class TestRun:
+    @pytest.mark.parametrize("text, problem", [
+        ("+1 1:0.5\n-1 2:1.0\nbad 1:1\n", "line 3: bad label 'bad'"),
+        ("1 1:0.5\n2 2:1.0\n1 1:1\n2 2:0.5\n", "logistic labels must be exactly +/-1"),
+    ], ids=["malformed", "labels-1-2"])
+    def test_unusable_dataset_exit(self, tmp_path, capsys, text, problem):
+        path = write(tmp_path, "data.svm", text)
+        cfgp = write(tmp_path, "exp.ini", f"[problem]\nkind = libsvm-logistic\npath = {path}\n\n"
+                                          "[run]\nalgorithm = davepg\nworkers = 2\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfgp, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert f"[problem] dataset {path}: {problem}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_uncalibrated_support_exit(self, tmp_path, capsys):
+        # b = 0 (x0 = 0, no noise): every weight gives x* = 0, so the
+        # bisection ends without the target
+        cfgp = write(tmp_path, "exp.ini", "[problem]\nd = 20\nm = 40\nsparsity = 1.0\n"
+                                          "noise_std = 0.0\ntarget_support = 5\n\n"
+                                          "[run]\nalgorithm = davepg\nworkers = 2\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfgp, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert ("[problem] synthetic-lasso data: could not calibrate lam1 to support size 5"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_run_outputs_and_exit(self, tmp_path):
         cfgp = write(tmp_path, "exp.ini", SMALL_LASSO)
         out = tmp_path / "out"

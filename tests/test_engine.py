@@ -462,13 +462,13 @@ class TestConcurrentWorkerFailure:
         calls = []
         lock = threading.Lock()
 
-        def failing_grad(shard, x):
+        def failing_grad(shard, x, coords=None):
             with lock:
                 calls.append(None)
                 n = len(calls)
             if n == 10:
                 raise FloatingPointError("injected")
-            return grad(shard, x)
+            return grad(shard, x, coords)
 
         monkeypatch.setattr(pb, "grad_shard", failing_grad)
         before = set(threading.enumerate())

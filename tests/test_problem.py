@@ -49,8 +49,10 @@ class TestShardValidation:
             pb.LossShard(kind=pb.LOGISTIC, A=np.eye(2), b=np.array([1.0, 0.5]))
 
     def test_ridge_needs_center(self):
-        with pytest.raises(ValueError):
-            pb.LossShard(kind=pb.LEAST_SQUARES, A=np.eye(2), b=np.zeros(2), ridge_weight=1.0)
+        prob = pb.composite_problem([pb.LossShard(kind=pb.LEAST_SQUARES, A=np.eye(2),
+                                                  b=np.zeros(2))])
+        with pytest.raises(ValueError, match="center"):
+            replace(prob, rho=1.0)
 
 
 class TestGradShard:
@@ -83,11 +85,9 @@ class TestGradShard:
             assert np.linalg.norm(g - fd) <= 1e-5 * max(np.linalg.norm(g), 1.0)
 
     def test_ridge_term(self):
-        center = np.array([1.0])
-        shard = pb.LossShard(kind=pb.LEAST_SQUARES, A=np.array([[1.0]]), b=np.array([0.0]),
-                             ridge_weight=3.0, ridge_center=center)
+        prob = pb.reconditioned(pb.composite_problem([quad_shard(1, 0)]), 3.0, np.array([1.0]))
         # grad = 2x + 3(x - 1); at x=2: 4 + 3 = 7
-        assert pb.grad_shard(shard, np.array([2.0])) == pytest.approx([7.0])
+        assert pb.local_gradient(prob, 0, np.array([2.0])) == pytest.approx([7.0])
 
 
 class TestSmoothnessConstants:
@@ -293,7 +293,9 @@ class TestObjective:
         assert pb._gather_support(sparse) is not None and pb._gather_support(dense) is None
         for p in (prob, pb.reconditioned(prob, 0.4, dense)):
             for x in points:
-                want = float(sum(a * pb.shard_value(s, x) for a, s in zip(p.alphas, p.shards)))
+                ridge = 0.5 * p.rho * float((x - dense) @ (x - dense))
+                want = float(sum(a * (pb.shard_value(s, x) + ridge)
+                                 for a, s in zip(p.alphas, p.shards)))
                 assert pb.eval_objective(p, x) == want + pb.reg_value(p.reg, x)
 
     def test_toy_lasso_value(self):
@@ -329,9 +331,15 @@ class TestReconditioned:
         sub = pb.reconditioned(prob, 2.5, np.ones(6))
         assert sub.mu == pytest.approx(prob.mu + 2.5)
         assert sub.lip == pytest.approx(prob.lip + 2.5)
-        mu, lip = pb._constants(sub.shards)
-        assert mu == pytest.approx(prob.mu + 2.5, abs=1e-6)
-        assert lip == pytest.approx(prob.lip + 2.5, rel=1e-6)
+        # the extreme eigenvalues of the workers' local Hessians, read off
+        # local_gradient, which is affine for least squares
+        eigs = []
+        for i in range(sub.n_workers):
+            g0 = pb.local_gradient(sub, i, np.zeros(6))
+            hess = np.array([pb.local_gradient(sub, i, e) - g0 for e in np.eye(6)])
+            eigs.append(np.linalg.eigvalsh((hess + hess.T) / 2.0))
+        assert min(e[0] for e in eigs) == pytest.approx(prob.mu + 2.5, abs=1e-6)
+        assert max(e[-1] for e in eigs) == pytest.approx(prob.lip + 2.5, rel=1e-6)
 
     def test_value_and_gradient(self):
         rng = np.random.default_rng(7)
@@ -339,9 +347,8 @@ class TestReconditioned:
         center = rng.standard_normal(6)
         x = rng.standard_normal(6)
         sub = pb.reconditioned(prob, 1.5, center)
-        base = sum(a * pb.shard_value(s, x) for a, s in zip(prob.alphas, prob.shards))
-        got = sum(a * pb.shard_value(s, x) for a, s in zip(sub.alphas, sub.shards))
-        assert got == pytest.approx(base + 0.75 * np.sum((x - center) ** 2))
+        base = pb.eval_objective(prob, x)
+        assert pb.eval_objective(sub, x) == pytest.approx(base + 0.75 * np.sum((x - center) ** 2))
         g = pb.smooth_gradient(sub, x)
         assert g == pytest.approx(pb.smooth_gradient(prob, x) + 1.5 * (x - center))
 
@@ -364,9 +371,11 @@ class TestNonFiniteShards:
             pb.LossShard(kind=pb.LEAST_SQUARES, A=np.eye(2), b=np.array([0.0, np.nan]))
 
     def test_infinite_ridge_center_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            pb.LossShard(kind=pb.LEAST_SQUARES, A=np.eye(2), b=np.zeros(2),
-                         ridge_weight=1.0, ridge_center=np.array([np.inf, 0.0]))
+        prob = pb.composite_problem([pb.LossShard(kind=pb.LEAST_SQUARES, A=np.eye(2),
+                                                  b=np.zeros(2))])
+        for rho in (1.0, 0.0):
+            with pytest.raises(ValueError, match="non-finite"):
+                pb.reconditioned(prob, rho, np.array([np.inf, 0.0]))
 
 
 class TestColumnMajorStorage:
@@ -400,6 +409,13 @@ def _brute_shard(kind, A, b, l2, ridge, center, x):
         v += 0.5 * ridge * np.sum((x - center) ** 2)
         g = g + ridge * (x - center)
     return v, g
+
+
+def _alone(shard, rho=0.0, center=None):
+    """A one-shard problem with the proximal term (rho, center); the oracles
+    tested with it do not read (mu, L), which are left at (0, 1)."""
+    return pb.CompositeProblem(shards=(shard,), alphas=np.ones(1), reg=pb.Regularizer(),
+                               mu=0.0, lip=1.0, rho=rho, center=center)
 
 
 def _pick(rng, d, how):
@@ -438,8 +454,8 @@ class TestRestrictedOracles:
         l2_w = 0.1 if (l2 and kind == pb.LOGISTIC) else 0.0
         ridge_w = 0.7 if ridge else 0.0
         center = rng.standard_normal(d) if ridge else None
-        shard = pb.LossShard(kind=kind, A=A, b=b, l2=l2_w, ridge_weight=ridge_w,
-                             ridge_center=center)
+        shard = pb.LossShard(kind=kind, A=A, b=b, l2=l2_w)
+        prob = _alone(shard, ridge_w, center)
         x = np.zeros(d)
         supp = _pick(rng, d, support)
         x[supp] = rng.standard_normal(supp.size)
@@ -447,11 +463,13 @@ class TestRestrictedOracles:
 
         v_ref, g_ref = _brute_shard(kind, A, b, l2_w, ridge_w, center, x)
         scale = max(np.max(np.abs(g_ref)), 1.0)
-        g_S = pb.grad_shard(shard, x, S)
+        g_S = pb.local_gradient(prob, 0, x, S)
         assert g_S.shape == (S.size,)
         assert np.all(np.abs(g_S - g_ref[S]) <= 1e-12 * scale)
-        assert np.all(np.abs(g_S - pb.grad_shard(shard, x)[S]) <= 1e-12 * scale)
-        assert abs(pb.shard_value(shard, x) - v_ref) <= 1e-12 * max(abs(v_ref), 1.0)
+        assert np.all(np.abs(g_S - pb.local_gradient(prob, 0, x)[S]) <= 1e-12 * scale)
+        assert abs(pb.eval_objective(prob, x) - v_ref) <= 1e-12 * max(abs(v_ref), 1.0)
+        v_shard, _ = _brute_shard(kind, A, b, l2_w, 0.0, None, x)
+        assert abs(pb.shard_value(shard, x) - v_shard) <= 1e-12 * max(abs(v_shard), 1.0)
 
     def test_objective_on_sparse_iterate(self):
         rng = np.random.default_rng(9)
@@ -473,12 +491,13 @@ class TestRestrictedOracles:
         assert np.array_equal(pb.prox_reg(reg, gamma, u[S], S), pb.prox_reg(reg, gamma, u)[S])
 
 
-def _ls_shard(rng, m, d, ridge):
-    """A dense least-squares shard, with a ridge term when ``ridge``."""
+def _ls_problem(rng, m, d, ridge):
+    """A one-shard problem on a dense least-squares shard, with a ridge term
+    when ``ridge``."""
     center = rng.standard_normal(d) if ridge else None
-    return pb.LossShard(kind=pb.LEAST_SQUARES, A=rng.standard_normal((m, d)),
-                        b=rng.standard_normal(m), ridge_weight=0.7 if ridge else 0.0,
-                        ridge_center=center)
+    shard = pb.LossShard(kind=pb.LEAST_SQUARES, A=rng.standard_normal((m, d)),
+                         b=rng.standard_normal(m))
+    return _alone(shard, 0.7 if ridge else 0.0, center)
 
 
 # (m, d) of a tall shard, whose store holds all of G, and of a wide one
@@ -501,38 +520,38 @@ class TestGramForm:
         rng = np.random.default_rng(seed)
         d = int(rng.integers(1, 60))
         m = d + int(rng.integers(0, 40))
-        shard = _ls_shard(rng, m, d, ridge)
+        prob = _ls_problem(rng, m, d, ridge)
+        shard = prob.shards[0]
         assert shard._cols is not None and shard._cols.n == d
         # the same shard stored CSC takes the column path
-        twin = pb.LossShard(kind=pb.LEAST_SQUARES, A=sp.csc_matrix(shard.A), b=shard.b,
-                            ridge_weight=shard.ridge_weight, ridge_center=shard.ridge_center)
-        assert twin._cols is None
+        twin = replace(prob, shards=(replace(shard, A=sp.csc_matrix(shard.A)),))
+        assert twin.shards[0]._cols is None
         x = np.zeros(d)
         supp = _pick(rng, d, support)
         x[supp] = rng.standard_normal(supp.size)
         S = None if coords is None else _pick(rng, d, coords)
 
         _, g_ref = _brute_shard(pb.LEAST_SQUARES, shard.A, shard.b, 0.0,
-                                shard.ridge_weight, shard.ridge_center, x)
+                                prob.rho, prob.center, x)
         want = g_ref if S is None else g_ref[S]
-        got = pb.grad_shard(shard, x, S)
+        got = pb.local_gradient(prob, 0, x, S)
         scale = max(np.max(np.abs(g_ref)), 1.0)
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
-        assert np.all(np.abs(got - pb.grad_shard(twin, x, S)) <= 1e-12 * scale)
+        assert np.all(np.abs(got - pb.local_gradient(twin, 0, x, S)) <= 1e-12 * scale)
 
     def test_reconditioning_reuses_gram(self):
         rng = np.random.default_rng(13)
         for m, d in _TALL_AND_WIDE:
-            prob = pb.composite_problem([_ls_shard(rng, m, d, False) for _ in range(2)])
+            prob = pb.composite_problem([_ls_problem(rng, m, d, False).shards[0]
+                                         for _ in range(2)])
             x = np.zeros(d)
             x[[3, 7]] = [1.0, -2.0]
             pb.smooth_gradient(prob, x)
             sub = pb.reconditioned(prob, 0.5, x)
             again = pb.reconditioned(prob, 0.25, np.zeros(d))
-            for old, new, newer in zip(prob.shards, sub.shards, again.shards):
-                assert new._cols is old._cols
-                assert newer._cols is old._cols
+            assert sub.shards is prob.shards and again.shards is prob.shards
+            for old in prob.shards:
                 assert old._cols.n == (d if m >= d else 2)
             store = prob.shards[0]._cols
             A, b = prob.shards[0].A, prob.shards[0].b
@@ -545,10 +564,11 @@ class TestGramForm:
     def test_replace_of_data_rebuilds_gram(self):
         rng = np.random.default_rng(14)
         for m, d in _TALL_AND_WIDE:
-            shard = _ls_shard(rng, m, d, True)
+            prob = _ls_problem(rng, m, d, True)
+            shard = prob.shards[0]
             x = np.zeros(d)
             x[[3, 7]] = rng.standard_normal(2)
-            pb.grad_shard(shard, x)
+            pb.local_gradient(prob, 0, x)
             changed = [
                 replace(shard, b=rng.standard_normal(m)),
                 replace(shard, A=rng.standard_normal((m, d))),
@@ -561,8 +581,9 @@ class TestGramForm:
                 assert new._cols.A is new.A and new._cols.b is new.b
                 assert new._cols.n == (d if new.n_examples >= d else 0)
                 _, g = _brute_shard(pb.LEAST_SQUARES, new.A, new.b, 0.0,
-                                    new.ridge_weight, new.ridge_center, x)
-                assert np.allclose(pb.grad_shard(new, x), g, rtol=1e-12, atol=1e-12)
+                                    prob.rho, prob.center, x)
+                got = pb.local_gradient(replace(prob, shards=(new,)), 0, x)
+                assert np.allclose(got, g, rtol=1e-12, atol=1e-12)
 
 
 class TestColumnStore:
@@ -576,11 +597,12 @@ class TestColumnStore:
         x[supp] = rng.standard_normal(len(supp))
         return x
 
-    def check(self, shard, x, S):
+    def check(self, prob, x, S):
+        shard = prob.shards[0]
         _, g_ref = _brute_shard(pb.LEAST_SQUARES, shard.A, shard.b, 0.0,
-                                shard.ridge_weight, shard.ridge_center, x)
+                                prob.rho, prob.center, x)
         want = g_ref if S is None else g_ref[S]
-        got = pb.grad_shard(shard, x, S)
+        got = pb.local_gradient(prob, 0, x, S)
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-12 * max(np.max(np.abs(g_ref)), 1.0))
         return got
@@ -597,12 +619,13 @@ class TestColumnStore:
         rng = np.random.default_rng(seed)
         d = int(rng.integers(24, 80))
         m = int(rng.integers(1, d))
-        shard = _ls_shard(rng, m, d, ridge)
+        prob = _ls_problem(rng, m, d, ridge)
+        shard = prob.shards[0]
         assert shard._cols is not None and shard._cols.n == 0
         for support, coords in calls:
             x = self.point(rng, d, _pick(rng, d, support))
             S = None if coords is None else _pick(rng, d, coords)
-            self.check(shard, x, S)
+            self.check(prob, x, S)
             store = shard._cols
             assert store.n <= m
             stored = np.flatnonzero(store.pos >= 0)
@@ -614,42 +637,43 @@ class TestColumnStore:
 
     def test_columns_are_added_on_first_use(self):
         rng = np.random.default_rng(20)
-        shard = _ls_shard(rng, 10, 48, False)
-        store = shard._cols
-        self.check(shard, np.zeros(48), None)  # x = 0 needs no column
+        prob = _ls_problem(rng, 10, 48, False)
+        store = prob.shards[0]._cols
+        self.check(prob, np.zeros(48), None)  # x = 0 needs no column
         assert store.n == 0
-        self.check(shard, self.point(rng, 48, [5, 9]), np.array([1, 5, 30]))
-        self.check(shard, self.point(rng, 48, [9, 5, 2]), None)
+        self.check(prob, self.point(rng, 48, [5, 9]), np.array([1, 5, 30]))
+        self.check(prob, self.point(rng, 48, [9, 5, 2]), None)
         assert store.n == 3
         assert list(store.pos[[5, 9, 2]]) == [0, 1, 2]
 
     def test_full_store_and_large_support_fall_back(self):
         rng = np.random.default_rng(21)
-        shard = _ls_shard(rng, 3, 48, True)  # room for 3 columns
-        store = shard._cols
-        self.check(shard, self.point(rng, 48, [0, 1]), None)
+        prob = _ls_problem(rng, 3, 48, True)  # room for 3 columns
+        store = prob.shards[0]._cols
+        self.check(prob, self.point(rng, 48, [0, 1]), None)
         assert store.n == 2
         # two missing columns, room for one: the column path, nothing stored
-        self.check(shard, self.point(rng, 48, [1, 2, 3]), np.array([0, 2, 7]))
+        self.check(prob, self.point(rng, 48, [1, 2, 3]), np.array([0, 2, 7]))
         assert store.n == 2 and np.all(store.pos[[2, 3]] < 0)
-        self.check(shard, self.point(rng, 48, [2]), None)
+        self.check(prob, self.point(rng, 48, [2]), None)
         assert store.n == 3
-        self.check(shard, self.point(rng, 48, [4]), np.array([4]))  # full
+        self.check(prob, self.point(rng, 48, [4]), np.array([4]))  # full
         assert store.n == 3 and store.pos[4] < 0
         assert store.product(self.point(rng, 48, [4]), None) is None
         # 7 > 48/8 nonzeros: not few, so not from the store even if stored
-        self.check(shard, self.point(rng, 48, np.arange(7)), None)
+        self.check(prob, self.point(rng, 48, np.arange(7)), None)
         assert store.product(self.point(rng, 48, [0, 1, 2, 5, 6, 7, 8]), None) is None
         assert store.product(self.point(rng, 48, [0, 2]), np.array([3])) is not None
 
     def test_never_more_entries_than_A(self):
         rng = np.random.default_rng(22)
         for m, d in ((1, 24), (5, 40), (30, 31)):
-            shard = _ls_shard(rng, m, d, False)
+            prob = _ls_problem(rng, m, d, False)
+            shard = prob.shards[0]
             assert shard._cols.cols.size == shard.A.size
             for _ in range(4 * d):
                 k = int(rng.integers(0, d // 8 + 1))
-                self.check(shard, self.point(rng, d, rng.choice(d, k, replace=False)), None)
+                self.check(prob, self.point(rng, d, rng.choice(d, k, replace=False)), None)
             assert shard._cols.n <= m
             assert np.count_nonzero(shard._cols.pos >= 0) == shard._cols.n
 
@@ -666,49 +690,51 @@ class TestColumnStore:
     def test_store_is_not_part_of_identity(self):
         rng = np.random.default_rng(25)
         for m, d in _TALL_AND_WIDE:
-            shard = _ls_shard(rng, m, d, True)
-            pb.grad_shard(shard, self.point(rng, d, [1, 2, 3]))
-            twin = pb.LossShard(kind=shard.kind, A=shard.A, b=shard.b,
-                                ridge_weight=shard.ridge_weight,
-                                ridge_center=shard.ridge_center)
+            prob = _ls_problem(rng, m, d, True)
+            shard = prob.shards[0]
+            pb.local_gradient(prob, 0, self.point(rng, d, [1, 2, 3]))
+            twin = pb.LossShard(kind=shard.kind, A=shard.A, b=shard.b)
             assert twin._cols is not shard._cols
             assert twin._cols.n == (d if m >= d else 0)
             assert twin == shard
             assert repr(twin) == repr(shard) and "_cols" not in repr(shard)
-            assert metrics.problem_fingerprint(pb.composite_problem([twin])) == \
-                metrics.problem_fingerprint(pb.composite_problem([shard]))
+            assert metrics.problem_fingerprint(_alone(twin, prob.rho, prob.center)) == \
+                metrics.problem_fingerprint(prob)
 
     def test_pickle_round_trip(self):
         rng = np.random.default_rng(26)
         for m, d in _TALL_AND_WIDE:
-            shard = _ls_shard(rng, m, d, True)
+            prob = _ls_problem(rng, m, d, True)
+            shard = prob.shards[0]
             x = self.point(rng, d, [4, 7])
             S = np.array([0, 4, 9])
-            g = pb.grad_shard(shard, x, S)
-            back = pickle.loads(pickle.dumps(shard))
+            g = pb.local_gradient(prob, 0, x, S)
+            back_prob = pickle.loads(pickle.dumps(prob))
+            back = back_prob.shards[0]
             assert np.array_equal(back.A, shard.A) and np.array_equal(back.b, shard.b)
             assert back._cols.A is back.A and back._cols.b is back.b
             assert back._cols.n == shard._cols.n == (d if m >= d else 2)
             assert np.array_equal(back._cols.pos, shard._cols.pos)
             assert np.array_equal(back._cols.cols[:, :shard._cols.n],
                                   shard._cols.cols[:, :shard._cols.n])
-            assert np.array_equal(pb.grad_shard(back, x, S), g)
-            self.check(back, self.point(rng, d, [4, 5]), None)  # appends under its own lock
+            assert np.array_equal(pb.local_gradient(back_prob, 0, x, S), g)
+            self.check(back_prob, self.point(rng, d, [4, 5]), None)  # appends under its own lock
             assert back._cols.n == (d if m >= d else 3)
             assert shard._cols.n == (d if m >= d else 2)
 
     def test_threads_give_serial_results(self):
         rng = np.random.default_rng(27)
         d = 96
-        shard = _ls_shard(rng, 60, d, True)
+        prob = _ls_problem(rng, 60, d, True)
+        shard = prob.shards[0]
         # supports from 48 coordinates: the store never fills, so every call
         # with at most 12 nonzeros takes it
         pool = rng.choice(d, 48, replace=False)
         calls = [[(self.point(rng, d, rng.choice(pool, int(rng.integers(0, 13)), replace=False)),
                    None if rng.random() < 0.3 else np.sort(rng.choice(d, 10, replace=False)))
                   for _ in range(40)] for _ in range(4)]
-        fresh = replace(shard, b=shard.b.copy())  # same data, its own empty store
-        want = [[pb.grad_shard(fresh, x, S) for x, S in thread] for thread in calls]
+        fresh = replace(prob, shards=(replace(shard, b=shard.b.copy()),))  # its own empty store
+        want = [[pb.local_gradient(fresh, 0, x, S) for x, S in thread] for thread in calls]
         got = [[None] * len(thread) for thread in calls]
         errors = []
 
@@ -716,7 +742,7 @@ class TestColumnStore:
             try:
                 for _ in range(3):
                     for i, (x, S) in enumerate(calls[t]):
-                        got[t][i] = pb.grad_shard(shard, x, S)
+                        got[t][i] = pb.local_gradient(prob, 0, x, S)
                         assert np.array_equal(got[t][i], want[t][i])
             except BaseException as exc:  # reported in the main thread
                 errors.append(exc)
@@ -733,7 +759,7 @@ class TestColumnStore:
             sys.setswitchinterval(old)
         assert not errors, errors
         assert not any(th.is_alive() for th in threads)
-        assert shard._cols.n == fresh._cols.n <= 60
+        assert shard._cols.n == fresh.shards[0]._cols.n <= 60
 
     def test_readme_lasso_solve_leaves_room_unused(self):
         # the README lasso (d=1000, 125 examples per shard, s*=12): its solve

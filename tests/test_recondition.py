@@ -310,6 +310,20 @@ class TestReconditionedLoop:
         assert trace.n_outer == 20
         assert len(calls) == 20
 
+    def test_outer_steps_build_no_shard(self, monkeypatch):
+        # a reconditioned problem shares the shards, and with them their
+        # column stores, so no outer step builds or checks shard data again
+        built = []
+        post_init = pb.LossShard.__post_init__
+        monkeypatch.setattr(pb.LossShard, "__post_init__",
+                            lambda shard: built.append(None) or post_init(shard))
+        assert pb.reconditioned(self.prob, self.params.rho, np.ones(40)).shards is self.prob.shards
+        trace = rc.run_reconditioned(self.prob, self.params, self.sched, np.zeros(40),
+                                     criterion=rc.InnerCriterion(kind="relative"),
+                                     outer_budget=20, seed=3)
+        assert trace.n_outer == 20
+        assert built == []
+
     def test_iteration_yields_centers(self):
         # the plain loop centers each step at the previous step's result
         trace = rc.run_reconditioned(self.prob, self.params, self.sched, np.zeros(40),
