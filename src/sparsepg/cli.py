@@ -3,9 +3,11 @@
 Subcommands:
   run        -- execute one experiment config across seeds
   compare    -- run several configs on the same problem and merge their curves
-  warmstart  -- dense phase until a trigger, then the sparsified method
   defaults   -- print the full default config
   presets    -- list or materialize packaged study configs
+
+A config with a [warmstart] section runs, for each seed, a dense phase until
+its trigger holds and then the configured method from the point reached.
 
 All emitted CSVs carry per-seed curves plus pointwise median / interquartile
 rows over the common prefix; no resampling or smoothing.
@@ -381,14 +383,38 @@ class SeedResult:
     trace: object = None
     subopt: list = field(default_factory=list)
     support: list = field(default_factory=list)
+    phase1_exchanges: int = 0  # coordinates of the [warmstart] phase
 
 
-def _execute_seed(problem, cfg, seed, ref, mode, phase1=None) -> SeedResult:
-    """One seed of the configured algorithm.  With ``phase1`` (a finished
-    engine trace) the run starts at its final point, and its iterations,
-    coordinates and curves come first in the result."""
-    init = None if phase1 is None else phase1.final_x.copy()
+class TriggerUnreachable(RuntimeError):
+    """A [warmstart] phase ended without meeting its trigger."""
+
+
+def _execute_seed(problem, cfg, seed, ref, mode) -> SeedResult:
+    """One seed of the configured algorithm.
+
+    With a [warmstart] section a ``ws_algorithm`` engine run comes first,
+    from 0 until the gap is at most ``subopt_threshold`` and the density at
+    most ``density_threshold`` at an epoch's end (skipped when that holds at
+    0).  The configured run starts at its final point, and its iterations,
+    coordinates and curves come first in the result.  A trigger not met
+    within ``max_epochs`` raises ``TriggerUnreachable``."""
+
+    def triggered(x):
+        gap = pb.eval_objective(problem, x) - ref.f_star
+        return gap <= cfg.ws_subopt and np.count_nonzero(x) / problem.dim <= cfg.ws_density
+
+    phase1 = init = None
     try:
+        if cfg.warmstart and not triggered(np.zeros(problem.dim)):
+            stop = engine.StopRule(max_epochs=cfg.ws_max_epochs,
+                                   epoch_predicate=lambda x, m: triggered(x))
+            phase1 = _run_engine(problem, cfg, cfg.ws_algorithm, seed,
+                                 np.zeros(problem.dim), stop, mode)
+            if not triggered(phase1.final_x):
+                raise TriggerUnreachable(f"seed {seed}: warmstart trigger unreachable "
+                                         f"within {cfg.ws_max_epochs} epochs")
+            init = phase1.final_x.copy()
         trace = run_algorithm(problem, cfg, seed, ref, mode=mode, init=init)
     except engine.DivergenceError as exc:
         return SeedResult(seed=seed, status="diverged", error=str(exc))
@@ -408,6 +434,7 @@ def _execute_seed(problem, cfg, seed, ref, mode, phase1=None) -> SeedResult:
         trace=trace,
         subopt=subopt + _subopt_curves(trace, ref.f_star, up0, down0, it0),
         support=support + trace.support_curve(cfg.log_stride, it0),
+        phase1_exchanges=up0 + down0,
     )
 
 
@@ -415,7 +442,7 @@ def _run_seeds(problem, cfg, ref, mode) -> list[SeedResult]:
     return [_execute_seed(problem, cfg, s, ref, mode) for s in cfg.seeds]
 
 
-def _emit_experiment(out_dir, cfg, problem, ref, results, extra_summary=None):
+def _emit_experiment(out_dir, cfg, problem, ref, results):
     cfg = replace(cfg, lam1=problem.reg.lam)  # the weight used, calibrated or not
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.ini"), "w") as fh:
@@ -463,8 +490,16 @@ def _emit_experiment(out_dir, cfg, problem, ref, results, extra_summary=None):
         },
         "identification_times": [r.identification for r in results],
     }
-    if extra_summary:
-        summary.update(extra_summary)
+    if cfg.warmstart:
+        summary["warmstart"] = {
+            str(r.seed): {
+                "phase1_exchanges": r.phase1_exchanges,
+                "total_exchanges": r.cum_up + r.cum_down,
+                "phase1_fraction": (r.phase1_exchanges / (r.cum_up + r.cum_down)
+                                    if r.cum_up + r.cum_down else 0.0),
+            }
+            for r in results if r.status != "diverged"
+        }
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, default=float)
     return summary
@@ -523,49 +558,6 @@ def cmd_compare(cfgs, labels, out_dir: str, mode: str, cache_dir=None) -> int:
         w.writerow(["label", "seed", "point", "iteration", "exchanged", "gap"])
         w.writerows(merged)
     return max(codes)
-
-
-def cmd_warmstart(cfg: ExperimentConfig, out_dir: str, mode: str, cache_dir=None) -> int:
-    if not cfg.warmstart:
-        print("error: config has no [warmstart] section", file=sys.stderr)
-        return EXIT_CONFIG
-    problem = build_problem(cfg)
-    ref = get_reference(problem, cfg, cache_dir)
-    d = problem.dim
-
-    def triggered(x):
-        gap = pb.eval_objective(problem, x) - ref.f_star
-        density = np.count_nonzero(x) / d
-        return gap <= cfg.ws_subopt and density <= cfg.ws_density
-
-    results = []
-    phase1_info = {}
-    for seed in cfg.seeds:
-        init = np.zeros(d)
-        if triggered(init):
-            phase1 = None  # trigger already satisfied; dense phase skipped
-        else:
-            stop = engine.StopRule(max_epochs=cfg.ws_max_epochs,
-                                   epoch_predicate=lambda x, m: triggered(x))
-            phase1 = _run_engine(problem, cfg, cfg.ws_algorithm, seed, init, stop, mode)
-            if not triggered(phase1.final_x):
-                print(f"error: seed {seed}: warmstart trigger unreachable within "
-                      f"{cfg.ws_max_epochs} epochs", file=sys.stderr)
-                return EXIT_TARGET
-        result = _execute_seed(problem, cfg, seed, ref, mode, phase1=phase1)
-        results.append(result)
-        if result.status == "diverged":
-            continue
-        phase1_ex = 0 if phase1 is None else phase1.cum_up + phase1.cum_down
-        total = result.cum_up + result.cum_down
-        phase1_info[str(seed)] = {
-            "phase1_exchanges": phase1_ex,
-            "total_exchanges": total,
-            "phase1_fraction": phase1_ex / total if total else 0.0,
-        }
-    _emit_experiment(out_dir, cfg, problem, ref, results,
-                     extra_summary={"warmstart": phase1_info})
-    return _exit_code(results)
 
 
 # -- presets -----------------------------------------------------------------
@@ -653,7 +645,6 @@ def _build_parser():
     pc = sub.add_parser("compare", help="run several configs on one problem")
     common(pc)
     pc.add_argument("--preset", default=None, help="packaged study: sm1, sm7, fig-lasso")
-    common(sub.add_parser("warmstart", help="dense warmstart then sparsified phase"))
     sub.add_parser("defaults", help="print the default config")
     pp = sub.add_parser("presets", help="list packaged presets or write their configs")
     pp.add_argument("--out", default=None, help="write preset configs here")
@@ -704,11 +695,6 @@ def main(argv=None) -> int:
                 print("error: run takes exactly one --config", file=sys.stderr)
                 return EXIT_CONFIG
             return cmd_run(cfgs[0], args.out, args.mode, args.cache_dir)
-        if args.command == "warmstart":
-            if len(cfgs) != 1:
-                print("error: warmstart takes exactly one --config", file=sys.stderr)
-                return EXIT_CONFIG
-            return cmd_warmstart(cfgs[0], args.out, args.mode, args.cache_dir)
         if len(cfgs) < 2:
             print("error: compare needs at least two configs or a --preset", file=sys.stderr)
             return EXIT_CONFIG
@@ -716,6 +702,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except TriggerUnreachable as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_TARGET
 
 
 if __name__ == "__main__":

@@ -403,19 +403,18 @@ class TestCompare:
         assert not out.exists()
 
 
-class TestWarmstart:
-    def test_requires_section(self, tmp_path):
-        cfgp = write(tmp_path, "exp.ini", SMALL_LASSO)
-        assert cli.main(["warmstart", "--config", cfgp, "--out", str(tmp_path / "o")]) == 2
+# a dense phase that SMALL_LASSO's seeds end within its epoch cap
+TWO_PHASE = ("\n[warmstart]\nalgorithm = davepg\nsubopt_threshold = 1e-1\n"
+             "density_threshold = 0.5\nmax_epochs = 4000\n")
+UNREACHABLE = ("\n[warmstart]\nalgorithm = davepg\nsubopt_threshold = 1e-12\n"
+               "density_threshold = 1e-6\nmax_epochs = 2\n")
 
+
+class TestWarmstart:
     def test_two_phase_counters_accumulate(self, tmp_path):
-        text = SMALL_LASSO + (
-            "\n[warmstart]\nalgorithm = davepg\nsubopt_threshold = 1e-1\n"
-            "density_threshold = 0.5\nmax_epochs = 4000\n"
-        )
-        cfgp = write(tmp_path, "exp.ini", text)
+        cfgp = write(tmp_path, "exp.ini", SMALL_LASSO + TWO_PHASE)
         out = tmp_path / "ws"
-        assert cli.main(["warmstart", "--config", cfgp, "--out", str(out),
+        assert cli.main(["run", "--config", cfgp, "--out", str(out),
                          "--seeds", "1"]) == 0
         summary = json.loads((out / "summary.json").read_text())
         info = summary["warmstart"]["1"]
@@ -428,13 +427,9 @@ class TestWarmstart:
     def test_outer_support_curve_counts_iterations(self, tmp_path):
         # the outer loop's support points sit on the run-wide iteration scale
         # of subopt_vs_iters.csv, after the dense phase's points
-        text = SMALL_LASSO + (
-            "\n[warmstart]\nalgorithm = davepg\nsubopt_threshold = 1e-1\n"
-            "density_threshold = 0.5\nmax_epochs = 4000\n"
-        )
-        cfgp = write(tmp_path, "exp.ini", text)
+        cfgp = write(tmp_path, "exp.ini", SMALL_LASSO + TWO_PHASE)
         out = tmp_path / "ws"
-        assert cli.main(["warmstart", "--config", cfgp, "--out", str(out),
+        assert cli.main(["run", "--config", cfgp, "--out", str(out),
                          "--seeds", "1"]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["warmstart"]["1"]["phase1_exchanges"] > 0
@@ -446,13 +441,9 @@ class TestWarmstart:
     def test_iterations_strictly_increase_across_phases(self, tmp_path):
         # seed 4's dense phase logs the gap after its last iteration, where
         # the outer loop logs F at its start
-        text = SMALL_LASSO + (
-            "\n[warmstart]\nalgorithm = davepg\nsubopt_threshold = 1e-1\n"
-            "density_threshold = 0.5\nmax_epochs = 4000\n"
-        )
-        cfgp = write(tmp_path, "exp.ini", text)
+        cfgp = write(tmp_path, "exp.ini", SMALL_LASSO + TWO_PHASE)
         out = tmp_path / "ws"
-        assert cli.main(["warmstart", "--config", cfgp, "--out", str(out),
+        assert cli.main(["run", "--config", cfgp, "--out", str(out),
                          "--seeds", "4"]) == 0
         for name in ("subopt_vs_iters.csv", "support_vs_iters.csv"):
             with open(out / name) as fh:
@@ -466,19 +457,44 @@ class TestWarmstart:
         )
         cfgp = write(tmp_path, "exp.ini", text)
         out = tmp_path / "ws"
-        assert cli.main(["warmstart", "--config", cfgp, "--out", str(out),
+        assert cli.main(["run", "--config", cfgp, "--out", str(out),
                          "--seeds", "1"]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["warmstart"]["1"]["phase1_exchanges"] == 0
 
-    def test_unreachable_trigger(self, tmp_path):
-        text = SMALL_LASSO + (
-            "\n[warmstart]\nalgorithm = davepg\nsubopt_threshold = 1e-12\n"
-            "density_threshold = 1e-6\nmax_epochs = 2\n"
-        )
-        cfgp = write(tmp_path, "exp.ini", text)
-        assert cli.main(["warmstart", "--config", cfgp, "--out", str(tmp_path / "o"),
-                         "--seeds", "1"]) == 4
+    def test_unreachable_trigger(self, tmp_path, capsys):
+        cfgp = write(tmp_path, "exp.ini", SMALL_LASSO + UNREACHABLE)
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", cfgp, "--out", str(out),
+                         "--seeds", "1"]) == cli.EXIT_TARGET
+        assert ("error: seed 1: warmstart trigger unreachable within 2 epochs"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_compare_runs_the_dense_phase(self, tmp_path):
+        # a config's outputs under compare are those of run on it alone, and
+        # only a config with the section reports a warm start
+        ws = write(tmp_path, "ws.ini", SMALL_LASSO + TWO_PHASE)
+        plain = write(tmp_path, "plain.ini", SMALL_LASSO)
+        out = tmp_path / "cmp"
+        assert cli.main(["compare", "--config", ws, "--config", plain,
+                         "--out", str(out), "--seeds", "1"]) == 0
+        assert cli.main(["run", "--config", ws, "--out", str(tmp_path / "run"),
+                         "--seeds", "1"]) == 0
+        names = sorted(os.listdir(tmp_path / "run"))
+        assert sorted(os.listdir(out / "ws")) == names
+        assert filecmp.cmpfiles(out / "ws", tmp_path / "run", names, shallow=False)[0] == names
+        assert json.loads((out / "ws" / "summary.json").read_text())["warmstart"]["1"][
+            "phase1_exchanges"] > 0
+        assert "warmstart" not in json.loads((out / "plain" / "summary.json").read_text())
+
+    def test_compare_stops_at_unreachable_trigger(self, tmp_path):
+        plain = write(tmp_path, "plain.ini", SMALL_LASSO)
+        ws = write(tmp_path, "ws.ini", SMALL_LASSO + UNREACHABLE)
+        out = tmp_path / "cmp"
+        assert cli.main(["compare", "--config", plain, "--config", ws,
+                         "--out", str(out), "--seeds", "1"]) == cli.EXIT_TARGET
+        assert sorted(os.listdir(out)) == ["plain"]
 
 
 class TestPresetsAndDefaults:
