@@ -207,10 +207,11 @@ def parse_config(text: str) -> ExperimentConfig:
             problems.append("[problem] path required for libsvm datasets")
         elif not os.path.exists(cfg.path):
             problems.append(f"[problem] dataset file not found: {cfg.path}")
-    if cfg.kind.startswith("synthetic") and cfg.kind.endswith("lasso"):
+    if cfg.kind.endswith("lasso"):
         if cfg.lam1 is None and cfg.target_support is None:
             problems.append("[problem] set lam1 or target_support")
-        elif (cfg.lam1 is None and failed.isdisjoint({"d", "m", "target_support"})
+        elif (cfg.lam1 is None and cfg.kind.startswith("synthetic")
+                and failed.isdisjoint({"d", "m", "target_support"})
                 and cfg.target_support > min(cfg.d, cfg.m)):
             # a unique lasso solution has at most min(d, m) nonzeros (Tibshirani 2013)
             problems.append(f"[problem] target_support={cfg.target_support} exceeds "

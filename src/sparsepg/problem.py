@@ -236,10 +236,16 @@ class CompositeProblem:
 
 
 def composite_problem(shards, reg: Regularizer = Regularizer()) -> CompositeProblem:
-    """Assemble a problem; alpha_i = |S_i| / n and (mu, L) are computed."""
+    """Assemble a problem; alpha_i = |S_i| / n and (mu, L) are computed.
+
+    Non-finite design entries are rejected here, before the eigenvalue
+    solves of (mu, L); a ``LossShard`` does not scan its matrix."""
     shards = tuple(shards)
     if not shards:
         raise ValueError("a problem needs at least one shard")
+    for i, s in enumerate(shards):
+        if not _finite(s.A.data if sp.issparse(s.A) else s.A):
+            raise ValueError(f"shard {i}: design matrix has non-finite entries")
     sizes = np.array([s.n_examples for s in shards], dtype=float)
     alphas = sizes / sizes.sum()
     mu, lip = _constants(shards)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .sparsifier import adaptive_distribution, min_conditioning
 _SEED_STRIDE = 100_003
 _ORACLE_TOL = 1e-11  # tolerance of the proximal point the stopping tests solve for
 _MOMENTUM_DELTA = 0.1  # the absolute momentum threshold falls as 1/ell^(4 + delta) when mu = 0
+SAFETY_EPOCHS = 20_000  # epochs before an inner run with an accuracy test gives up
 
 INNER_KINDS = ("budget", "fixed", "absolute", "relative")
 MOMENTUM_KINDS = ("fixed", "absolute", "adaptive")
@@ -245,7 +246,6 @@ class InnerCriterion:
 
     kind: str = "budget"
     epochs: int = 1
-    safety_epochs: int = 20_000
 
     def __post_init__(self):
         if self.kind not in INNER_KINDS:
@@ -256,8 +256,6 @@ class InnerCriterion:
 def _check_epochs(criterion):
     if criterion.kind == "fixed" and criterion.epochs < 1:
         raise ValueError("fixed criterion needs epochs >= 1")
-    if criterion.safety_epochs < 1:
-        raise ValueError("safety_epochs must be >= 1")
 
 
 def _inner_stop(criterion, ell, params, pi_ell, center, sub):
@@ -281,7 +279,7 @@ def _inner_stop(criterion, ell, params, pi_ell, center, sub):
         def pred(x, m):
             return float(np.sum((x - prox_pt) ** 2)) <= coeff * float(np.sum((x - center) ** 2))
 
-    return StopRule(max_epochs=criterion.safety_epochs, epoch_predicate=pred)
+    return StopRule(max_epochs=SAFETY_EPOCHS, epoch_predicate=pred)
 
 
 def _check_probability_chain(params: ReconditionParams):
@@ -322,8 +320,11 @@ def _outer_loop(problem, params, schedule, init, outer_budget, target_objective,
         pi_ell = dist.p_min
         sub = pb.reconditioned(problem, params.rho, center)
         stop = stop_rule(ell, center, sub, pi_ell, f_init)
+        # a random schedule draws a fresh worker order for each step (step 1
+        # keeps the schedule's seed); a fixed trace restarts at every step
+        step_schedule = replace(schedule, seed=schedule.seed + _SEED_STRIDE * (ell - 1))
         inner = run_spy(
-            sub, params.gamma, dist, schedule, init=center, stop=stop,
+            sub, params.gamma, dist, step_schedule, init=center, stop=stop,
             seed=seed + _SEED_STRIDE * ell, mode=mode,
             # only the first inner solve pays for the initial dense exchange;
             # later solves are not charged for re-priming their workers
@@ -416,7 +417,6 @@ class MomentumCriterion:
     kind: str = "adaptive"
     epochs: int = 1
     f_star: float | None = None
-    safety_epochs: int = 20_000
 
     def __post_init__(self):
         if self.kind not in MOMENTUM_KINDS:
@@ -488,4 +488,4 @@ def _momentum_stop(criterion, ell, params, center, sub, f_init):
             move = 0.5 * rho * float(np.sum((x - center) ** 2))
             return pb.eval_objective(sub, x) - h_min <= coeff * move
 
-    return StopRule(max_epochs=criterion.safety_epochs, epoch_predicate=pred)
+    return StopRule(max_epochs=SAFETY_EPOCHS, epoch_predicate=pred)

@@ -169,6 +169,26 @@ class TestBuildProblem:
         assert prob.reg.lam > 0
         assert cfg.lam1 is None  # the weight lives in the problem, not the config
 
+    def test_libsvm_lasso_lam1_calibrated(self, tmp_path):
+        # without lam1 a LibSVM lasso is calibrated to target_support, as a
+        # synthetic one is; the logistic default weight is for logistic kinds
+        rng = np.random.default_rng(2)
+        X = rng.standard_normal((40, 10))
+        y = X @ np.r_[3.0, -2.0, 1.5, 0.5, np.zeros(6)] + 0.1 * rng.standard_normal(40)
+        lines = [f"{t!r} " + " ".join(f"{j + 1}:{v!r}" for j, v in enumerate(row))
+                 for t, row in zip(y.tolist(), X.tolist())]
+        path = write(tmp_path, "data.svm", "\n".join(lines) + "\n")
+        cfg = cli.parse_config(f"[problem]\nkind = libsvm-lasso\npath = {path}\n"
+                               "target_support = 3\n\n[run]\nworkers = 2\n")
+        assert cfg.lam1 is None
+        prob = cli.build_problem(cfg)
+        assert cli.get_reference(prob, cfg).s_star == 3
+        with pytest.raises(cli.ConfigError, match="set lam1 or target_support"):
+            cli.parse_config(f"[problem]\nkind = libsvm-lasso\npath = {path}\n"
+                             "target_support =\n")
+        logistic = cli.parse_config(f"[problem]\nkind = libsvm-logistic\npath = {path}\n")
+        assert logistic.lam1 == 0.03
+
     def test_calibration_builds_shards_once(self, monkeypatch):
         # the same bisection over problems rebuilt from the data at every weight
         cfg = cli.parse_config(SMALL_LASSO)

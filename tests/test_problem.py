@@ -370,6 +370,20 @@ class TestNonFiniteShards:
         with pytest.raises(ValueError, match="non-finite"):
             pb.LossShard(kind=pb.LEAST_SQUARES, A=np.eye(2), b=np.array([0.0, np.nan]))
 
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csc"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_design_rejected_by_problem(self, sparse, bad):
+        # the shard keeps A unscanned; the problem rejects it before the
+        # eigenvalue solves (LAPACK's DLASCL warning on dense data, an
+        # ArpackError on CSC data)
+        A = np.arange(1.0, 13.0).reshape(4, 3)
+        A[2, 1] = bad
+        good = pb.LossShard(kind=pb.LEAST_SQUARES, A=np.eye(3), b=np.zeros(3))
+        shard = pb.LossShard(kind=pb.LEAST_SQUARES, A=sp.csc_matrix(A) if sparse else A,
+                             b=np.ones(4))
+        with pytest.raises(ValueError, match="shard 1: design matrix has non-finite entries"):
+            pb.composite_problem([good, shard])
+
     def test_infinite_ridge_center_rejected(self):
         prob = pb.composite_problem([pb.LossShard(kind=pb.LEAST_SQUARES, A=np.eye(2),
                                                   b=np.zeros(2))])

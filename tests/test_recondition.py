@@ -111,14 +111,6 @@ class TestCriteria:
         with pytest.raises(ValueError, match="epochs >= 1"):
             rc.MomentumCriterion(kind="fixed", epochs=0)
 
-    def test_safety_epochs_positive(self):
-        for kind in rc.INNER_KINDS:
-            with pytest.raises(ValueError, match="safety_epochs"):
-                rc.InnerCriterion(kind=kind, safety_epochs=0)
-        for kind in rc.MOMENTUM_KINDS:
-            with pytest.raises(ValueError, match="safety_epochs"):
-                rc.MomentumCriterion(kind=kind, f_star=0.0, safety_epochs=0)
-
 
 class TestProxOracle:
     def test_quadratic_closed_form(self):
@@ -261,7 +253,8 @@ class TestReconditionedLoop:
         # the engine tests the predicate at every epoch boundary but the last
         # of a run cut by max_epochs; the outer loop re-tests that one only.
         # With these caps, some runs (every one of momentum's) reach the cap
-        safety_epochs = {"plain": 2, "momentum": 1}[loop] if capped else 20_000
+        if capped:
+            monkeypatch.setattr(rc, "SAFETY_EPOCHS", {"plain": 2, "momentum": 1}[loop])
         calls = []
 
         def counting(make_stop):
@@ -280,17 +273,37 @@ class TestReconditionedLoop:
             monkeypatch.setattr(rc, "_inner_stop", counting(rc._inner_stop))
             trace = rc.run_reconditioned(
                 self.prob, self.params, self.sched, np.zeros(40),
-                criterion=rc.InnerCriterion(kind="relative", safety_epochs=safety_epochs),
+                criterion=rc.InnerCriterion(kind="relative"),
                 outer_budget=20, seed=3)
         else:
             monkeypatch.setattr(rc, "_momentum_stop", counting(rc._momentum_stop))
             trace = rc.run_momentum(
                 self.prob, self.params, self.sched, np.zeros(40),
-                criterion=rc.MomentumCriterion(kind="adaptive", safety_epochs=safety_epochs),
+                criterion=rc.MomentumCriterion(kind="adaptive"),
                 outer_budget=20, seed=3)
         assert trace.n_outer == 20
         assert calls == [list(range(1, t.n_epochs + 1)) for t in trace.inner_traces]
-        assert capped == any(t.n_epochs == safety_epochs for t in trace.inner_traces)
+        assert capped == any(t.n_epochs == rc.SAFETY_EPOCHS for t in trace.inner_traces)
+
+    @pytest.mark.parametrize("loop", ["plain", "momentum"])
+    def test_each_step_draws_its_own_worker_order(self, loop):
+        # a random schedule gives every inner run its own order (with one
+        # schedule seed for all, every run fired a prefix of the same order);
+        # a fixed trace restarts at every step
+        run = rc.run_reconditioned if loop == "plain" else rc.run_momentum
+        criterion = (rc.InnerCriterion(kind="fixed", epochs=1) if loop == "plain"
+                     else rc.MomentumCriterion(kind="fixed", epochs=1))
+        fires = [t.worker_fires for t in run(self.prob, self.params, self.sched, np.zeros(40),
+                                             criterion=criterion, outer_budget=30,
+                                             seed=4).inner_traces]
+        assert min(len(f) for f in fires) >= 6
+        assert len({tuple(f[:6]) for f in fires}) > 1
+        longest = max(fires, key=len)
+        assert not all(f == longest[:len(f)] for f in fires)
+        robin = run(self.prob, self.params, engine.DelaySchedule.round_robin(3), np.zeros(40),
+                    criterion=criterion, outer_budget=30, seed=4)
+        assert all(t.worker_fires == [k % 3 for k in range(t.n_iterations)]
+                   for t in robin.inner_traces)
 
     @pytest.mark.parametrize("loop", ["plain", "momentum"])
     def test_one_reconditioned_problem_per_outer_step(self, loop, monkeypatch):
@@ -387,12 +400,13 @@ class TestReconditionedLoop:
             rate = params.inner_contraction(dist.p_min)
         assert np.mean(ratios) <= rate + 0.05
 
-    def test_safety_cap_raises(self):
+    def test_safety_cap_raises(self, monkeypatch):
         # delta near 1 makes the first-step threshold tiny; one epoch cannot meet it
         params = rc.make_params(self.prob.mu, self.prob.lip, c=6.0, d=40, delta=0.99)
         # as ell grows the threshold shrinks polynomially, so a one-epoch cap
         # must eventually fall short
-        criterion = rc.InnerCriterion(kind="absolute", safety_epochs=1)
+        monkeypatch.setattr(rc, "SAFETY_EPOCHS", 1)
+        criterion = rc.InnerCriterion(kind="absolute")
         with pytest.raises(rc.InnerBudgetError):
             rc.run_reconditioned(self.prob, params, self.sched, np.zeros(40),
                                  criterion=criterion, outer_budget=60, seed=6)
@@ -548,10 +562,11 @@ class TestMomentum:
                                 target_objective=self.f_star + 1e-7, seed=10)
         assert pb.eval_objective(self.prob, trace.final_x) <= self.f_star + 1e-7
 
-    def test_safety_cap_raises(self):
+    def test_safety_cap_raises(self, monkeypatch):
         # mu = 0 here, so the adaptive test's coefficient shrinks like 1/ell^2
         # and a one-epoch cap must eventually fall short
-        criterion = rc.MomentumCriterion(kind="adaptive", safety_epochs=1)
+        monkeypatch.setattr(rc, "SAFETY_EPOCHS", 1)
+        criterion = rc.MomentumCriterion(kind="adaptive")
         with pytest.raises(rc.InnerBudgetError, match="exhausted 1 epochs"):
             rc.run_momentum(self.prob, self.params, self.sched, np.zeros(40),
                             criterion=criterion, outer_budget=300, seed=6)
