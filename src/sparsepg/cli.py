@@ -3,7 +3,7 @@
 Subcommands:
   run        -- execute one experiment config across seeds
   compare    -- run several configs on the same problem and merge their curves
-  defaults   -- print the full default config
+  defaults   -- print the default config
   presets    -- list or materialize packaged study configs
 
 A config with a [warmstart] section runs, for each seed, a dense phase until
@@ -128,7 +128,11 @@ class ExperimentConfig:
         sections = _ini_sections(self)
         if not self.warmstart:
             del sections["warmstart"]
-        return _write_ini(sections)
+        cp = configparser.ConfigParser(interpolation=None)
+        cp.read_dict(sections)
+        out = io.StringIO()
+        cp.write(out)
+        return out.getvalue()
 
 
 _OPTIONS = {f.name: f for f in fields(ExperimentConfig) if f.metadata}
@@ -144,16 +148,10 @@ def _ini_sections(cfg: ExperimentConfig) -> dict:
     return sections
 
 
-def _write_ini(sections: dict) -> str:
-    cp = configparser.ConfigParser(interpolation=None)
-    cp.read_dict(sections)
-    out = io.StringIO()
-    cp.write(out)
-    return out.getvalue()
-
-
 def default_config_text() -> str:
-    return _write_ini(_ini_sections(ExperimentConfig()))
+    """The default config as INI text.  It has no [warmstart] section: the
+    section's presence turns the warm start on, and the default has none."""
+    return ExperimentConfig().to_ini()
 
 
 def _parse_option(f, raw: str, problems: list):

@@ -7,7 +7,7 @@ import math
 import os
 import tempfile
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -207,17 +207,28 @@ def empirical_complexity(trace, ref: ReferenceSolution, eps: float) -> int:
 def calibrate_l1(problem_builder, target_support: int, lam_hi: float) -> float:
     """Bisect lam1 in (0, lam_hi] until the solution support size hits target.
 
-    ``problem_builder(lam1)`` must return the problem at that weight.  Returns
-    the calibrated weight; raises ValueError if no weight it tries hits the target.
+    ``problem_builder(lam1)`` must return the problem at that weight.  It is
+    called once, at ``lam_hi``; every other weight tried is that problem with
+    its regularizer's weight replaced, so the shards are built once.  Each
+    solve starts at the solution of the upper bracket, the smallest weight
+    tried whose support is at most the target: a warm start along the lam1
+    path (Friedman, Hastie and Tibshirani, JSS 2010).  Returns the calibrated
+    weight; raises ValueError if the builder's problem is not at ``lam_hi`` or
+    no weight it tries hits the target.
     """
-    def support_at(lam):
-        prob = problem_builder(lam)
-        x, _ = direct.solve(prob, tol=_CALIBRATE_TOL)
-        x = direct.polish_l1_least_squares(prob, x)
-        return int(np.count_nonzero(x))
+    base = problem_builder(lam_hi)
+    if base.reg.lam != lam_hi:
+        raise ValueError(f"problem_builder({lam_hi}) returned a problem with "
+                         f"lam1={base.reg.lam}")
+
+    def solution_at(lam, x0):
+        prob = replace(base, reg=replace(base.reg, lam=lam))
+        x, _ = direct.solve(prob, tol=_CALIBRATE_TOL, x0=x0)
+        return direct.polish_l1_least_squares(prob, x)
 
     lo, hi = 0.0, lam_hi
-    s_hi = support_at(hi)
+    x_hi = solution_at(hi, None)
+    s_hi = int(np.count_nonzero(x_hi))
     if s_hi > target_support:
         raise ValueError(f"lam_hi={lam_hi} already gives support {s_hi} > {target_support}")
     if s_hi == target_support:
@@ -226,11 +237,12 @@ def calibrate_l1(problem_builder, target_support: int, lam_hi: float) -> float:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        s_mid = support_at(mid)
+        x_mid = solution_at(mid, x_hi)
+        s_mid = int(np.count_nonzero(x_mid))
         if s_mid == target_support:
             return mid
         if s_mid > target_support:
             lo = mid
         else:
-            hi = mid
+            hi, x_hi = mid, x_mid
     raise ValueError(f"could not calibrate lam1 to support size {target_support}")

@@ -174,12 +174,12 @@ class Regularizer:
     def __post_init__(self):
         if self.kind not in ("none", "l1", "weighted_l1"):
             raise ValueError(f"unknown regularizer kind {self.kind!r}")
-        if self.lam < 0:
-            raise ValueError("regularization weight must be nonnegative")
+        if not (_finite(self.lam) and self.lam >= 0):
+            raise ValueError("regularization weight must be finite and nonnegative")
         if self.kind == "weighted_l1":
             w = np.asarray(self.weights, dtype=float)
-            if np.any(w <= 0):
-                raise ValueError("l1 weights must be positive")
+            if not (_finite(w) and np.all(w > 0)):
+                raise ValueError("l1 weights must be finite and positive")
             object.__setattr__(self, "weights", w)
 
 
@@ -208,6 +208,8 @@ class CompositeProblem:
         d = self.shards[0].dim
         if any(s.dim != d for s in self.shards):
             raise ValueError("all shards must share the feature dimension")
+        if self.reg.kind == "weighted_l1" and self.reg.weights.shape != (d,):
+            raise ValueError("l1 weights dimension mismatch")
         if self.rho < 0:
             raise ValueError("rho must be nonnegative")
         if self.rho > 0 and self.center is None:

@@ -190,7 +190,7 @@ class TestBuildProblem:
         assert logistic.lam1 == 0.03
 
     def test_calibration_builds_shards_once(self, monkeypatch):
-        # the same bisection over problems rebuilt from the data at every weight
+        # the same bisection with a builder that makes the problem from the data
         cfg = cli.parse_config(SMALL_LASSO)
         dataset, _ = data.generate_lasso(cfg.d, cfg.m, cfg.sparsity, cfg.noise_std, cfg.data_seed)
         plan = data.shard_even(dataset, cfg.workers, seed=cfg.data_seed)
@@ -236,6 +236,17 @@ class TestRun:
         assert cli.main(["run", "--config", cfgp, "--out", str(out)]) == cli.EXIT_CONFIG
         assert ("[problem] synthetic-lasso data: could not calibrate lam1 to support size 5"
                 in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_calibration_builder_ignoring_its_weight_exit(self, tmp_path, capsys, monkeypatch):
+        # the builder handed to calibrate_l1 returns the problem at another weight
+        calibrate = metrics.calibrate_l1
+        monkeypatch.setattr(metrics, "calibrate_l1", lambda builder, target, lam_hi: calibrate(
+            lambda lam: builder(lam_hi / 2), target, lam_hi))
+        cfgp = write(tmp_path, "exp.ini", SMALL_LASSO)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfgp, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "[problem] synthetic-lasso data: problem_builder(" in capsys.readouterr().err
         assert not out.exists()
 
     def test_run_outputs_and_exit(self, tmp_path):
@@ -522,6 +533,10 @@ class TestPresetsAndDefaults:
         assert cli.main(["defaults"]) == 0
         out = capsys.readouterr().out
         assert cli.parse_config(out) is not None
+
+    def test_defaults_are_the_default_config(self):
+        # no [warmstart] section: its presence would turn the dense phase on
+        assert cli.parse_config(cli.default_config_text()) == cli.ExperimentConfig()
 
     def test_presets_listing(self, capsys, tmp_path):
         assert cli.main(["presets", "--out", str(tmp_path)]) == 0

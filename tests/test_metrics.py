@@ -272,13 +272,77 @@ class TestCommLedger:
         assert cum == sorted(cum)
 
 
+def _lam_max(prob) -> float:
+    return float(np.max(np.abs(pb.smooth_gradient(prob, np.zeros(prob.dim)))))
+
+
 class TestCalibration:
+    @staticmethod
+    def lasso_data(d=50, m=70, seed=8):
+        """(dataset, plan, the smallest weight whose lasso solution is 0)."""
+        ds, _ = data.generate_lasso(d=d, m=m, sparsity=0.9, noise_std=0.01, seed=seed)
+        plan = data.shard_even(ds, 3, seed=seed)
+        return ds, plan, _lam_max(data.lasso_problem(ds, plan, 1.0))
+
+    @staticmethod
+    def record_solves(monkeypatch):
+        """The (problem, x0) of every direct.solve that calibrate_l1 makes."""
+        calls, solve = [], metrics.direct.solve
+
+        def recording(prob, tol, x0=None):
+            calls.append((prob, x0))
+            return solve(prob, tol, x0)
+
+        monkeypatch.setattr(metrics.direct, "solve", recording)
+        return calls
+
     def test_hits_target_support(self):
-        ds, _ = data.generate_lasso(d=50, m=70, sparsity=0.9, noise_std=0.01, seed=8)
-        plan = data.shard_even(ds, 3, seed=8)
-        lam_hi = float(np.max(np.abs(pb.smooth_gradient(
-            data.lasso_problem(ds, plan, 1.0), np.zeros(50)))))
+        ds, plan, lam_hi = self.lasso_data()
         lam = metrics.calibrate_l1(lambda l: data.lasso_problem(ds, plan, l), 5, lam_hi)
         prob = data.lasso_problem(ds, plan, lam)
         ref = metrics.reference_solution(prob, tol=1e-9, assume_unique_minimizer=True)
+        assert ref.s_star == 5
+
+    def test_builder_called_once_at_lam_hi(self):
+        ds, plan, lam_hi = self.lasso_data()
+        asked = []
+        metrics.calibrate_l1(lambda l: asked.append(l) or data.lasso_problem(ds, plan, l),
+                             5, lam_hi)
+        assert asked == [lam_hi]
+
+    @pytest.mark.parametrize("d, m, seed, target", [(50, 70, 8, 5), (300, 200, 5, 12)],
+                             ids=["tall", "wide"])
+    def test_warm_probes_match_cold_solves(self, monkeypatch, d, m, seed, target):
+        ds, plan, lam_hi = self.lasso_data(d, m, seed)
+        solve = metrics.direct.solve
+        calls = self.record_solves(monkeypatch)
+        metrics.calibrate_l1(lambda l: data.lasso_problem(ds, plan, l), target, lam_hi)
+        assert len(calls) >= 3
+        assert calls[0][1] is None and all(x0 is not None for _, x0 in calls[1:])
+        for prob, x0 in calls:
+            warm = direct.polish_l1_least_squares(prob, solve(prob, 1e-10, x0)[0])
+            cold = direct.polish_l1_least_squares(prob, solve(prob, 1e-10)[0])
+            np.testing.assert_array_equal(np.flatnonzero(warm), np.flatnonzero(cold))
+
+    def test_builder_ignoring_its_weight_rejected(self):
+        ds, plan, lam_hi = self.lasso_data()
+        with pytest.raises(ValueError, match="returned a problem with lam1=0.5"):
+            metrics.calibrate_l1(lambda l: data.lasso_problem(ds, plan, 0.5), 5, lam_hi)
+
+    def test_weighted_l1_keeps_its_weights(self, monkeypatch):
+        ds, plan, _ = self.lasso_data()
+        shards = data.make_shards(ds, plan, pb.LEAST_SQUARES)
+        w = np.random.default_rng(3).uniform(0.5, 2.0, ds.d)
+
+        def builder(lam):
+            return pb.composite_problem(shards, pb.Regularizer("weighted_l1", lam, w))
+
+        lam_hi = _lam_max(builder(1.0)) / w.min()
+        calls = self.record_solves(monkeypatch)
+        lam = metrics.calibrate_l1(builder, 5, lam_hi)
+        assert len(calls) >= 3
+        for prob, _ in calls:
+            assert prob.reg.kind == "weighted_l1"
+            np.testing.assert_array_equal(prob.reg.weights, w)
+        ref = metrics.reference_solution(builder(lam), tol=1e-9, assume_unique_minimizer=True)
         assert ref.s_star == 5

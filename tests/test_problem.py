@@ -392,6 +392,24 @@ class TestNonFiniteShards:
                 pb.reconditioned(prob, rho, np.array([np.inf, 0.0]))
 
 
+class TestRegularizerValidation:
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
+    def test_weight_must_be_finite_and_nonnegative(self, lam):
+        with pytest.raises(ValueError, match="regularization weight must be finite"):
+            pb.Regularizer(kind="l1", lam=lam)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+    def test_l1_weights_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match="l1 weights must be finite and positive"):
+            pb.Regularizer(kind="weighted_l1", lam=1.0, weights=np.array([1.0, bad]))
+
+    def test_l1_weights_need_one_per_coordinate(self):
+        shard = pb.LossShard(kind=pb.LEAST_SQUARES, A=np.eye(3), b=np.zeros(3))
+        reg = pb.Regularizer(kind="weighted_l1", lam=1.0, weights=np.ones(2))
+        with pytest.raises(ValueError, match="l1 weights dimension mismatch"):
+            pb.composite_problem([shard], reg=reg)
+
+
 class TestColumnMajorStorage:
     def test_dense_is_fortran_and_reconditioning_keeps_it(self):
         rng = np.random.default_rng(8)
