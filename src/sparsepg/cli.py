@@ -106,8 +106,8 @@ class ExperimentConfig:
     epochs: int = _option("run", "epochs", 1, int, lambda v: v >= 1)
     delta: float = _option("run", "delta", 0.5, float, lambda v: 0 < v < 1)
     schedule: str = _option("run", "schedule", "random_uniform", str, lambda v: v in SCHEDULES)
-    weights: tuple = _option("run", "weights", (), float_list,
-                             lambda v: all(0 < w < math.inf for w in v), empty=())
+    weights: tuple = _option("run", "weights", (), float_list, lambda v: all(w > 0 for w in v),
+                             empty=())
     seeds: tuple = _option("run", "seeds", tuple(range(1, 11)), int_list,
                            lambda v: 0 < len(v) == len(set(v)))
     target_eps: float = _option("run", "target_eps", 1e-6, float, lambda v: v > 0)
@@ -154,6 +154,13 @@ def default_config_text() -> str:
     return ExperimentConfig().to_ini()
 
 
+def _finite(value) -> bool:
+    """Whether every float of an option's value is finite: a float option
+    that is not, inf as well as nan, is out of range whatever its check."""
+    values = value if isinstance(value, tuple) else (value,)
+    return all(math.isfinite(v) for v in values if isinstance(v, float))
+
+
 def _parse_option(f, raw: str, problems: list):
     """The value of option ``f`` spelled ``raw``.  A problem with it is
     appended to ``problems``, and the option's empty value is returned, or its
@@ -171,7 +178,7 @@ def _parse_option(f, raw: str, problems: list):
         except Exception:
             problems.append(f"[{section}] {key}={raw!r} is not a valid {parse.__name__}")
         else:
-            if check is None or check(value):
+            if _finite(value) and (check is None or check(value)):
                 return value
             problems.append(f"[{section}] {key}={raw!r} out of range")
     return f.default if empty is _REQUIRED else empty
@@ -465,9 +472,7 @@ def _emit_experiment(out_dir, cfg, problem, ref, results):
         ["exchanged", "gap"],
         {label: [(ex, gap) for _, ex, gap in r.subopt] for label, r in ok.items()},
     )
-    margin = None
-    if problem.reg.kind in ("l1", "weighted_l1"):
-        margin = metrics.check_nondegeneracy(problem, ref)
+    margin = None if problem.reg.kind == "none" else metrics.check_nondegeneracy(problem, ref)
     summary = {
         "fingerprint": ref.fingerprint,
         "f_star": ref.f_star,
@@ -515,8 +520,16 @@ def _exit_code(results) -> int:
 # -- subcommands -------------------------------------------------------------
 
 
+def _check_budget(cfg: ExperimentConfig, problem) -> None:
+    """An outer loop explores c of the problem's d coordinates per step, so
+    c is at most d; raises ``ConfigError`` when it is not."""
+    if cfg.algorithm in ("reconditioned", "catalyst") and cfg.c > problem.dim:
+        raise ConfigError([f"[run] c={cfg.c!r} exceeds the problem dimension d={problem.dim}"])
+
+
 def cmd_run(cfg: ExperimentConfig, out_dir: str, mode: str, cache_dir=None) -> int:
     problem = build_problem(cfg)
+    _check_budget(cfg, problem)
     ref = get_reference(problem, cfg, cache_dir)
     results = _run_seeds(problem, cfg, ref, mode)
     _emit_experiment(out_dir, cfg, problem, ref, results)
@@ -538,6 +551,8 @@ def cmd_compare(cfgs, labels, out_dir: str, mode: str, cache_dir=None) -> int:
         print("error: compare requires identical problems in every config", file=sys.stderr)
         return EXIT_CONFIG
     problem = built[_problem_key(cfgs[0])]
+    for cfg in cfgs:
+        _check_budget(cfg, problem)
     ref = get_reference(problem, cfgs[0], cache_dir)
     os.makedirs(out_dir, exist_ok=True)
     merged = []

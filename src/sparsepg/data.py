@@ -50,27 +50,6 @@ class Dataset:
         return self.X.shape[1]
 
 
-@dataclass(frozen=True)
-class ShardingPlan:
-    """Assignment of each example to one of M workers."""
-
-    M: int
-    assignment: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.assignment, dtype=int)
-        object.__setattr__(self, "assignment", a)
-        if self.M < 1:
-            raise ValueError("need at least one worker")
-        if a.min() < 0 or a.max() >= self.M:
-            raise ValueError("assignment refers to an unknown worker")
-        if len(np.unique(a)) != self.M:
-            raise ValueError("every worker must receive at least one example")
-
-    def indices(self, worker: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment == worker)
-
-
 def generate_lasso(d: int, m: int, sparsity: float, noise_std: float, seed: int):
     """Random lasso instance: A ~ N(0,1), b = A x0 + noise, x0 mostly zero.
 
@@ -95,18 +74,21 @@ def generate_lasso(d: int, m: int, sparsity: float, noise_std: float, seed: int)
     return Dataset(X=A, y=b), x0
 
 
+_MAX_INDEX = 2**31 - 1  # feature indices are stored as int32
+
+
 class LibSVMFormatError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
 
 
-def parse_libsvm(source, n_features: int | None = None) -> Dataset:
+def parse_libsvm(source) -> Dataset:
     """Parse LibSVM text (``<label> <idx>:<val> ...``, 1-based indices).
 
     ``source`` is a path (a str or path-like; ``.gz`` accepted) or a text
     stream.  Labels 0 are mapped to -1.  The dimension is the largest index
-    seen unless ``n_features`` overrides it.
+    seen, at most 2**31 - 1.
     """
     lines = _read_lines(source)
     labels: list[float] = []
@@ -134,6 +116,8 @@ def parse_libsvm(source, n_features: int | None = None) -> Dataset:
                 raise LibSVMFormatError(line_no, f"bad feature token {tok!r}") from None
             if idx < 1:
                 raise LibSVMFormatError(line_no, f"index {idx} is not 1-based")
+            if idx > _MAX_INDEX:
+                raise LibSVMFormatError(line_no, f"index {idx} exceeds {_MAX_INDEX}")
             if idx <= prev:
                 raise LibSVMFormatError(line_no, f"indices not strictly increasing at {idx}")
             prev = idx
@@ -143,12 +127,9 @@ def parse_libsvm(source, n_features: int | None = None) -> Dataset:
         indptr.append(len(indices))
     if not labels:
         raise LibSVMFormatError(0, "empty input")
-    d = n_features if n_features is not None else d_seen
-    if d < d_seen:
-        raise ValueError(f"n_features={d} smaller than largest index {d_seen}")
     X = sp.csr_matrix(
         (np.array(values), np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32)),
-        shape=(len(labels), d),
+        shape=(len(labels), d_seen),
     )
     return Dataset(X=X, y=np.array(labels))
 
@@ -176,35 +157,27 @@ def scale_features(dataset: Dataset) -> Dataset:
     return Dataset(X=dataset.X / maxabs, y=dataset.y)
 
 
-def shard_even(dataset: Dataset, M: int, seed: int) -> ShardingPlan:
-    """Shuffle examples by seed and split as evenly as possible over M workers."""
+def shard_even(dataset: Dataset, M: int, seed: int) -> tuple:
+    """Shuffle examples by seed and split them as evenly as possible over M
+    workers.  The plan is each worker's example indices, sorted."""
     if not 1 <= M <= dataset.n:
         raise ValueError("need 1 <= M <= number of examples")
     perm = stream(seed, 1).permutation(dataset.n)
-    assignment = np.empty(dataset.n, dtype=int)
-    for w, chunk in enumerate(np.array_split(perm, M)):
-        assignment[chunk] = w
-    return ShardingPlan(M=M, assignment=assignment)
+    return tuple(np.sort(chunk) for chunk in np.array_split(perm, M))
 
 
-def make_shards(dataset: Dataset, plan: ShardingPlan, kind: str, l2: float = 0.0):
+def make_shards(dataset: Dataset, plan: tuple, kind: str, l2: float = 0.0):
     """Cut the dataset into per-worker loss shards."""
-    shards = []
-    for w in range(plan.M):
-        idx = plan.indices(w)
-        Xw = dataset.X[idx]
-        yw = dataset.y[idx]
-        shards.append(pb.LossShard(kind=kind, A=Xw, b=yw, l2=l2))
-    return shards
+    return [pb.LossShard(kind=kind, A=dataset.X[idx], b=dataset.y[idx], l2=l2) for idx in plan]
 
 
-def lasso_problem(dataset: Dataset, plan: ShardingPlan, lam1: float) -> pb.CompositeProblem:
+def lasso_problem(dataset: Dataset, plan: tuple, lam1: float) -> pb.CompositeProblem:
     shards = make_shards(dataset, plan, pb.LEAST_SQUARES)
     return pb.composite_problem(shards, reg=pb.Regularizer(kind="l1", lam=lam1))
 
 
 def logistic_problem(
-    dataset: Dataset, plan: ShardingPlan, lam1: float, lam2: float
+    dataset: Dataset, plan: tuple, lam1: float, lam2: float
 ) -> pb.CompositeProblem:
     shards = make_shards(dataset, plan, pb.LOGISTIC, l2=lam2)
     return pb.composite_problem(shards, reg=pb.Regularizer(kind="l1", lam=lam1))

@@ -126,13 +126,6 @@ def _on_support(problem, x):
     return point
 
 
-def _l1_weights(reg: pb.Regularizer, supp: np.ndarray):
-    """The l1 weight of each coordinate of supp: a scalar for plain l1."""
-    if reg.kind == "weighted_l1":
-        return reg.lam * reg.weights[supp]
-    return reg.lam if reg.kind == "l1" else 0.0
-
-
 def _columns(A, supp: np.ndarray) -> np.ndarray:
     A_s = A[:, supp]
     return A_s.toarray() if sp.issparse(A_s) else A_s
@@ -155,7 +148,7 @@ def _least_squares_on_support(problem, supp, signs):
             H[diag] += alpha * problem.rho
             rhs += alpha * problem.rho * problem.center[supp]
     try:
-        return np.linalg.solve(H, rhs - _l1_weights(problem.reg, supp) * signs)
+        return np.linalg.solve(H, rhs - pb.l1_weights(problem.reg, supp) * signs)
     except np.linalg.LinAlgError:
         return None
 
@@ -163,7 +156,7 @@ def _least_squares_on_support(problem, supp, signs):
 def _newton_on_support(problem, supp, signs, z):
     """The same minimizer for logistic shards, by Newton's method with
     backtracking started at z; None when it fails."""
-    lin = _l1_weights(problem.reg, supp) * signs
+    lin = pb.l1_weights(problem.reg, supp) * signs
     parts = [(alpha, s, _columns(s.A, supp)) for alpha, s in zip(problem.alphas, problem.shards)]
     diag = np.diag_indices(supp.size)
 
@@ -217,24 +210,18 @@ def polish_l1_least_squares(problem: pb.CompositeProblem, x: np.ndarray) -> np.n
     On the support and signs of x the objective is a smooth quadratic plus a
     linear term, minimized by one linear system (ridge terms and weighted l1
     included): the system ``solve`` finishes least-squares problems with.
-    Returns that point when it keeps the signs of x and the averaged gradient
-    off the support lies within the l1 weights, so that it is optimal for the
-    full problem; else the input unchanged.
+    Returns that point when it keeps the signs of x and its l1 margin
+    (``problem.l1_margin``) is not negative: the averaged gradient off the
+    support lies within the l1 weights, so that it is optimal for the full
+    problem.  Else the input unchanged.
     """
-    if problem.reg.kind not in ("l1", "weighted_l1"):
+    if problem.reg.kind == "none":
         return x
     if any(s.kind != pb.LEAST_SQUARES for s in problem.shards):
         return x
     if not np.any(x):
         return x
     candidate = _on_support(problem, x)
-    if candidate is None:
-        return x
-    # optimality off the support: averaged gradient inside [-lam_j, lam_j]
-    off = candidate == 0
-    g = pb.smooth_gradient(problem, candidate)
-    reg = problem.reg
-    lam = reg.lam if reg.kind == "l1" else reg.lam * reg.weights[off]
-    if np.any(np.abs(g[off]) > lam):
+    if candidate is None or pb.l1_margin(problem, candidate) < 0:
         return x
     return candidate

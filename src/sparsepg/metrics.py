@@ -143,18 +143,10 @@ def reference_solution(
 
 
 def check_nondegeneracy(problem: pb.CompositeProblem, ref: ReferenceSolution) -> float:
-    """Margin lam1 - max_{j in null(x*)} |averaged gradient_j|; > 0 certifies
-    that the solution's zero pattern is stable (strict complementarity)."""
-    if problem.reg.kind not in ("l1", "weighted_l1"):
-        raise ValueError("nondegeneracy margin is defined for l1-type regularizers")
-    g = pb.smooth_gradient(problem, ref.x_star)
-    null = pb.null_pattern(ref.x_star)
-    lam = problem.reg.lam * (
-        problem.reg.weights if problem.reg.kind == "weighted_l1" else np.ones(problem.dim)
-    )
-    if null.size == 0:
-        return float(np.min(lam))
-    return float(np.min(lam[null] - np.abs(g[null])))
+    """``problem.l1_margin`` at x*: min over j in null(x*) of
+    lam_j - |averaged gradient_j|; > 0 certifies that the solution's zero
+    pattern is stable (strict complementarity)."""
+    return pb.l1_margin(problem, ref.x_star)
 
 
 # -- identification ----------------------------------------------------------

@@ -146,11 +146,10 @@ class LossShard:
             raise ValueError("label vector length does not match row count")
         if not _finite(b):
             raise ValueError("label vector has non-finite entries")
-        if self.kind == LOGISTIC:
-            if not np.all(np.abs(b) == 1.0):
-                raise ValueError("logistic labels must be exactly +/-1")
-            if self.l2 < 0:
-                raise ValueError("l2 weight must be nonnegative")
+        if self.kind == LOGISTIC and not np.all(np.abs(b) == 1.0):
+            raise ValueError("logistic labels must be exactly +/-1")
+        if not (_finite(self.l2) and self.l2 >= 0):
+            raise ValueError("l2 weight must be finite and nonnegative")
         dense = self.kind == LEAST_SQUARES and not sp.issparse(A)
         object.__setattr__(self, "_cols", _ColumnStore(A, b) if dense else None)
 
@@ -459,6 +458,29 @@ def reg_value(reg: Regularizer, x: Array) -> float:
     if reg.kind == "weighted_l1":
         return reg.lam * float((reg.weights * np.abs(x)).sum())
     return reg.lam * float(np.abs(x).sum())
+
+
+def l1_weights(reg: Regularizer, coords):
+    """The l1 weight lam_j of each coordinate of ``coords``: lam * w[coords]
+    for weighted l1, the scalar lam for plain l1, 0.0 with no l1 term."""
+    if reg.kind == "weighted_l1":
+        return reg.lam * reg.weights[coords]
+    return reg.lam if reg.kind == "l1" else 0.0
+
+
+def l1_margin(problem: CompositeProblem, x: Array) -> float:
+    """min over the zeros j of x of lam_j - |grad_j f(x)|, f the smooth part;
+    the smallest weight when x has no zero.  At a minimizer x*, a margin > 0
+    is strict complementarity: the zero pattern of x* is stable (Hare and
+    Lewis, J. Convex Anal. 2004).  At any x, a margin < 0 shows that x is
+    not a minimizer."""
+    if problem.reg.kind == "none":
+        raise ValueError("the l1 margin is defined for l1-type regularizers")
+    null = null_pattern(x)
+    if null.size == 0:
+        return float(np.min(l1_weights(problem.reg, np.arange(problem.dim))))
+    g = smooth_gradient(problem, x)
+    return float(np.min(l1_weights(problem.reg, null) - np.abs(g[null])))
 
 
 # -- whole objective --------------------------------------------------------

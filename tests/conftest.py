@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from sparsepg import engine, problem as pb
+from sparsepg import data, engine, problem as pb
 from sparsepg.rng import stream
 
 
@@ -21,6 +23,15 @@ def strongly_convex_problem(d=10, M=3, kappa=0.1, seed=0, reg=None):
     # the scaling above makes each shard's (mu, lip) equal (kappa, 1)
     assert abs(prob.mu - kappa) < 1e-6 and abs(prob.lip - 1.0) < 1e-6
     return prob
+
+
+def mu_pos_lasso():
+    """A lasso with mu > 0 (d=100, m=800 over M=4 workers; mu = 0.17) at a
+    tenth of the smallest weight whose solution is 0; x* has 10 nonzeros."""
+    ds, _ = data.generate_lasso(d=100, m=800, sparsity=0.9, noise_std=0.01, seed=0)
+    base = data.lasso_problem(ds, data.shard_even(ds, 4, seed=0), 1.0)
+    lam_max = float(np.max(np.abs(pb.smooth_gradient(base, np.zeros(100)))))
+    return replace(base, reg=pb.Regularizer("l1", 0.1 * lam_max))
 
 
 def shifted_initial_radius(problem, gamma, init, x_star):

@@ -1,13 +1,14 @@
 import csv
 import dataclasses
 import filecmp
+import itertools
 import json
 import os
 
 import numpy as np
 import pytest
 
-from sparsepg import cli, data, metrics, problem as pb
+from sparsepg import cli, data, engine, metrics, problem as pb
 
 SMALL_LASSO = """
 [problem]
@@ -135,6 +136,20 @@ class TestConfig:
             cli.parse_config(text)
         assert info.value.problems == [problem]
 
+    FLOAT_OPTIONS = [f.metadata for f in dataclasses.fields(cli.ExperimentConfig)
+                     if f.metadata and f.metadata["parse"] is float]
+
+    @pytest.mark.parametrize("raw", ["inf", "-inf", "nan"])
+    def test_float_options_must_be_finite(self, raw):
+        # inf passes a check like v > 0 and nan fails every check: both are
+        # out of range by one rule, whatever the option's own check
+        assert len(self.FLOAT_OPTIONS) == 12
+        for meta in self.FLOAT_OPTIONS:
+            section, key = meta["section"], meta["key"]
+            with pytest.raises(cli.ConfigError) as info:
+                cli.parse_config(f"[{section}]\n{key} = {raw}\n")
+            assert info.value.problems == [f"[{section}] {key}={raw!r} out of range"], key
+
     def test_malformed_ini(self):
         with pytest.raises(cli.ConfigError):
             cli.parse_config("not an ini file [[[")
@@ -216,7 +231,8 @@ class TestRun:
     @pytest.mark.parametrize("text, problem", [
         ("+1 1:0.5\n-1 2:1.0\nbad 1:1\n", "line 3: bad label 'bad'"),
         ("1 1:0.5\n2 2:1.0\n1 1:1\n2 2:0.5\n", "logistic labels must be exactly +/-1"),
-    ], ids=["malformed", "labels-1-2"])
+        ("+1 1:0.5 3000000000:1.0\n-1 2:1.0\n", "line 1: index 3000000000 exceeds 2147483647"),
+    ], ids=["malformed", "labels-1-2", "index-beyond-int32"])
     def test_unusable_dataset_exit(self, tmp_path, capsys, text, problem):
         path = write(tmp_path, "data.svm", text)
         cfgp = write(tmp_path, "exp.ini", f"[problem]\nkind = libsvm-logistic\npath = {path}\n\n"
@@ -248,6 +264,38 @@ class TestRun:
         assert cli.main(["run", "--config", cfgp, "--out", str(out)]) == cli.EXIT_CONFIG
         assert "[problem] synthetic-lasso data: problem_builder(" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        "[problem]\nkind = synthetic-logistic\nlam2 = inf\n",
+        SMALL_LASSO.replace("target_eps = 1e-6", "target_eps = inf"),
+    ], ids=["lam2", "target_eps"])
+    def test_infinite_float_exit(self, tmp_path, capsys, text):
+        cfgp = write(tmp_path, "exp.ini", text)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfgp, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "='inf' out of range" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algorithm", ["reconditioned", "catalyst"])
+    def test_budget_above_d_exit(self, tmp_path, capsys, algorithm):
+        # c is checked against the built problem's d, before any seed runs,
+        # by run and for every config of compare
+        text = SMALL_LASSO.replace("c = 5", "c = 50").replace(
+            "algorithm = reconditioned", f"algorithm = {algorithm}")
+        wide = write(tmp_path, "wide.ini", text)
+        dave = write(tmp_path, "dave.ini", SMALL_DAVE)
+        problem = "[run] c=50.0 exceeds the problem dimension d=40"
+        for argv in (["run", "--config", wide], ["compare", "--config", dave, "--config", wide]):
+            out = tmp_path / "out"
+            assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+            assert problem in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_budget_not_read_by_engine_runs(self, tmp_path):
+        # DAve-PG and SPY draw no exploration budget: c is not checked
+        cfgp = write(tmp_path, "exp.ini", SMALL_DAVE.replace("c = 5", "c = 50"))
+        assert cli.main(["run", "--config", cfgp, "--out", str(tmp_path / "o"),
+                         "--seeds", "1"]) == cli.EXIT_OK
 
     def test_run_outputs_and_exit(self, tmp_path):
         cfgp = write(tmp_path, "exp.ini", SMALL_LASSO)
@@ -358,6 +406,25 @@ class TestRun:
         cfgp = write(tmp_path, "bad.ini", "[run]\nalgorithm = nope\n")
         assert cli.main(["run", "--config", cfgp, "--out", str(tmp_path / "o")]) == 2
 
+    def test_diverged_seeds_exit(self, tmp_path, monkeypatch):
+        # every seed diverges: each is reported, with no trace, and run exits 3
+        def diverge(problem, cfg, seed, ref, **kwargs):
+            raise engine.DivergenceError(seed * 10)
+
+        monkeypatch.setattr(cli, "run_algorithm", diverge)
+        cfgp = write(tmp_path, "exp.ini", SMALL_LASSO)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfgp, "--out", str(out)]) == cli.EXIT_DIVERGED
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["seeds"] == {
+            str(s): {"status": "diverged", "final_gap": None, "iterations": 0, "coords_up": 0,
+                     "coords_down": 0, "identification": None,
+                     "error": f"iterate blew up at iteration {s * 10}"}
+            for s in (1, 2)}
+        assert not any(name.startswith("trace_seed") for name in os.listdir(out))
+        with open(out / "subopt_vs_iters.csv") as fh:
+            assert list(csv.reader(fh)) == [["seed", "point", "iteration", "gap"]]
+
     def test_exit_code_divergence_logic(self):
         diverged = cli.SeedResult(seed=1, status="diverged")
         ok = cli.SeedResult(seed=2, status="ok")
@@ -365,6 +432,43 @@ class TestRun:
         assert cli._exit_code([diverged]) == cli.EXIT_DIVERGED
         assert cli._exit_code([diverged, missed]) == cli.EXIT_TARGET
         assert cli._exit_code([diverged, ok]) == cli.EXIT_OK
+
+
+class TestAlgorithmsAndSchedules:
+    @pytest.mark.parametrize("criterion", ["fixed", "absolute", "adaptive"])
+    def test_catalyst(self, tmp_path, criterion):
+        text = SMALL_LASSO.replace("algorithm = reconditioned\ncriterion = fixed",
+                                   f"algorithm = catalyst\ncriterion = {criterion}")
+        cfgp = write(tmp_path, "exp.ini", text)
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert cli.main(["run", "--config", cfgp, "--out", str(a)]) == cli.EXIT_OK
+        summary = json.loads((a / "summary.json").read_text())
+        assert summary["algorithm"] == "catalyst"
+        assert [v["status"] for v in summary["seeds"].values()] == ["ok", "ok"]
+        assert cli.main(["run", "--config", cfgp, "--out", str(b)]) == cli.EXIT_OK
+        assert filecmp.cmp(a / "summary.json", b / "summary.json", shallow=False)
+
+    @staticmethod
+    def _workers(tmp_path, text):
+        cfgp = write(tmp_path, "exp.ini", text)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfgp, "--out", str(out), "--seeds", "1"]) == 0
+        with open(out / "trace_seed1.csv") as fh:
+            return [int(r["worker"]) for r in csv.DictReader(fh)]
+
+    def test_round_robin(self, tmp_path):
+        workers = self._workers(tmp_path, SMALL_DAVE + "schedule = round_robin\n")
+        assert len(workers) > 30
+        assert workers == [k % 3 for k in range(len(workers))]
+
+    def test_heterogeneous(self, tmp_path):
+        # the replies come in the order the seed's weighted draw gives
+        workers = self._workers(tmp_path, SMALL_DAVE + "schedule = heterogeneous\n"
+                                                       "weights = 6,1,1\n")
+        draws = engine.DelaySchedule.heterogeneous((6.0, 1.0, 1.0), 1).sequence()
+        assert workers == list(itertools.islice(draws, len(workers)))
+        counts = np.bincount(workers)
+        assert counts[0] > 2 * (counts[1] + counts[2])
 
 
 class TestCompare:

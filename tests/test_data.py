@@ -78,9 +78,14 @@ class TestParseLibsvm:
         ds = data.parse_libsvm(io.StringIO("0 2:1\n"))
         assert ds.y == pytest.approx([-1.0])
 
-    def test_n_features_override(self):
-        ds = data.parse_libsvm(io.StringIO("1 1:1\n"), n_features=5)
-        assert ds.d == 5
+    def test_index_beyond_int32_rejected(self):
+        # indices are stored as int32: 2**31 - 1 is the largest that fits
+        text = "-1 2:1\n+1 1:0.5 3000000000:1.0\n"
+        with pytest.raises(data.LibSVMFormatError, match="index 3000000000") as err:
+            data.parse_libsvm(io.StringIO(text))
+        assert err.value.line_no == 2
+        with pytest.raises(data.LibSVMFormatError):
+            data.parse_libsvm(io.StringIO(f"1 {2**31}:1\n"))
 
     def test_bad_token(self):
         with pytest.raises(data.LibSVMFormatError) as err:
@@ -149,13 +154,12 @@ class TestSharding:
     def test_even_split(self):
         ds, _ = data.generate_lasso(d=3, m=10, sparsity=0.5, noise_std=0.0, seed=0)
         plan = data.shard_even(ds, 5, seed=1)
-        sizes = np.bincount(plan.assignment)
-        assert list(sizes) == [2, 2, 2, 2, 2]
+        assert [idx.size for idx in plan] == [2, 2, 2, 2, 2]
 
     def test_remainder_rule(self):
         ds, _ = data.generate_lasso(d=3, m=7, sparsity=0.5, noise_std=0.0, seed=0)
         plan = data.shard_even(ds, 2, seed=1)
-        assert sorted(np.bincount(plan.assignment)) == [3, 4]
+        assert sorted(idx.size for idx in plan) == [3, 4]
 
     def test_too_many_workers(self):
         ds, _ = data.generate_lasso(d=3, m=4, sparsity=0.5, noise_std=0.0, seed=0)
@@ -169,18 +173,19 @@ class TestSharding:
             return
         ds, _ = data.generate_lasso(d=2, m=n, sparsity=0.5, noise_std=0.0, seed=0)
         plan = data.shard_even(ds, M, seed=seed)
-        # disjoint shards covering everything, sizes within 1
-        all_idx = np.concatenate([plan.indices(w) for w in range(M)])
+        # M disjoint shards, each sorted, covering everything, sizes within 1
+        assert len(plan) == M
+        assert all(np.all(np.diff(idx) > 0) for idx in plan)
+        all_idx = np.concatenate(plan)
         assert sorted(all_idx) == list(range(n))
-        sizes = np.bincount(plan.assignment, minlength=M)
+        sizes = np.array([idx.size for idx in plan])
         assert sizes.max() - sizes.min() <= 1
 
     def test_shards_preserve_rows(self):
         ds, _ = data.generate_lasso(d=4, m=9, sparsity=0.5, noise_std=0.1, seed=3)
         plan = data.shard_even(ds, 3, seed=4)
         shards = data.make_shards(ds, plan, "least_squares")
-        for w, shard in enumerate(shards):
-            idx = plan.indices(w)
+        for idx, shard in zip(plan, shards, strict=True):
             assert np.array_equal(shard.A, ds.X[idx])
             assert np.array_equal(shard.b, ds.y[idx])
 

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from sparsepg import data, direct, problem as pb
 
+from conftest import mu_pos_lasso
+
 
 def _problem(seed, sparse, kind, weighted, d=10, M=2):
     """A strongly convex l1 problem whose minimizer has a few nonzeros."""
@@ -45,7 +47,7 @@ def _trap(prob, rho, rng):
     j off S.  Only the error estimate can refuse z.  None when no such S,
     signs and radii are found among those tried."""
     d = prob.dim
-    lam = prob.reg.lam * (prob.reg.weights if prob.reg.kind == "weighted_l1" else np.ones(d))
+    lam = pb.l1_weights(prob.reg, np.arange(d)) * np.ones(d)
     for _ in range(6):
         S = rng.choice(d, 2, replace=False)
         s = rng.choice([-1.0, 1.0], 2)
@@ -157,3 +159,25 @@ class TestSupportFinish:
             assert np.count_nonzero(x) == 6
             assert all(k * k <= m * 6 for k in seen)
             assert bool(seen) == room
+
+
+class TestPolish:
+    def test_support_missing_a_coordinate_returns_input(self):
+        # x* with one of its nonzeros set to 0: where the exact solution on
+        # the smaller support keeps its signs, the gradient of the zeroed
+        # coordinate exceeds its weight (a negative l1 margin), so that
+        # solution is refused; either way polish returns its input
+        prob = mu_pos_lasso()
+        x, _ = direct.solve(prob, tol=1e-12)
+        x_star = direct.polish_l1_least_squares(prob, x)
+        assert pb.l1_margin(prob, x_star) > 0
+        refused = 0
+        for j in pb.support_of(x_star):
+            x = x_star.copy()
+            x[j] = 0.0
+            assert direct.polish_l1_least_squares(prob, x) is x
+            candidate = direct._on_support(prob, x)
+            if candidate is not None:
+                assert pb.l1_margin(prob, candidate) < 0
+                refused += 1
+        assert refused >= 5

@@ -124,7 +124,7 @@ class TestReferenceSolution:
         ds = data.Dataset(X=sp.csr_matrix(X) if sparse else X, y=ds.y)
         plan = data.shard_even(ds, 2, seed=4)
         prob = data.lasso_problem(ds, plan, lam1=0.1)
-        rows = [(ds.X[plan.indices(w)], ds.y[plan.indices(w)]) for w in range(2)]
+        rows = [(ds.X[plan[w]], ds.y[plan[w]]) for w in range(2)]
         A = prob.shards[0].A
         if sparse:
             assert A.format == "csc"

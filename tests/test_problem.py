@@ -48,6 +48,12 @@ class TestShardValidation:
         with pytest.raises(ValueError):
             pb.LossShard(kind=pb.LOGISTIC, A=np.eye(2), b=np.array([1.0, 0.5]))
 
+    @pytest.mark.parametrize("kind", [pb.LEAST_SQUARES, pb.LOGISTIC])
+    @pytest.mark.parametrize("l2", [-1.0, np.inf, np.nan])
+    def test_l2_must_be_finite_and_nonnegative(self, kind, l2):
+        with pytest.raises(ValueError, match="l2 weight must be finite and nonnegative"):
+            pb.LossShard(kind=kind, A=np.eye(2), b=np.ones(2), l2=l2)
+
     def test_ridge_needs_center(self):
         prob = pb.composite_problem([pb.LossShard(kind=pb.LEAST_SQUARES, A=np.eye(2),
                                                   b=np.zeros(2))])
@@ -322,6 +328,41 @@ class TestSupport:
     @given(x=arrays(np.float64, 8, elements=st.floats(-5, 5)))
     def test_complementarity(self, x):
         assert pb.support_of(x).size + pb.null_pattern(x).size == 8
+
+
+class TestL1Margin:
+    REGS = [pb.Regularizer(), pb.Regularizer("l1", 0.4),
+            pb.Regularizer("weighted_l1", 0.4, np.array([0.5, 2.0, 1.0, 3.0, 0.25, 1.5]))]
+
+    def test_weights(self):
+        none, l1, weighted = self.REGS
+        coords = np.array([4, 1])
+        assert pb.l1_weights(none, coords) == 0.0
+        assert pb.l1_weights(l1, coords) == 0.4
+        assert list(pb.l1_weights(weighted, coords)) == [0.4 * 0.25, 0.4 * 2.0]
+
+    def test_point_without_zeros_gives_smallest_weight(self, rng):
+        _, l1, weighted = self.REGS
+        x = rng.uniform(0.5, 1.0, 6)
+        assert pb.l1_margin(random_problem(rng, reg=l1), x) == 0.4
+        assert pb.l1_margin(random_problem(rng, reg=weighted), x) == 0.4 * 0.25
+        # at x* the margin is the nondegeneracy margin
+        ref = metrics.ReferenceSolution(x, 0.0, 6, 1e-12, "")
+        assert metrics.check_nondegeneracy(random_problem(rng, reg=weighted), ref) == 0.1
+
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_min_over_zeros(self, rng, which):
+        prob = random_problem(rng, reg=self.REGS[which])
+        x = np.where(rng.random(6) < 0.5, rng.standard_normal(6), 0.0)
+        x[[0, 3]] = 0.0
+        g = pb.smooth_gradient(prob, x)
+        lam = prob.reg.lam * (prob.reg.weights if which == 2 else np.ones(6))
+        want = min(lam[j] - abs(g[j]) for j in range(6) if x[j] == 0)
+        assert pb.l1_margin(prob, x) == want
+
+    def test_requires_l1(self, rng):
+        with pytest.raises(ValueError, match="l1"):
+            pb.l1_margin(random_problem(rng), np.zeros(6))
 
 
 class TestReconditioned:

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from sparsepg import data, direct, engine, metrics, problem as pb, recondition as rc
 from sparsepg.sparsifier import adaptive_distribution
 
-from conftest import check_ledger, count_messages, strongly_convex_problem, trace_bytes
+from conftest import (check_ledger, count_messages, mu_pos_lasso, strongly_convex_problem,
+                      trace_bytes)
 
 
 def small_lasso(d=40, m=60, lam=0.2, M=3, seed=11):
@@ -550,6 +551,29 @@ class TestMomentum:
         assert [trace_bytes(t) for t in back.inner_traces] == \
             [trace_bytes(t) for t in trace.inner_traces]
         assert len(trace.centers) == 26
+
+    @pytest.mark.parametrize("kind", ["absolute", "adaptive"])
+    def test_criteria_with_mu_positive(self, kind, monkeypatch):
+        # with mu > 0 the absolute threshold shrinks geometrically and the
+        # adaptive coefficient is constant; every inner run ends where its
+        # test holds, and the loop reaches f* + 1e-8
+        prob = mu_pos_lasso()
+        assert prob.mu > 0.1
+        ref = metrics.reference_solution(prob, tol=1e-12)
+        params = rc.make_params(prob.mu, prob.lip, c=5, d=prob.dim)
+        rules = []
+        stop = rc._momentum_stop
+        monkeypatch.setattr(rc, "_momentum_stop", lambda *a: rules.append(stop(*a)) or rules[-1])
+        criterion = rc.MomentumCriterion(kind=kind,
+                                         f_star=ref.f_star if kind == "absolute" else None)
+        trace = rc.run_momentum(prob, params, engine.DelaySchedule.round_robin(4),
+                                np.zeros(prob.dim), criterion=criterion, outer_budget=500,
+                                target_objective=ref.f_star + 1e-8, seed=1)
+        assert pb.eval_objective(prob, trace.final_x) - ref.f_star <= 1e-8
+        assert trace.n_outer < 100
+        assert len(rules) == len(trace.inner_traces) == trace.n_outer
+        for rule, inner in zip(rules, trace.inner_traces):
+            assert inner.epoch_snapshots and rule.epoch_predicate(inner.final_x, None)
 
     @pytest.mark.parametrize("kind", ["fixed", "adaptive", "absolute"])
     def test_criteria_converge(self, kind):
