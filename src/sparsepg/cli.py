@@ -432,14 +432,14 @@ def _execute_seed(problem, cfg, seed, ref, mode) -> SeedResult:
         up0, down0, it0 = phase1.cum_up, phase1.cum_down, phase1.n_iterations
         # the run's own curve starts at iteration it0, where phase 1 ended
         subopt = [p for p in _subopt_curves(phase1, ref.f_star) if p[0] < it0]
-        support = phase1.support_curve(cfg.log_stride)
+        support = phase1.support_curve()
     return SeedResult(
         seed=seed, status=status, final_gap=gap, iterations=it0 + trace.n_iterations,
         cum_up=up0 + trace.cum_up, cum_down=down0 + trace.cum_down,
         identification=metrics.identification_time(trace, ref),
         trace=trace,
         subopt=subopt + _subopt_curves(trace, ref.f_star, up0, down0, it0),
-        support=support + trace.support_curve(cfg.log_stride, it0),
+        support=support + trace.support_curve(it0),
         phase1_exchanges=up0 + down0,
     )
 
@@ -455,7 +455,7 @@ def _emit_experiment(out_dir, cfg, problem, ref, results):
         fh.write(cfg.to_ini())
     for r in results:
         if r.trace is not None:
-            r.trace.to_csv(os.path.join(out_dir, f"trace_seed{r.seed}.csv"), f_star=ref.f_star)
+            r.trace.to_csv(os.path.join(out_dir, f"trace_seed{r.seed}.csv"))
     ok = {str(r.seed): r for r in results if r.status != "diverged"}
     _write_curves_csv(
         os.path.join(out_dir, "support_vs_iters.csv"),

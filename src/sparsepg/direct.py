@@ -110,7 +110,7 @@ def _on_support(problem, x):
     when it keeps those signs; else None.  On that set the l1 term is linear:
     least-squares shards leave one linear system, logistic shards are handled
     by Newton's method started at x, and mixed shards are not handled."""
-    supp = pb.support_of(x)
+    supp = (x != 0).nonzero()[0]
     signs = np.sign(x[supp])
     kinds = {s.kind for s in problem.shards}
     if kinds == {pb.LEAST_SQUARES}:

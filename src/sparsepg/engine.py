@@ -356,20 +356,20 @@ class RunTrace:
     def __iter__(self):
         return iter(self.epoch_snapshots)
 
-    def support_curve(self, stride: int = 1, iter_offset: int = 0) -> list:
-        """[(iteration, support_size)] after every stride-th iteration, the
-        iteration being the number of iterations completed (k + 1) plus
-        iter_offset."""
-        support = self.records.column("support_size")[::stride].tolist()
-        return list(zip(range(iter_offset + 1, iter_offset + 1 + self.n_iterations, stride), support))
+    def support_curve(self, iter_offset: int = 0) -> list:
+        """[(iteration, support_size)] where the objective is logged: after
+        each logged iteration k, at k + 1 + iter_offset iterations completed.
+        Empty without an objective log."""
+        support = self.records.column("support_size")
+        return [(p.k + 1 + iter_offset, int(support[p.k])) for p in self.objective_log if p.k >= 0]
 
-    def to_csv(self, path, f_star: float | None = None) -> None:
-        """One row per iteration with the logged objective where there is
-        one; the rows carry no gap, so f_star is not used."""
+    def to_csv(self, path) -> None:
+        """One row per iteration: k, worker, coords_up, coords_down,
+        support_size, epoch_m and the logged objective, empty where none."""
         values = {p.k: p.value for p in self.objective_log}
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["k", "worker", "coords_up", "coords_down", "support_size", "epoch_m", "objective"])
+            w.writerow(["k", *RecordColumns.FIELDS, "objective"])
             w.writerows([k, *row, values.get(k, "")]
                         for k, row in enumerate(self.records.columns().T.tolist()))
 
@@ -504,7 +504,7 @@ def _run(
 
     def new_mask(i, x):
         if slowdown_pi is not None:
-            return np.flatnonzero((np.abs(x) > 0) | (mask_rngs[i].random(d) < slowdown_pi))
+            return ((x != 0) | (mask_rngs[i].random(d) < slowdown_pi)).nonzero()[0]
         if dist is None:
             return None  # dense
         return draw_mask(dist, mask_rngs[i])

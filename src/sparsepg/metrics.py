@@ -160,8 +160,8 @@ def identification_time(trace, ref: ReferenceSolution):
     epoch) or an outer trace (the initial point, then each outer step's
     result x_ell)."""
     points = list(trace)
-    target = np.abs(ref.x_star) > 0
-    match = [bool(np.array_equal(np.abs(x) > 0, target)) for x in points]
+    target = ref.x_star != 0
+    match = [bool(np.array_equal(x != 0, target)) for x in points]
     lam = None
     for idx in range(len(match) - 1, -1, -1):
         if not match[idx]:

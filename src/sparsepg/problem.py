@@ -509,11 +509,7 @@ def eval_objective(problem: CompositeProblem, x: Array) -> float:
     return float(v) + reg_value(problem.reg, x)
 
 
-def support_of(x: Array) -> np.ndarray:
-    """Indices with |x_j| > 0."""
-    return np.flatnonzero(np.abs(np.asarray(x)) > 0)
-
-
 def null_pattern(x: Array) -> np.ndarray:
-    """Indices with x_j = 0."""
-    return np.flatnonzero(np.asarray(x) == 0)
+    """Indices with x_j = 0 (-0.0 included): the complement of the support
+    ``(x != 0).nonzero()[0]``, which holds NaN and every other nonzero."""
+    return (np.asarray(x) == 0).nonzero()[0]

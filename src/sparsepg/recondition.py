@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -206,26 +206,22 @@ class OuterTrace:
     def cum_down(self) -> int:
         return self.records[-1].cum_down if self.records else 0
 
-    def support_curve(self, stride: int = 1, iter_offset: int = 0) -> list:
-        """[(iteration, support_size)], one point per outer step: the number
-        of inner iterations completed when the step ends, plus iter_offset.
-        Every step is kept, so stride is not used."""
+    def support_curve(self, iter_offset: int = 0) -> list:
+        """[(iteration, support_size)], one point per outer step: the inner
+        iterations completed when the step ends, plus iter_offset."""
         curve, end = [], iter_offset
         for r in self.records:
             end += r.inner_iterations
             curve.append((end, r.support_size))
         return curve
 
-    def to_csv(self, path, f_star: float | None = None) -> None:
-        """One row per outer step; the gap column is empty without f_star."""
+    def to_csv(self, path) -> None:
+        """One row per outer step: ell, pi_ell, inner_epochs,
+        inner_iterations, support_size, cum_up, cum_down and objective."""
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["ell", "pi_ell", "inner_epochs", "inner_iterations",
-                        "support_size", "cum_up", "cum_down", "objective", "gap"])
-            for r in self.records:
-                gap = "" if f_star is None else r.objective - f_star
-                w.writerow([r.ell, r.pi_ell, r.inner_epochs, r.inner_iterations,
-                            r.support_size, r.cum_up, r.cum_down, r.objective, gap])
+            w.writerow([f.name for f in fields(OuterRecord)])
+            w.writerows(astuple(r) for r in self.records)
 
 
 # -- stopping criteria -------------------------------------------------------

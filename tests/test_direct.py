@@ -172,7 +172,7 @@ class TestPolish:
         x_star = direct.polish_l1_least_squares(prob, x)
         assert pb.l1_margin(prob, x_star) > 0
         refused = 0
-        for j in pb.support_of(x_star):
+        for j in (x_star != 0).nonzero()[0]:
             x = x_star.copy()
             x[j] = 0.0
             assert direct.polish_l1_least_squares(prob, x) is x

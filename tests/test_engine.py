@@ -730,7 +730,7 @@ class TestCompactTraces:
         prob = strongly_convex_problem(d=9, M=3, seed=12, reg=pb.Regularizer(kind="l1", lam=0.1))
         trace = engine.run_spy(prob, engine.gamma_max(prob), uniform_distribution(9, 0.4),
                                engine.DelaySchedule.random_uniform(3, seed=12), np.zeros(9),
-                               engine.StopRule(max_iterations=2500), seed=12)
+                               engine.StopRule(max_iterations=2500), seed=12, objective_stride=3)
         records = trace.records
         as_list = list(records)
         assert len(records) == len(as_list) == trace.n_iterations == 2500
@@ -742,7 +742,14 @@ class TestCompactTraces:
         assert records[1020:1030] == as_list[1020:1030]
         assert records[::-7] == as_list[::-7]
         assert trace.worker_fires == [r.worker for r in as_list]
-        assert trace.support_curve(3, 10) == [(r.k + 11, r.support_size) for r in as_list[::3]]
+        # the support is read where the objective is logged
+        assert trace.support_curve(10) == [(p.k + 11, records[p.k].support_size)
+                                           for p in trace.objective_log if p.k >= 0]
+        assert len(trace.support_curve()) == len(as_list[::3])
+        unlogged = engine.run_spy(prob, engine.gamma_max(prob), uniform_distribution(9, 0.4),
+                                  engine.DelaySchedule.random_uniform(3, seed=12), np.zeros(9),
+                                  engine.StopRule(max_iterations=50), seed=12)
+        assert unlogged.support_curve() == []
         assert trace.cum_down == trace.priming_down + sum(r.coords_down for r in as_list)
 
     @pytest.mark.parametrize("mode", ["sim", "concurrent"])

@@ -438,11 +438,12 @@ class TestReconditionedLoop:
                                      criterion=rc.InnerCriterion(kind="fixed", epochs=1),
                                      outer_budget=5, seed=7)
         path = tmp_path / "outer.csv"
-        trace.to_csv(path, f_star=self.f_star)
+        trace.to_csv(path)
         with open(path) as fh:
             rows = list(csv.reader(fh))
+        # no gap column: f* is in summary.json
         assert rows[0] == ["ell", "pi_ell", "inner_epochs", "inner_iterations",
-                           "support_size", "cum_up", "cum_down", "objective", "gap"]
+                           "support_size", "cum_up", "cum_down", "objective"]
         assert len(rows) == 6
 
 
