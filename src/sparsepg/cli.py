@@ -251,7 +251,8 @@ def build_problem(cfg: ExperimentConfig):
     A lasso without ``lam1`` is calibrated to ``target_support``; the weight
     found is the problem's ``reg.lam``, and ``cfg`` is left unchanged.  Data
     that cannot be made into the problem (a malformed file, labels other than
-    +/-1, fewer examples than workers) or calibrated raises ``ConfigError``."""
+    +/-1, fewer examples than workers, a dimension too large for the machine's
+    memory) or calibrated raises ``ConfigError``."""
     try:
         if cfg.kind.startswith("synthetic"):
             dataset, _ = data.generate_lasso(cfg.d, cfg.m, cfg.sparsity, cfg.noise_std,
@@ -260,6 +261,7 @@ def build_problem(cfg: ExperimentConfig):
                 dataset = data.Dataset(X=dataset.X, y=np.sign(dataset.y) + (dataset.y == 0))
         else:
             dataset = data.parse_libsvm(cfg.path)
+        _check_memory(dataset.d, cfg.workers, pb.issparse(dataset.X))
         if cfg.scale:
             dataset = data.scale_features(dataset)
         plan = data.shard_even(dataset, cfg.workers, seed=cfg.data_seed)
@@ -277,6 +279,19 @@ def build_problem(cfg: ExperimentConfig):
     except (OSError, ValueError) as exc:
         source = f"dataset {cfg.path}" if cfg.kind.startswith("libsvm") else f"{cfg.kind} data"
         raise ConfigError([f"[problem] {source}: {exc}"]) from None
+
+
+def _check_memory(d: int, workers: int, sparse: bool) -> None:
+    """Raise ValueError when a problem of dimension d on ``workers`` shards
+    cannot fit in this machine's physical memory, before any of it is built.
+    The estimate is a lower bound: the d + 1 int32 column pointers of each
+    sparse shard's CSC matrix, and the engine's 2M + 2 dense d-vectors (each
+    worker's point and the model sent to it, the average and its prox)."""
+    need = (2 * workers + 2) * 8 * d + (workers * 4 * (d + 1) if sparse else 0)
+    total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > total:
+        raise ValueError(f"d={d} on {workers} workers needs at least {need / 2**30:.1f} GiB, "
+                         f"more than the {total / 2**30:.1f} GiB of physical memory")
 
 
 def _problem_key(cfg: ExperimentConfig) -> tuple:

@@ -7,7 +7,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import problem as pb
 from .rng import stream
@@ -15,17 +14,21 @@ from .rng import stream
 
 @dataclass(frozen=True)
 class Dataset:
-    """Design matrix (dense ndarray or CSR) plus a label/target vector, all
-    finite."""
+    """Design matrix (dense ndarray or CSR with sorted indices) plus a
+    label/target vector, all finite.  A sparse matrix whose indices are not
+    sorted is sorted in a copy; the caller's arrays are left as they are."""
 
     X: object
     y: np.ndarray
 
     def __post_init__(self):
         X = self.X
-        if sp.issparse(X):
+        if pb.issparse(X):
+            import scipy.sparse as sp
+
             X = sp.csr_matrix(X)
-            X.sort_indices()
+            if not X.has_sorted_indices:
+                X = X.sorted_indices()
             object.__setattr__(self, "X", X)
         else:
             object.__setattr__(self, "X", np.asarray(X, dtype=float))
@@ -35,7 +38,7 @@ class Dataset:
             raise ValueError("dataset needs at least one example")
         if y.shape != (self.X.shape[0],):
             raise ValueError("label count does not match example count")
-        values = self.X.data if sp.issparse(self.X) else self.X
+        values = self.X.data if pb.issparse(self.X) else self.X
         if not np.all(np.isfinite(values)):
             raise ValueError("design matrix has non-finite entries")
         if not np.all(np.isfinite(y)):
@@ -127,6 +130,8 @@ def parse_libsvm(source) -> Dataset:
         indptr.append(len(indices))
     if not labels:
         raise LibSVMFormatError(0, "empty input")
+    import scipy.sparse as sp
+
     X = sp.csr_matrix(
         (np.array(values), np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32)),
         shape=(len(labels), d_seen),
@@ -147,7 +152,9 @@ def _read_lines(source):
 
 def scale_features(dataset: Dataset) -> Dataset:
     """Per-feature max-abs scaling (columns with all zeros are left alone)."""
-    if sp.issparse(dataset.X):
+    if pb.issparse(dataset.X):
+        import scipy.sparse as sp
+
         maxabs = np.asarray(np.abs(dataset.X).max(axis=0).todense()).ravel()
         maxabs[maxabs == 0] = 1.0
         D = sp.diags(1.0 / maxabs)

@@ -9,8 +9,6 @@ it can validate it.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import expit
 
 from . import problem as pb
 
@@ -60,7 +58,7 @@ def solve(
     y = x.copy()
     t = 1.0
     err = np.inf
-    room = sum(s.A.nnz if sp.issparse(s.A) else s.A.size for s in problem.shards)
+    room = sum(s.A.nnz if pb.issparse(s.A) else s.A.size for s in problem.shards)
     prev, tried = _pattern(x), set()
     for it in range(MAX_ITER):
         g = pb.smooth_gradient(problem, y)
@@ -128,7 +126,7 @@ def _on_support(problem, x):
 
 def _columns(A, supp: np.ndarray) -> np.ndarray:
     A_s = A[:, supp]
-    return A_s.toarray() if sp.issparse(A_s) else A_s
+    return A_s.toarray() if pb.issparse(A_s) else A_s
 
 
 def _least_squares_on_support(problem, supp, signs):
@@ -156,6 +154,8 @@ def _least_squares_on_support(problem, supp, signs):
 def _newton_on_support(problem, supp, signs, z):
     """The same minimizer for logistic shards, by Newton's method with
     backtracking started at z; None when it fails."""
+    from scipy.special import expit
+
     lin = pb.l1_weights(problem.reg, supp) * signs
     parts = [(alpha, s, _columns(s.A, supp)) for alpha, s in zip(problem.alphas, problem.shards)]
     diag = np.diag_indices(supp.size)

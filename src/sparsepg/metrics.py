@@ -10,7 +10,6 @@ import zipfile
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import direct
 from . import problem as pb
@@ -43,7 +42,9 @@ def problem_fingerprint(problem: pb.CompositeProblem) -> str:
     h = hashlib.sha256()
     for shard in problem.shards:
         A = shard.A
-        if sp.issparse(A):
+        if pb.issparse(A):
+            import scipy.sparse as sp
+
             A = sp.csc_matrix(A)
             h.update(A.indptr.tobytes())
             h.update(A.indices.tobytes())

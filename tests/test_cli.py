@@ -4,11 +4,15 @@ import filecmp
 import itertools
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from sparsepg import cli, data, engine, metrics, problem as pb
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 SMALL_LASSO = """
 [problem]
@@ -241,6 +245,27 @@ class TestRun:
         assert cli.main(["run", "--config", cfgp, "--out", str(out)]) == cli.EXIT_CONFIG
         assert f"[problem] dataset {path}: {problem}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_dimension_beyond_memory_exit(self, tmp_path):
+        # index 2e9 is valid LibSVM, but each shard's CSC matrix would hold
+        # 2e9 column pointers (8 GB); the run stops before it builds a shard.
+        # The child's address space is capped, so a missing check fails fast.
+        path = write(tmp_path, "data.svm", "+1 1:0.5 2000000000:1.0\n-1 2:1.0\n")
+        cfgp = write(tmp_path, "exp.ini", f"[problem]\nkind = libsvm-logistic\npath = {path}\n\n"
+                                          "[run]\nalgorithm = davepg\nworkers = 2\n")
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+                "from sparsepg import cli\n"
+                "sys.exit(cli.main(sys.argv[1:]))\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code, "run", "--config", cfgp,
+                              "--out", str(tmp_path / "out")],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == cli.EXIT_CONFIG, out.stderr
+        assert f"[problem] dataset {path}: d=2000000000 on 2 workers needs at least" in out.stderr
+        assert "of physical memory" in out.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_uncalibrated_support_exit(self, tmp_path, capsys):
         # b = 0 (x0 = 0, no noise): every weight gives x* = 0, so the

@@ -150,6 +150,18 @@ class TestNonFiniteInput:
             data.Dataset(X=np.ones((2, 2)), y=np.array([1.0, np.nan]))
 
 
+class TestDataset:
+    def test_unsorted_sparse_input_left_unchanged(self):
+        import scipy.sparse as sp
+        X = sp.csr_matrix((np.array([2.0, 1.0]), np.array([1, 0]), np.array([0, 2])),
+                          shape=(1, 2))
+        ds = data.Dataset(X=X, y=np.ones(1))
+        # the dataset's copy is sorted; the caller's arrays keep their order
+        assert list(ds.X.indices) == [0, 1] and list(ds.X.data) == [1.0, 2.0]
+        assert list(X.indices) == [1, 0] and list(X.data) == [2.0, 1.0]
+        assert np.array_equal(ds.X.toarray(), X.toarray())
+
+
 class TestSharding:
     def test_even_split(self):
         ds, _ = data.generate_lasso(d=3, m=10, sparsity=0.5, noise_std=0.0, seed=0)

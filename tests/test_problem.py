@@ -2,6 +2,7 @@ import os
 import pickle
 import subprocess
 import sys
+import textwrap
 import threading
 from dataclasses import replace
 
@@ -16,6 +17,16 @@ from sparsepg import data, engine, metrics, problem as pb, recondition as rc
 from sparsepg.sparsifier import uniform_distribution
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_child(code, *flags):
+    """Standard output, stripped, of ``code`` run by a fresh interpreter on
+    this checkout's sources."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, *flags, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    return out.stdout.strip()
 
 
 def quad_shard(a=1.0, b=0.0):
@@ -204,11 +215,68 @@ class TestExactConstants:
             "pb.composite_problem([pb.LossShard(kind=pb.LEAST_SQUARES, A=A, b=np.zeros(30))])\n"
             "print('scipy.sparse.linalg' in sys.modules)\n"
         )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True, timeout=120)
-        assert out.stdout.strip() == "False"
+        assert run_child(code) == "False"
+
+
+# the child programs of TestScipyImports: each prints which of scipy.sparse
+# and scipy.special it loaded
+RUN_CONFIG = textwrap.dedent(r"""
+    import pathlib, sys, tempfile
+    from sparsepg import cli
+
+    def run(text, *args):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp, "exp.ini")
+            path.write_text(text)
+            code = cli.main(["run", "--config", str(path), "--out", tmp + "/out", *args])
+            assert code == cli.EXIT_OK, code
+
+    PROBLEM = "[problem]\nd = 40\nm = 60\nsparsity = 0.9\ndata_seed = 4\n"
+    RUN = "[run]\nworkers = 3\nc = 5\nseeds = 1\nlog_stride = 5\n"
+""")
+PRINT_LOADED = textwrap.dedent("""
+    print(*[m for m in ("scipy.sparse", "scipy.special") if m in sys.modules])
+""")
+
+
+class TestScipyImports:
+    def test_dense_lasso_run_loads_neither_sparse_nor_special(self):
+        # calibrate_l1 (no lam1) and reference_solution run inside cli.main
+        code = RUN_CONFIG + textwrap.dedent(r"""
+            for algorithm in ("reconditioned", "davepg"):
+                run(PROBLEM + "target_support = 5\n" + RUN + f"algorithm = {algorithm}\n")
+        """) + PRINT_LOADED
+        assert run_child(code) == ""
+
+    def test_logistic_run_loads_special_not_sparse(self):
+        # in concurrent mode the worker threads reach the first sigmoid together
+        code = RUN_CONFIG + textwrap.dedent(r"""
+            logistic = PROBLEM + "kind = synthetic-logistic\nlam1 = 0.02\n"
+            run(logistic + RUN + "algorithm = davepg\n", "--mode", "concurrent")
+        """) + PRINT_LOADED
+        assert run_child(code, "-X", "dev") == "scipy.special"
+
+    def test_libsvm_problem_loads_sparse_and_solves_as_dense(self):
+        code = textwrap.dedent(r"""
+            import io, sys
+            import numpy as np
+            from sparsepg import data, metrics
+
+            rng = np.random.default_rng(1)
+            X = rng.standard_normal((60, 12)) * (rng.random((60, 12)) < 0.5)
+            y = X @ np.r_[2.0, -1.0, np.zeros(10)] + 0.01 * rng.standard_normal(60)
+            text = "".join(f"{t!r} " + " ".join(f"{j + 1}:{v!r}" for j, v in enumerate(r) if v)
+                           + "\n" for t, r in zip(y.tolist(), X.tolist()))
+            sparse = data.parse_libsvm(io.StringIO(text))
+            dense = data.Dataset(X=sparse.X.toarray(), y=sparse.y)
+            plan = data.shard_even(sparse, 3, seed=0)
+            x = [metrics.reference_solution(data.lasso_problem(ds, plan, 0.1),
+                                            assume_unique_minimizer=True).x_star
+                 for ds in (sparse, dense)]
+            assert np.count_nonzero(x[0]) > 0
+            assert np.allclose(x[0], x[1], rtol=0, atol=1e-9)
+        """) + PRINT_LOADED
+        assert run_child(code) == "scipy.sparse"
 
 
 class TestProx:
