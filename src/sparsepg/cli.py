@@ -117,9 +117,6 @@ class ExperimentConfig:
     gamma_frac: float = _option("run", "gamma_frac", 1.0, float, lambda v: 0 < v <= 1)
     ref_tol: float = _option("run", "ref_tol", 1e-12, float, lambda v: v > 0)
     warmstart: bool = False  # whether the config has a [warmstart] section
-    ws_algorithm: str = _option("warmstart", "algorithm", "davepg", str,
-                                lambda v: v in ("davepg", "spy-uniform"))
-    ws_subopt: float = _option("warmstart", "subopt_threshold", 1e-2, float, lambda v: v > 0)
     ws_density: float = _option("warmstart", "density_threshold", 0.01, float,
                                 lambda v: 0 < v <= 1)
     ws_max_epochs: int = _option("warmstart", "max_epochs", 2000, int, lambda v: v >= 1)
@@ -185,16 +182,22 @@ def _parse_option(f, raw: str, problems: list):
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse an INI config on top of the defaults, validating fully."""
+    """Parse an INI config on top of the defaults, validating fully.  A
+    section or key that no option declares is an error, a [DEFAULT] key too."""
     defaults = _ini_sections(ExperimentConfig())
     # no interpolation: a % in a value is an ordinary character
     cp = configparser.ConfigParser(interpolation=None)
-    cp.read_dict({k: v for k, v in defaults.items() if k != "warmstart"})
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError([f"malformed config: {exc}"]) from None
-    problems: list[str] = []
+    problems = [f"[{cp.default_section}] {key} is not an option" for key in cp.defaults()]
+    for section in cp.sections():
+        if section not in defaults:
+            problems.append(f"[{section}] is not a section ({', '.join(defaults)} are)")
+            continue
+        problems += [f"[{section}] {key} is not an option" for key in cp.options(section)
+                     if key not in defaults[section] and key not in cp.defaults()]
     failed = set()  # options that did not parse or were out of range
     cfg = ExperimentConfig(warmstart=cp.has_section("warmstart"))
     for f in _OPTIONS.values():
@@ -261,10 +264,9 @@ def build_problem(cfg: ExperimentConfig):
                 dataset = data.Dataset(X=dataset.X, y=np.sign(dataset.y) + (dataset.y == 0))
         else:
             dataset = data.parse_libsvm(cfg.path)
-        _check_memory(dataset.d, cfg.workers, pb.issparse(dataset.X))
+        plan = data.shard_even(dataset, cfg.workers, seed=cfg.data_seed)
         if cfg.scale:
             dataset = data.scale_features(dataset)
-        plan = data.shard_even(dataset, cfg.workers, seed=cfg.data_seed)
         if not cfg.kind.endswith("lasso"):
             return data.logistic_problem(dataset, plan, cfg.lam1, cfg.lam2)
         if cfg.lam1 is not None:
@@ -279,19 +281,6 @@ def build_problem(cfg: ExperimentConfig):
     except (OSError, ValueError) as exc:
         source = f"dataset {cfg.path}" if cfg.kind.startswith("libsvm") else f"{cfg.kind} data"
         raise ConfigError([f"[problem] {source}: {exc}"]) from None
-
-
-def _check_memory(d: int, workers: int, sparse: bool) -> None:
-    """Raise ValueError when a problem of dimension d on ``workers`` shards
-    cannot fit in this machine's physical memory, before any of it is built.
-    The estimate is a lower bound: the d + 1 int32 column pointers of each
-    sparse shard's CSC matrix, and the engine's 2M + 2 dense d-vectors (each
-    worker's point and the model sent to it, the average and its prox)."""
-    need = (2 * workers + 2) * 8 * d + (workers * 4 * (d + 1) if sparse else 0)
-    total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > total:
-        raise ValueError(f"d={d} on {workers} workers needs at least {need / 2**30:.1f} GiB, "
-                         f"more than the {total / 2**30:.1f} GiB of physical memory")
 
 
 def _problem_key(cfg: ExperimentConfig) -> tuple:
@@ -324,15 +313,15 @@ def _make_schedule(cfg: ExperimentConfig, seed: int) -> engine.DelaySchedule:
     return engine.DelaySchedule.random_uniform(cfg.workers, seed)
 
 
-def _run_engine(problem, cfg: ExperimentConfig, algorithm: str, seed: int,
+def _run_engine(problem, cfg: ExperimentConfig, seed: int,
                 init: np.ndarray, stop: engine.StopRule, mode: str) -> engine.RunTrace:
     """One engine run of ``davepg``, ``spy-uniform`` or ``spy-slowdown``."""
     gamma = cfg.gamma_frac * engine.gamma_max(problem)
     schedule = _make_schedule(cfg, seed)
     kwargs = dict(seed=seed, objective_stride=cfg.log_stride, mode=mode)
-    if algorithm == "davepg":
+    if cfg.algorithm == "davepg":
         return engine.run_davepg(problem, gamma, schedule, init, stop, **kwargs)
-    if algorithm == "spy-uniform":
+    if cfg.algorithm == "spy-uniform":
         dist = uniform_distribution(problem.dim, cfg.pi)
         return engine.run_spy(problem, gamma, dist, schedule, init, stop, **kwargs)
     return engine.run_adaptive_spy_slowdown(problem, gamma, cfg.pi, schedule, init, stop,
@@ -348,7 +337,7 @@ def run_algorithm(problem, cfg: ExperimentConfig, seed: int,
     target = ref.f_star + cfg.target_eps
     if cfg.algorithm in ("davepg", "spy-uniform", "spy-slowdown"):
         stop = engine.StopRule(max_iterations=cfg.max_iterations, target_objective=target)
-        return _run_engine(problem, cfg, cfg.algorithm, seed, init, stop, mode)
+        return _run_engine(problem, cfg, seed, init, stop, mode)
     schedule = _make_schedule(cfg, seed)
     params = rc.make_params(problem.mu, problem.lip, cfg.c, d, delta=cfg.delta)
     if cfg.algorithm == "reconditioned":
@@ -411,31 +400,33 @@ class TriggerUnreachable(RuntimeError):
     """A [warmstart] phase ended without meeting its trigger."""
 
 
+def _identified(start: np.ndarray, density: float):
+    """The [warmstart] trigger, an epoch predicate reading x alone: supp(x) and its signs
+    are those at the previous epoch end (``start`` at the first), and nnz(x) <= density * d."""
+    prev = [pb.sign_pattern(start)]
+
+    def predicate(x, m):
+        before, prev[0] = prev[0], pb.sign_pattern(x)
+        return prev[0] == before and np.count_nonzero(x) / x.size <= density
+    return predicate
+
+
 def _execute_seed(problem, cfg, seed, ref, mode) -> SeedResult:
     """One seed of the configured algorithm.
 
-    With a [warmstart] section a ``ws_algorithm`` engine run comes first,
-    from 0 until the gap is at most ``subopt_threshold`` and the density at
-    most ``density_threshold`` at an epoch's end (skipped when that holds at
-    0).  The configured run starts at its final point, and its iterations,
-    coordinates and curves come first in the result.  A trigger not met
-    within ``max_epochs`` raises ``TriggerUnreachable``."""
-
-    def triggered(x):
-        gap = pb.eval_objective(problem, x) - ref.f_star
-        return gap <= cfg.ws_subopt and np.count_nonzero(x) / problem.dim <= cfg.ws_density
-
-    phase1 = init = None
+    With a [warmstart] section DAve-PG runs first, from 0 until ``_identified``
+    holds at an epoch's end (else ``TriggerUnreachable`` after ``max_epochs``);
+    the configured run starts at its final point and follows it in the result."""
+    phase1, init = None, np.zeros(problem.dim)
     try:
-        if cfg.warmstart and not triggered(np.zeros(problem.dim)):
+        if cfg.warmstart:
             stop = engine.StopRule(max_epochs=cfg.ws_max_epochs,
-                                   epoch_predicate=lambda x, m: triggered(x))
-            phase1 = _run_engine(problem, cfg, cfg.ws_algorithm, seed,
-                                 np.zeros(problem.dim), stop, mode)
-            if not triggered(phase1.final_x):
+                                   epoch_predicate=_identified(init, cfg.ws_density))
+            phase1 = _run_engine(problem, replace(cfg, algorithm="davepg"), seed, init, stop, mode)
+            init = phase1.final_x  # the cap is tested first: try its epoch end here
+            if not _identified(phase1.epoch_snapshots[-2], cfg.ws_density)(init, None):
                 raise TriggerUnreachable(f"seed {seed}: warmstart trigger unreachable "
                                          f"within {cfg.ws_max_epochs} epochs")
-            init = phase1.final_x.copy()
         trace = run_algorithm(problem, cfg, seed, ref, mode=mode, init=init)
     except engine.DivergenceError as exc:
         return SeedResult(seed=seed, status="diverged", error=str(exc))

@@ -166,9 +166,21 @@ def scale_features(dataset: Dataset) -> Dataset:
 
 def shard_even(dataset: Dataset, M: int, seed: int) -> tuple:
     """Shuffle examples by seed and split them as evenly as possible over M
-    workers.  The plan is each worker's example indices, sorted."""
+    workers.  The plan is each worker's example indices, sorted.
+
+    Raises ValueError when a problem of the dataset's dimension d on M shards
+    cannot fit in this machine's physical memory, before any shard is cut.
+    The estimate is a lower bound: the d + 1 int32 column pointers of each
+    sparse shard's CSC matrix, and the engine's 2M + 2 dense d-vectors (each
+    worker's point and the model sent to it, the average and its prox)."""
     if not 1 <= M <= dataset.n:
         raise ValueError("need 1 <= M <= number of examples")
+    d = dataset.d
+    need = (2 * M + 2) * 8 * d + (M * 4 * (d + 1) if pb.issparse(dataset.X) else 0)
+    total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > total:
+        raise ValueError(f"d={d} on {M} workers needs at least {need / 2**30:.1f} GiB, "
+                         f"more than the {total / 2**30:.1f} GiB of physical memory")
     perm = stream(seed, 1).permutation(dataset.n)
     return tuple(np.sort(chunk) for chunk in np.array_split(perm, M))
 

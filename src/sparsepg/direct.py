@@ -59,7 +59,7 @@ def solve(
     t = 1.0
     err = np.inf
     room = sum(s.A.nnz if pb.issparse(s.A) else s.A.size for s in problem.shards)
-    prev, tried = _pattern(x), set()
+    prev, tried = pb.sign_pattern(x), set()
     for it in range(MAX_ITER):
         g = pb.smooth_gradient(problem, y)
         x_new = pb.prox_reg(problem.reg, gamma, y - gamma * g)
@@ -77,7 +77,7 @@ def solve(
             err = _error_estimate(problem, x, gamma)
             if err <= tol:
                 return x, err
-            key = _pattern(x)
+            key = pb.sign_pattern(x)
             if key == prev and key not in tried and np.count_nonzero(x) ** 2 <= room:
                 tried.add(key)
                 point = _on_support(problem, x)
@@ -96,11 +96,6 @@ def _error_estimate(problem: pb.CompositeProblem, x: np.ndarray, gamma: float) -
     if problem.mu > 0:
         return resid / problem.mu
     return resid
-
-
-def _pattern(x: np.ndarray) -> bytes:
-    """supp(x) and its signs, as bytes."""
-    return np.packbits(x > 0).tobytes() + np.packbits(x < 0).tobytes()
 
 
 def _on_support(problem, x):

@@ -540,3 +540,8 @@ def null_pattern(x: Array) -> np.ndarray:
     """Indices with x_j = 0 (-0.0 included): the complement of the support
     ``(x != 0).nonzero()[0]``, which holds NaN and every other nonzero."""
     return (np.asarray(x) == 0).nonzero()[0]
+
+
+def sign_pattern(x: Array) -> bytes:
+    """supp(x) and its signs, as bytes: -0.0 reads as 0."""
+    return np.packbits(x > 0).tobytes() + np.packbits(x < 0).tobytes()

@@ -60,8 +60,8 @@ class TestConfig:
         "c": 3.7, "criterion": "absolute", "epochs": 4, "delta": 0.01,
         "schedule": "round_robin", "weights": (1.5, 0.1), "seeds": (7, 0, -2),
         "target_eps": 2.5e-9, "max_iterations": 5, "outer_budget": 9, "log_stride": 3,
-        "gamma_frac": 0.3333333333333333, "ref_tol": 1e-15, "ws_algorithm": "spy-uniform",
-        "ws_subopt": 7.0, "ws_density": 1.0, "ws_max_epochs": 1,
+        "gamma_frac": 0.3333333333333333, "ref_tol": 1e-15, "ws_density": 1.0,
+        "ws_max_epochs": 1,
     }
     ROUND_TRIP_BASE = cli.ExperimentConfig(lam1=0.05, warmstart=True)
 
@@ -92,6 +92,21 @@ class TestConfig:
         with pytest.raises(cli.ConfigError) as err:
             cli.parse_config(bad)
         assert len(err.value.problems) >= 3
+
+    def test_unknown_sections_and_keys(self):
+        # a misspelled key or section, a [DEFAULT] key and an option no
+        # longer declared would each run another experiment than the one meant
+        text = ("[DEFAULT]\nseeds = 3\n[problem]\nd = 20\nlam_1 = 5\n[run]\n"
+                "algoritm = davepg\n[runn]\nx = 1\n[warmstart]\nsubopt_threshold = 1e-2\n")
+        with pytest.raises(cli.ConfigError) as info:
+            cli.parse_config(text)
+        assert info.value.problems == [
+            "[DEFAULT] seeds is not an option",
+            "[problem] lam_1 is not an option",
+            "[run] algoritm is not an option",
+            "[runn] is not a section (problem, run, warmstart are)",
+            "[warmstart] subopt_threshold is not an option",
+        ]
 
     def test_missing_dataset_file(self):
         text = "[problem]\nkind = libsvm-lasso\npath = /does/not/exist\nlam1 = 0.1\n"
@@ -147,7 +162,7 @@ class TestConfig:
     def test_float_options_must_be_finite(self, raw):
         # inf passes a check like v > 0 and nan fails every check: both are
         # out of range by one rule, whatever the option's own check
-        assert len(self.FLOAT_OPTIONS) == 12
+        assert len(self.FLOAT_OPTIONS) == 11
         for meta in self.FLOAT_OPTIONS:
             section, key = meta["section"], meta["key"]
             with pytest.raises(cli.ConfigError) as info:
@@ -564,10 +579,20 @@ class TestCompare:
 
 
 # a dense phase that SMALL_LASSO's seeds end within its epoch cap
-TWO_PHASE = ("\n[warmstart]\nalgorithm = davepg\nsubopt_threshold = 1e-1\n"
-             "density_threshold = 0.5\nmax_epochs = 4000\n")
-UNREACHABLE = ("\n[warmstart]\nalgorithm = davepg\nsubopt_threshold = 1e-12\n"
-               "density_threshold = 1e-6\nmax_epochs = 2\n")
+TWO_PHASE = "\n[warmstart]\ndensity_threshold = 0.5\nmax_epochs = 4000\n"
+UNREACHABLE = "\n[warmstart]\ndensity_threshold = 1e-6\nmax_epochs = 2\n"
+
+
+def dense_phases(monkeypatch):
+    """The traces of the ``cli._run_engine`` runs to come, in order."""
+    runs, run_engine = [], cli._run_engine
+
+    def record(*args, **kwargs):
+        runs.append(run_engine(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "_run_engine", record)
+    return runs
 
 
 class TestWarmstart:
@@ -598,29 +623,76 @@ class TestWarmstart:
         assert all(a <= b for a, b in zip(its, its[1:]))
         assert its[-1] == summary["seeds"]["1"]["iterations"]
 
-    def test_iterations_strictly_increase_across_phases(self, tmp_path):
-        # seed 4's dense phase logs the gap after its last iteration, where
+    def test_iterations_strictly_increase_across_phases(self, tmp_path, monkeypatch):
+        # seed 10's dense phase logs the gap after its last iteration, where
         # the outer loop logs F at its start
+        phases = dense_phases(monkeypatch)
         cfgp = write(tmp_path, "exp.ini", SMALL_LASSO + TWO_PHASE)
         out = tmp_path / "ws"
         assert cli.main(["run", "--config", cfgp, "--out", str(out),
-                         "--seeds", "4"]) == 0
+                         "--seeds", "10"]) == 0
+        assert phases[0].objective_log[-1].k == phases[0].n_iterations - 1
         for name in ("subopt_vs_iters.csv", "support_vs_iters.csv"):
             with open(out / name) as fh:
-                its = [int(r["iteration"]) for r in csv.DictReader(fh) if r["seed"] == "4"]
+                its = [int(r["iteration"]) for r in csv.DictReader(fh) if r["seed"] == "10"]
             assert all(a < b for a, b in zip(its, its[1:])), name
 
-    def test_trigger_satisfied_at_init_skips_phase_one(self, tmp_path):
-        text = SMALL_LASSO + (
-            "\n[warmstart]\nalgorithm = davepg\nsubopt_threshold = 1e9\n"
-            "density_threshold = 1.0\nmax_epochs = 10\n"
-        )
+    def test_trigger(self):
+        # supp(x) and its signs against the previous epoch end's, and the density
+        zero = np.zeros(4)
+        sparse, flipped, moved = (np.array(v) for v in (
+            [0.0, 2.0, 0.0, -1.0], [0.0, 2.0, 0.0, 1.0], [3.0, 2.0, 0.0, 0.0]))
+        for before, x, density, ends in [
+            (sparse, 0.5 * sparse, 0.5, True),
+            (sparse, flipped, 0.5, False),  # a sign flip
+            (sparse, moved, 0.5, False),  # a support change
+            (sparse, sparse, 0.25, False),  # same signs, too dense
+            (sparse, np.array([-0.0, 1.0, -0.0, -3.0]), 0.5, True),  # -0.0 is 0
+            (np.full(4, -0.0), zero, 0.5, True),
+        ]:
+            assert cli._identified(before, density)(x, 1) == ends, (before, x, density)
+        # each epoch end is compared with the one before, the start with none
+        ends = cli._identified(zero, 0.5)
+        assert [ends(x, m) for m, x in enumerate([sparse, flipped, flipped, zero], 1)] == [
+            False, False, True, False]
+
+    def test_start_point_counts_as_the_first_pattern(self, tmp_path, monkeypatch):
+        # lam1 above lam_max: x stays 0, the start point's pattern, so the
+        # dense phase ends at its first epoch end
+        phases = dense_phases(monkeypatch)
+        text = SMALL_LASSO.replace("target_support = 5", "lam1 = 1e3") + TWO_PHASE
         cfgp = write(tmp_path, "exp.ini", text)
         out = tmp_path / "ws"
         assert cli.main(["run", "--config", cfgp, "--out", str(out),
                          "--seeds", "1"]) == 0
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["warmstart"]["1"]["phase1_exchanges"] == 0
+        assert [p.n_epochs for p in phases] == [1]
+        assert not np.any(phases[0].final_x)
+        info = json.loads((out / "summary.json").read_text())["warmstart"]["1"]
+        assert info["phase1_exchanges"] == phases[0].cum_up + phases[0].cum_down
+
+    @pytest.mark.parametrize("error", [1.0, -1.0])
+    def test_dense_phase_reads_no_reference(self, monkeypatch, error):
+        # an f* wrong by 1.0 gives the same dense phase; the configured run
+        # still stops at f* + eps of the reference it is given
+        cfg = cli.parse_config(SMALL_LASSO + TWO_PHASE)
+        problem = cli.build_problem(cfg)
+        ref = cli.get_reference(problem, cfg)
+        wrong = dataclasses.replace(ref, f_star=ref.f_star + error)
+        phases = dense_phases(monkeypatch)
+        right_result = cli._execute_seed(problem, cfg, 1, ref, "sim")
+        wrong_result = cli._execute_seed(problem, cfg, 1, wrong, "sim")
+        right, bad = phases
+        assert right.records == bad.records
+        assert (right.cum_up, right.cum_down) == (bad.cum_up, bad.cum_down)
+        assert np.array_equal(right.final_x, bad.final_x)
+        assert right_result.phase1_exchanges == wrong_result.phase1_exchanges > 0
+        assert right_result.status == "ok"
+        if error > 0:  # a target met sooner
+            assert wrong_result.status == "ok"
+            assert wrong_result.trace.n_iterations < right_result.trace.n_iterations
+        else:  # a target below the minimum
+            assert wrong_result.status == "target-not-reached"
+            assert wrong_result.trace.n_outer == cfg.outer_budget
 
     def test_unreachable_trigger(self, tmp_path, capsys):
         cfgp = write(tmp_path, "exp.ini", SMALL_LASSO + UNREACHABLE)

@@ -178,6 +178,31 @@ class TestSharding:
         with pytest.raises(ValueError):
             data.shard_even(ds, 5, seed=0)
 
+    def test_dimension_beyond_memory_refused(self, tmp_path):
+        # a library caller's path to a problem: parse, shard, build.  Index
+        # 2e9 would give each shard's CSC matrix 2e9 column pointers (8 GB);
+        # shard_even refuses before any shard is cut.  The child's address
+        # space is capped, so a missing check fails fast.
+        path = tmp_path / "data.svm"
+        path.write_text("+1 1:0.5 2000000000:1.0\n-1 2:1.0\n")
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from sparsepg import data\n"
+            "ds = data.parse_libsvm(sys.argv[1])\n"
+            "try:\n"
+            "    data.lasso_problem(ds, data.shard_even(ds, 2, seed=0), 0.1)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("d=2000000000 on 2 workers needs at least")
+        assert "of physical memory" in out.stdout
+
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 60), M=st.integers(1, 8), seed=st.integers(0, 100))
     def test_partition_property(self, n, M, seed):
