@@ -104,7 +104,6 @@ class ExperimentConfig:
     c: float = _option("run", "c", 12.0, float, lambda v: v > 0)
     criterion: str = _option("run", "criterion", "fixed", str)
     epochs: int = _option("run", "epochs", 1, int, lambda v: v >= 1)
-    delta: float = _option("run", "delta", 0.5, float, lambda v: 0 < v < 1)
     schedule: str = _option("run", "schedule", "random_uniform", str, lambda v: v in SCHEDULES)
     weights: tuple = _option("run", "weights", (), float_list, lambda v: all(w > 0 for w in v),
                              empty=())
@@ -114,7 +113,6 @@ class ExperimentConfig:
     max_iterations: int = _option("run", "max_iterations", 200000, int, lambda v: v >= 1)
     outer_budget: int = _option("run", "outer_budget", 600, int, lambda v: v >= 1)
     log_stride: int = _option("run", "log_stride", 20, int, lambda v: v >= 1)
-    gamma_frac: float = _option("run", "gamma_frac", 1.0, float, lambda v: 0 < v <= 1)
     ref_tol: float = _option("run", "ref_tol", 1e-12, float, lambda v: v > 0)
     warmstart: bool = False  # whether the config has a [warmstart] section
     ws_density: float = _option("warmstart", "density_threshold", 0.01, float,
@@ -316,7 +314,7 @@ def _make_schedule(cfg: ExperimentConfig, seed: int) -> engine.DelaySchedule:
 def _run_engine(problem, cfg: ExperimentConfig, seed: int,
                 init: np.ndarray, stop: engine.StopRule, mode: str) -> engine.RunTrace:
     """One engine run of ``davepg``, ``spy-uniform`` or ``spy-slowdown``."""
-    gamma = cfg.gamma_frac * engine.gamma_max(problem)
+    gamma = engine.gamma_max(problem)
     schedule = _make_schedule(cfg, seed)
     kwargs = dict(seed=seed, objective_stride=cfg.log_stride, mode=mode)
     if cfg.algorithm == "davepg":
@@ -339,7 +337,7 @@ def run_algorithm(problem, cfg: ExperimentConfig, seed: int,
         stop = engine.StopRule(max_iterations=cfg.max_iterations, target_objective=target)
         return _run_engine(problem, cfg, seed, init, stop, mode)
     schedule = _make_schedule(cfg, seed)
-    params = rc.make_params(problem.mu, problem.lip, cfg.c, d, delta=cfg.delta)
+    params = rc.make_params(problem.mu, problem.lip, cfg.c, d)
     if cfg.algorithm == "reconditioned":
         criterion = rc.InnerCriterion(kind=cfg.criterion, epochs=cfg.epochs)
         return rc.run_reconditioned(problem, params, schedule, init, criterion=criterion,
@@ -394,6 +392,8 @@ class SeedResult:
     subopt: list = field(default_factory=list)
     support: list = field(default_factory=list)
     phase1_exchanges: int = 0  # coordinates of the [warmstart] phase
+    switch_iteration: int = 0  # iterations of that phase
+    switch_support: int = 0  # nnz of the point where it ended
 
 
 class TriggerUnreachable(RuntimeError):
@@ -415,18 +415,19 @@ def _execute_seed(problem, cfg, seed, ref, mode) -> SeedResult:
     """One seed of the configured algorithm.
 
     With a [warmstart] section DAve-PG runs first, from 0 until ``_identified``
-    holds at an epoch's end (else ``TriggerUnreachable`` after ``max_epochs``);
-    the configured run starts at its final point and follows it in the result."""
+    holds at an epoch's end, the one at ``max_epochs`` included (else
+    ``TriggerUnreachable``); the configured run starts at its final point and
+    follows it in the result."""
     phase1, init = None, np.zeros(problem.dim)
     try:
         if cfg.warmstart:
             stop = engine.StopRule(max_epochs=cfg.ws_max_epochs,
                                    epoch_predicate=_identified(init, cfg.ws_density))
             phase1 = _run_engine(problem, replace(cfg, algorithm="davepg"), seed, init, stop, mode)
-            init = phase1.final_x  # the cap is tested first: try its epoch end here
-            if not _identified(phase1.epoch_snapshots[-2], cfg.ws_density)(init, None):
+            if not phase1.predicate_met:
                 raise TriggerUnreachable(f"seed {seed}: warmstart trigger unreachable "
                                          f"within {cfg.ws_max_epochs} epochs")
+            init = phase1.final_x
         trace = run_algorithm(problem, cfg, seed, ref, mode=mode, init=init)
     except engine.DivergenceError as exc:
         return SeedResult(seed=seed, status="diverged", error=str(exc))
@@ -447,6 +448,8 @@ def _execute_seed(problem, cfg, seed, ref, mode) -> SeedResult:
         subopt=subopt + _subopt_curves(trace, ref.f_star, up0, down0, it0),
         support=support + trace.support_curve(it0),
         phase1_exchanges=up0 + down0,
+        switch_iteration=it0,
+        switch_support=int(np.count_nonzero(init)),
     )
 
 
@@ -478,12 +481,11 @@ def _emit_experiment(out_dir, cfg, problem, ref, results):
         ["exchanged", "gap"],
         {label: [(ex, gap) for _, ex, gap in r.subopt] for label, r in ok.items()},
     )
-    margin = None if problem.reg.kind == "none" else metrics.check_nondegeneracy(problem, ref)
     summary = {
         "fingerprint": ref.fingerprint,
         "f_star": ref.f_star,
         "s_star": ref.s_star,
-        "nondegeneracy_margin": margin,
+        "nondegeneracy_margin": metrics.check_nondegeneracy(problem, ref),
         "lam1": cfg.lam1,
         "algorithm": cfg.algorithm,
         "seeds": {
@@ -507,6 +509,8 @@ def _emit_experiment(out_dir, cfg, problem, ref, results):
                 "total_exchanges": r.cum_up + r.cum_down,
                 "phase1_fraction": (r.phase1_exchanges / (r.cum_up + r.cum_down)
                                     if r.cum_up + r.cum_down else 0.0),
+                "switch_iteration": r.switch_iteration,
+                "switch_support": r.switch_support,
             }
             for r in results if r.status != "diverged"
         }

@@ -141,7 +141,7 @@ def _least_squares_on_support(problem, supp, signs):
             H[diag] += alpha * problem.rho
             rhs += alpha * problem.rho * problem.center[supp]
     try:
-        return np.linalg.solve(H, rhs - pb.l1_weights(problem.reg, supp) * signs)
+        return np.linalg.solve(H, rhs - pb.l1_weights(problem.reg) * signs)
     except np.linalg.LinAlgError:
         return None
 
@@ -151,7 +151,7 @@ def _newton_on_support(problem, supp, signs, z):
     backtracking started at z; None when it fails."""
     from scipy.special import expit
 
-    lin = pb.l1_weights(problem.reg, supp) * signs
+    lin = pb.l1_weights(problem.reg) * signs
     parts = [(alpha, s, _columns(s.A, supp)) for alpha, s in zip(problem.alphas, problem.shards)]
     diag = np.diag_indices(supp.size)
 
@@ -203,11 +203,11 @@ def polish_l1_least_squares(problem: pb.CompositeProblem, x: np.ndarray) -> np.n
     """Exact minimizer on the identified support of an l1 least-squares problem.
 
     On the support and signs of x the objective is a smooth quadratic plus a
-    linear term, minimized by one linear system (ridge terms and weighted l1
-    included): the system ``solve`` finishes least-squares problems with.
+    linear term, minimized by one linear system (ridge terms included): the
+    system ``solve`` finishes least-squares problems with.
     Returns that point when it keeps the signs of x and its l1 margin
     (``problem.l1_margin``) is not negative: the averaged gradient off the
-    support lies within the l1 weights, so that it is optimal for the full
+    support lies within the l1 weight, so that it is optimal for the full
     problem.  Else the input unchanged.
     """
     if problem.reg.kind == "none":

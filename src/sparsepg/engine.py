@@ -316,8 +316,9 @@ class RunTrace:
     final point apart only when the run did not end at an epoch start.  Reads
     of points return dense copies.  ``cum_up``/``cum_down`` are running
     totals: the priming charge plus every iteration's
-    ``coords_up``/``coords_down``.  Iterating the trace yields its epoch
-    snapshots, one point per epoch."""
+    ``coords_up``/``coords_down``.  ``predicate_met`` is whether the run
+    ended because its stop rule's ``epoch_predicate`` held.  Iterating the
+    trace yields its epoch snapshots, one point per epoch."""
 
     records: RecordColumns = field(default_factory=RecordColumns)
     epoch_starts: list = field(default_factory=lambda: [0])
@@ -327,6 +328,7 @@ class RunTrace:
     priming_down: int = 0
     cum_up: int = 0
     cum_down: int = 0
+    predicate_met: bool = False
     _final: SparsePoints | None = field(default=None, repr=False)
 
     @property
@@ -377,7 +379,9 @@ class RunTrace:
 @dataclass
 class StopRule:
     """When to stop a run; accuracy-style conditions are checked at epoch
-    boundaries only (matching how the convergence theory is indexed)."""
+    boundaries only (matching how the convergence theory is indexed).  The
+    ``epoch_predicate`` is tested at every epoch end, the last included,
+    before the other conditions."""
 
     max_epochs: int | None = None
     max_iterations: int | None = None
@@ -556,7 +560,7 @@ def _run(
             # only the mask's coordinates of xbar, and so of x, move
             S = masks[i] if masks[i] is not None else slice(None)
             xbar[S] += problem.alphas[i] * delta
-            x_S = pb.prox_reg(problem.reg, gamma, xbar[S], S)
+            x_S = pb.prox_reg(problem.reg, gamma, xbar[S])
             nnz += int(np.count_nonzero(x_S)) - int(np.count_nonzero(x[S]))
             x[S] = x_S
             if DEBUG_CHECK:
@@ -575,12 +579,15 @@ def _run(
             if new_epoch:
                 snapshot(x)
             m = len(tracker.boundaries) - 1
-            last = k + 1 == stop.max_iterations or (new_epoch and (
-                (stop.max_epochs is not None and m >= stop.max_epochs)
-                or (stop.target_objective is not None
-                    and pb.eval_objective(problem, x) <= stop.target_objective)
-                or (stop.epoch_predicate is not None and stop.epoch_predicate(x, m))
-            ))
+            last = k + 1 == stop.max_iterations
+            if new_epoch:
+                # the predicate first, so that every epoch end tests it
+                trace.predicate_met = (stop.epoch_predicate is not None
+                                       and bool(stop.epoch_predicate(x, m)))
+                last = (last or trace.predicate_met
+                        or (stop.max_epochs is not None and m >= stop.max_epochs)
+                        or (stop.target_objective is not None
+                            and pb.eval_objective(problem, x) <= stop.target_objective))
             # the last iteration sends no model, so it is charged none
             sent = 0 if last else down(nnz, mask)
             trace.cum_up += up

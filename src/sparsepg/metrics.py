@@ -57,10 +57,7 @@ def problem_fingerprint(problem: pb.CompositeProblem) -> str:
         if problem.center is not None:
             h.update(problem.center.tobytes())
     h.update(np.ascontiguousarray(problem.alphas, dtype=float).tobytes())
-    reg = problem.reg
-    h.update(repr((reg.kind, reg.lam)).encode())
-    if reg.weights is not None:
-        h.update(np.ascontiguousarray(reg.weights, dtype=float).tobytes())
+    h.update(repr((problem.reg.kind, problem.reg.lam)).encode())
     return h.hexdigest()
 
 

@@ -191,22 +191,16 @@ class LossShard:
 
 @dataclass(frozen=True)
 class Regularizer:
-    """Separable regularizer: none, l1(lam) or weighted l1(lam, weights > 0)."""
+    """Separable regularizer: none or l1(lam)."""
 
     kind: str = "none"
     lam: float = 0.0
-    weights: Array | None = None
 
     def __post_init__(self):
-        if self.kind not in ("none", "l1", "weighted_l1"):
+        if self.kind not in ("none", "l1"):
             raise ValueError(f"unknown regularizer kind {self.kind!r}")
         if not (_finite(self.lam) and self.lam >= 0):
             raise ValueError("regularization weight must be finite and nonnegative")
-        if self.kind == "weighted_l1":
-            w = np.asarray(self.weights, dtype=float)
-            if not (_finite(w) and np.all(w > 0)):
-                raise ValueError("l1 weights must be finite and positive")
-            object.__setattr__(self, "weights", w)
 
 
 @dataclass(frozen=True)
@@ -234,8 +228,6 @@ class CompositeProblem:
         d = self.shards[0].dim
         if any(s.dim != d for s in self.shards):
             raise ValueError("all shards must share the feature dimension")
-        if self.reg.kind == "weighted_l1" and self.reg.weights.shape != (d,):
-            raise ValueError("l1 weights dimension mismatch")
         if self.rho < 0:
             raise ValueError("rho must be nonnegative")
         if self.rho > 0 and self.center is None:
@@ -464,50 +456,41 @@ def _constants(shards) -> tuple[float, float]:
 # -- regularizer ------------------------------------------------------------
 
 
-def prox_reg(reg: Regularizer, gamma: float, u: Array, coords=None) -> Array:
-    """prox_{gamma * r}(u); coordinate-wise soft-thresholding for l1 kinds.
-
-    With ``coords``, ``u`` holds the entries on those coordinates only."""
+def prox_reg(reg: Regularizer, gamma: float, u: Array) -> Array:
+    """prox_{gamma * r}(u); coordinate-wise soft-thresholding for l1."""
     if gamma <= 0:
         raise ValueError("stepsize must be positive")
     u = np.asarray(u, dtype=float)
     if reg.kind == "none":
         return u.copy()
-    thr = gamma * reg.lam
-    if reg.kind == "weighted_l1":
-        thr = thr * (reg.weights if coords is None else reg.weights[coords])
-    return np.sign(u) * np.maximum(np.abs(u) - thr, 0.0)
+    return np.sign(u) * np.maximum(np.abs(u) - gamma * reg.lam, 0.0)
 
 
 def reg_value(reg: Regularizer, x: Array) -> float:
     if reg.kind == "none":
         return 0.0
-    if reg.kind == "weighted_l1":
-        return reg.lam * float((reg.weights * np.abs(x)).sum())
     return reg.lam * float(np.abs(x).sum())
 
 
-def l1_weights(reg: Regularizer, coords):
-    """The l1 weight lam_j of each coordinate of ``coords``: lam * w[coords]
-    for weighted l1, the scalar lam for plain l1, 0.0 with no l1 term."""
-    if reg.kind == "weighted_l1":
-        return reg.lam * reg.weights[coords]
+def l1_weights(reg: Regularizer) -> float:
+    """The l1 weight of every coordinate: lam for l1, 0.0 with no l1 term."""
     return reg.lam if reg.kind == "l1" else 0.0
 
 
 def l1_margin(problem: CompositeProblem, x: Array) -> float:
-    """min over the zeros j of x of lam_j - |grad_j f(x)|, f the smooth part;
-    the smallest weight when x has no zero.  At a minimizer x*, a margin > 0
-    is strict complementarity: the zero pattern of x* is stable (Hare and
-    Lewis, J. Convex Anal. 2004).  At any x, a margin < 0 shows that x is
-    not a minimizer."""
+    """min over the zeros j of x of lam - |grad_j f(x)|, f the smooth part;
+    lam when x has no zero.  At a minimizer x*, a margin > 0 is strict
+    complementarity: the zero pattern of x* is stable (Hare and Lewis,
+    J. Convex Anal. 2004).  At any x, a margin < 0 shows that x is not a
+    minimizer."""
     if problem.reg.kind == "none":
-        raise ValueError("the l1 margin is defined for l1-type regularizers")
+        raise ValueError("the l1 margin is defined for l1 regularizers")
+    lam = l1_weights(problem.reg)
     null = null_pattern(x)
     if null.size == 0:
-        return float(np.min(l1_weights(problem.reg, np.arange(problem.dim))))
+        return float(lam)
     g = smooth_gradient(problem, x)
-    return float(np.min(l1_weights(problem.reg, null) - np.abs(g[null])))
+    return float(np.min(lam - np.abs(g[null])))
 
 
 # -- whole objective --------------------------------------------------------

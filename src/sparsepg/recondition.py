@@ -326,9 +326,7 @@ def _outer_loop(problem, params, schedule, init, outer_budget, target_objective,
             # later solves are not charged for re-priming their workers
             charge_priming=(ell == 1),
         )
-        # the engine tests max_epochs first, so a run stopped earlier met its predicate
-        if (stop.epoch_predicate is not None and inner.n_epochs >= stop.max_epochs
-                and not stop.epoch_predicate(inner.final_x, inner.n_epochs)):
+        if stop.epoch_predicate is not None and not inner.predicate_met:
             raise InnerBudgetError(
                 f"outer step {ell}: inner run exhausted {stop.max_epochs} "
                 "epochs without meeting its accuracy test"

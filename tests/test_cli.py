@@ -57,11 +57,10 @@ class TestConfig:
         "kind": "synthetic-logistic", "d": 37, "m": 41, "sparsity": 0.25, "noise_std": 0.5,
         "data_seed": -3, "path": "data/train.svm", "lam1": 0.125, "target_support": None,
         "lam2": 0.0, "scale": True, "algorithm": "catalyst", "workers": 2, "pi": 1.0,
-        "c": 3.7, "criterion": "absolute", "epochs": 4, "delta": 0.01,
+        "c": 3.7, "criterion": "absolute", "epochs": 4,
         "schedule": "round_robin", "weights": (1.5, 0.1), "seeds": (7, 0, -2),
         "target_eps": 2.5e-9, "max_iterations": 5, "outer_budget": 9, "log_stride": 3,
-        "gamma_frac": 0.3333333333333333, "ref_tol": 1e-15, "ws_density": 1.0,
-        "ws_max_epochs": 1,
+        "ref_tol": 1e-15, "ws_density": 1.0, "ws_max_epochs": 1,
     }
     ROUND_TRIP_BASE = cli.ExperimentConfig(lam1=0.05, warmstart=True)
 
@@ -94,16 +93,19 @@ class TestConfig:
         assert len(err.value.problems) >= 3
 
     def test_unknown_sections_and_keys(self):
-        # a misspelled key or section, a [DEFAULT] key and an option no
-        # longer declared would each run another experiment than the one meant
+        # a misspelled key or section, a [DEFAULT] key and options no longer
+        # declared would each run another experiment than the one meant
         text = ("[DEFAULT]\nseeds = 3\n[problem]\nd = 20\nlam_1 = 5\n[run]\n"
-                "algoritm = davepg\n[runn]\nx = 1\n[warmstart]\nsubopt_threshold = 1e-2\n")
+                "algoritm = davepg\ngamma_frac = 0.5\ndelta = 0.9\n[runn]\nx = 1\n"
+                "[warmstart]\nsubopt_threshold = 1e-2\n")
         with pytest.raises(cli.ConfigError) as info:
             cli.parse_config(text)
         assert info.value.problems == [
             "[DEFAULT] seeds is not an option",
             "[problem] lam_1 is not an option",
             "[run] algoritm is not an option",
+            "[run] gamma_frac is not an option",
+            "[run] delta is not an option",
             "[runn] is not a section (problem, run, warmstart are)",
             "[warmstart] subopt_threshold is not an option",
         ]
@@ -162,7 +164,7 @@ class TestConfig:
     def test_float_options_must_be_finite(self, raw):
         # inf passes a check like v > 0 and nan fails every check: both are
         # out of range by one rule, whatever the option's own check
-        assert len(self.FLOAT_OPTIONS) == 11
+        assert len(self.FLOAT_OPTIONS) == 9
         for meta in self.FLOAT_OPTIONS:
             section, key = meta["section"], meta["key"]
             with pytest.raises(cli.ConfigError) as info:
@@ -596,7 +598,8 @@ def dense_phases(monkeypatch):
 
 
 class TestWarmstart:
-    def test_two_phase_counters_accumulate(self, tmp_path):
+    def test_two_phase_counters_accumulate(self, tmp_path, monkeypatch):
+        phases = dense_phases(monkeypatch)
         cfgp = write(tmp_path, "exp.ini", SMALL_LASSO + TWO_PHASE)
         out = tmp_path / "ws"
         assert cli.main(["run", "--config", cfgp, "--out", str(out),
@@ -604,6 +607,10 @@ class TestWarmstart:
         summary = json.loads((out / "summary.json").read_text())
         info = summary["warmstart"]["1"]
         assert 0 < info["phase1_exchanges"] < info["total_exchanges"]
+        # the switch: where the dense phase's trigger held, within the density guard
+        assert phases[0].predicate_met
+        assert info["switch_iteration"] == phases[0].n_iterations > 0
+        assert info["switch_support"] == np.count_nonzero(phases[0].final_x) <= 0.5 * 40
         with open(out / "subopt_vs_exchanges.csv") as fh:
             rows = [r for r in csv.DictReader(fh) if r["seed"] == "1"]
         ex = [float(r["exchanged"]) for r in rows]
@@ -669,6 +676,21 @@ class TestWarmstart:
         assert not np.any(phases[0].final_x)
         info = json.loads((out / "summary.json").read_text())["warmstart"]["1"]
         assert info["phase1_exchanges"] == phases[0].cum_up + phases[0].cum_down
+
+    def test_one_epoch_phase_compares_with_the_start(self, tmp_path, capsys, monkeypatch):
+        # half of lam_max: x has nonzeros at the first epoch end and the start
+        # point 0 has none, so a one-epoch phase does not meet its trigger
+        phases = dense_phases(monkeypatch)
+        text = (SMALL_LASSO.replace("target_support = 5", "lam1 = 1.8852724561545662")
+                + "\n[warmstart]\ndensity_threshold = 1.0\nmax_epochs = 1\n")
+        cfgp = write(tmp_path, "exp.ini", text)
+        assert cli.main(["run", "--config", cfgp, "--out", str(tmp_path / "o"),
+                         "--seeds", "1"]) == cli.EXIT_TARGET
+        assert ("error: seed 1: warmstart trigger unreachable within 1 epochs"
+                in capsys.readouterr().err)
+        assert [p.n_epochs for p in phases] == [1]
+        assert np.count_nonzero(phases[0].final_x) == 3
+        assert not phases[0].predicate_met
 
     @pytest.mark.parametrize("error", [1.0, -1.0])
     def test_dense_phase_reads_no_reference(self, monkeypatch, error):

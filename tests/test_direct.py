@@ -13,7 +13,7 @@ from sparsepg import data, direct, problem as pb
 from conftest import mu_pos_lasso
 
 
-def _problem(seed, sparse, kind, weighted, d=10, M=2):
+def _problem(seed, sparse, kind, d=10, M=2):
     """A strongly convex l1 problem whose minimizer has a few nonzeros."""
     rng = np.random.default_rng(seed)
     x_true = np.zeros(d)
@@ -31,23 +31,21 @@ def _problem(seed, sparse, kind, weighted, d=10, M=2):
             shards.append(pb.LossShard(kind=kind, A=A, b=z))
         else:
             shards.append(pb.LossShard(kind=kind, A=A, b=np.where(z >= 0, 1.0, -1.0), l2=0.05))
-    weights = rng.uniform(0.5, 2.0, d) if weighted else None
     base = pb.composite_problem(shards, reg=pb.Regularizer("l1", 1.0))
     lam_max = float(np.max(np.abs(pb.smooth_gradient(base, np.zeros(d)))))
     lam = rng.uniform(0.05, 0.5) * lam_max
-    return pb.composite_problem(
-        shards, reg=pb.Regularizer("weighted_l1" if weighted else "l1", lam, weights))
+    return pb.composite_problem(shards, reg=pb.Regularizer("l1", lam))
 
 
 def _trap(prob, rho, rng):
     """``prob`` reconditioned at a center chosen so that a start x0, returned
     with it, holds a wrong support S of two coordinates: the first proximal
     gradient step keeps supp(x0) and its signs, the exact solution z on S
-    keeps them too, and z is not optimal, as |grad_j F(z)| > 1.5 lam_j at some
+    keeps them too, and z is not optimal, as |grad_j F(z)| > 1.5 lam at some
     j off S.  Only the error estimate can refuse z.  None when no such S,
     signs and radii are found among those tried."""
     d = prob.dim
-    lam = pb.l1_weights(prob.reg, np.arange(d)) * np.ones(d)
+    lam = prob.reg.lam
     for _ in range(6):
         S = rng.choice(d, 2, replace=False)
         s = rng.choice([-1.0, 1.0], 2)
@@ -56,11 +54,11 @@ def _trap(prob, rho, rng):
             x0, z = np.zeros(d), np.zeros(d)
             x0[S], z[S] = r0 * s, r1 * s
             gx0, gz = pb.smooth_gradient(prob, x0), pb.smooth_gradient(prob, z)
-            if np.max(np.abs(gx0[off] - gz[off]) / lam[off]) <= 1.5:
+            if np.max(np.abs(gx0[off] - gz[off]) / lam) <= 1.5:
                 continue
             # with the ridge term, grad F is -lam s on S at z and 0 off S at x0
             center = np.empty(d)
-            center[S] = z[S] + (gz[S] + lam[S] * s) / rho
+            center[S] = z[S] + (gz[S] + lam * s) / rho
             center[off] = gx0[off] / rho
             sub = pb.reconditioned(prob, rho, center)
             gamma = 1.0 / sub.lip
@@ -73,11 +71,11 @@ def _trap(prob, rho, rng):
 class TestSupportFinish:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**16), sparse=st.booleans(),
-           kind=st.sampled_from([pb.LEAST_SQUARES, pb.LOGISTIC]), weighted=st.booleans(),
+           kind=st.sampled_from([pb.LEAST_SQUARES, pb.LOGISTIC]),
            start=st.sampled_from(["zero", "zero-ridge", "random-ridge", "trap"]))
     def test_certified_and_equal_to_proximal_gradient_alone(
-            self, seed, sparse, kind, weighted, start):
-        prob = _problem(seed, sparse, kind, weighted)
+            self, seed, sparse, kind, start):
+        prob = _problem(seed, sparse, kind)
         rng = np.random.default_rng(seed + 1)
         rho = rng.uniform(0.1, 2.0)
         x0 = None
@@ -123,7 +121,7 @@ class TestSupportFinish:
         assert x_pg.tobytes() != x.tobytes()
 
     def test_logistic_finish_by_newton(self):
-        prob = _problem(3, False, pb.LOGISTIC, False, d=30, M=3)
+        prob = _problem(3, False, pb.LOGISTIC, d=30, M=3)
         steps = []
         newton = direct._newton_on_support
 

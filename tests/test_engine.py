@@ -163,6 +163,24 @@ class TestRunDavePG:
                                   np.zeros(6), engine.StopRule(max_epochs=4))
         assert trace.n_epochs == 4
 
+    @pytest.mark.parametrize("holds_at", [2, 4, None])
+    def test_predicate_tested_at_every_epoch_end(self, holds_at):
+        # the epoch end at max_epochs is tested too, and the trace records
+        # whether the predicate ended the run
+        prob = strongly_convex_problem(d=6, M=3, seed=1)
+        calls = []
+
+        def pred(x, m):
+            calls.append(m)
+            return m == holds_at
+
+        trace = engine.run_davepg(prob, engine.gamma_max(prob),
+                                  engine.DelaySchedule.round_robin(3), np.zeros(6),
+                                  engine.StopRule(max_epochs=4, epoch_predicate=pred))
+        assert calls == list(range(1, trace.n_epochs + 1))
+        assert trace.n_epochs == (holds_at or 4)
+        assert trace.predicate_met == (holds_at is not None)
+
     def test_target_objective_stop(self):
         prob = quad_problem()
         trace = engine.run_davepg(prob, engine.gamma_max(prob),
@@ -335,13 +353,11 @@ class TestCoordinatorInvariants:
         seed=st.integers(0, 1000),
         variant=st.sampled_from(["davepg", "spy", "spy-adaptive", "slowdown"]),
         schedule=st.sampled_from(["round_robin", "random_uniform", "heterogeneous"]),
-        weighted=st.booleans(),
     )
-    def test_average_support_count_and_ledger(self, seed, variant, schedule, weighted):
+    def test_average_support_count_and_ledger(self, seed, variant, schedule):
         d, M = 30, 3
         rng = stream(seed, 5)
-        reg = (pb.Regularizer(kind="weighted_l1", lam=0.3, weights=rng.uniform(0.5, 2.0, d))
-               if weighted else pb.Regularizer(kind="l1", lam=0.3))
+        reg = pb.Regularizer(kind="l1", lam=0.3)
         ds, _ = data.generate_lasso(d=d, m=60, sparsity=0.8, noise_std=0.01, seed=seed)
         shards = data.make_shards(ds, data.shard_even(ds, M, seed=seed), pb.LEAST_SQUARES)
         prob = pb.composite_problem(shards, reg=reg)

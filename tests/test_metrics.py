@@ -328,21 +328,3 @@ class TestCalibration:
         ds, plan, lam_hi = self.lasso_data()
         with pytest.raises(ValueError, match="returned a problem with lam1=0.5"):
             metrics.calibrate_l1(lambda l: data.lasso_problem(ds, plan, 0.5), 5, lam_hi)
-
-    def test_weighted_l1_keeps_its_weights(self, monkeypatch):
-        ds, plan, _ = self.lasso_data()
-        shards = data.make_shards(ds, plan, pb.LEAST_SQUARES)
-        w = np.random.default_rng(3).uniform(0.5, 2.0, ds.d)
-
-        def builder(lam):
-            return pb.composite_problem(shards, pb.Regularizer("weighted_l1", lam, w))
-
-        lam_hi = _lam_max(builder(1.0)) / w.min()
-        calls = self.record_solves(monkeypatch)
-        lam = metrics.calibrate_l1(builder, 5, lam_hi)
-        assert len(calls) >= 3
-        for prob, _ in calls:
-            assert prob.reg.kind == "weighted_l1"
-            np.testing.assert_array_equal(prob.reg.weights, w)
-        ref = metrics.reference_solution(builder(lam), tol=1e-9, assume_unique_minimizer=True)
-        assert ref.s_star == 5

@@ -301,11 +301,6 @@ class TestProx:
         best = grid[np.argmin(0.3 * 0.7 * np.abs(grid) + 0.5 * (grid - u[0]) ** 2)]
         assert abs(pb.prox_reg(reg, 0.3, u)[0] - best) < 1e-4
 
-    def test_weighted_l1(self):
-        reg = pb.Regularizer(kind="weighted_l1", lam=1.0, weights=np.array([0.1, 2.0]))
-        out = pb.prox_reg(reg, 1.0, np.array([1.0, 1.0]))
-        assert out == pytest.approx([0.9, 0.0])
-
     @settings(max_examples=50, deadline=None)
     @given(
         u=arrays(np.float64, 5, elements=st.floats(-50, 50)),
@@ -337,7 +332,7 @@ class TestObjective:
         smooth = sum(a * pb.shard_value(s, np.zeros(6)) for a, s in zip(prob.alphas, prob.shards))
         assert pb.eval_objective(prob, np.zeros(6)) == smooth
 
-    @pytest.mark.parametrize("reg", ["l1", "weighted_l1"])
+    @pytest.mark.parametrize("reg", ["l1", "none"])
     @pytest.mark.parametrize("shape", ["tall", "wide", "csc", "logistic"])
     def test_equals_sum_of_shard_values(self, shape, reg):
         """The one support scan of eval_objective changes no bit: on points
@@ -354,8 +349,7 @@ class TestObjective:
                                            l2=0.1))
             else:
                 shards.append(pb.LossShard(kind=pb.LEAST_SQUARES, A=A, b=rng.standard_normal(m)))
-        weights = rng.uniform(0.5, 2.0, d) if reg == "weighted_l1" else None
-        prob = pb.composite_problem(shards, reg=pb.Regularizer(kind=reg, lam=0.3, weights=weights))
+        prob = pb.composite_problem(shards, reg=pb.Regularizer(kind=reg, lam=0.3))
         sparse = np.zeros(d)
         sparse[d - 2] = -1.3
         dense = rng.standard_normal(d)
@@ -407,33 +401,27 @@ class TestSupport:
 
 
 class TestL1Margin:
-    REGS = [pb.Regularizer(), pb.Regularizer("l1", 0.4),
-            pb.Regularizer("weighted_l1", 0.4, np.array([0.5, 2.0, 1.0, 3.0, 0.25, 1.5]))]
+    REGS = [pb.Regularizer(), pb.Regularizer("l1", 0.4)]
 
     def test_weights(self):
-        none, l1, weighted = self.REGS
-        coords = np.array([4, 1])
-        assert pb.l1_weights(none, coords) == 0.0
-        assert pb.l1_weights(l1, coords) == 0.4
-        assert list(pb.l1_weights(weighted, coords)) == [0.4 * 0.25, 0.4 * 2.0]
+        none, l1 = self.REGS
+        assert pb.l1_weights(none) == 0.0
+        assert pb.l1_weights(l1) == 0.4
 
     def test_point_without_zeros_gives_smallest_weight(self, rng):
-        _, l1, weighted = self.REGS
+        _, l1 = self.REGS
         x = rng.uniform(0.5, 1.0, 6)
         assert pb.l1_margin(random_problem(rng, reg=l1), x) == 0.4
-        assert pb.l1_margin(random_problem(rng, reg=weighted), x) == 0.4 * 0.25
         # at x* the margin is the nondegeneracy margin
         ref = metrics.ReferenceSolution(x, 0.0, 6, 1e-12, "")
-        assert metrics.check_nondegeneracy(random_problem(rng, reg=weighted), ref) == 0.1
+        assert metrics.check_nondegeneracy(random_problem(rng, reg=l1), ref) == 0.4
 
-    @pytest.mark.parametrize("which", [1, 2])
-    def test_min_over_zeros(self, rng, which):
-        prob = random_problem(rng, reg=self.REGS[which])
+    def test_min_over_zeros(self, rng):
+        prob = random_problem(rng, reg=self.REGS[1])
         x = np.where(rng.random(6) < 0.5, rng.standard_normal(6), 0.0)
         x[[0, 3]] = 0.0
         g = pb.smooth_gradient(prob, x)
-        lam = prob.reg.lam * (prob.reg.weights if which == 2 else np.ones(6))
-        want = min(lam[j] - abs(g[j]) for j in range(6) if x[j] == 0)
+        want = min(0.4 - abs(g[j]) for j in range(6) if x[j] == 0)
         assert pb.l1_margin(prob, x) == want
 
     def test_requires_l1(self, rng):
@@ -514,17 +502,6 @@ class TestRegularizerValidation:
     def test_weight_must_be_finite_and_nonnegative(self, lam):
         with pytest.raises(ValueError, match="regularization weight must be finite"):
             pb.Regularizer(kind="l1", lam=lam)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
-    def test_l1_weights_must_be_finite_and_positive(self, bad):
-        with pytest.raises(ValueError, match="l1 weights must be finite and positive"):
-            pb.Regularizer(kind="weighted_l1", lam=1.0, weights=np.array([1.0, bad]))
-
-    def test_l1_weights_need_one_per_coordinate(self):
-        shard = pb.LossShard(kind=pb.LEAST_SQUARES, A=np.eye(3), b=np.zeros(3))
-        reg = pb.Regularizer(kind="weighted_l1", lam=1.0, weights=np.ones(2))
-        with pytest.raises(ValueError, match="l1 weights dimension mismatch"):
-            pb.composite_problem([shard], reg=reg)
 
 
 class TestColumnMajorStorage:
@@ -628,16 +605,6 @@ class TestRestrictedOracles:
         want = sum(a * _brute_shard(s.kind, s.A, s.b, 0.0, 0.0, None, x)[0]
                    for a, s in zip(prob.alphas, prob.shards)) + 0.5 * 3.5
         assert pb.eval_objective(prob, x) == pytest.approx(want, rel=1e-12)
-
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 10_000), gamma=st.floats(0.01, 10))
-    def test_prox_on_coords_weighted_l1(self, seed, gamma):
-        rng = np.random.default_rng(seed)
-        d = int(rng.integers(1, 30))
-        reg = pb.Regularizer(kind="weighted_l1", lam=0.8, weights=rng.uniform(0.1, 3.0, d))
-        u = rng.standard_normal(d) * 3
-        S = _pick(rng, d, "many")
-        assert np.array_equal(pb.prox_reg(reg, gamma, u[S], S), pb.prox_reg(reg, gamma, u)[S])
 
 
 def _ls_problem(rng, m, d, ridge):

@@ -251,9 +251,10 @@ class TestReconditionedLoop:
     @pytest.mark.parametrize("loop", ["plain", "momentum"])
     @pytest.mark.parametrize("capped", [False, True])
     def test_predicate_tested_once_per_epoch(self, loop, capped, monkeypatch):
-        # the engine tests the predicate at every epoch boundary but the last
-        # of a run cut by max_epochs; the outer loop re-tests that one only.
-        # With these caps, some runs (every one of momentum's) reach the cap
+        # the engine tests the predicate at every epoch boundary, the last of
+        # a run cut by max_epochs included, and the outer loop reads its
+        # outcome.  With these caps, some runs (every one of momentum's) reach
+        # the cap
         if capped:
             monkeypatch.setattr(rc, "SAFETY_EPOCHS", {"plain": 2, "momentum": 1}[loop])
         calls = []
