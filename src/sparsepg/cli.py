@@ -237,10 +237,14 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    if not os.path.exists(path):
-        raise ConfigError([f"config file not found: {path}"])
-    with open(path) as fh:
-        return parse_config(fh.read())
+    """The config in file ``path``; a file that cannot be read as text (missing,
+    a directory, not in the locale's encoding) raises ``ConfigError``."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"config file {path} cannot be read: {exc}"]) from None
+    return parse_config(text)
 
 
 # -- problem construction ----------------------------------------------------
@@ -262,6 +266,8 @@ def build_problem(cfg: ExperimentConfig):
                 dataset = data.Dataset(X=dataset.X, y=np.sign(dataset.y) + (dataset.y == 0))
         else:
             dataset = data.parse_libsvm(cfg.path)
+            if cfg.kind == "libsvm-logistic":  # LibSVM class labels 0/1 read as -1/+1
+                dataset = data.Dataset(X=dataset.X, y=np.where(dataset.y == 0, -1.0, dataset.y))
         plan = data.shard_even(dataset, cfg.workers, seed=cfg.data_seed)
         if cfg.scale:
             dataset = data.scale_features(dataset)
@@ -353,12 +359,24 @@ def run_algorithm(problem, cfg: ExperimentConfig, seed: int,
 # -- curve extraction and CSV emission ---------------------------------------
 
 
-def _subopt_curves(trace, f_star, up_offset=0, down_offset=0, iter_offset=0):
-    """[(iteration, exchanged, gap)] from a trace's objective log; the
-    iteration is the number of iterations completed, k + 1, so that the point
-    logged before the first iteration (k = -1) is at 0."""
-    return [(p.k + 1 + iter_offset, p.cum_up + up_offset + p.cum_down + down_offset,
-             p.value - f_star) for p in trace.objective_log]
+def _fold(runs, f_star):
+    """(iterations, cum_up, cum_down, subopt, support) of a seed's runs, each
+    run starting where the one before it ended: the counts add up, and each
+    run's curve points move by the iterations and coordinates of the runs
+    before it.  subopt is [(iteration, exchanged, gap)] from the objective
+    logs, the iteration being the number completed, k + 1, so that the gap a
+    run logs before its first iteration (k = -1) lands where the run before
+    it ended and replaces that run's point there; support is
+    [(iteration, support_size)]."""
+    iterations = up = down = 0
+    subopt, support = [], []
+    for run in runs:
+        subopt = [p for p in subopt if p[0] < iterations]
+        subopt += [(iterations + p.k + 1, up + p.cum_up + down + p.cum_down, p.value - f_star)
+                   for p in run.objective_log]
+        support += [(iterations + it, size) for it, size in run.support_curve()]
+        iterations, up, down = iterations + run.n_iterations, up + run.cum_up, down + run.cum_down
+    return iterations, up, down, subopt, support
 
 
 def _write_curves_csv(path, header, per_seed):
@@ -383,17 +401,9 @@ class SeedResult:
     seed: int
     status: str  # ok | target-not-reached | diverged
     final_gap: float | None = None
-    iterations: int = 0
-    cum_up: int = 0
-    cum_down: int = 0
     identification: int | None = None
     error: str = ""
-    trace: object = None
-    subopt: list = field(default_factory=list)
-    support: list = field(default_factory=list)
-    phase1_exchanges: int = 0  # coordinates of the [warmstart] phase
-    switch_iteration: int = 0  # iterations of that phase
-    switch_support: int = 0  # nnz of the point where it ended
+    runs: list = field(default_factory=list)  # traces: the [warmstart] phase's, then the method's
 
 
 class TriggerUnreachable(RuntimeError):
@@ -417,40 +427,24 @@ def _execute_seed(problem, cfg, seed, ref, mode) -> SeedResult:
     With a [warmstart] section DAve-PG runs first, from 0 until ``_identified``
     holds at an epoch's end, the one at ``max_epochs`` included (else
     ``TriggerUnreachable``); the configured run starts at its final point and
-    follows it in the result."""
-    phase1, init = None, np.zeros(problem.dim)
+    follows it in ``runs``."""
+    runs, init = [], np.zeros(problem.dim)
     try:
         if cfg.warmstart:
             stop = engine.StopRule(max_epochs=cfg.ws_max_epochs,
                                    epoch_predicate=_identified(init, cfg.ws_density))
-            phase1 = _run_engine(problem, replace(cfg, algorithm="davepg"), seed, init, stop, mode)
-            if not phase1.predicate_met:
+            runs = [_run_engine(problem, replace(cfg, algorithm="davepg"), seed, init, stop, mode)]
+            if not runs[0].predicate_met:
                 raise TriggerUnreachable(f"seed {seed}: warmstart trigger unreachable "
                                          f"within {cfg.ws_max_epochs} epochs")
-            init = phase1.final_x
-        trace = run_algorithm(problem, cfg, seed, ref, mode=mode, init=init)
+            init = runs[0].final_x
+        runs.append(run_algorithm(problem, cfg, seed, ref, mode=mode, init=init))
     except engine.DivergenceError as exc:
         return SeedResult(seed=seed, status="diverged", error=str(exc))
-    gap = pb.eval_objective(problem, trace.final_x) - ref.f_star
-    status = "ok" if gap <= cfg.target_eps else "target-not-reached"
-    subopt, support = [], []
-    up0 = down0 = it0 = 0
-    if phase1 is not None:
-        up0, down0, it0 = phase1.cum_up, phase1.cum_down, phase1.n_iterations
-        # the run's own curve starts at iteration it0, where phase 1 ended
-        subopt = [p for p in _subopt_curves(phase1, ref.f_star) if p[0] < it0]
-        support = phase1.support_curve()
+    gap = pb.eval_objective(problem, runs[-1].final_x) - ref.f_star
     return SeedResult(
-        seed=seed, status=status, final_gap=gap, iterations=it0 + trace.n_iterations,
-        cum_up=up0 + trace.cum_up, cum_down=down0 + trace.cum_down,
-        identification=metrics.identification_time(trace, ref),
-        trace=trace,
-        subopt=subopt + _subopt_curves(trace, ref.f_star, up0, down0, it0),
-        support=support + trace.support_curve(it0),
-        phase1_exchanges=up0 + down0,
-        switch_iteration=it0,
-        switch_support=int(np.count_nonzero(init)),
-    )
+        seed=seed, status="ok" if gap <= cfg.target_eps else "target-not-reached",
+        final_gap=gap, identification=metrics.identification_time(runs[-1], ref), runs=runs)
 
 
 def _run_seeds(problem, cfg, ref, mode) -> list[SeedResult]:
@@ -462,24 +456,46 @@ def _emit_experiment(out_dir, cfg, problem, ref, results):
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.ini"), "w") as fh:
         fh.write(cfg.to_ini())
+    seeds, curves, warmstart = {}, {}, {}
     for r in results:
-        if r.trace is not None:
-            r.trace.to_csv(os.path.join(out_dir, f"trace_seed{r.seed}.csv"))
-    ok = {str(r.seed): r for r in results if r.status != "diverged"}
+        iterations, up, down, subopt, support = _fold(r.runs, ref.f_star)
+        seeds[str(r.seed)] = {
+            "status": r.status,
+            "final_gap": r.final_gap,
+            "iterations": iterations,
+            "coords_up": up,
+            "coords_down": down,
+            "identification": r.identification,
+            "error": r.error,
+        }
+        if r.status == "diverged":
+            continue
+        r.runs[-1].to_csv(os.path.join(out_dir, f"trace_seed{r.seed}.csv"))
+        curves[str(r.seed)] = subopt, support
+        if cfg.warmstart:
+            dense = r.runs[0]
+            phase1 = dense.cum_up + dense.cum_down
+            warmstart[str(r.seed)] = {
+                "phase1_exchanges": phase1,
+                "total_exchanges": up + down,
+                "phase1_fraction": phase1 / (up + down) if up + down else 0.0,
+                "switch_iteration": dense.n_iterations,
+                "switch_support": int(np.count_nonzero(dense.final_x)),
+            }
     _write_curves_csv(
         os.path.join(out_dir, "support_vs_iters.csv"),
         ["iteration", "support_size"],
-        {label: r.support for label, r in ok.items()},
+        {label: support for label, (_, support) in curves.items()},
     )
     _write_curves_csv(
         os.path.join(out_dir, "subopt_vs_iters.csv"),
         ["iteration", "gap"],
-        {label: [(it, gap) for it, _, gap in r.subopt] for label, r in ok.items()},
+        {label: [(it, gap) for it, _, gap in subopt] for label, (subopt, _) in curves.items()},
     )
     _write_curves_csv(
         os.path.join(out_dir, "subopt_vs_exchanges.csv"),
         ["exchanged", "gap"],
-        {label: [(ex, gap) for _, ex, gap in r.subopt] for label, r in ok.items()},
+        {label: [(ex, gap) for _, ex, gap in subopt] for label, (subopt, _) in curves.items()},
     )
     summary = {
         "fingerprint": ref.fingerprint,
@@ -488,32 +504,11 @@ def _emit_experiment(out_dir, cfg, problem, ref, results):
         "nondegeneracy_margin": metrics.check_nondegeneracy(problem, ref),
         "lam1": cfg.lam1,
         "algorithm": cfg.algorithm,
-        "seeds": {
-            str(r.seed): {
-                "status": r.status,
-                "final_gap": r.final_gap,
-                "iterations": r.iterations,
-                "coords_up": r.cum_up,
-                "coords_down": r.cum_down,
-                "identification": r.identification,
-                "error": r.error,
-            }
-            for r in results
-        },
+        "seeds": seeds,
         "identification_times": [r.identification for r in results],
     }
     if cfg.warmstart:
-        summary["warmstart"] = {
-            str(r.seed): {
-                "phase1_exchanges": r.phase1_exchanges,
-                "total_exchanges": r.cum_up + r.cum_down,
-                "phase1_fraction": (r.phase1_exchanges / (r.cum_up + r.cum_down)
-                                    if r.cum_up + r.cum_down else 0.0),
-                "switch_iteration": r.switch_iteration,
-                "switch_support": r.switch_support,
-            }
-            for r in results if r.status != "diverged"
-        }
+        summary["warmstart"] = warmstart
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, default=float)
     return summary
@@ -572,11 +567,9 @@ def cmd_compare(cfgs, labels, out_dir: str, mode: str, cache_dir=None) -> int:
         sub = os.path.join(out_dir, label)
         _emit_experiment(sub, cfg, problem, ref, results)
         codes.append(_exit_code(results))
-        for r in results:
-            if r.status == "diverged":
-                continue
-            for idx, (it, ex, gap) in enumerate(r.subopt):
-                merged.append((label, r.seed, idx, it, ex, gap))
+        for r in results:  # a diverged seed has no runs, so no points
+            _, _, _, subopt, _ = _fold(r.runs, ref.f_star)
+            merged += [(label, r.seed, idx, *point) for idx, point in enumerate(subopt)]
     with open(os.path.join(out_dir, "compare_subopt.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["label", "seed", "point", "iteration", "exchanged", "gap"])

@@ -90,7 +90,7 @@ def parse_libsvm(source) -> Dataset:
     """Parse LibSVM text (``<label> <idx>:<val> ...``, 1-based indices).
 
     ``source`` is a path (a str or path-like; ``.gz`` accepted) or a text
-    stream.  Labels 0 are mapped to -1.  The dimension is the largest index
+    stream.  Labels are kept as written.  The dimension is the largest index
     seen, at most 2**31 - 1.
     """
     lines = _read_lines(source)
@@ -108,7 +108,7 @@ def parse_libsvm(source) -> Dataset:
             label = float(tokens[0])
         except ValueError:
             raise LibSVMFormatError(line_no, f"bad label {tokens[0]!r}") from None
-        labels.append(-1.0 if label == 0.0 else label)
+        labels.append(label)
         prev = 0
         for tok in tokens[1:]:
             try:

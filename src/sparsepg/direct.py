@@ -141,7 +141,7 @@ def _least_squares_on_support(problem, supp, signs):
             H[diag] += alpha * problem.rho
             rhs += alpha * problem.rho * problem.center[supp]
     try:
-        return np.linalg.solve(H, rhs - pb.l1_weights(problem.reg) * signs)
+        return np.linalg.solve(H, rhs - problem.reg.lam * signs)
     except np.linalg.LinAlgError:
         return None
 
@@ -151,7 +151,7 @@ def _newton_on_support(problem, supp, signs, z):
     backtracking started at z; None when it fails."""
     from scipy.special import expit
 
-    lin = pb.l1_weights(problem.reg) * signs
+    lin = problem.reg.lam * signs
     parts = [(alpha, s, _columns(s.A, supp)) for alpha, s in zip(problem.alphas, problem.shards)]
     diag = np.diag_indices(supp.size)
 

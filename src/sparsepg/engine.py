@@ -358,12 +358,12 @@ class RunTrace:
     def __iter__(self):
         return iter(self.epoch_snapshots)
 
-    def support_curve(self, iter_offset: int = 0) -> list:
+    def support_curve(self) -> list:
         """[(iteration, support_size)] where the objective is logged: after
-        each logged iteration k, at k + 1 + iter_offset iterations completed.
-        Empty without an objective log."""
+        each logged iteration k, at k + 1 iterations completed.  Empty
+        without an objective log."""
         support = self.records.column("support_size")
-        return [(p.k + 1 + iter_offset, int(support[p.k])) for p in self.objective_log if p.k >= 0]
+        return [(p.k + 1, int(support[p.k])) for p in self.objective_log if p.k >= 0]
 
     def to_csv(self, path) -> None:
         """One row per iteration: k, worker, coords_up, coords_down,

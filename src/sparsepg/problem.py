@@ -191,7 +191,7 @@ class LossShard:
 
 @dataclass(frozen=True)
 class Regularizer:
-    """Separable regularizer: none or l1(lam)."""
+    """Separable regularizer: none (weight 0) or l1(lam)."""
 
     kind: str = "none"
     lam: float = 0.0
@@ -201,6 +201,8 @@ class Regularizer:
             raise ValueError(f"unknown regularizer kind {self.kind!r}")
         if not (_finite(self.lam) and self.lam >= 0):
             raise ValueError("regularization weight must be finite and nonnegative")
+        if self.kind == "none" and self.lam != 0:
+            raise ValueError("a regularizer of kind 'none' has weight 0")
 
 
 @dataclass(frozen=True)
@@ -472,11 +474,6 @@ def reg_value(reg: Regularizer, x: Array) -> float:
     return reg.lam * float(np.abs(x).sum())
 
 
-def l1_weights(reg: Regularizer) -> float:
-    """The l1 weight of every coordinate: lam for l1, 0.0 with no l1 term."""
-    return reg.lam if reg.kind == "l1" else 0.0
-
-
 def l1_margin(problem: CompositeProblem, x: Array) -> float:
     """min over the zeros j of x of lam - |grad_j f(x)|, f the smooth part;
     lam when x has no zero.  At a minimizer x*, a margin > 0 is strict
@@ -485,7 +482,7 @@ def l1_margin(problem: CompositeProblem, x: Array) -> float:
     minimizer."""
     if problem.reg.kind == "none":
         raise ValueError("the l1 margin is defined for l1 regularizers")
-    lam = l1_weights(problem.reg)
+    lam = problem.reg.lam
     null = null_pattern(x)
     if null.size == 0:
         return float(lam)

@@ -206,10 +206,10 @@ class OuterTrace:
     def cum_down(self) -> int:
         return self.records[-1].cum_down if self.records else 0
 
-    def support_curve(self, iter_offset: int = 0) -> list:
+    def support_curve(self) -> list:
         """[(iteration, support_size)], one point per outer step: the inner
-        iterations completed when the step ends, plus iter_offset."""
-        curve, end = [], iter_offset
+        iterations completed when the step ends."""
+        curve, end = [], 0
         for r in self.records:
             end += r.inner_iterations
             curve.append((end, r.support_size))

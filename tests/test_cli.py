@@ -225,6 +225,30 @@ class TestBuildProblem:
         logistic = cli.parse_config(f"[problem]\nkind = libsvm-logistic\npath = {path}\n")
         assert logistic.lam1 == 0.03
 
+    def test_libsvm_lasso_keeps_zero_targets(self, tmp_path):
+        # a regression target of 0 is a target, not a class label
+        rng = np.random.default_rng(2)
+        X = rng.standard_normal((40, 10))
+        y = X @ np.r_[3.0, -2.0, 1.5, 0.5, np.zeros(6)]
+        y[::4] = 0.0
+        lines = [f"{t!r} " + " ".join(f"{j + 1}:{v!r}" for j, v in enumerate(row))
+                 for t, row in zip(y.tolist(), X.tolist())]
+        path = write(tmp_path, "data.svm", "\n".join(lines) + "\n")
+        cfg = cli.parse_config(f"[problem]\nkind = libsvm-lasso\npath = {path}\nlam1 = 0.1\n\n"
+                               "[run]\nworkers = 2\n")
+        targets = np.concatenate([s.b for s in cli.build_problem(cfg).shards])
+        assert np.count_nonzero(targets == 0) == 10
+        assert np.count_nonzero(targets == -1) == 0
+        assert sorted(targets.tolist()) == sorted(y.tolist())
+
+    def test_libsvm_logistic_reads_zero_labels_as_minus_one(self, tmp_path):
+        # LibSVM class labels 0/1 are the logistic labels -1/+1
+        path = write(tmp_path, "data.svm", "0 1:0.5\n1 2:1.0\n0 1:1 2:1\n1 1:-1\n")
+        cfg = cli.parse_config(f"[problem]\nkind = libsvm-logistic\npath = {path}\n\n"
+                               "[run]\nworkers = 2\n")
+        labels = np.concatenate([s.b for s in cli.build_problem(cfg).shards])
+        assert sorted(labels.tolist()) == [-1.0, -1.0, 1.0, 1.0]
+
     def test_calibration_builds_shards_once(self, monkeypatch):
         # the same bisection with a builder that makes the problem from the data
         cfg = cli.parse_config(SMALL_LASSO)
@@ -261,6 +285,18 @@ class TestRun:
         out = tmp_path / "out"
         assert cli.main(["run", "--config", cfgp, "--out", str(out)]) == cli.EXIT_CONFIG
         assert f"[problem] dataset {path}: {problem}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "non-utf8"])
+    def test_unreadable_config_exit(self, tmp_path, capsys, kind):
+        path = tmp_path / "exp.ini"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "non-utf8":
+            path.write_bytes(b"\xff\xfe")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert f"config file {path} cannot be read" in capsys.readouterr().err
         assert not out.exists()
 
     def test_dimension_beyond_memory_exit(self, tmp_path):
@@ -585,16 +621,21 @@ TWO_PHASE = "\n[warmstart]\ndensity_threshold = 0.5\nmax_epochs = 4000\n"
 UNREACHABLE = "\n[warmstart]\ndensity_threshold = 1e-6\nmax_epochs = 2\n"
 
 
-def dense_phases(monkeypatch):
-    """The traces of the ``cli._run_engine`` runs to come, in order."""
-    runs, run_engine = [], cli._run_engine
+def recorded(monkeypatch, name):
+    """What the calls of ``cli.<name>`` to come return, in order."""
+    returned, call = [], getattr(cli, name)
 
     def record(*args, **kwargs):
-        runs.append(run_engine(*args, **kwargs))
-        return runs[-1]
+        returned.append(call(*args, **kwargs))
+        return returned[-1]
 
-    monkeypatch.setattr(cli, "_run_engine", record)
-    return runs
+    monkeypatch.setattr(cli, name, record)
+    return returned
+
+
+def dense_phases(monkeypatch):
+    """The traces of the ``cli._run_engine`` runs to come, in order."""
+    return recorded(monkeypatch, "_run_engine")
 
 
 class TestWarmstart:
@@ -643,6 +684,41 @@ class TestWarmstart:
             with open(out / name) as fh:
                 its = [int(r["iteration"]) for r in csv.DictReader(fh) if r["seed"] == "10"]
             assert all(a < b for a, b in zip(its, its[1:])), name
+
+    @pytest.mark.parametrize("mode", ["sim", "concurrent"])
+    @pytest.mark.parametrize("algorithm", ["reconditioned", "spy-uniform"])
+    def test_runs_fold_into_one_curve(self, tmp_path, monkeypatch, algorithm, mode):
+        # the method's run starts where the dense phase ended: its points
+        # follow the phase's, the switch iteration once, and the counts add up
+        results = recorded(monkeypatch, "_execute_seed")
+        base = SMALL_LASSO if algorithm == "reconditioned" else SMALL_DAVE.replace(
+            "algorithm = davepg", f"algorithm = {algorithm}")
+        cfgp = write(tmp_path, "exp.ini", base + TWO_PHASE)
+        out = tmp_path / "ws"
+        assert cli.main(["run", "--config", cfgp, "--out", str(out), "--seeds", "1,2",
+                         "--mode", mode]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        curves = {}
+        for name in ("subopt_vs_iters.csv", "support_vs_iters.csv"):
+            with open(out / name) as fh:
+                rows = list(csv.DictReader(fh))
+            for seed in ("1", "2"):
+                curves[name, seed] = [int(r["iteration"]) for r in rows if r["seed"] == seed]
+        assert [r.seed for r in results] == [1, 2]
+        for r in results:
+            seed = str(r.seed)
+            dense, method = r.runs
+            assert dense.predicate_met
+            for name in ("subopt_vs_iters.csv", "support_vs_iters.csv"):
+                its = curves[name, seed]
+                assert all(a < b for a, b in zip(its, its[1:])), (name, seed)
+            switch = summary["warmstart"][seed]["switch_iteration"]
+            assert switch == dense.n_iterations
+            assert curves["subopt_vs_iters.csv", seed].count(switch) == 1
+            counts = summary["seeds"][seed]
+            assert counts["iterations"] == dense.n_iterations + method.n_iterations
+            assert counts["coords_up"] + counts["coords_down"] == sum(
+                run.cum_up + run.cum_down for run in r.runs)
 
     def test_trigger(self):
         # supp(x) and its signs against the previous epoch end's, and the density
@@ -707,14 +783,15 @@ class TestWarmstart:
         assert right.records == bad.records
         assert (right.cum_up, right.cum_down) == (bad.cum_up, bad.cum_down)
         assert np.array_equal(right.final_x, bad.final_x)
-        assert right_result.phase1_exchanges == wrong_result.phase1_exchanges > 0
+        assert right_result.runs[0] is right and wrong_result.runs[0] is bad
+        assert right.cum_up + right.cum_down > 0
         assert right_result.status == "ok"
         if error > 0:  # a target met sooner
             assert wrong_result.status == "ok"
-            assert wrong_result.trace.n_iterations < right_result.trace.n_iterations
+            assert wrong_result.runs[-1].n_iterations < right_result.runs[-1].n_iterations
         else:  # a target below the minimum
             assert wrong_result.status == "target-not-reached"
-            assert wrong_result.trace.n_outer == cfg.outer_budget
+            assert wrong_result.runs[-1].n_outer == cfg.outer_budget
 
     def test_unreachable_trigger(self, tmp_path, capsys):
         cfgp = write(tmp_path, "exp.ini", SMALL_LASSO + UNREACHABLE)

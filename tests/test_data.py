@@ -74,9 +74,10 @@ class TestParseLibsvm:
         assert ds.X.toarray().ravel() == pytest.approx([0.5, 0.0, 2.0])
         assert ds.y == pytest.approx([1.0])
 
-    def test_zero_label_maps_to_minus_one(self):
-        ds = data.parse_libsvm(io.StringIO("0 2:1\n"))
-        assert ds.y == pytest.approx([-1.0])
+    def test_zero_label_kept(self):
+        # a label is kept as written: 0 is a regression target too
+        ds = data.parse_libsvm(io.StringIO("0 2:1\n-0.0 1:1\n"))
+        assert ds.y.tolist() == [0.0, 0.0]
 
     def test_index_beyond_int32_rejected(self):
         # indices are stored as int32: 2**31 - 1 is the largest that fits

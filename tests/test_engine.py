@@ -759,8 +759,8 @@ class TestCompactTraces:
         assert records[::-7] == as_list[::-7]
         assert trace.worker_fires == [r.worker for r in as_list]
         # the support is read where the objective is logged
-        assert trace.support_curve(10) == [(p.k + 11, records[p.k].support_size)
-                                           for p in trace.objective_log if p.k >= 0]
+        assert trace.support_curve() == [(p.k + 1, records[p.k].support_size)
+                                         for p in trace.objective_log if p.k >= 0]
         assert len(trace.support_curve()) == len(as_list[::3])
         unlogged = engine.run_spy(prob, engine.gamma_max(prob), uniform_distribution(9, 0.4),
                                   engine.DelaySchedule.random_uniform(3, seed=12), np.zeros(9),

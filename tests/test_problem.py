@@ -349,7 +349,8 @@ class TestObjective:
                                            l2=0.1))
             else:
                 shards.append(pb.LossShard(kind=pb.LEAST_SQUARES, A=A, b=rng.standard_normal(m)))
-        prob = pb.composite_problem(shards, reg=pb.Regularizer(kind=reg, lam=0.3))
+        lam = 0.3 if reg == "l1" else 0.0
+        prob = pb.composite_problem(shards, reg=pb.Regularizer(kind=reg, lam=lam))
         sparse = np.zeros(d)
         sparse[d - 2] = -1.3
         dense = rng.standard_normal(d)
@@ -401,23 +402,17 @@ class TestSupport:
 
 
 class TestL1Margin:
-    REGS = [pb.Regularizer(), pb.Regularizer("l1", 0.4)]
-
-    def test_weights(self):
-        none, l1 = self.REGS
-        assert pb.l1_weights(none) == 0.0
-        assert pb.l1_weights(l1) == 0.4
+    L1 = pb.Regularizer("l1", 0.4)
 
     def test_point_without_zeros_gives_smallest_weight(self, rng):
-        _, l1 = self.REGS
         x = rng.uniform(0.5, 1.0, 6)
-        assert pb.l1_margin(random_problem(rng, reg=l1), x) == 0.4
+        assert pb.l1_margin(random_problem(rng, reg=self.L1), x) == 0.4
         # at x* the margin is the nondegeneracy margin
         ref = metrics.ReferenceSolution(x, 0.0, 6, 1e-12, "")
-        assert metrics.check_nondegeneracy(random_problem(rng, reg=l1), ref) == 0.4
+        assert metrics.check_nondegeneracy(random_problem(rng, reg=self.L1), ref) == 0.4
 
     def test_min_over_zeros(self, rng):
-        prob = random_problem(rng, reg=self.REGS[1])
+        prob = random_problem(rng, reg=self.L1)
         x = np.where(rng.random(6) < 0.5, rng.standard_normal(6), 0.0)
         x[[0, 3]] = 0.0
         g = pb.smooth_gradient(prob, x)
@@ -502,6 +497,13 @@ class TestRegularizerValidation:
     def test_weight_must_be_finite_and_nonnegative(self, lam):
         with pytest.raises(ValueError, match="regularization weight must be finite"):
             pb.Regularizer(kind="l1", lam=lam)
+
+    @pytest.mark.parametrize("lam", [0.3, 1e-300])
+    def test_none_has_weight_zero(self, lam):
+        # a weight the objective ignores would still enter the fingerprint
+        with pytest.raises(ValueError, match="kind 'none' has weight 0"):
+            pb.Regularizer(kind="none", lam=lam)
+        assert pb.Regularizer(kind="none", lam=0.0) == pb.Regularizer()
 
 
 class TestColumnMajorStorage:
