@@ -335,7 +335,8 @@ def _run_engine(problem, cfg: ExperimentConfig, seed: int,
 def run_algorithm(problem, cfg: ExperimentConfig, seed: int,
                   ref: metrics.ReferenceSolution, mode: str = "sim",
                   init: np.ndarray | None = None):
-    """One seed of the configured algorithm; returns an engine or outer trace."""
+    """One seed of the configured algorithm; returns an engine or outer trace.
+    ``ref`` only sets the target objective, f* + target_eps."""
     d = problem.dim
     init = np.zeros(d) if init is None else init
     target = ref.f_star + cfg.target_eps
@@ -349,8 +350,7 @@ def run_algorithm(problem, cfg: ExperimentConfig, seed: int,
         return rc.run_reconditioned(problem, params, schedule, init, criterion=criterion,
                                     outer_budget=cfg.outer_budget, target_objective=target,
                                     seed=seed, objective_stride=cfg.log_stride, mode=mode)
-    criterion = rc.MomentumCriterion(kind=cfg.criterion, epochs=cfg.epochs,
-                                     f_star=ref.f_star if cfg.criterion == "absolute" else None)
+    criterion = rc.MomentumCriterion(kind=cfg.criterion, epochs=cfg.epochs)
     return rc.run_momentum(problem, params, schedule, init, criterion=criterion,
                            outer_budget=cfg.outer_budget, target_objective=target,
                            seed=seed, objective_stride=cfg.log_stride, mode=mode)

@@ -38,7 +38,9 @@ def problem_fingerprint(problem: pb.CompositeProblem) -> str:
     """Hash of the data and hyperparameters identifying a problem instance.
 
     Shard matrices are hashed in their stored column-major layout: the CSC
-    arrays of a sparse shard, the column-by-column bytes of a dense one."""
+    arrays of a sparse shard, the column-by-column bytes of a dense one.  A
+    scalar weight is hashed as the repr of ``float(v) + 0.0``, so that 1 and
+    1.0, or -0.0 and 0.0, give one fingerprint."""
     h = hashlib.sha256()
     for shard in problem.shards:
         A = shard.A
@@ -53,11 +55,11 @@ def problem_fingerprint(problem: pb.CompositeProblem) -> str:
             h.update(np.ascontiguousarray(A.T, dtype=float))
         h.update(np.ascontiguousarray(shard.b, dtype=float).tobytes())
         # the proximal term per shard: the layout cached references are keyed by
-        h.update(repr((shard.kind, shard.l2, problem.rho)).encode())
+        h.update(repr((shard.kind, float(shard.l2) + 0.0, float(problem.rho) + 0.0)).encode())
         if problem.center is not None:
             h.update(problem.center.tobytes())
     h.update(np.ascontiguousarray(problem.alphas, dtype=float).tobytes())
-    h.update(repr((problem.reg.kind, problem.reg.lam)).encode())
+    h.update(repr((problem.reg.kind, float(problem.reg.lam) + 0.0)).encode())
     return h.hexdigest()
 
 

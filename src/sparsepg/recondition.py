@@ -6,12 +6,13 @@ engine, the reconditioned problem
     H_ell = sum_i alpha_i (f_i + (rho/2)||. - center_ell||^2) + r,
 
 with selection probability 1 on the support of the current center and a small
-exploration probability elsewhere.  Several inner stopping criteria are
-provided: a fixed per-step epoch budget derived from the theory ("budget"),
-a fixed constant number of epochs ("fixed"), and two validation-style rules
-comparing the inner iterate to the exact proximal point ("absolute",
-"relative").  A momentum (accelerated) variant centers each step at an
-extrapolated point.
+exploration probability elsewhere.  Three inner stopping criteria are
+provided: a per-step epoch budget derived from the theory ("budget"), a
+constant number of epochs ("fixed"), and a validation-style rule comparing
+the inner iterate to the exact proximal point ("relative").  A momentum
+(accelerated) variant centers each step at an extrapolated point and runs a
+constant number of epochs per step.  No criterion reads the optimal value
+F*.
 """
 
 from __future__ import annotations
@@ -28,12 +29,11 @@ from .engine import DelaySchedule, ObjectivePoint, SparsePoints, StopRule, _chec
 from .sparsifier import adaptive_distribution, min_conditioning
 
 _SEED_STRIDE = 100_003
-_ORACLE_TOL = 1e-11  # tolerance of the proximal point the stopping tests solve for
-_MOMENTUM_DELTA = 0.1  # the absolute momentum threshold falls as 1/ell^(4 + delta) when mu = 0
-SAFETY_EPOCHS = 20_000  # epochs before an inner run with an accuracy test gives up
+_ORACLE_TOL = 1e-11  # tolerance of the proximal point the relative test solves for
+SAFETY_EPOCHS = 20_000  # epochs before an inner run with the relative test gives up
 
-INNER_KINDS = ("budget", "fixed", "absolute", "relative")
-MOMENTUM_KINDS = ("fixed", "absolute", "adaptive")
+INNER_KINDS = ("budget", "fixed", "relative")
+MOMENTUM_KINDS = ("fixed",)
 
 
 class InnerBudgetError(RuntimeError):
@@ -234,10 +234,9 @@ class InnerCriterion:
     kinds:
       budget    -- run exactly the theory-derived epoch budget for step ell
       fixed     -- run a constant number of epochs (``epochs``)
-      absolute  -- stop once ||x - prox||^2 falls below a step-indexed
-                   absolute threshold (needs the exact proximal point)
       relative  -- stop once ||x - prox||^2 is small relative to the realized
-                   displacement ||x - center||^2 (needs the proximal point)
+                   displacement ||x - center||^2 (solves for the proximal
+                   point on every outer step)
     """
 
     kind: str = "budget"
@@ -255,25 +254,19 @@ def _check_epochs(criterion):
 
 
 def _inner_stop(criterion, ell, params, pi_ell, center, sub):
-    """The engine StopRule of outer step ell of the plain loop; ``sub`` is the
+    """The engine StopRule of outer step ell of either loop; ``sub`` is the
     problem reconditioned at ``center``, whose minimizer is the proximal point."""
     if criterion.kind == "budget":
         return StopRule(max_epochs=epoch_budget(ell, params, pi_ell))
     if criterion.kind == "fixed":
         return StopRule(max_epochs=criterion.epochs)
+    # relative
     prox_pt, _ = direct.solve(sub, tol=_ORACLE_TOL, x0=center)
     mu, rho, delta = params.mu, params.rho, params.delta
-    if criterion.kind == "absolute":
-        thresh = (1.0 - delta) * rho / ((2.0 * mu + rho) * ell ** (1.0 + delta))
-        thresh *= float(np.sum((center - prox_pt) ** 2))
+    coeff = rho / (4.0 * (2.0 * mu + rho) * ell ** (2.0 + 2.0 * delta))
 
-        def pred(x, m):
-            return float(np.sum((x - prox_pt) ** 2)) <= thresh
-    else:  # relative
-        coeff = rho / (4.0 * (2.0 * mu + rho) * ell ** (2.0 + 2.0 * delta))
-
-        def pred(x, m):
-            return float(np.sum((x - prox_pt) ** 2)) <= coeff * float(np.sum((x - center) ** 2))
+    def pred(x, m):
+        return float(np.sum((x - prox_pt) ** 2)) <= coeff * float(np.sum((x - center) ** 2))
 
     return StopRule(max_epochs=SAFETY_EPOCHS, epoch_predicate=pred)
 
@@ -291,12 +284,11 @@ def _check_probability_chain(params: ReconditionParams):
 
 
 def _outer_loop(problem, params, schedule, init, outer_budget, target_objective,
-                seed, objective_stride, mode, stop_rule, weight=None) -> OuterTrace:
+                seed, objective_stride, mode, criterion, weight=None) -> OuterTrace:
     """The proximal outer loop behind run_reconditioned and run_momentum.
 
     Step ell solves the problem reconditioned at the current center with the
-    inner StopRule ``stop_rule(ell, center, sub, pi_ell, f_init)``; ``sub`` is
-    that reconditioned problem and ``f_init`` is F(init).  Its result x_ell
+    inner StopRule ``_inner_stop`` makes of ``criterion``.  Its result x_ell
     gives the next center x_ell + b (x_ell - x_{ell-1}) with b =
     ``weight(ell)``, and x_ell itself when there is no weight.
     """
@@ -306,7 +298,7 @@ def _outer_loop(problem, params, schedule, init, outer_budget, target_objective,
     center = x
     trace = OuterTrace()
     trace.stored_centers.append(center)
-    f_init = f_x = pb.eval_objective(problem, x)  # F(x): at the start, then at each result x_ell
+    f_x = pb.eval_objective(problem, x)  # F(x): at the start, then at each result x_ell
     if objective_stride:
         trace.objective_log.append(ObjectivePoint(-1, 0, 0, f_x))
     for ell in range(1, outer_budget + 1):
@@ -315,7 +307,7 @@ def _outer_loop(problem, params, schedule, init, outer_budget, target_objective,
         dist = adaptive_distribution(center, params.c)
         pi_ell = dist.p_min
         sub = pb.reconditioned(problem, params.rho, center)
-        stop = stop_rule(ell, center, sub, pi_ell, f_init)
+        stop = _inner_stop(criterion, ell, params, pi_ell, center, sub)
         # a random schedule draws a fresh worker order for each step (step 1
         # keeps the schedule's seed); a fixed trace restarts at every step
         step_schedule = replace(schedule, seed=schedule.seed + _SEED_STRIDE * (ell - 1))
@@ -385,12 +377,8 @@ def run_reconditioned(
             "rho = 0: the problem is already conditioned for this exploration "
             "level; run the sparsified engine directly"
         )
-
-    def stop_rule(ell, center, sub, pi_ell, f_init):
-        return _inner_stop(criterion, ell, params, pi_ell, center, sub)
-
     return _outer_loop(problem, params, schedule, init, outer_budget, target_objective,
-                       seed, objective_stride, mode, stop_rule)
+                       seed, objective_stride, mode, criterion)
 
 
 # -- accelerated variant -----------------------------------------------------
@@ -398,26 +386,19 @@ def run_reconditioned(
 
 @dataclass(frozen=True)
 class MomentumCriterion:
-    """Inner stopping tests for the accelerated outer loop.
+    """Inner stopping rule of the accelerated outer loop.
 
     kinds:
-      fixed     -- constant number of epochs
-      absolute  -- inner suboptimality (on the reconditioned objective) below
-                   a geometric / polynomial schedule; needs f_star
-      adaptive  -- inner suboptimality below a fraction of the realized
-                   displacement from the extrapolated center
+      fixed     -- run a constant number of epochs (``epochs``)
     """
 
-    kind: str = "adaptive"
+    kind: str = "fixed"
     epochs: int = 1
-    f_star: float | None = None
 
     def __post_init__(self):
         if self.kind not in MOMENTUM_KINDS:
             raise ValueError(f"unknown momentum criterion {self.kind!r}")
         _check_epochs(self)
-        if self.kind == "absolute" and self.f_star is None:
-            raise ValueError("the absolute momentum criterion needs f_star")
 
 
 def momentum_weight(ell: int, mu: float, rho: float) -> float:
@@ -447,39 +428,9 @@ def run_momentum(
         raise ValueError("rho = 0: nothing to accelerate; run the engine directly")
     mu, rho = params.mu, params.rho
 
-    def stop_rule(ell, center, sub, pi_ell, f_init):
-        return _momentum_stop(criterion, ell, params, center, sub, f_init)
-
     def weight(ell):
         return momentum_weight(ell + 1, mu, rho) if mu == 0 else momentum_weight(ell, mu, rho)
 
     return _outer_loop(problem, params, schedule, init, outer_budget, target_objective,
-                       seed, objective_stride, mode, stop_rule, weight)
+                       seed, objective_stride, mode, criterion, weight)
 
-
-def _momentum_stop(criterion, ell, params, center, sub, f_init):
-    if criterion.kind == "fixed":
-        return StopRule(max_epochs=criterion.epochs)
-    mu, rho = params.mu, params.rho
-    prox_pt, _ = direct.solve(sub, tol=_ORACLE_TOL, x0=center)
-    h_min = pb.eval_objective(sub, prox_pt)
-    if criterion.kind == "absolute":
-        if mu > 0:
-            factor = (1.0 - math.sqrt(mu / (4.0 * (mu + rho)))) ** ell
-        else:
-            factor = 1.0 / ell ** (4.0 + _MOMENTUM_DELTA)
-        thresh = factor * ((2.0 / 9.0) * (f_init - criterion.f_star))
-
-        def pred(x, m):
-            return pb.eval_objective(sub, x) - h_min <= thresh
-    else:  # adaptive
-        if mu > 0:
-            coeff = math.sqrt(mu) / (2.0 * math.sqrt(mu + rho) - math.sqrt(mu))
-        else:
-            coeff = 1.0 / ell ** 2
-
-        def pred(x, m):
-            move = 0.5 * rho * float(np.sum((x - center) ** 2))
-            return pb.eval_objective(sub, x) - h_min <= coeff * move
-
-    return StopRule(max_epochs=SAFETY_EPOCHS, epoch_predicate=pred)

@@ -56,8 +56,8 @@ class TestConfig:
     NON_DEFAULT = {
         "kind": "synthetic-logistic", "d": 37, "m": 41, "sparsity": 0.25, "noise_std": 0.5,
         "data_seed": -3, "path": "data/train.svm", "lam1": 0.125, "target_support": None,
-        "lam2": 0.0, "scale": True, "algorithm": "catalyst", "workers": 2, "pi": 1.0,
-        "c": 3.7, "criterion": "absolute", "epochs": 4,
+        "lam2": 0.0, "scale": True, "algorithm": "davepg", "workers": 2, "pi": 1.0,
+        "c": 3.7, "criterion": "relative", "epochs": 4,
         "schedule": "round_robin", "weights": (1.5, 0.1), "seeds": (7, 0, -2),
         "target_eps": 2.5e-9, "max_iterations": 5, "outer_budget": 9, "log_stride": 3,
         "ref_tol": 1e-15, "ws_density": 1.0, "ws_max_epochs": 1,
@@ -126,9 +126,12 @@ class TestConfig:
         assert cli.main(["run", "--config", cfgp, "--out", str(tmp_path / "o")]) == 2
         assert f"dataset file not found: {missing}" in capsys.readouterr().err
 
-    def test_criterion_algorithm_mismatch(self):
-        text = "[run]\nalgorithm = catalyst\ncriterion = relative\n"
-        with pytest.raises(cli.ConfigError, match="criterion"):
+    @pytest.mark.parametrize("algorithm, criterion", [
+        ("catalyst", "relative"), ("reconditioned", "absolute"),
+        ("catalyst", "absolute"), ("catalyst", "adaptive")])
+    def test_criterion_algorithm_mismatch(self, algorithm, criterion):
+        text = f"[run]\nalgorithm = {algorithm}\ncriterion = {criterion}\n"
+        with pytest.raises(cli.ConfigError, match=f"criterion '{criterion}' invalid for {algorithm}"):
             cli.parse_config(text)
 
     def test_heterogeneous_needs_weights(self):
@@ -513,7 +516,7 @@ class TestRun:
 
 
 class TestAlgorithmsAndSchedules:
-    @pytest.mark.parametrize("criterion", ["fixed", "absolute", "adaptive"])
+    @pytest.mark.parametrize("criterion", ["fixed"])
     def test_catalyst(self, tmp_path, criterion):
         text = SMALL_LASSO.replace("algorithm = reconditioned\ncriterion = fixed",
                                    f"algorithm = catalyst\ncriterion = {criterion}")

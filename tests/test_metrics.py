@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -95,6 +96,17 @@ class TestReferenceSolution:
         zeros = pb.reconditioned(prob, 1.0, np.zeros(40))
         ones = pb.reconditioned(prob, 1.0, np.ones(40))
         assert metrics.problem_fingerprint(zeros) != metrics.problem_fingerprint(ones)
+
+    @pytest.mark.parametrize("a, b", [
+        (pb.Regularizer("l1", 1), pb.Regularizer("l1", 1.0)),
+        (pb.Regularizer("none", -0.0), pb.Regularizer()),
+    ], ids=["int-weight", "negative-zero"])
+    def test_fingerprint_hashes_weight_values(self, a, b):
+        # equal weights give one fingerprint whatever their spelling, so equal
+        # problems share their cached reference
+        prob = small_lasso()
+        assert metrics.problem_fingerprint(dataclasses.replace(prob, reg=a)) == \
+            metrics.problem_fingerprint(dataclasses.replace(prob, reg=b))
 
     @staticmethod
     def _column_major_fingerprint(rows, alphas, reg):

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from sparsepg import data, direct, engine, metrics, problem as pb, recondition as rc
 from sparsepg.sparsifier import adaptive_distribution
 
-from conftest import (check_ledger, count_messages, mu_pos_lasso, strongly_convex_problem,
-                      trace_bytes)
+from conftest import check_ledger, count_messages, strongly_convex_problem, trace_bytes
 
 
 def small_lasso(d=40, m=60, lam=0.2, M=3, seed=11):
@@ -101,8 +100,11 @@ class TestEpochBudget:
 
 class TestCriteria:
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            rc.InnerCriterion(kind="adaptive")
+        for kind in ("absolute", "adaptive"):
+            with pytest.raises(ValueError, match=kind):
+                rc.InnerCriterion(kind=kind)
+            with pytest.raises(ValueError, match=kind):
+                rc.MomentumCriterion(kind=kind)
         with pytest.raises(ValueError):
             rc.MomentumCriterion(kind="relative")
 
@@ -162,7 +164,7 @@ class TestReconditionedLoop:
         assert trace.n_outer == 0
         assert np.array_equal(trace.final_x, self.x_star)
 
-    @pytest.mark.parametrize("kind", ["budget", "fixed", "absolute", "relative"])
+    @pytest.mark.parametrize("kind", ["budget", "fixed", "relative"])
     def test_all_criteria_converge(self, kind):
         criterion = rc.InnerCriterion(kind=kind, epochs=2)
         trace = rc.run_reconditioned(self.prob, self.params, self.sched, np.zeros(40),
@@ -248,41 +250,30 @@ class TestReconditionedLoop:
         if stride == 1:
             assert len(expected) == trace.n_outer + 1
 
-    @pytest.mark.parametrize("loop", ["plain", "momentum"])
     @pytest.mark.parametrize("capped", [False, True])
-    def test_predicate_tested_once_per_epoch(self, loop, capped, monkeypatch):
+    def test_predicate_tested_once_per_epoch(self, capped, monkeypatch):
         # the engine tests the predicate at every epoch boundary, the last of
         # a run cut by max_epochs included, and the outer loop reads its
-        # outcome.  With these caps, some runs (every one of momentum's) reach
-        # the cap
+        # outcome.  With this cap, some runs reach it
         if capped:
-            monkeypatch.setattr(rc, "SAFETY_EPOCHS", {"plain": 2, "momentum": 1}[loop])
+            monkeypatch.setattr(rc, "SAFETY_EPOCHS", 2)
         calls = []
+        make_stop = rc._inner_stop
 
-        def counting(make_stop):
-            def make(*args):
-                stop = make_stop(*args)
-                calls.append([])
+        def make(*args):
+            stop = make_stop(*args)
+            calls.append([])
 
-                def pred(x, m):
-                    calls[-1].append(m)
-                    return stop.epoch_predicate(x, m)
+            def pred(x, m):
+                calls[-1].append(m)
+                return stop.epoch_predicate(x, m)
 
-                return dataclasses.replace(stop, epoch_predicate=pred)
-            return make
+            return dataclasses.replace(stop, epoch_predicate=pred)
 
-        if loop == "plain":
-            monkeypatch.setattr(rc, "_inner_stop", counting(rc._inner_stop))
-            trace = rc.run_reconditioned(
-                self.prob, self.params, self.sched, np.zeros(40),
-                criterion=rc.InnerCriterion(kind="relative"),
-                outer_budget=20, seed=3)
-        else:
-            monkeypatch.setattr(rc, "_momentum_stop", counting(rc._momentum_stop))
-            trace = rc.run_momentum(
-                self.prob, self.params, self.sched, np.zeros(40),
-                criterion=rc.MomentumCriterion(kind="adaptive"),
-                outer_budget=20, seed=3)
+        monkeypatch.setattr(rc, "_inner_stop", make)
+        trace = rc.run_reconditioned(self.prob, self.params, self.sched, np.zeros(40),
+                                     criterion=rc.InnerCriterion(kind="relative"),
+                                     outer_budget=20, seed=3)
         assert trace.n_outer == 20
         assert calls == [list(range(1, t.n_epochs + 1)) for t in trace.inner_traces]
         assert capped == any(t.n_epochs == rc.SAFETY_EPOCHS for t in trace.inner_traces)
@@ -309,7 +300,8 @@ class TestReconditionedLoop:
 
     @pytest.mark.parametrize("loop", ["plain", "momentum"])
     def test_one_reconditioned_problem_per_outer_step(self, loop, monkeypatch):
-        # the proximal-point criteria solve the step's own reconditioned problem
+        # each step builds one reconditioned problem, which the relative
+        # criterion also solves for its proximal point
         calls = []
         recondition = pb.reconditioned
         monkeypatch.setattr(pb, "reconditioned",
@@ -320,7 +312,7 @@ class TestReconditionedLoop:
                                          outer_budget=20, seed=3)
         else:
             trace = rc.run_momentum(self.prob, self.params, self.sched, np.zeros(40),
-                                    criterion=rc.MomentumCriterion(kind="adaptive"),
+                                    criterion=rc.MomentumCriterion(kind="fixed"),
                                     outer_budget=20, seed=3)
         assert trace.n_outer == 20
         assert len(calls) == 20
@@ -403,14 +395,12 @@ class TestReconditionedLoop:
         assert np.mean(ratios) <= rate + 0.05
 
     def test_safety_cap_raises(self, monkeypatch):
-        # delta near 1 makes the first-step threshold tiny; one epoch cannot meet it
-        params = rc.make_params(self.prob.mu, self.prob.lip, c=6.0, d=40, delta=0.99)
-        # as ell grows the threshold shrinks polynomially, so a one-epoch cap
-        # must eventually fall short
+        # the relative coefficient shrinks like 1/ell^(2 + 2 delta), so a
+        # one-epoch cap must eventually fall short
         monkeypatch.setattr(rc, "SAFETY_EPOCHS", 1)
-        criterion = rc.InnerCriterion(kind="absolute")
-        with pytest.raises(rc.InnerBudgetError):
-            rc.run_reconditioned(self.prob, params, self.sched, np.zeros(40),
+        criterion = rc.InnerCriterion(kind="relative")
+        with pytest.raises(rc.InnerBudgetError, match="exhausted 1 epochs"):
+            rc.run_reconditioned(self.prob, self.params, self.sched, np.zeros(40),
                                  criterion=criterion, outer_budget=60, seed=6)
 
     def test_rho_zero_rejected(self):
@@ -516,23 +506,6 @@ class TestMomentum:
         # on the centers it reads one step later here (18 against 17)
         assert lam < metrics.identification_time(trace.centers, ref)
 
-    def test_absolute_criterion_evaluates_f_once_per_point(self, monkeypatch):
-        # F(init) feeds both the outer log and the criterion's initial gap
-        evaluate = pb.eval_objective
-        calls = []
-
-        def counted(problem, x):
-            if problem is self.prob:
-                calls.append(None)
-            return evaluate(problem, x)
-
-        monkeypatch.setattr(pb, "eval_objective", counted)
-        trace = rc.run_momentum(self.prob, self.params, self.sched, np.zeros(40),
-                                criterion=rc.MomentumCriterion(kind="absolute", f_star=self.f_star),
-                                outer_budget=30, seed=2)
-        assert trace.n_outer == 30
-        assert len(calls) == 31
-
     @pytest.mark.parametrize("loop", ["plain", "momentum"])
     def test_trace_pickles_byte_identical(self, loop):
         if loop == "plain":
@@ -554,52 +527,13 @@ class TestMomentum:
             [trace_bytes(t) for t in trace.inner_traces]
         assert len(trace.centers) == 26
 
-    @pytest.mark.parametrize("kind", ["absolute", "adaptive"])
-    def test_criteria_with_mu_positive(self, kind, monkeypatch):
-        # with mu > 0 the absolute threshold shrinks geometrically and the
-        # adaptive coefficient is constant; every inner run ends where its
-        # test holds, and the loop reaches f* + 1e-8
-        prob = mu_pos_lasso()
-        assert prob.mu > 0.1
-        ref = metrics.reference_solution(prob, tol=1e-12)
-        params = rc.make_params(prob.mu, prob.lip, c=5, d=prob.dim)
-        rules = []
-        stop = rc._momentum_stop
-        monkeypatch.setattr(rc, "_momentum_stop", lambda *a: rules.append(stop(*a)) or rules[-1])
-        criterion = rc.MomentumCriterion(kind=kind,
-                                         f_star=ref.f_star if kind == "absolute" else None)
-        trace = rc.run_momentum(prob, params, engine.DelaySchedule.round_robin(4),
-                                np.zeros(prob.dim), criterion=criterion, outer_budget=500,
-                                target_objective=ref.f_star + 1e-8, seed=1)
-        assert pb.eval_objective(prob, trace.final_x) - ref.f_star <= 1e-8
-        assert trace.n_outer < 100
-        assert len(rules) == len(trace.inner_traces) == trace.n_outer
-        for rule, inner in zip(rules, trace.inner_traces):
-            assert inner.epoch_snapshots and rule.epoch_predicate(inner.final_x, None)
-
-    @pytest.mark.parametrize("kind", ["fixed", "adaptive", "absolute"])
+    @pytest.mark.parametrize("kind", ["fixed"])
     def test_criteria_converge(self, kind):
-        criterion = rc.MomentumCriterion(
-            kind=kind, epochs=2,
-            f_star=self.f_star if kind == "absolute" else None,
-        )
+        criterion = rc.MomentumCriterion(kind=kind, epochs=2)
         trace = rc.run_momentum(self.prob, self.params, self.sched, np.zeros(40),
                                 criterion=criterion, outer_budget=400,
                                 target_objective=self.f_star + 1e-7, seed=10)
         assert pb.eval_objective(self.prob, trace.final_x) <= self.f_star + 1e-7
-
-    def test_safety_cap_raises(self, monkeypatch):
-        # mu = 0 here, so the adaptive test's coefficient shrinks like 1/ell^2
-        # and a one-epoch cap must eventually fall short
-        monkeypatch.setattr(rc, "SAFETY_EPOCHS", 1)
-        criterion = rc.MomentumCriterion(kind="adaptive")
-        with pytest.raises(rc.InnerBudgetError, match="exhausted 1 epochs"):
-            rc.run_momentum(self.prob, self.params, self.sched, np.zeros(40),
-                            criterion=criterion, outer_budget=300, seed=6)
-
-    def test_absolute_requires_f_star(self):
-        with pytest.raises(ValueError):
-            rc.MomentumCriterion(kind="absolute")
 
     def test_momentum_not_slower_than_plain(self):
         crit = rc.InnerCriterion(kind="fixed", epochs=1)
