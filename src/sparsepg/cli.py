@@ -225,7 +225,7 @@ def parse_config(text: str) -> ExperimentConfig:
     elif cfg.lam1 is None:
         cfg.lam1 = 0.03  # logistic default weight when uncalibrated
     if cfg.algorithm in ("reconditioned", "catalyst"):
-        valid = rc.INNER_KINDS if cfg.algorithm == "reconditioned" else rc.MOMENTUM_KINDS
+        valid = rc.INNER_KINDS if cfg.algorithm == "reconditioned" else ("fixed",)
         if cfg.criterion not in valid:
             problems.append(f"[run] criterion {cfg.criterion!r} invalid for {cfg.algorithm} (use one of {valid})")
     if (cfg.schedule == "heterogeneous" and failed.isdisjoint({"weights", "workers"})
@@ -345,15 +345,11 @@ def run_algorithm(problem, cfg: ExperimentConfig, seed: int,
         return _run_engine(problem, cfg, seed, init, stop, mode)
     schedule = _make_schedule(cfg, seed)
     params = rc.make_params(problem.mu, problem.lip, cfg.c, d)
-    if cfg.algorithm == "reconditioned":
-        criterion = rc.InnerCriterion(kind=cfg.criterion, epochs=cfg.epochs)
-        return rc.run_reconditioned(problem, params, schedule, init, criterion=criterion,
-                                    outer_budget=cfg.outer_budget, target_objective=target,
-                                    seed=seed, objective_stride=cfg.log_stride, mode=mode)
-    criterion = rc.MomentumCriterion(kind=cfg.criterion, epochs=cfg.epochs)
-    return rc.run_momentum(problem, params, schedule, init, criterion=criterion,
-                           outer_budget=cfg.outer_budget, target_objective=target,
-                           seed=seed, objective_stride=cfg.log_stride, mode=mode)
+    criterion = rc.InnerCriterion(kind=cfg.criterion, epochs=cfg.epochs)
+    run = rc.run_reconditioned if cfg.algorithm == "reconditioned" else rc.run_momentum
+    return run(problem, params, schedule, init, criterion=criterion,
+               outer_budget=cfg.outer_budget, target_objective=target,
+               seed=seed, objective_stride=cfg.log_stride, mode=mode)
 
 
 # -- curve extraction and CSV emission ---------------------------------------

@@ -391,6 +391,16 @@ class StopRule:
     def __post_init__(self):
         if self.max_epochs is None and self.max_iterations is None:
             raise ValueError("a stop rule needs max_epochs or max_iterations")
+        if self.max_epochs is not None:
+            _check_count("max_epochs", self.max_epochs, 1)
+        if self.max_iterations is not None:
+            _check_count("max_iterations", self.max_iterations, 0)
+
+
+def _check_count(name, value, least):
+    """Refuses a count that is not an integer >= least; bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
 
 
 # -- workers and message sources -------------------------------------------

@@ -6,13 +6,14 @@ engine, the reconditioned problem
     H_ell = sum_i alpha_i (f_i + (rho/2)||. - center_ell||^2) + r,
 
 with selection probability 1 on the support of the current center and a small
-exploration probability elsewhere.  Three inner stopping criteria are
-provided: a per-step epoch budget derived from the theory ("budget"), a
-constant number of epochs ("fixed"), and a validation-style rule comparing
-the inner iterate to the exact proximal point ("relative").  A momentum
-(accelerated) variant centers each step at an extrapolated point and runs a
-constant number of epochs per step.  No criterion reads the optimal value
-F*.
+exploration probability elsewhere.  One criterion type, ``InnerCriterion``,
+says when each inner run stops, in one of three kinds (``INNER_KINDS``): a
+per-step epoch budget derived from the theory ("budget"), a constant number
+of epochs ("fixed"), and a validation-style rule comparing the inner iterate
+to the exact proximal point ("relative").  The budget and relative tests use
+the accuracy exponent ``DELTA`` = 0.5.  A momentum (accelerated) variant
+centers each step at an extrapolated point and runs "fixed" only.  No
+criterion reads the optimal value F*.
 """
 
 from __future__ import annotations
@@ -25,15 +26,16 @@ import numpy as np
 
 from . import direct
 from . import problem as pb
-from .engine import DelaySchedule, ObjectivePoint, SparsePoints, StopRule, _check_stride, run_spy
+from .engine import (DelaySchedule, ObjectivePoint, SparsePoints, StopRule, _check_count,
+                     _check_stride, run_spy)
 from .sparsifier import adaptive_distribution, min_conditioning
 
 _SEED_STRIDE = 100_003
 _ORACLE_TOL = 1e-11  # tolerance of the proximal point the relative test solves for
 SAFETY_EPOCHS = 20_000  # epochs before an inner run with the relative test gives up
+DELTA = 0.5  # accuracy exponent in (0, 1) of the budget and relative tests
 
 INNER_KINDS = ("budget", "fixed", "relative")
-MOMENTUM_KINDS = ("fixed",)
 
 
 class InnerBudgetError(RuntimeError):
@@ -48,7 +50,6 @@ class ReconditionParams:
     d: int
     mu: float
     lip: float
-    delta: float
     pi: float          # baseline exploration probability c/d
     alpha: float       # probability margin c/(2d)
     kappa: float       # target condition number of the reconditioned problem
@@ -72,20 +73,15 @@ class ReconditionParams:
         return 1.0 - self.mu / (self.mu + self.rho / 2.0)
 
 
-def make_params(
-    mu: float,
-    lip: float,
-    c: float,
-    d: int,
-    delta: float = 0.5,
-) -> ReconditionParams:
+def make_params(mu: float, lip: float, c: float, d: int) -> ReconditionParams:
     """Choose (rho, gamma) so that exploration probability pi = c/d is safe.
 
     The reconditioned problem is given condition number kappa such that masks
     with p_min >= pi - alpha still contract, leaving a margin alpha = c/(2d)
     for the adaptive probabilities.  The inner stepsize is 2/(mu + L + 2 rho),
     at which (1 - gamma (mu + rho))^2 = pi - alpha: any smaller stepsize breaks
-    that chain.
+    that chain.  The accuracy exponent of the inner tests is the constant
+    ``DELTA``, not a parameter.
     """
     if not 0 < c <= d:
         raise ValueError("exploration budget c must lie in (0, d]")
@@ -93,8 +89,6 @@ def make_params(
         raise ValueError("need 0 <= mu <= L")
     if lip <= 0:
         raise ValueError("L must be positive")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
     pi = c / d
     alpha = c / (2.0 * d)
     kappa = min_conditioning(pi - alpha)
@@ -102,7 +96,7 @@ def make_params(
     if rho <= 0:
         rho = 0.0  # already conditioned enough for this exploration level
     return ReconditionParams(
-        c=c, d=d, mu=mu, lip=lip, delta=delta,
+        c=c, d=d, mu=mu, lip=lip,
         pi=pi, alpha=alpha, kappa=kappa, rho=rho, gamma=2.0 / (mu + lip + 2.0 * rho),
     )
 
@@ -116,12 +110,11 @@ def epoch_budget(ell: int, params: ReconditionParams, pi_ell: float) -> int:
         raise ValueError("inner runs do not contract with these probabilities")
     rate = max(rate, 1e-300)
     log_inv = math.log(1.0 / rate)
-    delta = params.delta
     mu, rho = params.mu, params.rho
     if rho <= 0:
         raise ValueError("epoch budget undefined without reconditioning (rho = 0)")
-    m = (1.0 + delta) * math.log(ell) / log_inv
-    m += math.log((2.0 * mu + rho) / ((1.0 - delta) * rho)) / log_inv
+    m = (1.0 + DELTA) * math.log(ell) / log_inv
+    m += math.log((2.0 * mu + rho) / ((1.0 - DELTA) * rho)) / log_inv
     return max(int(math.ceil(m)), 1)
 
 
@@ -229,9 +222,11 @@ class OuterTrace:
 
 @dataclass(frozen=True)
 class InnerCriterion:
-    """How each inner run decides it is accurate enough.
+    """How each inner run of either outer loop decides it is accurate
+    enough; the momentum loop runs "fixed" only.  ``epochs`` is an integer
+    >= 1, read by "fixed".
 
-    kinds:
+    kinds (``INNER_KINDS``):
       budget    -- run exactly the theory-derived epoch budget for step ell
       fixed     -- run a constant number of epochs (``epochs``)
       relative  -- stop once ||x - prox||^2 is small relative to the realized
@@ -245,12 +240,7 @@ class InnerCriterion:
     def __post_init__(self):
         if self.kind not in INNER_KINDS:
             raise ValueError(f"unknown inner criterion {self.kind!r}")
-        _check_epochs(self)
-
-
-def _check_epochs(criterion):
-    if criterion.kind == "fixed" and criterion.epochs < 1:
-        raise ValueError("fixed criterion needs epochs >= 1")
+        _check_count("epochs", self.epochs, 1)
 
 
 def _inner_stop(criterion, ell, params, pi_ell, center, sub):
@@ -262,8 +252,8 @@ def _inner_stop(criterion, ell, params, pi_ell, center, sub):
         return StopRule(max_epochs=criterion.epochs)
     # relative
     prox_pt, _ = direct.solve(sub, tol=_ORACLE_TOL, x0=center)
-    mu, rho, delta = params.mu, params.rho, params.delta
-    coeff = rho / (4.0 * (2.0 * mu + rho) * ell ** (2.0 + 2.0 * delta))
+    mu, rho = params.mu, params.rho
+    coeff = rho / (4.0 * (2.0 * mu + rho) * ell ** (2.0 + 2.0 * DELTA))
 
     def pred(x, m):
         return float(np.sum((x - prox_pt) ** 2)) <= coeff * float(np.sum((x - center) ** 2))
@@ -292,6 +282,11 @@ def _outer_loop(problem, params, schedule, init, outer_budget, target_objective,
     gives the next center x_ell + b (x_ell - x_{ell-1}) with b =
     ``weight(ell)``, and x_ell itself when there is no weight.
     """
+    if not params.needs_reconditioning:
+        raise ValueError(
+            "rho = 0: the problem is already conditioned for this exploration "
+            "level; run the sparsified engine directly"
+        )
     _check_stride(objective_stride)
     _check_probability_chain(params)
     x = np.asarray(init, dtype=float).copy()
@@ -372,33 +367,11 @@ def run_reconditioned(
     start at the solution performs no inner work) or after outer_budget steps.
     ``objective_stride`` logs F at init and at the x_ell, as ``OuterTrace`` says.
     """
-    if not params.needs_reconditioning:
-        raise ValueError(
-            "rho = 0: the problem is already conditioned for this exploration "
-            "level; run the sparsified engine directly"
-        )
     return _outer_loop(problem, params, schedule, init, outer_budget, target_objective,
                        seed, objective_stride, mode, criterion)
 
 
 # -- accelerated variant -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MomentumCriterion:
-    """Inner stopping rule of the accelerated outer loop.
-
-    kinds:
-      fixed     -- run a constant number of epochs (``epochs``)
-    """
-
-    kind: str = "fixed"
-    epochs: int = 1
-
-    def __post_init__(self):
-        if self.kind not in MOMENTUM_KINDS:
-            raise ValueError(f"unknown momentum criterion {self.kind!r}")
-        _check_epochs(self)
 
 
 def momentum_weight(ell: int, mu: float, rho: float) -> float:
@@ -415,7 +388,7 @@ def run_momentum(
     params: ReconditionParams,
     schedule: DelaySchedule,
     init: np.ndarray,
-    criterion: MomentumCriterion = MomentumCriterion(),
+    criterion: InnerCriterion = InnerCriterion(kind="fixed"),
     outer_budget: int = 500,
     target_objective: float | None = None,
     seed: int = 0,
@@ -423,9 +396,11 @@ def run_momentum(
     mode: str = "sim",
 ) -> OuterTrace:
     """Accelerated outer loop: inner solves centered at an extrapolated point.
-    ``objective_stride`` logs F at init and at the x_ell, as ``OuterTrace`` says."""
-    if not params.needs_reconditioning:
-        raise ValueError("rho = 0: nothing to accelerate; run the engine directly")
+    Its criterion is "fixed"; "budget" and "relative" are refused, since their
+    accuracy tests are derived for the plain loop.  ``objective_stride`` logs
+    F at init and at the x_ell, as ``OuterTrace`` says."""
+    if criterion.kind != "fixed":
+        raise ValueError(f"the momentum loop runs the fixed criterion only, not {criterion.kind!r}")
     mu, rho = params.mu, params.rho
 
     def weight(ell):

@@ -381,7 +381,7 @@ def test_c11_momentum_rates():
     params = rc.make_params(problem.mu, problem.lip, c=50, d=100)
     trace = rc.run_momentum(
         problem, params, engine.DelaySchedule.round_robin(4), np.zeros(100),
-        criterion=rc.MomentumCriterion(kind="fixed", epochs=60),
+        criterion=rc.InnerCriterion(kind="fixed", epochs=60),
         outer_budget=60, seed=1,
     )
     gaps = np.array([r.objective - ref.f_star for r in trace.records])
@@ -400,7 +400,7 @@ def test_c11_momentum_rates():
     bound = 1 - np.sqrt(prob2.mu / (4 * prob2.mu + 4 * params2.rho)) + 0.05
     trace2 = rc.run_momentum(
         prob2, params2, engine.DelaySchedule.round_robin(4), np.zeros(30),
-        criterion=rc.MomentumCriterion(kind="fixed", epochs=40),
+        criterion=rc.InnerCriterion(kind="fixed", epochs=40),
         outer_budget=40, seed=1,
     )
     gaps2 = np.array([r.objective - f_star for r in trace2.records])

@@ -128,7 +128,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("algorithm, criterion", [
         ("catalyst", "relative"), ("reconditioned", "absolute"),
-        ("catalyst", "absolute"), ("catalyst", "adaptive")])
+        ("catalyst", "absolute"), ("catalyst", "adaptive"), ("catalyst", "budget")])
     def test_criterion_algorithm_mismatch(self, algorithm, criterion):
         text = f"[run]\nalgorithm = {algorithm}\ncriterion = {criterion}\n"
         with pytest.raises(cli.ConfigError, match=f"criterion '{criterion}' invalid for {algorithm}"):

@@ -194,6 +194,23 @@ class TestRunDavePG:
         with pytest.raises(ValueError):
             engine.StopRule()
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_epochs", 0), ("max_epochs", -3), ("max_epochs", 2.5), ("max_epochs", 1.0),
+        ("max_epochs", True), ("max_iterations", -1), ("max_iterations", 2.5),
+        ("max_iterations", False), ("max_iterations", "5")])
+    def test_stop_limits_are_integers(self, field, value):
+        # max_epochs = 0 used to run one whole epoch, max_iterations = 2.5 three iterations
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= "):
+            engine.StopRule(**{field: value})
+
+    def test_stop_limits_accept_integers(self):
+        stop = engine.StopRule(max_epochs=np.int64(2), max_iterations=0)
+        assert (stop.max_epochs, stop.max_iterations) == (2, 0)
+        prob = strongly_convex_problem(d=6, M=3, seed=1)
+        trace = engine.run_davepg(prob, engine.gamma_max(prob),
+                                  engine.DelaySchedule.round_robin(3), np.zeros(6), stop)
+        assert trace.n_iterations == 0
+
     def test_coordinator_average_invariant(self):
         prob = strongly_convex_problem(d=5, M=3, seed=2)
         engine.DEBUG_CHECK = True

@@ -49,8 +49,6 @@ class TestMakeParams:
             rc.make_params(mu=0.0, lip=1.0, c=11.0, d=10)
         with pytest.raises(ValueError):
             rc.make_params(mu=2.0, lip=1.0, c=1.0, d=10)
-        with pytest.raises(ValueError):
-            rc.make_params(mu=0.0, lip=1.0, c=1.0, d=10, delta=1.0)
 
     @settings(max_examples=200, deadline=None)
     @given(mu=st.floats(0.0, 10.0), lip=st.floats(1e-3, 1e3), d=st.integers(1, 10_000),
@@ -68,11 +66,11 @@ class TestMakeParams:
 class TestEpochBudget:
     def make(self):
         # engineered so alpha = 0.25 exactly: c/(2d) = 0.25 with c = d/2
-        return rc.make_params(mu=0.0, lip=1.0, c=8.0, d=16, delta=0.5)
+        return rc.make_params(mu=0.0, lip=1.0, c=8.0, d=16)
 
     def test_closed_form(self):
         p = self.make()
-        # pi_ell = pi: M_ell = ceil(1.5 log(ell)/log(4/3) + log(2)/log(4/3))
+        # pi_ell = pi, DELTA = 0.5: M_ell = ceil(1.5 log(ell)/log(4/3) + log(2)/log(4/3))
         for ell in (1, 2, 5, 20):
             expected = math.ceil(
                 1.5 * math.log(ell) / math.log(4 / 3) + math.log(2) / math.log(4 / 3)
@@ -103,16 +101,24 @@ class TestCriteria:
         for kind in ("absolute", "adaptive"):
             with pytest.raises(ValueError, match=kind):
                 rc.InnerCriterion(kind=kind)
-            with pytest.raises(ValueError, match=kind):
-                rc.MomentumCriterion(kind=kind)
-        with pytest.raises(ValueError):
-            rc.MomentumCriterion(kind="relative")
 
     def test_fixed_needs_an_epoch(self):
-        with pytest.raises(ValueError, match="epochs >= 1"):
+        with pytest.raises(ValueError, match="epochs must be an integer >= 1"):
             rc.InnerCriterion(kind="fixed", epochs=0)
-        with pytest.raises(ValueError, match="epochs >= 1"):
-            rc.MomentumCriterion(kind="fixed", epochs=0)
+
+    @pytest.mark.parametrize("kind, epochs", [("fixed", 1.5), ("fixed", True), ("fixed", 2.0),
+                                              ("fixed", "2"), ("budget", 0), ("relative", -1)])
+    def test_epochs_are_an_integer(self, kind, epochs):
+        with pytest.raises(ValueError, match="epochs must be an integer >= 1"):
+            rc.InnerCriterion(kind=kind, epochs=epochs)
+
+    @pytest.mark.parametrize("kind", ["budget", "relative"])
+    def test_momentum_runs_fixed_only(self, kind):
+        prob = small_lasso()
+        params = rc.make_params(prob.mu, prob.lip, c=6.0, d=40)
+        with pytest.raises(ValueError, match=f"fixed criterion only, not '{kind}'"):
+            rc.run_momentum(prob, params, engine.DelaySchedule.round_robin(3), np.zeros(40),
+                            criterion=rc.InnerCriterion(kind=kind), outer_budget=1)
 
 
 class TestProxOracle:
@@ -203,7 +209,7 @@ class TestReconditionedLoop:
         assert len(calls) == plain.n_outer + 1
         calls.clear()
         mom = rc.run_momentum(self.prob, self.params, self.sched, np.zeros(40),
-                              criterion=rc.MomentumCriterion(kind="fixed", epochs=1),
+                              criterion=rc.InnerCriterion(kind="fixed", epochs=1),
                               outer_budget=2000, target_objective=target, seed=4)
         assert mom.records[-1].objective <= target < mom.records[-2].objective
         assert len(calls) == mom.n_outer + 1
@@ -232,7 +238,7 @@ class TestReconditionedLoop:
                                          objective_stride=stride)
         else:
             trace = rc.run_momentum(self.prob, self.params, self.sched, np.zeros(40),
-                                    criterion=rc.MomentumCriterion(kind="fixed", epochs=1),
+                                    criterion=rc.InnerCriterion(kind="fixed", epochs=1),
                                     outer_budget=2000, target_objective=target, seed=4,
                                     objective_stride=stride)
         assert trace.records[-1].objective <= target < trace.records[-2].objective
@@ -284,8 +290,7 @@ class TestReconditionedLoop:
         # schedule seed for all, every run fired a prefix of the same order);
         # a fixed trace restarts at every step
         run = rc.run_reconditioned if loop == "plain" else rc.run_momentum
-        criterion = (rc.InnerCriterion(kind="fixed", epochs=1) if loop == "plain"
-                     else rc.MomentumCriterion(kind="fixed", epochs=1))
+        criterion = rc.InnerCriterion(kind="fixed", epochs=1)
         fires = [t.worker_fires for t in run(self.prob, self.params, self.sched, np.zeros(40),
                                              criterion=criterion, outer_budget=30,
                                              seed=4).inner_traces]
@@ -312,7 +317,7 @@ class TestReconditionedLoop:
                                          outer_budget=20, seed=3)
         else:
             trace = rc.run_momentum(self.prob, self.params, self.sched, np.zeros(40),
-                                    criterion=rc.MomentumCriterion(kind="fixed"),
+                                    criterion=rc.InnerCriterion(kind="fixed"),
                                     outer_budget=20, seed=3)
         assert trace.n_outer == 20
         assert len(calls) == 20
@@ -404,9 +409,11 @@ class TestReconditionedLoop:
                                  criterion=criterion, outer_budget=60, seed=6)
 
     def test_rho_zero_rejected(self):
+        # one check in the shared loop, with one message
         params = rc.make_params(mu=1.0, lip=1.0, c=6.0, d=40)
-        with pytest.raises(ValueError):
-            rc.run_reconditioned(self.prob, params, self.sched, np.zeros(40))
+        for run in (rc.run_reconditioned, rc.run_momentum):
+            with pytest.raises(ValueError, match="rho = 0: the problem is already conditioned"):
+                run(self.prob, params, self.sched, np.zeros(40))
 
     def test_probability_chain_checked(self):
         # any stepsize below make_params' breaks the chain; caught before any work
@@ -482,8 +489,7 @@ class TestMomentum:
         plain = rc.run_reconditioned(self.prob, self.params, self.sched, np.zeros(40),
                                      criterion=criterion, outer_budget=8, seed=9)
         mom = rc.run_momentum(self.prob, self.params, self.sched, np.zeros(40),
-                              criterion=rc.MomentumCriterion(kind="fixed", epochs=2),
-                              outer_budget=8, seed=9)
+                              criterion=criterion, outer_budget=8, seed=9)
         assert np.array_equal(plain.final_x, mom.final_x)
         assert len(plain.centers) == len(mom.centers) == 9
         assert all(np.array_equal(a, b) for a, b in zip(plain.centers, mom.centers))
@@ -493,7 +499,7 @@ class TestMomentum:
         # the iterates x_ell, the final points of the inner runs
         init = np.zeros(40)
         trace = rc.run_momentum(self.prob, self.params, self.sched, init,
-                                criterion=rc.MomentumCriterion(kind="fixed", epochs=1),
+                                criterion=rc.InnerCriterion(kind="fixed", epochs=1),
                                 outer_budget=2000, target_objective=self.f_star + 1e-8, seed=1)
         points = list(trace)
         assert len(points) == len(trace.centers) == trace.n_outer + 1
@@ -514,7 +520,7 @@ class TestMomentum:
                                          outer_budget=25, seed=6, objective_stride=5)
         else:
             trace = rc.run_momentum(self.prob, self.params, self.sched, np.zeros(40),
-                                    criterion=rc.MomentumCriterion(kind="fixed", epochs=2),
+                                    criterion=rc.InnerCriterion(kind="fixed", epochs=2),
                                     outer_budget=25, seed=6, objective_stride=5)
         back = pickle.loads(pickle.dumps(trace))
         assert back.records == trace.records
@@ -529,7 +535,7 @@ class TestMomentum:
 
     @pytest.mark.parametrize("kind", ["fixed"])
     def test_criteria_converge(self, kind):
-        criterion = rc.MomentumCriterion(kind=kind, epochs=2)
+        criterion = rc.InnerCriterion(kind=kind, epochs=2)
         trace = rc.run_momentum(self.prob, self.params, self.sched, np.zeros(40),
                                 criterion=criterion, outer_budget=400,
                                 target_objective=self.f_star + 1e-7, seed=10)
@@ -541,9 +547,8 @@ class TestMomentum:
                                      criterion=crit, outer_budget=2000,
                                      target_objective=self.f_star + 1e-8, seed=11)
         mom = rc.run_momentum(self.prob, self.params, self.sched, np.zeros(40),
-                              criterion=rc.MomentumCriterion(kind="fixed", epochs=1),
-                              outer_budget=2000, target_objective=self.f_star + 1e-8,
-                              seed=11)
+                              criterion=crit, outer_budget=2000,
+                              target_objective=self.f_star + 1e-8, seed=11)
         assert mom.n_outer <= plain.n_outer
 
 
@@ -560,12 +565,10 @@ class TestLedgerCountsMessages:
         init = np.zeros(prob.dim)
         init[:3] = 1.0
         runs = count_messages(monkeypatch)
-        if loop == "reconditioned":
-            run, criterion = rc.run_reconditioned, rc.InnerCriterion("fixed", epochs=2)
-        else:
-            run, criterion = rc.run_momentum, rc.MomentumCriterion("fixed", epochs=2)
+        run = rc.run_reconditioned if loop == "reconditioned" else rc.run_momentum
         trace = run(prob, params, engine.DelaySchedule.round_robin(3), init,
-                    criterion=criterion, outer_budget=6, seed=2, mode=mode)
+                    criterion=rc.InnerCriterion("fixed", epochs=2), outer_budget=6, seed=2,
+                    mode=mode)
         assert len(runs) == len(trace.inner_traces) == trace.n_outer == 6
         cum_up = cum_down = 0
         for ell, (inner, messages, center) in enumerate(
@@ -574,3 +577,35 @@ class TestLedgerCountsMessages:
             cum_up, cum_down = cum_up + inner.cum_up, cum_down + inner.cum_down
             assert (trace.records[ell - 1].cum_up, trace.records[ell - 1].cum_down) == \
                 (cum_up, cum_down)
+
+
+class TestConcurrentReplay:
+    """A concurrent outer loop equals its simulation replay, inner run by
+    inner run: run ell is run_spy on the problem reconditioned at center
+    ell - 1, with that center's adaptive distribution, the fixed trace of its
+    own worker_fires and the loop's seed for step ell."""
+
+    @pytest.mark.parametrize("loop", ["reconditioned", "momentum"])
+    def test_inner_runs_equal_sim_replay(self, loop):
+        prob = small_lasso()
+        params = rc.make_params(prob.mu, prob.lip, c=5.0, d=prob.dim)
+        init = np.zeros(prob.dim)
+        init[:3] = 1.0
+        run = rc.run_reconditioned if loop == "reconditioned" else rc.run_momentum
+        seed = 7
+        trace = run(prob, params, engine.DelaySchedule.round_robin(3), init,
+                    criterion=rc.InnerCriterion("fixed", epochs=2), outer_budget=8,
+                    seed=seed, mode="concurrent")
+        assert trace.n_outer == 8
+        old, engine.DEBUG_CHECK = engine.DEBUG_CHECK, True
+        try:
+            for ell, (inner, center) in enumerate(zip(trace.inner_traces, trace.centers), start=1):
+                replay = engine.run_spy(
+                    pb.reconditioned(prob, params.rho, center), params.gamma,
+                    adaptive_distribution(center, params.c),
+                    engine.DelaySchedule.fixed_trace(inner.worker_fires), center,
+                    engine.StopRule(max_epochs=2), seed=seed + rc._SEED_STRIDE * ell,
+                    charge_priming=(ell == 1))
+                assert trace_bytes(replay) == trace_bytes(inner), f"inner run {ell}"
+        finally:
+            engine.DEBUG_CHECK = old
