@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import data, engine, metrics, problem as pb, recondition as rc
-from .sparsifier import uniform_distribution
+from .sparsifier import adaptive_distribution, uniform_distribution
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -115,8 +115,6 @@ class ExperimentConfig:
     log_stride: int = _option("run", "log_stride", 20, int, lambda v: v >= 1)
     ref_tol: float = _option("run", "ref_tol", 1e-12, float, lambda v: v > 0)
     warmstart: bool = False  # whether the config has a [warmstart] section
-    ws_density: float = _option("warmstart", "density_threshold", 0.01, float,
-                                lambda v: 0 < v <= 1)
     ws_max_epochs: int = _option("warmstart", "max_epochs", 2000, int, lambda v: v >= 1)
 
     def to_ini(self) -> str:
@@ -228,6 +226,8 @@ def parse_config(text: str) -> ExperimentConfig:
         valid = rc.INNER_KINDS if cfg.algorithm == "reconditioned" else ("fixed",)
         if cfg.criterion not in valid:
             problems.append(f"[run] criterion {cfg.criterion!r} invalid for {cfg.algorithm} (use one of {valid})")
+    if cfg.warmstart and cfg.algorithm == "davepg":
+        problems.append("[warmstart] before davepg never hands over: a davepg exchange is dense")
     if (cfg.schedule == "heterogeneous" and failed.isdisjoint({"weights", "workers"})
             and len(cfg.weights) != cfg.workers):
         problems.append("[run] heterogeneous schedule needs one weight per worker")
@@ -406,14 +406,28 @@ class TriggerUnreachable(RuntimeError):
     """A [warmstart] phase ended without meeting its trigger."""
 
 
-def _identified(start: np.ndarray, density: float):
+def _mask_size(cfg: ExperimentConfig, x: np.ndarray) -> float:
+    """The expected size of one mask that ``cfg.algorithm`` draws at x."""
+    nnz, d = np.count_nonzero(x), x.size
+    if cfg.algorithm == "davepg":
+        return d
+    if cfg.algorithm == "spy-uniform":
+        return cfg.pi * d
+    if cfg.algorithm == "spy-slowdown":
+        return nnz + cfg.pi * (d - nnz)
+    return float(adaptive_distribution(x, cfg.c).p.sum())  # the outer loops
+
+
+def _identified(start: np.ndarray, cfg: ExperimentConfig):
     """The [warmstart] trigger, an epoch predicate reading x alone: supp(x) and its signs
-    are those at the previous epoch end (``start`` at the first), and nnz(x) <= density * d."""
+    are those at the previous epoch end (``start`` at the first), and one exchange of
+    ``cfg.algorithm`` at x is expected to carry fewer coordinates than a dense one,
+    nnz(x) + 2 m(x) < 2d for the mask size m(x): down nnz(x) + m(x), up m(x)."""
     prev = [pb.sign_pattern(start)]
 
     def predicate(x, m):
         before, prev[0] = prev[0], pb.sign_pattern(x)
-        return prev[0] == before and np.count_nonzero(x) / x.size <= density
+        return prev[0] == before and np.count_nonzero(x) + 2 * _mask_size(cfg, x) < 2 * x.size
     return predicate
 
 
@@ -428,7 +442,7 @@ def _execute_seed(problem, cfg, seed, ref, mode) -> SeedResult:
     try:
         if cfg.warmstart:
             stop = engine.StopRule(max_epochs=cfg.ws_max_epochs,
-                                   epoch_predicate=_identified(init, cfg.ws_density))
+                                   epoch_predicate=_identified(init, cfg))
             runs = [_run_engine(problem, replace(cfg, algorithm="davepg"), seed, init, stop, mode)]
             if not runs[0].predicate_met:
                 raise TriggerUnreachable(f"seed {seed}: warmstart trigger unreachable "

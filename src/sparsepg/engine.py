@@ -485,8 +485,9 @@ def gamma_max(problem: pb.CompositeProblem) -> float:
 
 
 def _check_stride(stride):
-    if stride is not None and not (isinstance(stride, (int, np.integer)) and stride >= 1):
-        raise ValueError(f"objective_stride must be None or an integer >= 1, not {stride!r}")
+    """Refuses an objective stride that is neither None nor a count >= 1."""
+    if stride is not None:
+        _check_count("objective_stride", stride, 1)
 
 
 def _run(

@@ -56,11 +56,11 @@ class TestConfig:
     NON_DEFAULT = {
         "kind": "synthetic-logistic", "d": 37, "m": 41, "sparsity": 0.25, "noise_std": 0.5,
         "data_seed": -3, "path": "data/train.svm", "lam1": 0.125, "target_support": None,
-        "lam2": 0.0, "scale": True, "algorithm": "davepg", "workers": 2, "pi": 1.0,
+        "lam2": 0.0, "scale": True, "algorithm": "spy-slowdown", "workers": 2, "pi": 1.0,
         "c": 3.7, "criterion": "relative", "epochs": 4,
         "schedule": "round_robin", "weights": (1.5, 0.1), "seeds": (7, 0, -2),
         "target_eps": 2.5e-9, "max_iterations": 5, "outer_budget": 9, "log_stride": 3,
-        "ref_tol": 1e-15, "ws_density": 1.0, "ws_max_epochs": 1,
+        "ref_tol": 1e-15, "ws_max_epochs": 1,
     }
     ROUND_TRIP_BASE = cli.ExperimentConfig(lam1=0.05, warmstart=True)
 
@@ -167,7 +167,7 @@ class TestConfig:
     def test_float_options_must_be_finite(self, raw):
         # inf passes a check like v > 0 and nan fails every check: both are
         # out of range by one rule, whatever the option's own check
-        assert len(self.FLOAT_OPTIONS) == 9
+        assert len(self.FLOAT_OPTIONS) == 8
         for meta in self.FLOAT_OPTIONS:
             section, key = meta["section"], meta["key"]
             with pytest.raises(cli.ConfigError) as info:
@@ -619,9 +619,10 @@ class TestCompare:
         assert not out.exists()
 
 
-# a dense phase that SMALL_LASSO's seeds end within its epoch cap
-TWO_PHASE = "\n[warmstart]\ndensity_threshold = 0.5\nmax_epochs = 4000\n"
-UNREACHABLE = "\n[warmstart]\ndensity_threshold = 1e-6\nmax_epochs = 2\n"
+# a dense phase that SMALL_LASSO's seeds end within its epoch cap, and one
+# that ends at its first epoch end, where x has nonzeros and 0 has none
+TWO_PHASE = "\n[warmstart]\nmax_epochs = 4000\n"
+UNREACHABLE = "\n[warmstart]\nmax_epochs = 1\n"
 
 
 def recorded(monkeypatch, name):
@@ -651,10 +652,14 @@ class TestWarmstart:
         summary = json.loads((out / "summary.json").read_text())
         info = summary["warmstart"]["1"]
         assert 0 < info["phase1_exchanges"] < info["total_exchanges"]
-        # the switch: where the dense phase's trigger held, within the density guard
+        # the switch: where the dense phase's trigger held, at a point where an
+        # outer-loop exchange (down nnz + m, up m, m = nnz + c) is smaller than
+        # a dense one (2d)
         assert phases[0].predicate_met
         assert info["switch_iteration"] == phases[0].n_iterations > 0
-        assert info["switch_support"] == np.count_nonzero(phases[0].final_x) <= 0.5 * 40
+        support = info["switch_support"]
+        assert support == np.count_nonzero(phases[0].final_x)
+        assert 3 * support + 2 * 5 < 2 * 40
         with open(out / "subopt_vs_exchanges.csv") as fh:
             rows = [r for r in csv.DictReader(fh) if r["seed"] == "1"]
         ex = [float(r["exchanged"]) for r in rows]
@@ -724,23 +729,80 @@ class TestWarmstart:
                 run.cum_up + run.cum_down for run in r.runs)
 
     def test_trigger(self):
-        # supp(x) and its signs against the previous epoch end's, and the density
+        # supp(x) and its signs against the previous epoch end's, and an
+        # exchange smaller than a dense one: nnz + 2 (nnz + c) < 2d, c = 0.5
+        cfg = cli.ExperimentConfig(c=0.5)
         zero = np.zeros(4)
-        sparse, flipped, moved = (np.array(v) for v in (
-            [0.0, 2.0, 0.0, -1.0], [0.0, 2.0, 0.0, 1.0], [3.0, 2.0, 0.0, 0.0]))
-        for before, x, density, ends in [
-            (sparse, 0.5 * sparse, 0.5, True),
-            (sparse, flipped, 0.5, False),  # a sign flip
-            (sparse, moved, 0.5, False),  # a support change
-            (sparse, sparse, 0.25, False),  # same signs, too dense
-            (sparse, np.array([-0.0, 1.0, -0.0, -3.0]), 0.5, True),  # -0.0 is 0
-            (np.full(4, -0.0), zero, 0.5, True),
+        sparse, flipped, moved, dense = (np.array(v) for v in (
+            [0.0, 2.0, 0.0, -1.0], [0.0, 2.0, 0.0, 1.0], [3.0, 2.0, 0.0, 0.0],
+            [1.0, 2.0, -1.0, -1.0]))
+        for before, x, ends in [
+            (sparse, 0.5 * sparse, True),  # 2 + 2 * 2.5 < 8
+            (sparse, flipped, False),  # a sign flip
+            (sparse, moved, False),  # a support change
+            (dense, 0.5 * dense, False),  # same signs, 4 + 2 * 4 >= 8
+            (sparse, np.array([-0.0, 1.0, -0.0, -3.0]), True),  # -0.0 is 0
+            (np.full(4, -0.0), zero, True),
         ]:
-            assert cli._identified(before, density)(x, 1) == ends, (before, x, density)
+            assert cli._identified(before, cfg)(x, 1) == ends, (before, x)
         # each epoch end is compared with the one before, the start with none
-        ends = cli._identified(zero, 0.5)
+        ends = cli._identified(zero, cfg)
         assert [ends(x, m) for m, x in enumerate([sparse, flipped, flipped, zero], 1)] == [
             False, False, True, False]
+
+    def test_mask_size(self):
+        # the expected mask of each method at x, read from its distribution
+        x = np.zeros(10)
+        x[[2, 5]] = (1.0, -4.0)
+        for algorithm, c, size in [
+            ("davepg", 3.0, 10), ("spy-uniform", 3.0, 0.3 * 10),
+            ("spy-slowdown", 3.0, 2 + 0.3 * 8),
+            ("reconditioned", 3.0, 2 + 3), ("catalyst", 3.0, 2 + 3),
+            ("reconditioned", 9.0, 10),  # c beyond the 8 null coordinates
+        ]:
+            cfg = cli.ExperimentConfig(algorithm=algorithm, pi=0.3, c=c)
+            assert cli._mask_size(cfg, x) == pytest.approx(size), algorithm
+
+    @staticmethod
+    def epoch_ends(monkeypatch, seed):
+        """[(x, met)] at each epoch end of SMALL_LASSO's dense phase."""
+        ends, identified = [], cli._identified
+
+        def recording(start, cfg):
+            test = identified(start, cfg)
+
+            def predicate(x, m):
+                ends.append((x.copy(), test(x, m)))
+                return ends[-1][1]
+            return predicate
+
+        monkeypatch.setattr(cli, "_identified", recording)
+        cfg = cli.parse_config(SMALL_LASSO + TWO_PHASE)
+        problem = cli.build_problem(cfg)
+        cli._execute_seed(problem, cfg, seed, cli.get_reference(problem, cfg), "sim")
+        return ends
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_stable_dense_point_does_not_hand_over(self, monkeypatch, seed):
+        # SMALL_LASSO holds its signs over an epoch on a fully dense x long
+        # before identification; an outer loop's exchange there is not smaller
+        # than a dense one, so the phase goes on
+        ends = self.epoch_ends(monkeypatch, seed)
+        stable_dense = [met for (a, _), (x, met) in zip(ends, ends[1:])
+                        if np.count_nonzero(x) == 40 and pb.sign_pattern(a) == pb.sign_pattern(x)]
+        assert stable_dense and not any(stable_dense)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_hands_over_when_an_exchange_is_smaller(self, monkeypatch, seed):
+        # the phase ends at the first epoch end where the signs held and
+        # nnz + 2 (nnz + c) < 2d, c = 5 and d = 40
+        ends = self.epoch_ends(monkeypatch, seed)
+        points = [np.zeros(40)] + [x for x, _ in ends]
+        expected = [pb.sign_pattern(a) == pb.sign_pattern(x)
+                    and 3 * np.count_nonzero(x) + 2 * 5 < 2 * 40
+                    for a, x in zip(points, points[1:])]
+        assert [met for _, met in ends] == expected
+        assert expected[-1] and not any(expected[:-1])
 
     def test_start_point_counts_as_the_first_pattern(self, tmp_path, monkeypatch):
         # lam1 above lam_max: x stays 0, the start point's pattern, so the
@@ -761,7 +823,7 @@ class TestWarmstart:
         # point 0 has none, so a one-epoch phase does not meet its trigger
         phases = dense_phases(monkeypatch)
         text = (SMALL_LASSO.replace("target_support = 5", "lam1 = 1.8852724561545662")
-                + "\n[warmstart]\ndensity_threshold = 1.0\nmax_epochs = 1\n")
+                + UNREACHABLE)
         cfgp = write(tmp_path, "exp.ini", text)
         assert cli.main(["run", "--config", cfgp, "--out", str(tmp_path / "o"),
                          "--seeds", "1"]) == cli.EXIT_TARGET
@@ -801,9 +863,24 @@ class TestWarmstart:
         out = tmp_path / "o"
         assert cli.main(["run", "--config", cfgp, "--out", str(out),
                          "--seeds", "1"]) == cli.EXIT_TARGET
-        assert ("error: seed 1: warmstart trigger unreachable within 2 epochs"
+        assert ("error: seed 1: warmstart trigger unreachable within 1 epochs"
                 in capsys.readouterr().err)
         assert not out.exists()
+
+    def test_density_threshold_refused(self, tmp_path, capsys):
+        # the hand-set density guard is gone; a config naming it is refused
+        cfgp = write(tmp_path, "exp.ini", SMALL_LASSO + TWO_PHASE + "density_threshold = 0.5\n")
+        assert cli.main(["run", "--config", cfgp, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        assert "[warmstart] density_threshold is not an option" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_dense_phase_before_davepg_refused(self, tmp_path, capsys):
+        # a davepg exchange is dense, so no epoch end could hand over to it
+        cfgp = write(tmp_path, "exp.ini", SMALL_DAVE + TWO_PHASE)
+        assert cli.main(["run", "--config", cfgp, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        assert ("[warmstart] before davepg never hands over: a davepg exchange is dense"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
 
     def test_compare_runs_the_dense_phase(self, tmp_path):
         # a config's outputs under compare are those of run on it alone, and

@@ -652,9 +652,10 @@ class TestTrace:
         ups = [p.cum_up for p in trace.objective_log]
         assert all(a <= b for a, b in zip(ups, ups[1:]))
 
-    @pytest.mark.parametrize("stride", [0, -3, 2.5, "7"])
+    @pytest.mark.parametrize("stride", [0, -3, 2.5, "7", True])
     def test_objective_stride_checked(self, stride):
-        # 0 would silently log nothing and -3 would log at multiples of 3
+        # 0 would silently log nothing and -3 would log at multiples of 3;
+        # True is a bool, not a count, though it would log every iteration
         prob = quad_problem()
         with pytest.raises(ValueError, match="objective_stride"):
             engine.run_davepg(prob, engine.gamma_max(prob), engine.DelaySchedule.round_robin(1),

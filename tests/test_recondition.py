@@ -422,7 +422,7 @@ class TestReconditionedLoop:
         with pytest.raises(RuntimeError, match="probability chain violated"):
             rc.run_reconditioned(self.prob, slow, self.sched, np.zeros(40), outer_budget=1)
 
-    @pytest.mark.parametrize("stride", [0, -3, 2.5])
+    @pytest.mark.parametrize("stride", [0, -3, 2.5, True])
     def test_objective_stride_checked(self, stride):
         with pytest.raises(ValueError, match="objective_stride"):
             rc.run_reconditioned(self.prob, self.params, self.sched, np.zeros(40),
