@@ -39,6 +39,8 @@ ALGORITHMS = ("davepg", "spy-uniform", "spy-slowdown", "reconditioned", "catalys
 PROBLEM_KINDS = ("synthetic-lasso", "synthetic-logistic", "libsvm-lasso", "libsvm-logistic")
 SCHEDULES = ("round_robin", "random_uniform", "heterogeneous")
 
+REF_TOL = 1e-12  # tolerance of every reference solution
+
 _REQUIRED = object()  # the empty value of an option that must be set
 
 
@@ -91,7 +93,7 @@ class ExperimentConfig:
     m: int = _option("problem", "m", 500, int, lambda v: v >= 1)
     sparsity: float = _option("problem", "sparsity", 0.99, float, lambda v: 0 <= v <= 1)
     noise_std: float = _option("problem", "noise_std", 0.01, float, lambda v: v >= 0)
-    data_seed: int = _option("problem", "data_seed", 0, int)
+    data_seed: int = _option("problem", "data_seed", 0, int, lambda v: v >= 0)
     path: str = _option("problem", "path", "", str, empty="")
     lam1: float | None = _option("problem", "lam1", None, float, lambda v: v > 0, empty=None)
     target_support: int | None = _option("problem", "target_support", 12, int, lambda v: v >= 1,
@@ -103,17 +105,15 @@ class ExperimentConfig:
     pi: float = _option("run", "pi", 0.3, float, lambda v: 0 < v <= 1)
     c: float = _option("run", "c", 12.0, float, lambda v: v > 0)
     criterion: str = _option("run", "criterion", "fixed", str)
-    epochs: int = _option("run", "epochs", 1, int, lambda v: v >= 1)
     schedule: str = _option("run", "schedule", "random_uniform", str, lambda v: v in SCHEDULES)
     weights: tuple = _option("run", "weights", (), float_list, lambda v: all(w > 0 for w in v),
                              empty=())
     seeds: tuple = _option("run", "seeds", tuple(range(1, 11)), int_list,
-                           lambda v: 0 < len(v) == len(set(v)))
+                           lambda v: 0 < len(v) == len(set(v)) and min(v) >= 0)
     target_eps: float = _option("run", "target_eps", 1e-6, float, lambda v: v > 0)
     max_iterations: int = _option("run", "max_iterations", 200000, int, lambda v: v >= 1)
     outer_budget: int = _option("run", "outer_budget", 600, int, lambda v: v >= 1)
     log_stride: int = _option("run", "log_stride", 20, int, lambda v: v >= 1)
-    ref_tol: float = _option("run", "ref_tol", 1e-12, float, lambda v: v > 0)
     warmstart: bool = False  # whether the config has a [warmstart] section
     ws_max_epochs: int = _option("warmstart", "max_epochs", 2000, int, lambda v: v >= 1)
 
@@ -228,6 +228,9 @@ def parse_config(text: str) -> ExperimentConfig:
             problems.append(f"[run] criterion {cfg.criterion!r} invalid for {cfg.algorithm} (use one of {valid})")
     if cfg.warmstart and cfg.algorithm == "davepg":
         problems.append("[warmstart] before davepg never hands over: a davepg exchange is dense")
+    if cfg.warmstart and cfg.algorithm in ("spy-uniform", "spy-slowdown") and cfg.pi == 1:
+        problems.append(f"[warmstart] before {cfg.algorithm} at pi = 1 never hands over: "
+                        "its exchange is dense")
     if (cfg.schedule == "heterogeneous" and failed.isdisjoint({"weights", "workers"})
             and len(cfg.weights) != cfg.workers):
         problems.append("[run] heterogeneous schedule needs one weight per worker")
@@ -300,9 +303,11 @@ def _lam_max(problem) -> float:
     return float(np.max(np.abs(g)))
 
 
-def get_reference(problem, cfg: ExperimentConfig, cache_dir=None) -> metrics.ReferenceSolution:
+def get_reference(problem, _cfg=None, cache_dir=None) -> metrics.ReferenceSolution:
+    """The reference solution of ``problem``, solved to ``REF_TOL`` whatever
+    the config: the second argument is not read."""
     return metrics.reference_solution(
-        problem, tol=cfg.ref_tol, cache_dir=cache_dir, assume_unique_minimizer=True
+        problem, tol=REF_TOL, cache_dir=cache_dir, assume_unique_minimizer=True
     )
 
 
@@ -345,7 +350,7 @@ def run_algorithm(problem, cfg: ExperimentConfig, seed: int,
         return _run_engine(problem, cfg, seed, init, stop, mode)
     schedule = _make_schedule(cfg, seed)
     params = rc.make_params(problem.mu, problem.lip, cfg.c, d)
-    criterion = rc.InnerCriterion(kind=cfg.criterion, epochs=cfg.epochs)
+    criterion = rc.InnerCriterion(kind=cfg.criterion)
     run = rc.run_reconditioned if cfg.algorithm == "reconditioned" else rc.run_momentum
     return run(problem, params, schedule, init, criterion=criterion,
                outer_budget=cfg.outer_budget, target_objective=target,
@@ -537,15 +542,20 @@ def _exit_code(results) -> int:
 
 def _check_budget(cfg: ExperimentConfig, problem) -> None:
     """An outer loop explores c of the problem's d coordinates per step, so
-    c is at most d; raises ``ConfigError`` when it is not."""
-    if cfg.algorithm in ("reconditioned", "catalyst") and cfg.c > problem.dim:
-        raise ConfigError([f"[run] c={cfg.c!r} exceeds the problem dimension d={problem.dim}"])
+    c is at most d, and below d after a [warmstart], which never hands over to
+    dense masks; raises ``ConfigError`` when it is not."""
+    d, outer = problem.dim, cfg.algorithm in ("reconditioned", "catalyst")
+    if outer and cfg.c > d:
+        raise ConfigError([f"[run] c={cfg.c!r} exceeds the problem dimension d={d}"])
+    if outer and cfg.warmstart and cfg.c == d:
+        raise ConfigError([f"[warmstart] before {cfg.algorithm} at c = d = {d} never hands "
+                           "over: its exchange is dense"])
 
 
 def cmd_run(cfg: ExperimentConfig, out_dir: str, mode: str, cache_dir=None) -> int:
     problem = build_problem(cfg)
     _check_budget(cfg, problem)
-    ref = get_reference(problem, cfg, cache_dir)
+    ref = get_reference(problem, cache_dir=cache_dir)
     results = _run_seeds(problem, cfg, ref, mode)
     _emit_experiment(out_dir, cfg, problem, ref, results)
     return _exit_code(results)
@@ -568,7 +578,7 @@ def cmd_compare(cfgs, labels, out_dir: str, mode: str, cache_dir=None) -> int:
     problem = built[_problem_key(cfgs[0])]
     for cfg in cfgs:
         _check_budget(cfg, problem)
-    ref = get_reference(problem, cfgs[0], cache_dir)
+    ref = get_reference(problem, cache_dir=cache_dir)
     os.makedirs(out_dir, exist_ok=True)
     merged = []
     codes = []
@@ -618,7 +628,7 @@ def preset_configs(name: str) -> tuple[list[ExperimentConfig], list[str]]:
             "target_eps": 1e-8, "outer_budget": 3000, "log_stride": 10,
         }
         return (
-            [_mk(base, algorithm="reconditioned", criterion="fixed", epochs=1),
+            [_mk(base, algorithm="reconditioned", criterion="fixed"),
              _mk(base, algorithm="reconditioned", criterion="relative")],
             ["fixed-1-epoch", "relative"],
         )
@@ -633,8 +643,7 @@ def preset_configs(name: str) -> tuple[list[ExperimentConfig], list[str]]:
         s_star = 12
         cfgs, labels = [], []
         for cval in (s_star / 3, s_star, 3 * s_star, 10 * s_star):
-            cfgs.append(_mk(base, algorithm="reconditioned", criterion="fixed",
-                            epochs=1, c=float(cval)))
+            cfgs.append(_mk(base, algorithm="reconditioned", criterion="fixed", c=float(cval)))
             labels.append(f"c-{cval:g}")
         cfgs.append(_mk(base, algorithm="davepg"))
         labels.append("davepg")
@@ -643,10 +652,7 @@ def preset_configs(name: str) -> tuple[list[ExperimentConfig], list[str]]:
 
 
 def _mk(base: dict, **overrides) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    for k, v in {**base, **overrides}.items():
-        setattr(cfg, k, v)
-    return cfg
+    return ExperimentConfig(**{**base, **overrides})
 
 
 # -- entry point -------------------------------------------------------------

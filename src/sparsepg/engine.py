@@ -64,7 +64,8 @@ class DelaySchedule:
 
     Kinds: fixed_trace (cycled; round robin is the trace 0, 1, ..., M-1),
     random_uniform, heterogeneous (categorical draw by speed weights).  Every
-    worker fires infinitely often in any infinite extension.
+    worker fires infinitely often in any infinite extension, which every
+    construction, ``replace`` included, checks in O(len(trace) + M).
     """
 
     kind: str
@@ -72,6 +73,21 @@ class DelaySchedule:
     trace: tuple = ()
     weights: tuple = ()
     seed: int = 0
+
+    def __post_init__(self):
+        if self.kind not in ("fixed_trace", "random_uniform", "heterogeneous"):
+            raise ValueError(f"unknown schedule kind {self.kind!r}")
+        if self.kind == "fixed_trace" and not self.trace:
+            raise ValueError("fixed trace must be non-empty")
+        _check_count("M", self.M, 1)
+        if self.kind == "fixed_trace" and set(self.trace) != set(range(self.M)):
+            raise ValueError("a fixed trace must mention every worker 0, ..., M-1, only")
+        if self.kind == "heterogeneous" and len(self.weights) != self.M:
+            raise ValueError("a heterogeneous schedule needs one speed weight per worker")
+        if any(w <= 0 for w in self.weights):
+            raise ValueError("speed weights must be positive")
+        if not np.isfinite(self.weights).all():
+            raise ValueError("speed weights must be finite")
 
     @staticmethod
     def round_robin(M: int) -> "DelaySchedule":
@@ -85,20 +101,11 @@ class DelaySchedule:
     def fixed_trace(trace) -> "DelaySchedule":
         """The trace of worker ids 0, ..., M-1, cycled; M = max(trace) + 1."""
         trace = tuple(int(t) for t in trace)
-        if not trace:
-            raise ValueError("fixed trace must be non-empty")
-        M = max(trace) + 1
-        if set(trace) != set(range(M)):
-            raise ValueError("a fixed trace must mention every worker (it is cycled)")
-        return DelaySchedule(kind="fixed_trace", M=M, trace=trace)
+        return DelaySchedule(kind="fixed_trace", M=max(trace, default=0) + 1, trace=trace)
 
     @staticmethod
     def heterogeneous(weights, seed: int) -> "DelaySchedule":
         weights = tuple(float(w) for w in weights)
-        if any(w <= 0 for w in weights):
-            raise ValueError("speed weights must be positive")
-        if not np.isfinite(weights).all():
-            raise ValueError("speed weights must be finite")
         return DelaySchedule(kind="heterogeneous", M=len(weights), weights=weights, seed=seed)
 
     def sequence(self):
@@ -108,11 +115,9 @@ class DelaySchedule:
         rng = stream(self.seed, _SCHED_TAG)
         if self.kind == "random_uniform":
             return (int(rng.integers(self.M)) for _ in itertools.count())
-        if self.kind == "heterogeneous":
-            w = np.array(self.weights)
-            p = w / w.sum()
-            return (int(rng.choice(self.M, p=p)) for _ in itertools.count())
-        raise ValueError(f"unknown schedule kind {self.kind!r}")
+        w = np.array(self.weights)  # heterogeneous
+        p = w / w.sum()
+        return (int(rng.choice(self.M, p=p)) for _ in itertools.count())
 
 
 # -- epochs -----------------------------------------------------------------

@@ -44,17 +44,39 @@ class InnerBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class ReconditionParams:
-    """Derived constants for the reconditioned scheme."""
+    """The reconditioned scheme's constants, derived from its inputs: c of d
+    coordinates explored, smoothness constants mu and L.  The reconditioned
+    problem gets condition number kappa, so that masks with p_min >= pi - alpha
+    still contract, and the inner stepsize gamma = 2/(mu + L + 2 rho) is the
+    one at which (1 - gamma (mu + rho))^2 = pi - alpha.  ``replace``
+    re-derives the five and refuses to set one."""
 
     c: float
     d: int
     mu: float
     lip: float
-    pi: float          # baseline exploration probability c/d
-    alpha: float       # probability margin c/(2d)
-    kappa: float       # target condition number of the reconditioned problem
-    rho: float         # reconditioning weight (0 when the problem is already well conditioned)
-    gamma: float       # inner stepsize
+    pi: float = field(init=False)     # baseline exploration probability c/d
+    alpha: float = field(init=False)  # probability margin c/(2d)
+    kappa: float = field(init=False)  # target condition number of the reconditioned problem
+    rho: float = field(init=False)    # reconditioning weight, 0 if already conditioned enough
+    gamma: float = field(init=False)  # inner stepsize
+
+    def __post_init__(self):
+        c, d, mu, lip = self.c, self.d, self.mu, self.lip
+        if not 0 < c <= d:
+            raise ValueError("exploration budget c must lie in (0, d]")
+        if not 0 <= mu <= lip:
+            raise ValueError("need 0 <= mu <= L")
+        if lip <= 0:
+            raise ValueError("L must be positive")
+        pi = c / d
+        alpha = c / (2.0 * d)
+        kappa = min_conditioning(pi - alpha)
+        rho = max((kappa * lip - mu) / (1.0 - kappa), 0.0)
+        derived = dict(pi=pi, alpha=alpha, kappa=kappa, rho=rho,
+                       gamma=2.0 / (mu + lip + 2.0 * rho))
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def needs_reconditioning(self) -> bool:
@@ -74,31 +96,10 @@ class ReconditionParams:
 
 
 def make_params(mu: float, lip: float, c: float, d: int) -> ReconditionParams:
-    """Choose (rho, gamma) so that exploration probability pi = c/d is safe.
-
-    The reconditioned problem is given condition number kappa such that masks
-    with p_min >= pi - alpha still contract, leaving a margin alpha = c/(2d)
-    for the adaptive probabilities.  The inner stepsize is 2/(mu + L + 2 rho),
-    at which (1 - gamma (mu + rho))^2 = pi - alpha: any smaller stepsize breaks
-    that chain.  The accuracy exponent of the inner tests is the constant
-    ``DELTA``, not a parameter.
-    """
-    if not 0 < c <= d:
-        raise ValueError("exploration budget c must lie in (0, d]")
-    if not 0 <= mu <= lip:
-        raise ValueError("need 0 <= mu <= L")
-    if lip <= 0:
-        raise ValueError("L must be positive")
-    pi = c / d
-    alpha = c / (2.0 * d)
-    kappa = min_conditioning(pi - alpha)
-    rho = (kappa * lip - mu) / (1.0 - kappa)
-    if rho <= 0:
-        rho = 0.0  # already conditioned enough for this exploration level
-    return ReconditionParams(
-        c=c, d=d, mu=mu, lip=lip,
-        pi=pi, alpha=alpha, kappa=kappa, rho=rho, gamma=2.0 / (mu + lip + 2.0 * rho),
-    )
+    """``ReconditionParams(c, d, mu, lip)``: a ``ValueError`` unless 0 < c <= d
+    and 0 <= mu <= L with L > 0.  The inner tests' accuracy exponent is
+    ``DELTA``, a constant."""
+    return ReconditionParams(c=c, d=d, mu=mu, lip=lip)
 
 
 def epoch_budget(ell: int, params: ReconditionParams, pi_ell: float) -> int:
@@ -261,18 +262,6 @@ def _inner_stop(criterion, ell, params, pi_ell, center, sub):
     return StopRule(max_epochs=SAFETY_EPOCHS, epoch_predicate=pred)
 
 
-def _check_probability_chain(params: ReconditionParams):
-    """Masks with p_min >= pi - alpha must keep the inner runs contracting.
-    The adaptive probabilities never fall below pi = c/d, so the check
-    depends on params only."""
-    floor = (1.0 - params.gamma * (params.mu + params.rho)) ** 2
-    lo = params.pi - params.alpha
-    if lo < floor - 1e-9:
-        raise RuntimeError(
-            f"probability chain violated: pi-alpha={lo}, (1-gamma(mu+rho))^2={floor}"
-        )
-
-
 def _outer_loop(problem, params, schedule, init, outer_budget, target_objective,
                 seed, objective_stride, mode, criterion, weight=None) -> OuterTrace:
     """The proximal outer loop behind run_reconditioned and run_momentum.
@@ -288,7 +277,6 @@ def _outer_loop(problem, params, schedule, init, outer_budget, target_objective,
             "level; run the sparsified engine directly"
         )
     _check_stride(objective_stride)
-    _check_probability_chain(params)
     x = np.asarray(init, dtype=float).copy()
     center = x
     trace = OuterTrace()

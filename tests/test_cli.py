@@ -26,7 +26,6 @@ data_seed = 4
 [run]
 algorithm = reconditioned
 criterion = fixed
-epochs = 1
 workers = 3
 c = 5
 seeds = 1,2
@@ -36,7 +35,7 @@ log_stride = 5
 """
 
 SMALL_DAVE = SMALL_LASSO.replace(
-    "algorithm = reconditioned\ncriterion = fixed\nepochs = 1", "algorithm = davepg"
+    "algorithm = reconditioned\ncriterion = fixed", "algorithm = davepg"
 ).replace("outer_budget = 600", "max_iterations = 60000")
 
 
@@ -55,12 +54,12 @@ class TestConfig:
     # its own on top of ROUND_TRIP_BASE
     NON_DEFAULT = {
         "kind": "synthetic-logistic", "d": 37, "m": 41, "sparsity": 0.25, "noise_std": 0.5,
-        "data_seed": -3, "path": "data/train.svm", "lam1": 0.125, "target_support": None,
-        "lam2": 0.0, "scale": True, "algorithm": "spy-slowdown", "workers": 2, "pi": 1.0,
-        "c": 3.7, "criterion": "relative", "epochs": 4,
-        "schedule": "round_robin", "weights": (1.5, 0.1), "seeds": (7, 0, -2),
+        "data_seed": 3, "path": "data/train.svm", "lam1": 0.125, "target_support": None,
+        "lam2": 0.0, "scale": True, "algorithm": "spy-slowdown", "workers": 2, "pi": 0.75,
+        "c": 3.7, "criterion": "relative",
+        "schedule": "round_robin", "weights": (1.5, 0.1), "seeds": (7, 0, 2),
         "target_eps": 2.5e-9, "max_iterations": 5, "outer_budget": 9, "log_stride": 3,
-        "ref_tol": 1e-15, "ws_max_epochs": 1,
+        "ws_max_epochs": 1,
     }
     ROUND_TRIP_BASE = cli.ExperimentConfig(lam1=0.05, warmstart=True)
 
@@ -109,6 +108,34 @@ class TestConfig:
             "[runn] is not a section (problem, run, warmstart are)",
             "[warmstart] subopt_threshold is not an option",
         ]
+
+    @pytest.mark.parametrize("key", ["epochs", "ref_tol"])
+    def test_removed_run_options_refused(self, tmp_path, capsys, key):
+        # "fixed" runs one epoch per outer step and references are solved to
+        # REF_TOL: neither is an option, and a config naming one is refused
+        cfgp = write(tmp_path, "exp.ini", SMALL_LASSO + f"{key} = 1\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfgp, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert f"[run] {key} is not an option" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seeds_refused(self, tmp_path, capsys):
+        # numpy's seed sequences take non-negative integers only: a negative
+        # seed is refused when the config is read, before any seed runs
+        for text, extra, problem in (
+                (SMALL_LASSO.replace("seeds = 1,2", "seeds = 1,-2"), [], "[run] seeds='1,-2'"),
+                (SMALL_LASSO, ["--seeds=-2"], "[run] seeds='-2'"),
+                (SMALL_LASSO.replace("data_seed = 4", "data_seed = -1"), [],
+                 "[problem] data_seed='-1'")):
+            cfgp = write(tmp_path, "exp.ini", text)
+            out = tmp_path / "out"
+            assert cli.main(["run", "--config", cfgp, "--out", str(out)] + extra) == cli.EXIT_CONFIG
+            assert f"{problem} out of range" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_mk_refuses_unknown_fields(self):
+        with pytest.raises(TypeError, match="epochs"):
+            cli._mk({"d": 20}, epochs=1)
 
     def test_missing_dataset_file(self):
         text = "[problem]\nkind = libsvm-lasso\npath = /does/not/exist\nlam1 = 0.1\n"
@@ -167,7 +194,7 @@ class TestConfig:
     def test_float_options_must_be_finite(self, raw):
         # inf passes a check like v > 0 and nan fails every check: both are
         # out of range by one rule, whatever the option's own check
-        assert len(self.FLOAT_OPTIONS) == 8
+        assert len(self.FLOAT_OPTIONS) == 7
         for meta in self.FLOAT_OPTIONS:
             section, key = meta["section"], meta["key"]
             with pytest.raises(cli.ConfigError) as info:
@@ -221,7 +248,7 @@ class TestBuildProblem:
                                "target_support = 3\n\n[run]\nworkers = 2\n")
         assert cfg.lam1 is None
         prob = cli.build_problem(cfg)
-        assert cli.get_reference(prob, cfg).s_star == 3
+        assert cli.get_reference(prob).s_star == 3
         with pytest.raises(cli.ConfigError, match="set lam1 or target_support"):
             cli.parse_config(f"[problem]\nkind = libsvm-lasso\npath = {path}\n"
                              "target_support =\n")
@@ -779,7 +806,7 @@ class TestWarmstart:
         monkeypatch.setattr(cli, "_identified", recording)
         cfg = cli.parse_config(SMALL_LASSO + TWO_PHASE)
         problem = cli.build_problem(cfg)
-        cli._execute_seed(problem, cfg, seed, cli.get_reference(problem, cfg), "sim")
+        cli._execute_seed(problem, cfg, seed, cli.get_reference(problem), "sim")
         return ends
 
     @pytest.mark.parametrize("seed", [1, 2])
@@ -839,7 +866,7 @@ class TestWarmstart:
         # still stops at f* + eps of the reference it is given
         cfg = cli.parse_config(SMALL_LASSO + TWO_PHASE)
         problem = cli.build_problem(cfg)
-        ref = cli.get_reference(problem, cfg)
+        ref = cli.get_reference(problem)
         wrong = dataclasses.replace(ref, f_star=ref.f_star + error)
         phases = dense_phases(monkeypatch)
         right_result = cli._execute_seed(problem, cfg, 1, ref, "sim")
@@ -881,6 +908,34 @@ class TestWarmstart:
         assert ("[warmstart] before davepg never hands over: a davepg exchange is dense"
                 in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("algorithm", ["spy-uniform", "spy-slowdown"])
+    def test_dense_phase_before_dense_masks_refused(self, tmp_path, capsys, algorithm):
+        # at pi = 1 every mask is dense, so the trigger nnz + 2m < 2d never holds
+        text = SMALL_DAVE.replace("algorithm = davepg", f"algorithm = {algorithm}\npi = 1")
+        cfgp = write(tmp_path, "exp.ini", text + TWO_PHASE)
+        assert cli.main(["run", "--config", cfgp, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        assert (f"[warmstart] before {algorithm} at pi = 1 never hands over"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("algorithm", ["reconditioned", "catalyst"])
+    def test_dense_phase_before_full_budget_refused(self, tmp_path, capsys, algorithm):
+        # at c = d every outer-loop mask is dense: refused once d is known, in
+        # run and for every config of compare, before any seed runs
+        text = SMALL_LASSO.replace("c = 5", "c = 40").replace(
+            "algorithm = reconditioned", f"algorithm = {algorithm}")
+        full = write(tmp_path, "full.ini", text + TWO_PHASE)
+        plain = write(tmp_path, "plain.ini", SMALL_LASSO)
+        problem = f"[warmstart] before {algorithm} at c = d = 40 never hands over"
+        for argv in (["run", "--config", full], ["compare", "--config", plain, "--config", full]):
+            out = tmp_path / "out"
+            assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+            assert problem in capsys.readouterr().err
+            assert not out.exists()
+        # without the section c = d is a valid budget
+        cfg = cli.parse_config(text)
+        cli._check_budget(cfg, cli.build_problem(cfg))
 
     def test_compare_runs_the_dense_phase(self, tmp_path):
         # a config's outputs under compare are those of run on it alone, and

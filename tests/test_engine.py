@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import pickle
 import sys
 import threading
@@ -74,6 +75,29 @@ class TestDelaySchedule:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
                 engine.DelaySchedule.heterogeneous([1.0, bad], seed=0)
+
+    @pytest.mark.parametrize("kwargs, problem", [
+        (dict(kind="fixed_trace", M=3, trace=(0, 1)), "every worker"),  # worker 2 never fires
+        (dict(kind="fixed_trace", M=2, trace=(0, 1, 2)), "every worker"),
+        (dict(kind="fixed_trace", M=2), "non-empty"),
+        (dict(kind="round_robin", M=2), "unknown schedule kind"),
+        (dict(kind="random_uniform", M=0), "M must be an integer >= 1"),
+        (dict(kind="random_uniform", M=True), "M must be an integer >= 1"),
+        (dict(kind="heterogeneous", M=3, weights=(1.0, 2.0)), "one speed weight per worker"),
+        (dict(kind="heterogeneous", M=2, weights=(1.0, -1.0)), "positive"),
+        (dict(kind="heterogeneous", M=2, weights=(1.0, np.inf)), "finite"),
+    ])
+    def test_direct_construction_checked(self, kwargs, problem):
+        with pytest.raises(ValueError, match=problem):
+            engine.DelaySchedule(**kwargs)
+
+    def test_replace_checked(self):
+        sched = engine.DelaySchedule.round_robin(3)
+        assert dataclasses.replace(sched, seed=4).trace == (0, 1, 2)
+        with pytest.raises(ValueError, match="every worker"):
+            dataclasses.replace(sched, M=4)
+        with pytest.raises(ValueError, match="non-empty"):
+            engine.DelaySchedule.fixed_trace([])
 
     @pytest.mark.parametrize("sched", [
         engine.DelaySchedule.round_robin(3),

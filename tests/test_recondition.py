@@ -1,8 +1,8 @@
 import csv
+import dataclasses
+import itertools
 import math
 import pickle
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sparsepg import data, direct, engine, metrics, problem as pb, recondition as rc
-from sparsepg.sparsifier import adaptive_distribution
+from sparsepg.sparsifier import adaptive_distribution, min_conditioning
 
 from conftest import check_ledger, count_messages, strongly_convex_problem, trace_bytes
 
@@ -61,6 +61,31 @@ class TestMakeParams:
         assert p.gamma == 2.0 / (mu + lip + 2.0 * p.rho)
         chain = (1.0 - p.gamma * (mu + p.rho)) ** 2
         assert chain == pytest.approx(p.pi - p.alpha, rel=0, abs=1e-9)
+
+
+    @pytest.mark.parametrize("mu", [0, 1e-3, 0.37, 2])
+    @pytest.mark.parametrize("lip", [2, 29.1, 1000])
+    def test_derived_from_inputs(self, mu, lip):
+        """ReconditionParams is built from (c, d, mu, L) alone and derives the
+        rest by the closed forms, bit for bit."""
+        for c, d in itertools.product((1, 4, 12, 12.0, 37.5, 200), (200, 1000, 100000)):
+            p = rc.ReconditionParams(c=c, d=d, mu=mu, lip=lip)
+            pi, alpha = c / d, c / (2.0 * d)
+            kappa = min_conditioning(pi - alpha)
+            rho = max((kappa * lip - mu) / (1.0 - kappa), 0.0)
+            assert (p.pi, p.alpha, p.kappa, p.rho) == (pi, alpha, kappa, rho)
+            assert p.gamma == 2.0 / (mu + lip + 2.0 * rho)
+            assert p == rc.make_params(mu, lip, c, d)
+
+    def test_only_inputs_are_settable(self):
+        p = rc.make_params(mu=0.1, lip=2.0, c=5.0, d=100)
+        assert [f.name for f in dataclasses.fields(p) if f.init] == ["c", "d", "mu", "lip"]
+        for name in ("pi", "alpha", "kappa", "rho", "gamma"):
+            with pytest.raises(ValueError, match=name):
+                dataclasses.replace(p, **{name: 0.5 * getattr(p, name)})
+        assert dataclasses.replace(p, c=12.0) == rc.make_params(mu=0.1, lip=2.0, c=12.0, d=100)
+        with pytest.raises(ValueError, match="exploration budget"):
+            dataclasses.replace(p, c=101.0)
 
 
 class TestEpochBudget:
@@ -414,13 +439,6 @@ class TestReconditionedLoop:
         for run in (rc.run_reconditioned, rc.run_momentum):
             with pytest.raises(ValueError, match="rho = 0: the problem is already conditioned"):
                 run(self.prob, params, self.sched, np.zeros(40))
-
-    def test_probability_chain_checked(self):
-        # any stepsize below make_params' breaks the chain; caught before any work
-        rc._check_probability_chain(self.params)
-        slow = dataclasses.replace(self.params, gamma=0.5 * self.params.gamma)
-        with pytest.raises(RuntimeError, match="probability chain violated"):
-            rc.run_reconditioned(self.prob, slow, self.sched, np.zeros(40), outer_budget=1)
 
     @pytest.mark.parametrize("stride", [0, -3, 2.5, True])
     def test_objective_stride_checked(self, stride):
