@@ -226,11 +226,6 @@ def parse_config(text: str) -> ExperimentConfig:
         valid = rc.INNER_KINDS if cfg.algorithm == "reconditioned" else ("fixed",)
         if cfg.criterion not in valid:
             problems.append(f"[run] criterion {cfg.criterion!r} invalid for {cfg.algorithm} (use one of {valid})")
-    if cfg.warmstart and cfg.algorithm == "davepg":
-        problems.append("[warmstart] before davepg never hands over: a davepg exchange is dense")
-    if cfg.warmstart and cfg.algorithm in ("spy-uniform", "spy-slowdown") and cfg.pi == 1:
-        problems.append(f"[warmstart] before {cfg.algorithm} at pi = 1 never hands over: "
-                        "its exchange is dense")
     if (cfg.schedule == "heterogeneous" and failed.isdisjoint({"weights", "workers"})
             and len(cfg.weights) != cfg.workers):
         problems.append("[run] heterogeneous schedule needs one weight per worker")
@@ -423,16 +418,21 @@ def _mask_size(cfg: ExperimentConfig, x: np.ndarray) -> float:
     return float(adaptive_distribution(x, cfg.c).p.sum())  # the outer loops
 
 
+def _smaller_than_dense(cfg: ExperimentConfig, x: np.ndarray) -> bool:
+    """Whether an exchange of ``cfg.algorithm`` at x is expected to be smaller than a
+    dense one: nnz(x) + 2 m(x) < 2d, down nnz(x) + m(x) and up m(x) against d each way."""
+    return np.count_nonzero(x) + 2 * _mask_size(cfg, x) < 2 * x.size
+
+
 def _identified(start: np.ndarray, cfg: ExperimentConfig):
     """The [warmstart] trigger, an epoch predicate reading x alone: supp(x) and its signs
-    are those at the previous epoch end (``start`` at the first), and one exchange of
-    ``cfg.algorithm`` at x is expected to carry fewer coordinates than a dense one,
-    nnz(x) + 2 m(x) < 2d for the mask size m(x): down nnz(x) + m(x), up m(x)."""
+    are those at the previous epoch end (``start`` at the first), and
+    ``_smaller_than_dense`` holds at x."""
     prev = [pb.sign_pattern(start)]
 
     def predicate(x, m):
         before, prev[0] = prev[0], pb.sign_pattern(x)
-        return prev[0] == before and np.count_nonzero(x) + 2 * _mask_size(cfg, x) < 2 * x.size
+        return prev[0] == before and _smaller_than_dense(cfg, x)
     return predicate
 
 
@@ -466,7 +466,8 @@ def _run_seeds(problem, cfg, ref, mode) -> list[SeedResult]:
     return [_execute_seed(problem, cfg, s, ref, mode) for s in cfg.seeds]
 
 
-def _emit_experiment(out_dir, cfg, problem, ref, results):
+def _emit_experiment(out_dir, cfg, problem, ref, results) -> dict:
+    """Writes a config's outputs; returns {seed: (subopt, support)}, diverged seeds left out."""
     cfg = replace(cfg, lam1=problem.reg.lam)  # the weight used, calibrated or not
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.ini"), "w") as fh:
@@ -486,7 +487,7 @@ def _emit_experiment(out_dir, cfg, problem, ref, results):
         if r.status == "diverged":
             continue
         r.runs[-1].to_csv(os.path.join(out_dir, f"trace_seed{r.seed}.csv"))
-        curves[str(r.seed)] = subopt, support
+        curves[r.seed] = subopt, support
         if cfg.warmstart:
             dense = r.runs[0]
             phase1 = dense.cum_up + dense.cum_down
@@ -526,7 +527,7 @@ def _emit_experiment(out_dir, cfg, problem, ref, results):
         summary["warmstart"] = warmstart
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, default=float)
-    return summary
+    return curves
 
 
 def _exit_code(results) -> int:
@@ -541,15 +542,16 @@ def _exit_code(results) -> int:
 
 
 def _check_budget(cfg: ExperimentConfig, problem) -> None:
-    """An outer loop explores c of the problem's d coordinates per step, so
-    c is at most d, and below d after a [warmstart], which never hands over to
-    dense masks; raises ``ConfigError`` when it is not."""
-    d, outer = problem.dim, cfg.algorithm in ("reconditioned", "catalyst")
-    if outer and cfg.c > d:
+    """Refuses (``ConfigError``) an outer loop exploring c > d coordinates, and a
+    [warmstart] whose trigger fails at 0: since m(x) >= m(0), it then fails at every x."""
+    d = problem.dim
+    if cfg.algorithm in ("reconditioned", "catalyst") and cfg.c > d:
         raise ConfigError([f"[run] c={cfg.c!r} exceeds the problem dimension d={d}"])
-    if outer and cfg.warmstart and cfg.c == d:
-        raise ConfigError([f"[warmstart] before {cfg.algorithm} at c = d = {d} never hands "
-                           "over: its exchange is dense"])
+    zero = np.zeros(d)
+    if cfg.warmstart and not _smaller_than_dense(cfg, zero):
+        raise ConfigError([f"[warmstart] before {cfg.algorithm} never hands over: its mask "
+                           f"at 0 has m(0) = {_mask_size(cfg, zero):.15g} of d = {d} coordinates, "
+                           "so no exchange is smaller than a dense one"])
 
 
 def cmd_run(cfg: ExperimentConfig, out_dir: str, mode: str, cache_dir=None) -> int:
@@ -584,12 +586,10 @@ def cmd_compare(cfgs, labels, out_dir: str, mode: str, cache_dir=None) -> int:
     codes = []
     for cfg, label in zip(cfgs, labels):
         results = _run_seeds(problem, cfg, ref, mode)
-        sub = os.path.join(out_dir, label)
-        _emit_experiment(sub, cfg, problem, ref, results)
+        curves = _emit_experiment(os.path.join(out_dir, label), cfg, problem, ref, results)
         codes.append(_exit_code(results))
-        for r in results:  # a diverged seed has no runs, so no points
-            _, _, _, subopt, _ = _fold(r.runs, ref.f_star)
-            merged += [(label, r.seed, idx, *point) for idx, point in enumerate(subopt)]
+        for seed, (subopt, _) in curves.items():
+            merged += [(label, seed, idx, *point) for idx, point in enumerate(subopt)]
     with open(os.path.join(out_dir, "compare_subopt.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["label", "seed", "point", "iteration", "exchanged", "gap"])

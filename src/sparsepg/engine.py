@@ -79,6 +79,10 @@ class DelaySchedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.kind == "fixed_trace" and not self.trace:
             raise ValueError("fixed trace must be non-empty")
+        for t in self.trace:
+            _check_count("a worker id", t, 0)
+        object.__setattr__(self, "trace", tuple(map(int, self.trace)))
+        object.__setattr__(self, "weights", tuple(map(float, self.weights)))
         _check_count("M", self.M, 1)
         if self.kind == "fixed_trace" and set(self.trace) != set(range(self.M)):
             raise ValueError("a fixed trace must mention every worker 0, ..., M-1, only")
@@ -100,12 +104,12 @@ class DelaySchedule:
     @staticmethod
     def fixed_trace(trace) -> "DelaySchedule":
         """The trace of worker ids 0, ..., M-1, cycled; M = max(trace) + 1."""
-        trace = tuple(int(t) for t in trace)
+        trace = tuple(trace)
         return DelaySchedule(kind="fixed_trace", M=max(trace, default=0) + 1, trace=trace)
 
     @staticmethod
     def heterogeneous(weights, seed: int) -> "DelaySchedule":
-        weights = tuple(float(w) for w in weights)
+        weights = tuple(weights)
         return DelaySchedule(kind="heterogeneous", M=len(weights), weights=weights, seed=seed)
 
     def sequence(self):
@@ -201,9 +205,6 @@ class _Rows(Sequence):
 
 
 _POINT_BUFFER = 8192  # dense entries of appended points kept before they are encoded
-# row b holds the eight zeros whose sign bits are the bits of b, first bit first
-_SIGNED_ZEROS = (np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).astype(np.uint64)
-                 << np.uint64(63)).view(np.float64)
 
 
 class RecordColumns(_Rows):
@@ -247,17 +248,16 @@ class RecordColumns(_Rows):
 
 class SparsePoints(_Rows):
     """Float vectors of one length, each stored as the indices and values of
-    its nonzero entries (NaN counts as nonzero) plus the packed sign bits of
-    all its entries, so that -0.0 reads back as -0.0.  Appended points wait
-    in a dense buffer and are encoded a buffer at a time.  Reads return dense
-    copies with the bytes of the points given."""
+    its nonzero entries (NaN counts as nonzero), appended points a buffer at
+    a time.  Reads return dense copies: each nonzero has the bytes given, and
+    every zero, -0.0 included, reads as +0.0."""
 
     def __init__(self, points=()):
         self.dim = None
         self._buf = None  # dense points not yet encoded, the first _n rows
         self._n = 0
-        # (offsets, indices, values, packed sign bits) per block of points;
-        # point j's nonzeros are entries offsets[j]:offsets[j + 1]
+        # (offsets, indices, values) per block of points; point j's nonzeros
+        # are entries offsets[j]:offsets[j + 1]
         self._blocks = []
         for x in points:
             self.append(np.asarray(x, dtype=float))
@@ -287,26 +287,25 @@ class SparsePoints(_Rows):
         index = np.int32 if d < 2**31 else np.int64
         indices = np.remainder(flat, d, dtype=index, casting="unsafe")
         offsets = np.searchsorted(flat, np.arange(0, k * d + 1, d))
-        signs = np.packbits(np.signbit(rows), axis=1)
-        self._blocks.append((offsets, indices, rows.ravel()[flat], signs))
+        self._blocks.append((offsets, indices, rows.ravel()[flat]))
 
     def _block(self):
         """All points as one block, joining the blocks when there are several."""
         self.flush()
         if len(self._blocks) > 1:
-            offsets, indices, values, signs = zip(*self._blocks)
+            offsets, indices, values = zip(*self._blocks)
             counts = np.concatenate([np.diff(o) for o in offsets])
             self._blocks = [(np.concatenate(([0], np.cumsum(counts))), np.concatenate(indices),
-                             np.concatenate(values), np.concatenate(signs))]
+                             np.concatenate(values))]
         return self._blocks[0]
 
     def __len__(self):
-        return sum(len(b[3]) for b in self._blocks) + self._n
+        return sum(len(b[0]) - 1 for b in self._blocks) + self._n
 
     def _row(self, j):
-        offsets, indices, values, signs = self._block()
+        offsets, indices, values = self._block()
         start, stop = offsets[j], offsets[j + 1]
-        x = _SIGNED_ZEROS[signs[j]].reshape(-1)[:self.dim]
+        x = np.zeros(self.dim)
         x[indices[start:stop]] = values[start:stop]
         return x
 
@@ -319,8 +318,8 @@ class RunTrace:
     (``RecordColumns``); ``epoch_snapshots``, the point at the start of each
     epoch, and ``final_x`` are kept as their nonzeros (``SparsePoints``), the
     final point apart only when the run did not end at an epoch start.  Reads
-    of points return dense copies.  ``cum_up``/``cum_down`` are running
-    totals: the priming charge plus every iteration's
+    of points return dense copies, zeros +0.0.  ``cum_up``/``cum_down`` are
+    running totals: the priming charge plus every iteration's
     ``coords_up``/``coords_down``.  ``predicate_met`` is whether the run
     ended because its stop rule's ``epoch_predicate`` held.  Iterating the
     trace yields its epoch snapshots, one point per epoch."""
@@ -343,10 +342,6 @@ class RunTrace:
         if self._final is not None:
             return self._final[0]
         return self.epoch_snapshots[-1] if len(self.epoch_snapshots) else None
-
-    @final_x.setter
-    def final_x(self, x):
-        self._final = SparsePoints([x])
 
     @property
     def n_iterations(self) -> int:
@@ -620,7 +615,7 @@ def _run(
 
     trace.epoch_snapshots.flush()
     if not new_epoch:
-        trace.final_x = x
+        trace._final = SparsePoints([x])
     return trace
 
 

@@ -459,13 +459,14 @@ def _constants(shards) -> tuple[float, float]:
 
 
 def prox_reg(reg: Regularizer, gamma: float, u: Array) -> Array:
-    """prox_{gamma * r}(u); coordinate-wise soft-thresholding for l1."""
+    """prox_{gamma * r}(u) as a new array whose zeros are +0.0; soft-thresholding for l1."""
     if gamma <= 0:
         raise ValueError("stepsize must be positive")
     u = np.asarray(u, dtype=float)
     if reg.kind == "none":
-        return u.copy()
-    return np.sign(u) * np.maximum(np.abs(u) - gamma * reg.lam, 0.0)
+        return u + 0.0
+    t = gamma * reg.lam  # u -+ t rounds as |u| - t does, and u - u is +0.0
+    return u - np.clip(u, -t, t)
 
 
 def reg_value(reg: Regularizer, x: Array) -> float:

@@ -160,7 +160,7 @@ class OuterTrace:
     center as dense copies.  Each point is stored once, as its nonzeros
     (``SparsePoints``): x_ell as the final point of inner run ell, and the
     start and the momentum loop's extrapolated centers in the trace.
-    ``final_x`` is a dense array.
+    ``final_x``, the outer result, is read from there too.
 
     Iterating the trace yields the initial point and then each outer step's
     result x_ell, the final point of its inner run.  These are the centers
@@ -171,15 +171,19 @@ class OuterTrace:
     inner_traces: list = field(default_factory=list)
     objective_log: list = field(default_factory=list)
     total_iterations: int = 0
-    final_x: np.ndarray | None = None
     stored_centers: SparsePoints = field(default_factory=SparsePoints, repr=False)
 
     @property
+    def final_x(self) -> np.ndarray | None:
+        """x_ell of the last step, else the start; None for an empty trace."""
+        runs = self.inner_traces
+        return runs[-1].final_x if runs else next(iter(self.stored_centers), None)
+
+    @property
     def centers(self) -> list:
-        stored = list(self.stored_centers)
-        if len(stored) > 1:  # the loop stored its extrapolated centers
-            return stored
-        return stored + [t.final_x for t in self.inner_traces]
+        if len(self.stored_centers) > 1:  # the loop stored its extrapolated centers
+            return list(self.stored_centers)
+        return list(self)
 
     def __iter__(self):
         return iter(self.stored_centers[:1] + [t.final_x for t in self.inner_traces])
@@ -332,7 +336,6 @@ def _outer_loop(problem, params, schedule, init, outer_budget, target_objective,
             trace.objective_log.append(ObjectivePoint(end, trace.cum_up, trace.cum_down, f_x))
         trace.inner_traces.append(inner)
     trace.stored_centers.flush()
-    trace.final_x = x
     return trace
 
 

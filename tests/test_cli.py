@@ -901,41 +901,36 @@ class TestWarmstart:
         assert "[warmstart] density_threshold is not an option" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_dense_phase_before_davepg_refused(self, tmp_path, capsys):
-        # a davepg exchange is dense, so no epoch end could hand over to it
-        cfgp = write(tmp_path, "exp.ini", SMALL_DAVE + TWO_PHASE)
-        assert cli.main(["run", "--config", cfgp, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
-        assert ("[warmstart] before davepg never hands over: a davepg exchange is dense"
-                in capsys.readouterr().err)
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize("algorithm", ["spy-uniform", "spy-slowdown"])
-    def test_dense_phase_before_dense_masks_refused(self, tmp_path, capsys, algorithm):
-        # at pi = 1 every mask is dense, so the trigger nnz + 2m < 2d never holds
-        text = SMALL_DAVE.replace("algorithm = davepg", f"algorithm = {algorithm}\npi = 1")
-        cfgp = write(tmp_path, "exp.ini", text + TWO_PHASE)
-        assert cli.main(["run", "--config", cfgp, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
-        assert (f"[warmstart] before {algorithm} at pi = 1 never hands over"
-                in capsys.readouterr().err)
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize("algorithm", ["reconditioned", "catalyst"])
-    def test_dense_phase_before_full_budget_refused(self, tmp_path, capsys, algorithm):
-        # at c = d every outer-loop mask is dense: refused once d is known, in
-        # run and for every config of compare, before any seed runs
-        text = SMALL_LASSO.replace("c = 5", "c = 40").replace(
-            "algorithm = reconditioned", f"algorithm = {algorithm}")
-        full = write(tmp_path, "full.ini", text + TWO_PHASE)
+    @pytest.mark.parametrize("algorithm, dense, near", [
+        pytest.param("davepg", "", None, id="davepg"),
+        pytest.param("spy-uniform", "pi = 1", "pi = 0.99", id="spy-uniform"),
+        pytest.param("spy-slowdown", "pi = 1", "pi = 0.99", id="spy-slowdown"),
+        pytest.param("reconditioned", "c = 40", "c = 39", id="reconditioned"),
+        pytest.param("catalyst", "c = 40", "c = 39", id="catalyst"),
+    ])
+    def test_dense_phase_before_dense_masks_refused(self, tmp_path, capsys, algorithm, dense,
+                                                    near):
+        # a mask of m(0) = d coordinates at x = 0: since m(x) >= m(0), no exchange
+        # is ever smaller than a dense one, so the trigger cannot hold.  Refused
+        # once d is known, in run and for every config of compare, before any
+        # seed runs and before anything is written
+        def config(setting):
+            return (SMALL_LASSO.replace("c = 5\n", "").replace(
+                "algorithm = reconditioned", f"algorithm = {algorithm}\n{setting}"))
+        full = write(tmp_path, "full.ini", config(dense) + TWO_PHASE)
         plain = write(tmp_path, "plain.ini", SMALL_LASSO)
-        problem = f"[warmstart] before {algorithm} at c = d = 40 never hands over"
+        problem = (f"[warmstart] before {algorithm} never hands over: its mask at 0 has "
+                   "m(0) = 40 of d = 40 coordinates")
         for argv in (["run", "--config", full], ["compare", "--config", plain, "--config", full]):
             out = tmp_path / "out"
             assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
             assert problem in capsys.readouterr().err
             assert not out.exists()
-        # without the section c = d is a valid budget
-        cfg = cli.parse_config(text)
-        cli._check_budget(cfg, cli.build_problem(cfg))
+        # without the section a dense mask is valid, and a mask a little
+        # below d at 0 leaves room for the trigger
+        for text in [config(dense)] + ([config(near) + TWO_PHASE] if near else []):
+            cfg = cli.parse_config(text)
+            cli._check_budget(cfg, cli.build_problem(cfg))
 
     def test_compare_runs_the_dense_phase(self, tmp_path):
         # a config's outputs under compare are those of run on it alone, and

@@ -91,6 +91,24 @@ class TestDelaySchedule:
         with pytest.raises(ValueError, match=problem):
             engine.DelaySchedule(**kwargs)
 
+    @pytest.mark.parametrize("trace", [(0.0, 1.0), (0.5, 1), (True, False)])
+    def test_trace_entries_are_integers(self, trace):
+        # a float or bool worker id is refused at construction, replace included
+        with pytest.raises(ValueError, match="a worker id must be an integer"):
+            engine.DelaySchedule(kind="fixed_trace", M=2, trace=trace)
+        with pytest.raises(ValueError, match="a worker id must be an integer"):
+            engine.DelaySchedule.fixed_trace(trace)
+        with pytest.raises(ValueError, match="a worker id must be an integer"):
+            dataclasses.replace(engine.DelaySchedule.round_robin(2), trace=trace)
+
+    def test_stored_as_python_numbers(self):
+        sched = engine.DelaySchedule(kind="fixed_trace", M=2, trace=tuple(np.array([1, 0, 1])))
+        assert sched.trace == (1, 0, 1) and all(type(t) is int for t in sched.trace)
+        sched = engine.DelaySchedule.heterogeneous(np.array([1, 3]), seed=0)
+        assert sched.weights == (1.0, 3.0) and all(type(w) is float for w in sched.weights)
+        seq = dataclasses.replace(sched, seed=4).sequence()
+        assert {next(seq) for _ in range(200)} == {0, 1}
+
     def test_replace_checked(self):
         sched = engine.DelaySchedule.round_robin(3)
         assert dataclasses.replace(sched, seed=4).trace == (0, 1, 2)
@@ -757,6 +775,11 @@ def _as_bytes(points):
     return [x.tobytes() for x in points]
 
 
+def _read_back(points):
+    """The bytes points read back with: each nonzero's own, +0.0 for a zero."""
+    return _as_bytes(np.where(x == 0, 0.0, x) for x in points)
+
+
 class TestCompactTraces:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
@@ -771,15 +794,15 @@ class TestCompactTraces:
         appended = engine.SparsePoints()
         for n, x in enumerate(dense):
             if n in reads:  # a read between appends encodes the buffered points
-                assert _as_bytes(appended) == _as_bytes(dense[:n])
+                assert _as_bytes(appended) == _read_back(dense[:n])
             appended.append(x)
         n = len(dense)
         for points in (appended, engine.SparsePoints(dense), pickle.loads(pickle.dumps(appended))):
             assert len(points) == n
-            assert _as_bytes(points) == _as_bytes(dense)
-            assert [points[i].tobytes() for i in range(-n, n)] == _as_bytes(dense + dense)
+            assert _as_bytes(points) == _read_back(dense)
+            assert [points[i].tobytes() for i in range(-n, n)] == _read_back(dense + dense)
             for part in (cut, slice(None, None, -1), slice(-3, None), slice(5, 1, -2)):
-                assert _as_bytes(points[part]) == _as_bytes(dense[part])
+                assert _as_bytes(points[part]) == _read_back(dense[part])
             for i in (n, -n - 1):
                 with pytest.raises(IndexError):
                     points[i]
@@ -809,6 +832,19 @@ class TestCompactTraces:
                                   engine.StopRule(max_iterations=50), seed=12)
         assert unlogged.support_curve() == []
         assert trace.cum_down == trace.priming_down + sum(r.coords_down for r in as_list)
+
+    def test_points_hold_no_negative_zero(self):
+        # prox_reg writes +0.0, so no epoch snapshot or final point holds
+        # -0.0, from a start of +0.0 or of -0.0
+        prob = strongly_convex_problem(d=30, M=3, seed=13, reg=pb.Regularizer(kind="l1", lam=0.2))
+        for init in (np.zeros(30), np.full(30, -0.0)):
+            trace = engine.run_spy(prob, engine.gamma_max(prob), uniform_distribution(30, 0.3),
+                                   engine.DelaySchedule.round_robin(3), init,
+                                   engine.StopRule(max_iterations=1001), seed=13)
+            points = [*trace.epoch_snapshots, trace.final_x]
+            assert any(np.any(x < 0) for x in points)
+            assert any(np.any(x == 0) for x in points)
+            assert not any(np.signbit(x[x == 0]).any() for x in points)
 
     @pytest.mark.parametrize("mode", ["sim", "concurrent"])
     def test_trace_pickles_byte_identical(self, mode):

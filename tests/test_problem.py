@@ -325,6 +325,41 @@ class TestProx:
         assert np.all(np.sign(out) * np.sign(u) >= 0)
 
 
+def _old_soft_threshold(u, t):
+    return np.sign(u) * np.maximum(np.abs(u) - t, 0.0)
+
+
+_SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308, 1.0, -1.0]
+
+
+class TestProxZeros:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        u=arrays(np.float64, st.integers(1, 40),
+                 elements=st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=True))),
+        lam=st.one_of(st.sampled_from([0.0, 5e-324]), st.floats(0, 1e10)),
+        gamma=st.one_of(st.sampled_from([5e-324, 1.0]), st.floats(1e-10, 10)),
+    )
+    @example(u=np.array([-0.0, 0.0, -1.0]), lam=0.0, gamma=1.0)
+    @example(u=np.array([-0.5, -0.0]), lam=1.0, gamma=1.0)
+    def test_zeros_are_positive(self, u, lam, gamma):
+        # soft-thresholding writes +0.0; each nonzero keeps the bytes of
+        # sign(u) max(|u| - t, 0), and NaN stays NaN
+        out = pb.prox_reg(pb.Regularizer(kind="l1", lam=lam), gamma, u)
+        old = _old_soft_threshold(u, gamma * lam)
+        assert not np.signbit(out[out == 0]).any()
+        assert np.array_equal(out == 0, old == 0)
+        assert np.array_equal(np.isnan(out), np.isnan(old))
+        kept = (old != 0) & ~np.isnan(old)
+        assert out[kept].tobytes() == old[kept].tobytes()
+
+    def test_none_writes_positive_zero(self):
+        u = np.array([-0.0, 0.0, -2.0, np.inf])
+        out = pb.prox_reg(pb.Regularizer(), 0.5, u)
+        assert out.tobytes() == np.array([0.0, 0.0, -2.0, np.inf]).tobytes()
+        assert out is not u and np.signbit(u[0])
+
+
 class TestObjective:
     def test_zero_point(self):
         rng = np.random.default_rng(5)

@@ -551,6 +551,31 @@ class TestMomentum:
             [trace_bytes(t) for t in trace.inner_traces]
         assert len(trace.centers) == 26
 
+    def test_points_hold_no_negative_zero(self):
+        # prox_reg writes +0.0 and stored points read their zeros as +0.0, so
+        # no epoch snapshot, result or center holds -0.0, whatever the start
+        for init in (np.zeros(40), np.full(40, -0.0)):
+            trace = rc.run_momentum(self.prob, self.params, self.sched, init,
+                                    criterion=rc.InnerCriterion(kind="fixed", epochs=1),
+                                    outer_budget=30, seed=1)
+            points = [*trace.centers, *trace, trace.final_x]
+            points += [x for t in trace.inner_traces for x in (*t.epoch_snapshots, t.final_x)]
+            assert any(np.any(x < 0) for x in points)
+            assert not any(np.signbit(x[x == 0]).any() for x in points)
+
+    def test_final_x_is_read_from_the_runs(self):
+        # x_ell is stored once, as the last inner run's final point; with no
+        # step it is the start, and an empty trace has none
+        assert rc.OuterTrace().final_x is None
+        start = np.full(40, -0.0)
+        start[3] = 2.0
+        none = rc.run_momentum(self.prob, self.params, self.sched, start, outer_budget=1,
+                               target_objective=np.inf)
+        assert none.n_outer == 0 and none.final_x.tobytes() == (start + 0.0).tobytes()
+        trace = rc.run_momentum(self.prob, self.params, self.sched, start, outer_budget=3)
+        assert "final_x" not in {f.name for f in dataclasses.fields(trace)}
+        assert trace.final_x.tobytes() == trace.inner_traces[-1].final_x.tobytes()
+
     @pytest.mark.parametrize("kind", ["fixed"])
     def test_criteria_converge(self, kind):
         criterion = rc.InnerCriterion(kind=kind, epochs=2)
