@@ -35,7 +35,7 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_TARGET = 4
 
-ALGORITHMS = ("davepg", "spy-uniform", "spy-slowdown", "reconditioned", "catalyst")
+ALGORITHMS = ("davepg", "spy-uniform", "reconditioned", "catalyst")
 PROBLEM_KINDS = ("synthetic-lasso", "synthetic-logistic", "libsvm-lasso", "libsvm-logistic")
 SCHEDULES = ("round_robin", "random_uniform", "heterogeneous")
 
@@ -71,7 +71,8 @@ _TEXT = {
 
 def _option(section, key, default, parse, check=None, empty=_REQUIRED):
     """A config field read from ``[section] key`` by ``parse``: ``check`` is
-    its range test and ``empty`` the value of an empty entry."""
+    its range test, or the tuple of its valid values, and ``empty`` the value
+    of an empty entry."""
     return field(default=default, metadata={
         "section": section, "key": key, "parse": parse, "check": check, "empty": empty})
 
@@ -88,7 +89,7 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """One experiment; every field but ``warmstart`` is one INI option."""
 
-    kind: str = _option("problem", "kind", "synthetic-lasso", str, lambda v: v in PROBLEM_KINDS)
+    kind: str = _option("problem", "kind", "synthetic-lasso", str, PROBLEM_KINDS)
     d: int = _option("problem", "d", 1000, int, lambda v: v >= 1)
     m: int = _option("problem", "m", 500, int, lambda v: v >= 1)
     sparsity: float = _option("problem", "sparsity", 0.99, float, lambda v: 0 <= v <= 1)
@@ -100,12 +101,12 @@ class ExperimentConfig:
                                          empty=None)
     lam2: float = _option("problem", "lam2", 0.001, float, lambda v: v >= 0)
     scale: bool = _option("problem", "scale", False, boolean)
-    algorithm: str = _option("run", "algorithm", "reconditioned", str, lambda v: v in ALGORITHMS)
+    algorithm: str = _option("run", "algorithm", "reconditioned", str, ALGORITHMS)
     workers: int = _option("run", "workers", 5, int, lambda v: v >= 1)
     pi: float = _option("run", "pi", 0.3, float, lambda v: 0 < v <= 1)
     c: float = _option("run", "c", 12.0, float, lambda v: v > 0)
     criterion: str = _option("run", "criterion", "fixed", str)
-    schedule: str = _option("run", "schedule", "random_uniform", str, lambda v: v in SCHEDULES)
+    schedule: str = _option("run", "schedule", "random_uniform", str, SCHEDULES)
     weights: tuple = _option("run", "weights", (), float_list, lambda v: all(w > 0 for w in v),
                              empty=())
     seeds: tuple = _option("run", "seeds", tuple(range(1, 11)), int_list,
@@ -171,9 +172,12 @@ def _parse_option(f, raw: str, problems: list):
         except Exception:
             problems.append(f"[{section}] {key}={raw!r} is not a valid {parse.__name__}")
         else:
-            if _finite(value) and (check is None or check(value)):
+            choices = check if isinstance(check, tuple) else ()
+            in_range = value in choices if choices else check is None or check(value)
+            if _finite(value) and in_range:
                 return value
-            problems.append(f"[{section}] {key}={raw!r} out of range")
+            valid = f" (one of {', '.join(choices)})" if choices else ""
+            problems.append(f"[{section}] {key}={raw!r} out of range{valid}")
     return f.default if empty is _REQUIRED else empty
 
 
@@ -319,17 +323,14 @@ def _make_schedule(cfg: ExperimentConfig, seed: int) -> engine.DelaySchedule:
 
 def _run_engine(problem, cfg: ExperimentConfig, seed: int,
                 init: np.ndarray, stop: engine.StopRule, mode: str) -> engine.RunTrace:
-    """One engine run of ``davepg``, ``spy-uniform`` or ``spy-slowdown``."""
+    """One engine run of ``davepg`` or ``spy-uniform``."""
     gamma = engine.gamma_max(problem)
     schedule = _make_schedule(cfg, seed)
     kwargs = dict(seed=seed, objective_stride=cfg.log_stride, mode=mode)
     if cfg.algorithm == "davepg":
         return engine.run_davepg(problem, gamma, schedule, init, stop, **kwargs)
-    if cfg.algorithm == "spy-uniform":
-        dist = uniform_distribution(problem.dim, cfg.pi)
-        return engine.run_spy(problem, gamma, dist, schedule, init, stop, **kwargs)
-    return engine.run_adaptive_spy_slowdown(problem, gamma, cfg.pi, schedule, init, stop,
-                                            **kwargs)
+    dist = uniform_distribution(problem.dim, cfg.pi)  # spy-uniform
+    return engine.run_spy(problem, gamma, dist, schedule, init, stop, **kwargs)
 
 
 def run_algorithm(problem, cfg: ExperimentConfig, seed: int,
@@ -340,7 +341,7 @@ def run_algorithm(problem, cfg: ExperimentConfig, seed: int,
     d = problem.dim
     init = np.zeros(d) if init is None else init
     target = ref.f_star + cfg.target_eps
-    if cfg.algorithm in ("davepg", "spy-uniform", "spy-slowdown"):
+    if cfg.algorithm in ("davepg", "spy-uniform"):
         stop = engine.StopRule(max_iterations=cfg.max_iterations, target_objective=target)
         return _run_engine(problem, cfg, seed, init, stop, mode)
     schedule = _make_schedule(cfg, seed)
@@ -407,14 +408,13 @@ class TriggerUnreachable(RuntimeError):
 
 
 def _mask_size(cfg: ExperimentConfig, x: np.ndarray) -> float:
-    """The expected size of one mask that ``cfg.algorithm`` draws at x."""
-    nnz, d = np.count_nonzero(x), x.size
+    """The expected size of one mask that ``cfg.algorithm`` draws at x: d for
+    ``davepg``, pi d for ``spy-uniform``, and nnz(x) + min(c, d - nnz(x)) for
+    the outer loops, whose masks hold supp(x)."""
     if cfg.algorithm == "davepg":
-        return d
+        return x.size
     if cfg.algorithm == "spy-uniform":
-        return cfg.pi * d
-    if cfg.algorithm == "spy-slowdown":
-        return nnz + cfg.pi * (d - nnz)
+        return cfg.pi * x.size
     return float(adaptive_distribution(x, cfg.c).p.sum())  # the outer loops
 
 

@@ -1,7 +1,8 @@
 """Asynchronous coordinator/worker execution of proximal-gradient methods.
 
-One coordinator loop runs every variant (dense, masked, slowdown) in two
-modes that differ only in where worker replies come from:
+One coordinator loop runs both variants (dense, and masked by a
+``SelectorDistribution``) in two modes that differ only in where worker
+replies come from:
 
 * simulation (default): a delay schedule picks which worker replies at each
   global time k, and that worker's step runs in-process.  Single-threaded,
@@ -410,8 +411,8 @@ class _Worker:
     """Worker i's point x_i, primed at init as init - gamma grad_i(init), and
     its step, shared by both modes."""
 
-    def __init__(self, problem, i, gamma, slowdown_pi, init):
-        self.problem, self.i, self.gamma, self.slowdown_pi = problem, i, gamma, slowdown_pi
+    def __init__(self, problem, i, gamma, init):
+        self.problem, self.i, self.gamma = problem, i, gamma
         self.x = init - gamma * pb.local_gradient(problem, i, init)
 
     def step(self, model, mask):
@@ -425,11 +426,6 @@ class _Worker:
             return delta, u.size
         u = model[mask] - self.gamma * pb.local_gradient(self.problem, self.i, model, mask)
         old = self.x[mask]
-        if self.slowdown_pi is not None:
-            # slowdown fix: the update of supp(model) is damped by pi; the
-            # mask always contains supp(model)
-            on = model[mask] != 0
-            u[on] = self.slowdown_pi * u[on] + (1.0 - self.slowdown_pi) * old[on]
         self.x[mask] = u
         return u - old, int(mask.size)
 
@@ -499,7 +495,6 @@ def _run(
     stop: StopRule,
     seed: int,
     mode: str,
-    slowdown_pi: float | None = None,
     objective_stride: int | None = None,
     objective_fn=None,
     charge_priming: bool = True,
@@ -517,12 +512,9 @@ def _run(
 
     mask_rngs = [stream(seed, _MASK_TAG, i) for i in range(M)]
 
-    def new_mask(i, x):
-        if slowdown_pi is not None:
-            return ((x != 0) | (mask_rngs[i].random(d) < slowdown_pi)).nonzero()[0]
-        if dist is None:
-            return None  # dense
-        return draw_mask(dist, mask_rngs[i])
+    def new_mask(i):
+        """Worker i's next mask; None, every coordinate, when dense."""
+        return None if dist is None else draw_mask(dist, mask_rngs[i])
 
     tracker = _EpochTracker(M)
     trace = RunTrace(epoch_starts=tracker.boundaries)
@@ -536,9 +528,9 @@ def _run(
     # run sends init's support down, a dense run all of init
     workers = []
     xbar = np.zeros(d)
-    init_down = d if dist is None and slowdown_pi is None else int(np.count_nonzero(init))
+    init_down = d if dist is None else int(np.count_nonzero(init))
     for i in range(M):
-        workers.append(_Worker(problem, i, gamma, slowdown_pi, init))
+        workers.append(_Worker(problem, i, gamma, init))
         xbar += problem.alphas[i] * workers[i].x
         if charge_priming:
             trace.priming_down += init_down
@@ -555,7 +547,7 @@ def _run(
     record, snapshot = trace.records.append, trace.epoch_snapshots.append
     try:
         for i in range(M):
-            masks[i] = mask = new_mask(i, x)
+            masks[i] = mask = new_mask(i)
             if charge_priming:
                 trace.priming_down += down(nnz, mask)
             source.send(i, x.copy(), mask)
@@ -585,7 +577,7 @@ def _run(
                 raise DivergenceError(k)
             # drawn on the last iteration too, so that a run's mask streams do
             # not depend on how it stops
-            masks[i] = mask = new_mask(i, x)
+            masks[i] = mask = new_mask(i)
             new_epoch = tracker.record(k, i)
             if new_epoch:
                 snapshot(x)
@@ -679,24 +671,3 @@ def run_spy(
                 objective_stride=objective_stride,
                 objective_fn=objective_fn, charge_priming=charge_priming)
 
-
-def run_adaptive_spy_slowdown(
-    problem: pb.CompositeProblem,
-    gamma: float,
-    pi: float,
-    schedule: DelaySchedule,
-    init: np.ndarray,
-    stop: StopRule,
-    seed: int = 0,
-    objective_stride: int | None = None,
-    mode: str = "sim",
-    objective_fn=None,
-) -> RunTrace:
-    """Support-adaptive masks with the slowdown fix: coordinates in the
-    current support are always selected but their update is damped by pi."""
-    _check_gamma(problem, gamma)
-    if not 0 < pi <= 1:
-        raise ValueError("pi must lie in (0, 1]")
-    return _run(problem, gamma, None, schedule, init, stop, seed, mode,
-                slowdown_pi=pi, objective_stride=objective_stride,
-                objective_fn=objective_fn)

@@ -55,7 +55,7 @@ class TestConfig:
     NON_DEFAULT = {
         "kind": "synthetic-logistic", "d": 37, "m": 41, "sparsity": 0.25, "noise_std": 0.5,
         "data_seed": 3, "path": "data/train.svm", "lam1": 0.125, "target_support": None,
-        "lam2": 0.0, "scale": True, "algorithm": "spy-slowdown", "workers": 2, "pi": 0.75,
+        "lam2": 0.0, "scale": True, "algorithm": "spy-uniform", "workers": 2, "pi": 0.75,
         "c": 3.7, "criterion": "relative",
         "schedule": "round_robin", "weights": (1.5, 0.1), "seeds": (7, 0, 2),
         "target_eps": 2.5e-9, "max_iterations": 5, "outer_budget": 9, "log_stride": 3,
@@ -499,20 +499,20 @@ class TestRun:
                          "--mode", "concurrent", "--seeds", "1"])
         assert code == 0
 
-    def test_slowdown_honours_mode(self, monkeypatch):
-        seen = []
-        monkeypatch.setattr(cli.engine, "run_adaptive_spy_slowdown",
-                            lambda *args, **kwargs: seen.append(kwargs["mode"]))
-        cfg = cli.parse_config(SMALL_DAVE.replace("algorithm = davepg", "algorithm = spy-slowdown"))
-        prob = pb.composite_problem([pb.LossShard(kind=pb.LEAST_SQUARES, A=np.eye(2),
-                                                  b=np.ones(2))])
-        ref = metrics.ReferenceSolution(np.ones(2), 0.0, 2, 1e-12, "")
-        cli.run_algorithm(prob, cfg, 1, ref, mode="concurrent")
-        assert seen == ["concurrent"]
-
     def test_bad_config_exit(self, tmp_path):
         cfgp = write(tmp_path, "bad.ini", "[run]\nalgorithm = nope\n")
         assert cli.main(["run", "--config", cfgp, "--out", str(tmp_path / "o")]) == 2
+
+    def test_deleted_algorithm_refused(self, tmp_path, capsys):
+        # spy-slowdown, the damped-support variant, is not an algorithm: the
+        # refusal lists the ones there are
+        cfgp = write(tmp_path, "exp.ini", SMALL_DAVE.replace("algorithm = davepg",
+                                                             "algorithm = spy-slowdown"))
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", cfgp, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert ("[run] algorithm='spy-slowdown' out of range "
+                "(one of davepg, spy-uniform, reconditioned, catalyst)") in capsys.readouterr().err
+        assert not out.exists()
 
     def test_diverged_seeds_exit(self, tmp_path, monkeypatch):
         # every seed diverges: each is reported, with no trace, and run exits 3
@@ -783,7 +783,6 @@ class TestWarmstart:
         x[[2, 5]] = (1.0, -4.0)
         for algorithm, c, size in [
             ("davepg", 3.0, 10), ("spy-uniform", 3.0, 0.3 * 10),
-            ("spy-slowdown", 3.0, 2 + 0.3 * 8),
             ("reconditioned", 3.0, 2 + 3), ("catalyst", 3.0, 2 + 3),
             ("reconditioned", 9.0, 10),  # c beyond the 8 null coordinates
         ]:
@@ -904,7 +903,6 @@ class TestWarmstart:
     @pytest.mark.parametrize("algorithm, dense, near", [
         pytest.param("davepg", "", None, id="davepg"),
         pytest.param("spy-uniform", "pi = 1", "pi = 0.99", id="spy-uniform"),
-        pytest.param("spy-slowdown", "pi = 1", "pi = 0.99", id="spy-slowdown"),
         pytest.param("reconditioned", "c = 40", "c = 39", id="reconditioned"),
         pytest.param("catalyst", "c = 40", "c = 39", id="catalyst"),
     ])
