@@ -417,17 +417,17 @@ class _Worker:
 
     def step(self, model, mask):
         """Gradient step at the received model on the mask's coordinates (all
-        of them when mask is None); returns (the change of x_i on those
-        coordinates, the number of coordinates sent)."""
+        of them when mask is None); returns the reply, the change of x_i on
+        those coordinates, one entry per coordinate sent."""
         if mask is None:
             u = model - self.gamma * pb.local_gradient(self.problem, self.i, model)
             delta = u - self.x
             self.x = u
-            return delta, u.size
+            return delta
         u = model[mask] - self.gamma * pb.local_gradient(self.problem, self.i, model, mask)
         old = self.x[mask]
         self.x[mask] = u
-        return u - old, int(mask.size)
+        return u - old
 
 
 class _Inline:
@@ -444,7 +444,7 @@ class _Inline:
 
     def receive(self):
         i = next(self.order)
-        return (i, *self.workers[i].step(*self.inbox[i]))
+        return i, self.workers[i].step(*self.inbox[i])
 
     def close(self):
         pass
@@ -465,7 +465,7 @@ class _Pool:
 
     def receive(self):
         i, future = self.replies.get()
-        return (i, *future.result())  # a worker's exception is raised here
+        return i, future.result()  # a worker's exception is raised here
 
     def close(self):
         # the replies a run never takes are of steps sim mode never computes,
@@ -528,10 +528,11 @@ def _run(
     # run sends init's support down, a dense run all of init
     workers = []
     xbar = np.zeros(d)
+    alphas = problem.alphas.tolist()  # a float times an array has the bits of alpha_i times it
     init_down = d if dist is None else int(np.count_nonzero(init))
     for i in range(M):
         workers.append(_Worker(problem, i, gamma, init))
-        xbar += problem.alphas[i] * workers[i].x
+        xbar += alphas[i] * workers[i].x
         if charge_priming:
             trace.priming_down += init_down
             trace.priming_up += d
@@ -539,31 +540,38 @@ def _run(
     nnz = int(np.count_nonzero(x))
     obj = objective_fn if objective_fn is not None else (lambda xx: pb.eval_objective(problem, xx))
 
-    def log_objective(k, xx):
-        trace.objective_log.append(ObjectivePoint(k, trace.cum_up, trace.cum_down, obj(xx)))
+    def log_objective(k, xx, cum_up, cum_down):
+        trace.objective_log.append(ObjectivePoint(k, cum_up, cum_down, obj(xx)))
 
     source = _Inline(workers, schedule) if mode == "sim" else _Pool(workers)
     masks = [None] * M  # the mask each worker was last sent
+    # the loop's per-iteration calls, looked up once; the oracles (pb.prox_reg,
+    # draw_mask, and pb.grad_shard in the worker step) are looked up per call
+    receive, send = source.receive, source.send
     record, snapshot = trace.records.append, trace.epoch_snapshots.append
+    max_iterations, limit = stop.max_iterations, DIVERGENCE_NORM ** 2
     try:
         for i in range(M):
             masks[i] = mask = new_mask(i)
             if charge_priming:
                 trace.priming_down += down(nnz, mask)
-            source.send(i, x.copy(), mask)
-        trace.cum_up, trace.cum_down = trace.priming_up, trace.priming_down
+            send(i, x.copy(), mask)
+        cum_up, cum_down = trace.priming_up, trace.priming_down
         snapshot(x)
         if objective_stride:
-            log_objective(-1, x)
+            log_objective(-1, x, cum_up, cum_down)
 
-        k = 0
+        m = 0
         new_epoch = True  # x is the last snapshot
-        while stop.max_iterations is None or k < stop.max_iterations:
-            i, delta, up = source.receive()
-            # only the mask's coordinates of xbar, and so of x, move
+        for k in itertools.count() if max_iterations is None else range(max_iterations):
+            i, delta = receive()
+            # only the mask's coordinates of xbar, and so of x, move: one
+            # gather of xbar[S] (a view when dense), and one write-back
             S = masks[i] if masks[i] is not None else slice(None)
-            xbar[S] += problem.alphas[i] * delta
-            x_S = pb.prox_reg(problem.reg, gamma, xbar[S])
+            xb = xbar[S]
+            xb += alphas[i] * delta
+            xbar[S] = xb
+            x_S = pb.prox_reg(problem.reg, gamma, xb)
             nnz += int(np.count_nonzero(x_S)) - int(np.count_nonzero(x[S]))
             x[S] = x_S
             if DEBUG_CHECK:
@@ -573,17 +581,16 @@ def _run(
                     rebuilt = sum(a * w.x for a, w in zip(problem.alphas, workers))
                     assert np.allclose(xbar, rebuilt, atol=1e-10), "coordinator average drifted"
             # ||x||^2 as np.linalg.norm computes it; NaN fails the comparison too
-            if not x @ x <= DIVERGENCE_NORM ** 2:
+            if not x.dot(x) <= limit:
                 raise DivergenceError(k)
             # drawn on the last iteration too, so that a run's mask streams do
             # not depend on how it stops
             masks[i] = mask = new_mask(i)
             new_epoch = tracker.record(k, i)
+            last = k + 1 == max_iterations
             if new_epoch:
                 snapshot(x)
-            m = len(tracker.boundaries) - 1
-            last = k + 1 == stop.max_iterations
-            if new_epoch:
+                m += 1
                 # the predicate first, so that every epoch end tests it
                 trace.predicate_met = (stop.epoch_predicate is not None
                                        and bool(stop.epoch_predicate(x, m)))
@@ -592,16 +599,16 @@ def _run(
                         or (stop.target_objective is not None
                             and pb.eval_objective(problem, x) <= stop.target_objective))
             # the last iteration sends no model, so it is charged none
-            sent = 0 if last else down(nnz, mask)
-            trace.cum_up += up
-            trace.cum_down += sent
+            up, sent = delta.size, 0 if last else down(nnz, mask)
+            cum_up += up
+            cum_down += sent
             record(i, up, sent, nnz, m)
             if objective_stride and (k % objective_stride == 0):
-                log_objective(k, x)
+                log_objective(k, x, cum_up, cum_down)
             if last:
                 break
-            source.send(i, x.copy(), mask)
-            k += 1
+            send(i, x.copy(), mask)
+        trace.cum_up, trace.cum_down = cum_up, cum_down
     finally:
         source.close()
 

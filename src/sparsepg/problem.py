@@ -107,12 +107,14 @@ class _ColumnStore:
         the store has no room left for its missing columns."""
         if self.n == x.size:
             G = self.cols
-            return G @ x - self.c if coords is None else G[coords] @ x - self.c[coords]
+            if coords is None:
+                return G @ x - self.c
+            return G.take(coords, axis=0).dot(x) - self.c[coords]  # take: G[coords], faster
         supp = (x != 0).nonzero()[0]
         if not _few(supp.size, x.size):
             return None
         p = self.pos[supp]
-        if p.size and p.min() < 0:
+        if p.size and np.minimum.reduce(p) < 0:  # the ufunc skips ndarray.min's Python wrapper
             if not self._append(supp[p < 0]):
                 return None
             p = self.pos[supp]
@@ -354,7 +356,7 @@ def local_gradient(problem: CompositeProblem, i: int, x: Array, coords=None) -> 
     g = grad_shard(problem.shards[i], x, coords)
     if problem.rho > 0:
         xc, center = (x, problem.center) if coords is None else (x[coords], problem.center[coords])
-        g = g + problem.rho * (xc - center)
+        g += problem.rho * (xc - center)  # g is grad_shard's own new array
     return g
 
 
@@ -466,7 +468,7 @@ def prox_reg(reg: Regularizer, gamma: float, u: Array) -> Array:
     if reg.kind == "none":
         return u + 0.0
     t = gamma * reg.lam  # u -+ t rounds as |u| - t does, and u - u is +0.0
-    return u - np.clip(u, -t, t)
+    return u - u.clip(-t, t)  # the method: np.clip without its Python wrapper
 
 
 def reg_value(reg: Regularizer, x: Array) -> float:

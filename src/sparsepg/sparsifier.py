@@ -64,7 +64,8 @@ def adaptive_distribution(center: np.ndarray, c: float) -> SelectorDistribution:
 def draw_mask(dist: SelectorDistribution, rng: np.random.Generator) -> np.ndarray:
     """Sorted indices of an i.i.d. Bernoulli(p) coordinate mask: the j with
     u_j < p_j for u uniform on [0, 1)^d."""
-    return (rng.random(dist.d) < dist.p).nonzero()[0]
+    p = dist.p
+    return (rng.random(p.size) < p).nonzero()[0]
 
 
 def min_conditioning(pi: float) -> float:

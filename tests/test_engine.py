@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import itertools
 import pickle
 import sys
 import threading
@@ -7,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -755,6 +757,189 @@ class TestLedgerCountsMessages:
         assert [(p.cum_up, p.cum_down) for p in trace.objective_log[1:]] == \
             [(trace.priming_up + up[p.k], trace.priming_down + down[p.k])
              for p in trace.objective_log[1:]]
+
+
+def count_oracle_calls(monkeypatch):
+    """Counts the calls to the oracles through the names the engine looks up
+    per call, the ones the benchmark traces: ``pb.grad_shard`` (reached
+    through ``pb.local_gradient``), ``engine.draw_mask`` and ``pb.prox_reg``."""
+    calls = dict.fromkeys(("grad_shard", "draw_mask", "prox_reg"), 0)
+    for module, name in ((pb, "grad_shard"), (engine, "draw_mask"), (pb, "prox_reg")):
+        def counted(*args, fn=getattr(module, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestOracleCalls:
+    """Per engine run in sim mode: grad_shard once per worker step and once
+    per worker in priming, draw_mask as often for masked runs and never for
+    dense ones, prox_reg once per iteration and once after priming.  An
+    outer loop makes one engine run per outer step.  The fixed criterion
+    only: the relative one also calls the oracles in ``direct.solve``."""
+
+    @pytest.mark.parametrize("schedule", ["round-robin", "random"])
+    @pytest.mark.parametrize("variant", ["davepg", "spy", "spy-adaptive", "reconditioned"])
+    def test_one_call_per_step(self, monkeypatch, variant, schedule):
+        M, d = 3, 12
+        prob = strongly_convex_problem(d=d, M=M, seed=15, reg=pb.Regularizer(kind="l1", lam=0.1))
+        gamma = engine.gamma_max(prob)
+        sched = (engine.DelaySchedule.round_robin(M) if schedule == "round-robin"
+                 else engine.DelaySchedule.random_uniform(M, seed=15))
+        init = np.zeros(d)
+        init[[2, 7]] = 1.0
+        stop = engine.StopRule(max_epochs=6)
+        calls = count_oracle_calls(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            if variant == "davepg":
+                trace = engine.run_davepg(prob, gamma, sched, init, stop, seed=15,
+                                          objective_stride=2)
+            elif variant == "reconditioned":
+                params = rc.make_params(prob.mu, prob.lip, c=3.0, d=d)
+                trace = rc.run_reconditioned(prob, params, sched, init,
+                                             criterion=rc.InnerCriterion("fixed", epochs=2),
+                                             outer_budget=7, seed=15, objective_stride=5)
+            else:
+                dist = (uniform_distribution(d, 0.4) if variant == "spy"
+                        else adaptive_distribution(init, 3.0))
+                trace = engine.run_spy(prob, gamma, dist, sched, init, stop, seed=15,
+                                       objective_stride=2)
+        runs = trace.n_outer if variant == "reconditioned" else 1
+        iters = trace.n_iterations
+        assert runs >= 1 and iters > runs
+        assert calls["grad_shard"] == iters + M * runs
+        assert calls["draw_mask"] == (0 if variant == "davepg" else iters + M * runs)
+        assert calls["prox_reg"] == iters + runs
+
+
+def _recursion_problem(shape, rho):
+    """Three shards of least squares, tall (each holds all of A^T A), wide
+    (columns of A^T A computed as used), CSC, or logistic; l1 at 0.4 of the
+    smallest weight whose solution is 0, so that supports stay few enough
+    for the wide shards to compute from their columns.
+    Reconditioned around a point with three nonzeros when rho > 0."""
+    rng = np.random.default_rng(31)
+    d, m = (10, 24) if shape == "tall" else (64, 12)
+    truth = np.zeros(d)
+    truth[[1, 4, 6]] = [2.0, -1.5, 1.0]
+    shards = []
+    for _ in range(3):
+        A = rng.standard_normal((m, d))
+        if shape == "csc":
+            A = scipy.sparse.csc_matrix(A * (rng.random((m, d)) < 0.3))
+        if shape == "logistic":
+            b = np.where(A @ truth + 0.5 * rng.standard_normal(m) > 0, 1.0, -1.0)
+            shards.append(pb.LossShard(kind=pb.LOGISTIC, A=A, b=b, l2=0.05))
+        else:
+            shards.append(pb.LossShard(kind=pb.LEAST_SQUARES, A=A, b=A @ truth))
+    plain = pb.composite_problem(shards)
+    lam_max = float(np.max(np.abs(pb.smooth_gradient(plain, np.zeros(d)))))
+    prob = dataclasses.replace(plain, reg=pb.Regularizer(kind="l1", lam=0.4 * lam_max))
+    return pb.reconditioned(prob, rho, truth) if rho > 0 else prob
+
+
+def _textbook_run(prob, gamma, dist, schedule, init, stop, seed, stride):
+    """DAve-PG (dense when dist is None) written out as a plain loop, as
+    ``conftest.trace_bytes`` reads a trace."""
+    M, d, reg = prob.n_workers, prob.dim, prob.reg
+    rngs = [stream(seed, 101, i) for i in range(M)]
+
+    def draw(i):  # worker i's next mask, Bernoulli(p) on each coordinate
+        return None if dist is None else np.flatnonzero(rngs[i].random(d) < dist.p)
+
+    def down(S):  # d per dense model message, else the model's support and the mask
+        return d if S is None else np.count_nonzero(x) + S.size
+
+    def value():
+        return float(pb.eval_objective(prob, x)).hex()
+
+    x_i = [init - gamma * pb.local_gradient(prob, i, init) for i in range(M)]
+    xbar = np.zeros(d)
+    for a, xi in zip(prob.alphas, x_i):
+        xbar += a * xi
+    x = pb.prox_reg(reg, gamma, xbar)
+    masks = [draw(i) for i in range(M)]
+    models = [x.copy() for _ in range(M)]
+    up = M * d
+    sent = M * (d if dist is None else np.count_nonzero(init)) + sum(map(down, masks))
+    priming = (up, sent)
+    log = [(-1, up, sent, value())] if stride else []
+    records, starts, snapshots, fires = [], [0], [x.tobytes()], [[] for _ in range(M)]
+    order = schedule.sequence()
+    for k in itertools.count():
+        i = next(order)
+        S = masks[i]
+        if S is None:
+            u = models[i] - gamma * pb.local_gradient(prob, i, models[i])
+            xbar += prob.alphas[i] * (u - x_i[i])
+            x_i[i] = u
+            x = pb.prox_reg(reg, gamma, xbar)
+        else:
+            u = models[i][S] - gamma * pb.local_gradient(prob, i, models[i], S)
+            xbar[S] += prob.alphas[i] * (u - x_i[i][S])
+            x_i[i][S] = u
+            x[S] = pb.prox_reg(reg, gamma, xbar[S])
+        masks[i] = draw(i)
+        fires[i].append(k)
+        new_epoch = k > 0 and all(len(f) > 1 and f[-2] >= starts[-1] for f in fires)
+        if new_epoch:
+            starts.append(k)
+            snapshots.append(x.tobytes())
+        last = k + 1 == stop.max_iterations or new_epoch and (
+            stop.max_epochs is not None and len(starts) - 1 >= stop.max_epochs
+            or stop.target_objective is not None
+            and pb.eval_objective(prob, x) <= stop.target_objective)
+        up_k, sent_k = d if S is None else S.size, 0 if last else down(masks[i])
+        records.append((i, up_k, sent_k, np.count_nonzero(x), len(starts) - 1))
+        up, sent = up + up_k, sent + sent_k
+        if stride and k % stride == 0:
+            log.append((k, up, sent, value()))
+        if last:
+            break
+        models[i] = x.copy()
+    return {"records": np.array(records, dtype=np.int64).T.tobytes(), "epoch_starts": starts,
+            "epoch_snapshots": snapshots, "objective_log": log, "ledger": (*priming, up, sent),
+            "final_x": x.tobytes()}
+
+
+class TestTextbookRecursion:
+    """The engine in sim mode equals, bit for bit, the recursion written out
+    as a plain loop: records, epoch starts and snapshots, objective log,
+    ledger and final point."""
+
+    @pytest.mark.parametrize("stop", ["epochs", "target"])
+    @pytest.mark.parametrize("schedule", ["round-robin", "random"])
+    @pytest.mark.parametrize("variant", ["dense", "uniform", "adaptive"])
+    @pytest.mark.parametrize("rho", [0.0, 0.7])
+    @pytest.mark.parametrize("shape", ["tall", "wide", "csc", "logistic"])
+    def test_equals_engine(self, shape, rho, variant, schedule, stop):
+        prob = _recursion_problem(shape, rho)
+        M, d = prob.n_workers, prob.dim
+        gamma = engine.gamma_max(prob)
+        sched = (engine.DelaySchedule.round_robin(M) if schedule == "round-robin"
+                 else engine.DelaySchedule.random_uniform(M, seed=4))
+        init = np.zeros(d)
+        init[[0, 4]] = [0.5, -1.0]
+        dist = {"dense": None, "uniform": uniform_distribution(d, 0.3),
+                "adaptive": adaptive_distribution(init, 3.0)}[variant]
+        if stop == "epochs":
+            rule, stride = engine.StopRule(max_epochs=8), 3
+        else:
+            f_star = pb.eval_objective(prob, direct.solve(prob, tol=1e-10)[0])
+            target = f_star + 0.01 * (pb.eval_objective(prob, init) - f_star)
+            rule, stride = engine.StopRule(max_iterations=400, target_objective=target), None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            if dist is None:
+                trace = engine.run_davepg(prob, gamma, sched, init, rule, seed=9,
+                                          objective_stride=stride)
+            else:
+                trace = engine.run_spy(prob, gamma, dist, sched, init, rule, seed=9,
+                                       objective_stride=stride)
+        want = _textbook_run(prob, gamma, dist, sched, init, rule, 9, stride)
+        assert trace_bytes(trace) == want
 
 
 # bit patterns of the entries points are built from: both zeros, both

@@ -353,6 +353,27 @@ class TestProxZeros:
         kept = (old != 0) & ~np.isnan(old)
         assert out[kept].tobytes() == old[kept].tobytes()
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        u=arrays(np.float64, st.integers(1, 40),
+                 elements=st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=True))),
+        lam_gamma=st.one_of(
+            st.sampled_from([(0.0, 1.0), (5e-324, 1.0), (1e308, 10.0)]),  # t = 0, 5e-324, inf
+            st.tuples(st.floats(0, 1e10), st.floats(1e-10, 10))),
+    )
+    @example(u=np.array(_SPECIAL), lam_gamma=(0.0, 1.0))
+    @example(u=np.array(_SPECIAL), lam_gamma=(5e-324, 1.0))
+    @example(u=np.array(_SPECIAL), lam_gamma=(0.5, 1.0))
+    @example(u=np.array(_SPECIAL), lam_gamma=(1e308, 10.0))
+    def test_bytes_of_the_clip_formula(self, u, lam_gamma):
+        # the bytes of u - np.clip(u, -t, t), t = gamma lam, whichever clip
+        # spelling prox_reg uses
+        lam, gamma = lam_gamma
+        t = gamma * lam
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN in both
+            out = pb.prox_reg(pb.Regularizer(kind="l1", lam=lam), gamma, u)
+            assert out.tobytes() == (u - np.clip(u, -t, t)).tobytes()
+
     def test_none_writes_positive_zero(self):
         u = np.array([-0.0, 0.0, -2.0, np.inf])
         out = pb.prox_reg(pb.Regularizer(), 0.5, u)
