@@ -233,6 +233,10 @@ def parse_config(text: str) -> ExperimentConfig:
     if (cfg.schedule == "heterogeneous" and failed.isdisjoint({"weights", "workers"})
             and len(cfg.weights) != cfg.workers):
         problems.append("[run] heterogeneous schedule needs one weight per worker")
+    if (cfg.schedule != "heterogeneous" and failed.isdisjoint({"schedule", "weights"})
+            and cfg.weights):
+        problems.append(f"[run] weights are read by the heterogeneous schedule only, "
+                        f"not by {cfg.schedule}")
     if problems:
         raise ConfigError(problems)
     return cfg
@@ -396,7 +400,7 @@ def _write_curves_csv(path, header, per_seed):
 @dataclass
 class SeedResult:
     seed: int
-    status: str  # ok | target-not-reached | diverged
+    status: str  # ok | target-not-reached | diverged | inner-budget
     final_gap: float | None = None
     identification: int | None = None
     error: str = ""
@@ -456,6 +460,8 @@ def _execute_seed(problem, cfg, seed, ref, mode) -> SeedResult:
         runs.append(run_algorithm(problem, cfg, seed, ref, mode=mode, init=init))
     except engine.DivergenceError as exc:
         return SeedResult(seed=seed, status="diverged", error=str(exc))
+    except rc.InnerBudgetError as exc:
+        return SeedResult(seed=seed, status="inner-budget", error=str(exc))
     gap = pb.eval_objective(problem, runs[-1].final_x) - ref.f_star
     return SeedResult(
         seed=seed, status="ok" if gap <= cfg.target_eps else "target-not-reached",
@@ -467,7 +473,8 @@ def _run_seeds(problem, cfg, ref, mode) -> list[SeedResult]:
 
 
 def _emit_experiment(out_dir, cfg, problem, ref, results) -> dict:
-    """Writes a config's outputs; returns {seed: (subopt, support)}, diverged seeds left out."""
+    """Writes a config's outputs; returns {seed: (subopt, support)}, seeds that
+    diverged or hit an inner run's safety cap left out."""
     cfg = replace(cfg, lam1=problem.reg.lam)  # the weight used, calibrated or not
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.ini"), "w") as fh:
@@ -484,7 +491,7 @@ def _emit_experiment(out_dir, cfg, problem, ref, results) -> dict:
             "identification": r.identification,
             "error": r.error,
         }
-        if r.status == "diverged":
+        if r.status in ("diverged", "inner-budget"):
             continue
         r.runs[-1].to_csv(os.path.join(out_dir, f"trace_seed{r.seed}.csv"))
         curves[r.seed] = subopt, support

@@ -192,11 +192,11 @@ def make_shards(dataset: Dataset, plan: tuple, kind: str, l2: float = 0.0):
 
 def lasso_problem(dataset: Dataset, plan: tuple, lam1: float) -> pb.CompositeProblem:
     shards = make_shards(dataset, plan, pb.LEAST_SQUARES)
-    return pb.composite_problem(shards, reg=pb.Regularizer(kind="l1", lam=lam1))
+    return pb.CompositeProblem(shards, reg=pb.Regularizer(kind="l1", lam=lam1))
 
 
 def logistic_problem(
     dataset: Dataset, plan: tuple, lam1: float, lam2: float
 ) -> pb.CompositeProblem:
     shards = make_shards(dataset, plan, pb.LOGISTIC, l2=lam2)
-    return pb.composite_problem(shards, reg=pb.Regularizer(kind="l1", lam=lam1))
+    return pb.CompositeProblem(shards, reg=pb.Regularizer(kind="l1", lam=lam1))

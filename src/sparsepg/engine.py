@@ -64,9 +64,11 @@ class DelaySchedule:
     """Which worker fires at each global time in simulation mode.
 
     Kinds: fixed_trace (cycled; round robin is the trace 0, 1, ..., M-1),
-    random_uniform, heterogeneous (categorical draw by speed weights).  Every
-    worker fires infinitely often in any infinite extension, which every
-    construction, ``replace`` included, checks in O(len(trace) + M).
+    random_uniform, heterogeneous (categorical draw by speed weights).  A
+    schedule holds only what its kind reads, so schedules that draw the same
+    workers compare equal.  Every worker fires infinitely often in any
+    infinite extension, which every construction, ``replace`` included,
+    checks in O(len(trace) + M).
     """
 
     kind: str
@@ -85,6 +87,10 @@ class DelaySchedule:
         object.__setattr__(self, "trace", tuple(map(int, self.trace)))
         object.__setattr__(self, "weights", tuple(map(float, self.weights)))
         _check_count("M", self.M, 1)
+        if self.trace and self.kind != "fixed_trace":
+            raise ValueError(f"a {self.kind} schedule reads no trace")
+        if self.weights and self.kind != "heterogeneous":
+            raise ValueError(f"a {self.kind} schedule reads no speed weights")
         if self.kind == "fixed_trace" and set(self.trace) != set(range(self.M)):
             raise ValueError("a fixed trace must mention every worker 0, ..., M-1, only")
         if self.kind == "heterogeneous" and len(self.weights) != self.M:

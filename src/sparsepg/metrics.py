@@ -54,8 +54,9 @@ def problem_fingerprint(problem: pb.CompositeProblem) -> str:
         else:
             h.update(np.ascontiguousarray(A.T, dtype=float))
         h.update(np.ascontiguousarray(shard.b, dtype=float).tobytes())
+        l2 = shard.l2 if shard.kind == pb.LOGISTIC else 0.0  # least squares do not read l2
         # the proximal term per shard: the layout cached references are keyed by
-        h.update(repr((shard.kind, float(shard.l2) + 0.0, float(problem.rho) + 0.0)).encode())
+        h.update(repr((shard.kind, float(l2) + 0.0, float(problem.rho) + 0.0)).encode())
         if problem.center is not None:
             h.update(problem.center.tobytes())
     h.update(np.ascontiguousarray(problem.alphas, dtype=float).tobytes())

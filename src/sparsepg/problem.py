@@ -59,7 +59,10 @@ def _expit(t):
 
 
 def _finite(v) -> bool:
-    return bool(np.isfinite(v).all())
+    """Whether every entry of v is finite, from min and max, which carry NaN and
+    +-inf: a boolean array of a shard's size added 2 MB to the README lasso's peak."""
+    v = np.asarray(v)
+    return v.size == 0 or bool(np.isfinite(v.min()) and np.isfinite(v.max()))
 
 
 _FIRST_COLUMNS = 32
@@ -146,14 +149,15 @@ class _ColumnStore:
 class LossShard:
     """One worker's data and smooth loss, built and checked once.
 
-    ``kind`` is ``least_squares`` (f(x) = ||Ax-b||^2 / m) or ``logistic``
-    (mean logistic loss with labels in {-1,+1} plus an l2 term of weight
-    ``l2``).  ``A`` is stored column-major.
+    ``kind`` is ``least_squares`` (f(x) = ||Ax-b||^2 / m, ``l2`` ignored) or
+    ``logistic`` (mean logistic loss with labels in {-1,+1} plus an l2 term
+    of weight ``l2``).  ``A``, finite, is stored column-major.
 
-    ``_cols`` is derived state, not a parameter: the columns of A^T A (a
-    ``_ColumnStore``) for a dense least-squares shard, all of them when
-    m >= d and those in use when m < d, and None for other shards.  Every
-    shard built, ``dataclasses.replace`` included, gets its own.
+    ``_cols``, ``mu`` and ``lip`` are derived state, not parameters: the
+    columns of A^T A (a ``_ColumnStore``) for a dense least-squares shard,
+    all of them when m >= d and those in use when m < d, and None for other
+    shards; and the loss's moduli (mu_i, L_i).  Every shard built,
+    ``dataclasses.replace`` included, derives its own.
     """
 
     kind: str
@@ -161,6 +165,8 @@ class LossShard:
     b: Array
     l2: float = 0.0
     _cols: _ColumnStore | None = field(init=False, repr=False, compare=False)
+    mu: float = field(init=False, repr=False, compare=False)
+    lip: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = _as_matrix(self.A)
@@ -179,8 +185,14 @@ class LossShard:
             raise ValueError("logistic labels must be exactly +/-1")
         if not (_finite(self.l2) and self.l2 >= 0):
             raise ValueError("l2 weight must be finite and nonnegative")
+        # before the eigenvalue solves, which LAPACK and ARPACK do not guard
+        if not _finite(A.data if issparse(A) else A):
+            raise ValueError("design matrix has non-finite entries")
         dense = self.kind == LEAST_SQUARES and not issparse(A)
         object.__setattr__(self, "_cols", _ColumnStore(A, b) if dense else None)
+        mu, lip = _shard_constants(self)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "lip", lip)
 
     @property
     def n_examples(self) -> int:
@@ -209,28 +221,26 @@ class Regularizer:
 
 @dataclass(frozen=True)
 class CompositeProblem:
-    """F = sum_i alpha_i (f_i + (rho/2)||x - center||^2) + r with its strong
-    convexity / smoothness moduli.  The proximal term, the same for every
-    worker, is zero unless ``reconditioned`` set it; rho > 0 needs a center."""
+    """F = sum_i alpha_i (f_i + (rho/2)||x - center||^2) + r.  The proximal
+    term, the same for every worker, is zero unless ``reconditioned`` set it;
+    rho > 0 needs a center.  Derived, never set (``replace`` re-derives them):
+    alpha_i = |S_i| / n, mu = min_i mu_i + rho and L = max_i L_i + rho."""
 
     shards: tuple
-    alphas: Array
-    reg: Regularizer
-    mu: float
-    lip: float
+    reg: Regularizer = Regularizer()
     rho: float = 0.0
     center: Array | None = None
+    alphas: Array = field(init=False)
+    mu: float = field(init=False)
+    lip: float = field(init=False)
 
     def __post_init__(self):
-        alphas = np.asarray(self.alphas, dtype=float)
-        object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "shards", tuple(self.shards))
-        if len(self.shards) == 0:
+        shards = tuple(self.shards)
+        object.__setattr__(self, "shards", shards)
+        if not shards:
             raise ValueError("a problem needs at least one shard")
-        if alphas.shape != (len(self.shards),) or abs(alphas.sum() - 1.0) > 1e-9:
-            raise ValueError("shard proportions must sum to one")
-        d = self.shards[0].dim
-        if any(s.dim != d for s in self.shards):
+        d = shards[0].dim
+        if any(s.dim != d for s in shards):
             raise ValueError("all shards must share the feature dimension")
         if self.rho < 0:
             raise ValueError("rho must be nonnegative")
@@ -243,8 +253,10 @@ class CompositeProblem:
             if not _finite(c):
                 raise ValueError("ridge center has non-finite entries")
             object.__setattr__(self, "center", c)
-        if not 0 <= self.mu <= self.lip:
-            raise ValueError("need 0 <= mu <= L")
+        sizes = np.array([s.n_examples for s in shards], dtype=float)
+        object.__setattr__(self, "alphas", sizes / sizes.sum())
+        object.__setattr__(self, "mu", min(s.mu for s in shards) + self.rho)
+        object.__setattr__(self, "lip", max(s.lip for s in shards) + self.rho)
 
     @property
     def dim(self) -> int:
@@ -259,23 +271,6 @@ class CompositeProblem:
         return self.mu / self.lip
 
 
-def composite_problem(shards, reg: Regularizer = Regularizer()) -> CompositeProblem:
-    """Assemble a problem; alpha_i = |S_i| / n and (mu, L) are computed.
-
-    Non-finite design entries are rejected here, before the eigenvalue
-    solves of (mu, L); a ``LossShard`` does not scan its matrix."""
-    shards = tuple(shards)
-    if not shards:
-        raise ValueError("a problem needs at least one shard")
-    for i, s in enumerate(shards):
-        if not _finite(s.A.data if issparse(s.A) else s.A):
-            raise ValueError(f"shard {i}: design matrix has non-finite entries")
-    sizes = np.array([s.n_examples for s in shards], dtype=float)
-    alphas = sizes / sizes.sum()
-    mu, lip = _constants(shards)
-    return CompositeProblem(shards=shards, alphas=alphas, reg=reg, mu=mu, lip=lip)
-
-
 def reconditioned(problem: CompositeProblem, rho: float, center: Array) -> CompositeProblem:
     """Add (rho/2)||x - center||^2 to every f_i; shifts (mu, L) by rho.
 
@@ -284,7 +279,7 @@ def reconditioned(problem: CompositeProblem, rho: float, center: Array) -> Compo
     problem) is refused: recondition the original instead."""
     if problem.rho > 0:
         raise ValueError("problem already has a ridge term: recondition the original problem")
-    return replace(problem, mu=problem.mu + rho, lip=problem.lip + rho, rho=rho, center=center)
+    return replace(problem, rho=rho, center=center)
 
 
 # -- smooth part ------------------------------------------------------------
@@ -446,14 +441,6 @@ def _shard_constants(shard: LossShard) -> tuple[float, float]:
     else:
         mu = shard.l2
         lip = lam_max / (4.0 * m) + shard.l2
-    return mu, lip
-
-
-def _constants(shards) -> tuple[float, float]:
-    """(mu, L) of the shards; L is the worst shard bound."""
-    pairs = [_shard_constants(s) for s in shards]
-    mu = min(p[0] for p in pairs)
-    lip = max(p[1] for p in pairs)
     return mu, lip
 
 

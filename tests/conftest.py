@@ -19,7 +19,7 @@ def strongly_convex_problem(d=10, M=3, kappa=0.1, seed=0, reg=None):
         A = np.diag(np.sqrt(lams * d / 2.0)) @ Q.T  # A^T A = Q diag(lams d/2) Q^T
         b = A @ rng.standard_normal(d)
         shards.append(pb.LossShard(kind=pb.LEAST_SQUARES, A=A, b=b))
-    prob = pb.composite_problem(shards, reg=reg or pb.Regularizer())
+    prob = pb.CompositeProblem(shards, reg=reg or pb.Regularizer())
     # the scaling above makes each shard's (mu, lip) equal (kappa, 1)
     assert abs(prob.mu - kappa) < 1e-6 and abs(prob.lip - 1.0) < 1e-6
     return prob

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from sparsepg import cli, data, engine, metrics, problem as pb
+from sparsepg import cli, data, engine, metrics, problem as pb, recondition as rc
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -57,11 +57,16 @@ class TestConfig:
         "data_seed": 3, "path": "data/train.svm", "lam1": 0.125, "target_support": None,
         "lam2": 0.0, "scale": True, "algorithm": "spy-uniform", "workers": 2, "pi": 0.75,
         "c": 3.7, "criterion": "relative",
-        "schedule": "round_robin", "weights": (1.5, 0.1), "seeds": (7, 0, 2),
+        "schedule": "heterogeneous", "weights": (1.5, 0.1), "seeds": (7, 0, 2),
         "target_eps": 2.5e-9, "max_iterations": 5, "outer_budget": 9, "log_stride": 3,
         "ws_max_epochs": 1,
     }
     ROUND_TRIP_BASE = cli.ExperimentConfig(lam1=0.05, warmstart=True)
+    # what an option needs set with it to be valid on top of ROUND_TRIP_BASE (5
+    # workers): weights are read by the heterogeneous schedule alone, and that
+    # schedule needs one weight per worker
+    PARTNERS = {"schedule": {"weights": (1.0,) * 5},
+                "weights": {"schedule": "heterogeneous", "workers": 2}}
 
     def test_every_option_round_trips(self):
         options = [f.name for f in dataclasses.fields(cli.ExperimentConfig) if f.metadata]
@@ -69,7 +74,7 @@ class TestConfig:
         base = self.ROUND_TRIP_BASE
         assert cli.parse_config(base.to_ini()) == base
         for name, value in self.NON_DEFAULT.items():
-            cfg = dataclasses.replace(base, **{name: value})
+            cfg = dataclasses.replace(base, **self.PARTNERS.get(name, {}), **{name: value})
             assert getattr(cfg, name) != getattr(cli.ExperimentConfig(), name), name
             assert cli.parse_config(cfg.to_ini()) == cfg, name
         everything = dataclasses.replace(base, **self.NON_DEFAULT)
@@ -79,8 +84,8 @@ class TestConfig:
         # every [problem] option, and the worker count that shards the data
         read_by_build = {"kind", "d", "m", "sparsity", "noise_std", "data_seed", "path",
                          "lam1", "target_support", "lam2", "scale", "workers"}
-        base = self.ROUND_TRIP_BASE
         for name, value in self.NON_DEFAULT.items():
+            base = dataclasses.replace(self.ROUND_TRIP_BASE, **self.PARTNERS.get(name, {}))
             cfg = dataclasses.replace(base, **{name: value})
             changed = cli._problem_key(cfg) != cli._problem_key(base)
             assert changed == (name in read_by_build), name
@@ -165,6 +170,20 @@ class TestConfig:
         text = "[run]\nschedule = heterogeneous\nworkers = 3\nweights = 1,2\n"
         with pytest.raises(cli.ConfigError, match="weight"):
             cli.parse_config(text)
+
+    @pytest.mark.parametrize("schedule", ["random_uniform", "round_robin"])
+    def test_weights_need_heterogeneous_schedule(self, tmp_path, capsys, schedule):
+        # weights another schedule ignores would run the experiment without them
+        text = f"[run]\nschedule = {schedule}\nworkers = 2\nweights = 1.0,2.0\n"
+        with pytest.raises(cli.ConfigError) as info:
+            cli.parse_config(text)
+        assert info.value.problems == [f"[run] weights are read by the heterogeneous "
+                                       f"schedule only, not by {schedule}"]
+        cfgp = write(tmp_path, "exp.ini", SMALL_LASSO + "weights = 1.0,2.0,3.0\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfgp, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "not by random_uniform" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("weights", ["1,2,0", "1,nan,2", "-1,2,3", "1,2,inf"])
     def test_heterogeneous_weights_range(self, tmp_path, capsys, weights):
@@ -540,6 +559,30 @@ class TestRun:
         assert cli._exit_code([diverged]) == cli.EXIT_DIVERGED
         assert cli._exit_code([diverged, missed]) == cli.EXIT_TARGET
         assert cli._exit_code([diverged, ok]) == cli.EXIT_OK
+
+    def test_inner_budget_seeds_exit(self, tmp_path, monkeypatch):
+        # a relative inner run that reaches SAFETY_EPOCHS ends its seed, not
+        # the command: each seed gets the status, with no trace, every file
+        # is written, and run exits 4
+        monkeypatch.setattr(rc, "SAFETY_EPOCHS", 1)
+        cfgp = write(tmp_path, "exp.ini",
+                     SMALL_LASSO.replace("criterion = fixed", "criterion = relative"))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfgp, "--out", str(out)]) == cli.EXIT_TARGET
+        seeds = json.loads((out / "summary.json").read_text())["seeds"]
+        assert sorted(seeds) == ["1", "2"]
+        for entry in seeds.values():
+            assert entry["status"] == "inner-budget"
+            assert entry["error"].startswith("outer step ")
+            assert "inner run exhausted 1 epochs" in entry["error"]
+        assert sorted(os.listdir(out)) == ["config.ini", "subopt_vs_exchanges.csv",
+                                           "subopt_vs_iters.csv", "summary.json",
+                                           "support_vs_iters.csv"]
+        inner = cli.SeedResult(seed=4, status="inner-budget")
+        diverged = cli.SeedResult(seed=1, status="diverged")
+        assert cli._exit_code([inner]) == cli.EXIT_TARGET
+        assert cli._exit_code([diverged, inner]) == cli.EXIT_TARGET
+        assert cli._exit_code([inner, cli.SeedResult(seed=2, status="ok")]) == cli.EXIT_OK
 
 
 class TestAlgorithmsAndSchedules:
@@ -988,3 +1031,26 @@ class TestPresetsAndDefaults:
     def test_unknown_preset(self):
         with pytest.raises(cli.ConfigError):
             cli.preset_configs("nope")
+
+
+class TestBenchmarkNames:
+    def test_traced_names_exist(self):
+        # perfbench/harness.py wraps each (module, attr) of its TRACED list and
+        # reads metrics.CACHE_ENV; a name deleted from the package crashes
+        # every benchmark run. Signatures are left to the benchmark's own runs.
+        root = os.path.dirname(SRC)
+        code = ("import sys\n"
+                "sys.path[:0] = sys.argv[1:]\n"
+                "import harness\n"
+                "from sparsepg import metrics\n"
+                "missing = [f'{m.__name__}.{a}' for _, m, a, _ in harness.TRACED\n"
+                "           if not callable(getattr(m, a, None))]\n"
+                "env = isinstance(getattr(metrics, 'CACHE_ENV', None), str)\n"
+                "print(len(harness.TRACED), missing, env)\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        out = subprocess.run([sys.executable, "-c", code, os.path.join(root, "perfbench"), SRC],
+                             env=env, cwd=root, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        count, rest = out.stdout.strip().split(" ", 1)
+        assert int(count) >= 20
+        assert rest == "[] True"

@@ -31,10 +31,10 @@ def _problem(seed, sparse, kind, d=10, M=2):
             shards.append(pb.LossShard(kind=kind, A=A, b=z))
         else:
             shards.append(pb.LossShard(kind=kind, A=A, b=np.where(z >= 0, 1.0, -1.0), l2=0.05))
-    base = pb.composite_problem(shards, reg=pb.Regularizer("l1", 1.0))
+    base = pb.CompositeProblem(shards, reg=pb.Regularizer("l1", 1.0))
     lam_max = float(np.max(np.abs(pb.smooth_gradient(base, np.zeros(d)))))
     lam = rng.uniform(0.05, 0.5) * lam_max
-    return pb.composite_problem(shards, reg=pb.Regularizer("l1", lam))
+    return pb.CompositeProblem(shards, reg=pb.Regularizer("l1", lam))
 
 
 def _trap(prob, rho, rng):
@@ -144,7 +144,7 @@ class TestSupportFinish:
             shard = pb.LossShard(kind=pb.LEAST_SQUARES, A=rng.standard_normal((m, 6)),
                                  b=rng.standard_normal(m))
             prob = pb.reconditioned(
-                pb.composite_problem([shard], pb.Regularizer("l1", 0.01)), 1.0, center)
+                pb.CompositeProblem([shard], pb.Regularizer("l1", 0.01)), 1.0, center)
             seen = []
             on_support = direct._on_support
 

@@ -22,7 +22,7 @@ from conftest import (check_ledger, count_messages, shifted_initial_radius,
 
 def quad_problem():
     shard = pb.LossShard(kind=pb.LEAST_SQUARES, A=np.array([[1.0]]), b=np.array([2.0]))
-    return pb.composite_problem([shard])
+    return pb.CompositeProblem([shard])
 
 
 def brute_force_boundaries(worker_log, M):
@@ -111,6 +111,22 @@ class TestDelaySchedule:
         seq = dataclasses.replace(sched, seed=4).sequence()
         assert {next(seq) for _ in range(200)} == {0, 1}
 
+    @pytest.mark.parametrize("kwargs, problem", [
+        (dict(kind="random_uniform", M=2, trace=(1, 0, 1)),
+         "random_uniform schedule reads no trace"),
+        (dict(kind="heterogeneous", M=2, trace=(0, 1), weights=(1.0, 2.0)), "reads no trace"),
+        (dict(kind="random_uniform", M=2, weights=(5.0, 1.0)), "reads no speed weights"),
+        (dict(kind="fixed_trace", M=2, trace=(0, 1), weights=(1.0, 1.0)),
+         "fixed_trace schedule reads no speed weights"),
+    ])
+    def test_holds_only_what_its_kind_reads(self, kwargs, problem):
+        # a value the kind ignores would make two schedules that draw the
+        # same workers compare unequal
+        with pytest.raises(ValueError, match=problem):
+            engine.DelaySchedule(**kwargs)
+        with pytest.raises(ValueError, match="reads no trace"):
+            dataclasses.replace(engine.DelaySchedule.round_robin(2), kind="random_uniform")
+
     def test_replace_checked(self):
         sched = engine.DelaySchedule.round_robin(3)
         assert dataclasses.replace(sched, seed=4).trace == (0, 1, 2)
@@ -179,25 +195,22 @@ class TestRunDavePG:
                               engine.DelaySchedule.round_robin(1),
                               np.zeros(1), engine.StopRule(max_iterations=10))
 
-    def test_divergence_error(self):
-        # lie about the smoothness constant so the maximal step overshoots
-        shard = pb.LossShard(kind=pb.LEAST_SQUARES, A=np.array([[1.0]]), b=np.array([2.0]))
-        prob = pb.CompositeProblem(shards=(shard,), alphas=np.array([1.0]),
-                                   reg=pb.Regularizer(), mu=0.0, lip=1e-3)
+    def test_divergence_error(self, monkeypatch):
+        # skip the stepsize check so that a step far past 2/(mu+L) overshoots
+        monkeypatch.setattr(engine, "_check_gamma", lambda problem, gamma: None)
+        prob = quad_problem()
         with pytest.raises(engine.DivergenceError):
-            engine.run_davepg(prob, engine.gamma_max(prob),
+            engine.run_davepg(prob, 100 * engine.gamma_max(prob),
                               engine.DelaySchedule.round_robin(1),
                               np.zeros(1), engine.StopRule(max_iterations=500))
 
     def test_nan_iterate_is_divergence(self):
-        # LossShard does not scan A, so a NaN entry reaches the iterate
-        shard = pb.LossShard(kind=pb.LEAST_SQUARES, A=np.array([[np.nan]]), b=np.array([2.0]))
-        prob = pb.CompositeProblem(shards=(shard,), alphas=np.array([1.0]),
-                                   reg=pb.Regularizer(), mu=0.5, lip=1.0)
+        # a shard refuses a NaN design, so the NaN enters through the start point
+        prob = quad_problem()
         with pytest.raises(engine.DivergenceError) as info:
             engine.run_davepg(prob, engine.gamma_max(prob),
                               engine.DelaySchedule.round_robin(1),
-                              np.zeros(1), engine.StopRule(max_iterations=10))
+                              np.array([np.nan]), engine.StopRule(max_iterations=10))
         assert info.value.iteration == 0
 
     def test_stop_at_epoch_budget(self):
@@ -417,7 +430,7 @@ class TestCoordinatorInvariants:
         reg = pb.Regularizer(kind="l1", lam=0.3)
         ds, _ = data.generate_lasso(d=d, m=60, sparsity=0.8, noise_std=0.01, seed=seed)
         shards = data.make_shards(ds, data.shard_even(ds, M, seed=seed), pb.LEAST_SQUARES)
-        prob = pb.composite_problem(shards, reg=reg)
+        prob = pb.CompositeProblem(shards, reg=reg)
         gamma = engine.gamma_max(prob)
         sched = {
             "round_robin": engine.DelaySchedule.round_robin(M),
@@ -630,7 +643,7 @@ class TestConcurrentReplay:
         d = 40
         ds, _ = data.generate_lasso(d=d, m=64, sparsity=0.8, noise_std=0.01, seed=seed)
         shards = data.make_shards(ds, data.shard_even(ds, M, seed=seed), pb.LEAST_SQUARES)
-        prob = pb.composite_problem(shards, reg=pb.Regularizer(kind="l1", lam=0.3))
+        prob = pb.CompositeProblem(shards, reg=pb.Regularizer(kind="l1", lam=0.3))
         gamma = engine.gamma_max(prob)
         init = np.zeros(d)
         init[stream(seed, 5).choice(d, 4, replace=False)] = 1.0
@@ -834,7 +847,7 @@ def _recursion_problem(shape, rho):
             shards.append(pb.LossShard(kind=pb.LOGISTIC, A=A, b=b, l2=0.05))
         else:
             shards.append(pb.LossShard(kind=pb.LEAST_SQUARES, A=A, b=A @ truth))
-    plain = pb.composite_problem(shards)
+    plain = pb.CompositeProblem(shards)
     lam_max = float(np.max(np.abs(pb.smooth_gradient(plain, np.zeros(d)))))
     prob = dataclasses.replace(plain, reg=pb.Regularizer(kind="l1", lam=0.4 * lam_max))
     return pb.reconditioned(prob, rho, truth) if rho > 0 else prob

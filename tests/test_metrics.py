@@ -15,7 +15,7 @@ def scalar_quadratic(center=3.0):
     # f(x) = (x - center)^2 / 2 via least squares with A = 1/sqrt(2)
     a = 1 / math.sqrt(2)
     shard = pb.LossShard(kind=pb.LEAST_SQUARES, A=np.array([[a]]), b=np.array([a * center]))
-    return pb.composite_problem([shard])
+    return pb.CompositeProblem([shard])
 
 
 def small_lasso(lam=0.2, seed=11):
@@ -108,6 +108,19 @@ class TestReferenceSolution:
         assert metrics.problem_fingerprint(dataclasses.replace(prob, reg=a)) == \
             metrics.problem_fingerprint(dataclasses.replace(prob, reg=b))
 
+    def test_fingerprint_hashes_the_l2_the_loss_reads(self):
+        # least squares ignore l2: the same F, gradient and (mu, L) are one
+        # problem with one cached reference; a logistic shard reads it
+        rng = np.random.default_rng(4)
+        A, labels = rng.standard_normal((12, 5)), rng.choice([-1.0, 1.0], size=12)
+
+        def fingerprint(kind, l2):
+            shard = pb.LossShard(kind=kind, A=A, b=labels, l2=l2)
+            return metrics.problem_fingerprint(pb.CompositeProblem([shard]))
+
+        assert fingerprint(pb.LEAST_SQUARES, 0.05) == fingerprint(pb.LEAST_SQUARES, 0.0)
+        assert fingerprint(pb.LOGISTIC, 0.05) != fingerprint(pb.LOGISTIC, 0.0)
+
     @staticmethod
     def _column_major_fingerprint(rows, alphas, reg):
         """The fingerprint recipe applied to column-major copies of the row
@@ -151,7 +164,7 @@ class TestNondegeneracy:
         # f(x) = x^2/2, lam = 1: x* = 0 and the gradient there is 0
         a = 1 / math.sqrt(2)
         shard = pb.LossShard(kind=pb.LEAST_SQUARES, A=np.array([[a]]), b=np.array([0.0]))
-        prob = pb.composite_problem([shard], reg=pb.Regularizer(kind="l1", lam=1.0))
+        prob = pb.CompositeProblem([shard], reg=pb.Regularizer(kind="l1", lam=1.0))
         ref = metrics.reference_solution(prob, tol=1e-10)
         assert metrics.check_nondegeneracy(prob, ref) == pytest.approx(1.0, abs=1e-8)
 
@@ -168,10 +181,7 @@ class TestNondegeneracy:
     def test_shard_permutation_invariance(self):
         prob = small_lasso()
         ref = metrics.reference_solution(prob, tol=1e-10, assume_unique_minimizer=True)
-        permuted = pb.CompositeProblem(
-            shards=prob.shards[::-1], alphas=prob.alphas[::-1],
-            reg=prob.reg, mu=prob.mu, lip=prob.lip,
-        )
+        permuted = pb.CompositeProblem(shards=prob.shards[::-1], reg=prob.reg)
         assert metrics.check_nondegeneracy(permuted, ref) == \
             pytest.approx(metrics.check_nondegeneracy(prob, ref))
 

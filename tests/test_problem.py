@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import pickle
 import subprocess
@@ -43,7 +44,7 @@ def random_problem(rng, d=6, M=3, kind=pb.LEAST_SQUARES, reg=None, l2=0.0):
         else:
             b = rng.standard_normal(m)
         shards.append(pb.LossShard(kind=kind, A=A, b=b, l2=l2))
-    return pb.composite_problem(shards, reg=reg or pb.Regularizer())
+    return pb.CompositeProblem(shards, reg=reg or pb.Regularizer())
 
 
 class TestShardValidation:
@@ -66,7 +67,7 @@ class TestShardValidation:
             pb.LossShard(kind=kind, A=np.eye(2), b=np.ones(2), l2=l2)
 
     def test_ridge_needs_center(self):
-        prob = pb.composite_problem([pb.LossShard(kind=pb.LEAST_SQUARES, A=np.eye(2),
+        prob = pb.CompositeProblem([pb.LossShard(kind=pb.LEAST_SQUARES, A=np.eye(2),
                                                   b=np.zeros(2))])
         with pytest.raises(ValueError, match="center"):
             replace(prob, rho=1.0)
@@ -102,29 +103,29 @@ class TestGradShard:
             assert np.linalg.norm(g - fd) <= 1e-5 * max(np.linalg.norm(g), 1.0)
 
     def test_ridge_term(self):
-        prob = pb.reconditioned(pb.composite_problem([quad_shard(1, 0)]), 3.0, np.array([1.0]))
+        prob = pb.reconditioned(pb.CompositeProblem([quad_shard(1, 0)]), 3.0, np.array([1.0]))
         # grad = 2x + 3(x - 1); at x=2: 4 + 3 = 7
         assert pb.local_gradient(prob, 0, np.array([2.0])) == pytest.approx([7.0])
 
 
 class TestSmoothnessConstants:
     def test_scalar_shard(self):
-        prob = pb.composite_problem([quad_shard(1, 0)])
+        prob = pb.CompositeProblem([quad_shard(1, 0)])
         assert (prob.mu, prob.lip) == pytest.approx((2.0, 2.0))
 
     def test_logistic_mu_is_l2(self):
         rng = np.random.default_rng(1)
         A = rng.standard_normal((10, 3))
         shard = pb.LossShard(kind=pb.LOGISTIC, A=A, b=np.sign(rng.standard_normal(10)), l2=0.001)
-        prob = pb.composite_problem([shard])
+        prob = pb.CompositeProblem([shard])
         assert prob.mu == pytest.approx(0.001)
 
     def test_two_identical_shards_match_one(self):
         rng = np.random.default_rng(2)
         A = rng.standard_normal((8, 4))
         b = rng.standard_normal(8)
-        one = pb.composite_problem([pb.LossShard(kind=pb.LEAST_SQUARES, A=A, b=b)])
-        two = pb.composite_problem([
+        one = pb.CompositeProblem([pb.LossShard(kind=pb.LEAST_SQUARES, A=A, b=b)])
+        two = pb.CompositeProblem([
             pb.LossShard(kind=pb.LEAST_SQUARES, A=A, b=b),
             pb.LossShard(kind=pb.LEAST_SQUARES, A=A, b=b),
         ])
@@ -133,20 +134,20 @@ class TestSmoothnessConstants:
     def test_rank_deficient_gives_mu_zero(self):
         rng = np.random.default_rng(3)
         A = rng.standard_normal((3, 6))  # fewer rows than columns
-        prob = pb.composite_problem([pb.LossShard(kind=pb.LEAST_SQUARES, A=A, b=np.zeros(3))])
+        prob = pb.CompositeProblem([pb.LossShard(kind=pb.LEAST_SQUARES, A=A, b=np.zeros(3))])
         assert prob.mu == 0.0
 
     def test_matches_dense_eigensolver(self):
         rng = np.random.default_rng(4)
         A = rng.standard_normal((12, 5))
-        prob = pb.composite_problem([pb.LossShard(kind=pb.LEAST_SQUARES, A=A, b=np.zeros(12))])
+        prob = pb.CompositeProblem([pb.LossShard(kind=pb.LEAST_SQUARES, A=A, b=np.zeros(12))])
         eigs = np.linalg.eigvalsh(A.T @ A)
         assert prob.lip == pytest.approx(2 * eigs[-1] / 12, rel=1e-6)
         assert prob.mu == pytest.approx(2 * eigs[0] / 12, rel=1e-4)
 
     def test_empty_shards_error(self):
         with pytest.raises(ValueError):
-            pb.composite_problem([])
+            pb.CompositeProblem([])
 
 
 def _csc(rng, m, d, density):
@@ -187,7 +188,7 @@ class TestExactConstants:
         m = A.shape[0]
         b = rng.choice([-1.0, 1.0], size=m)
         shard = pb.LossShard(kind=kind, A=A, b=b, l2=0.01 if kind == pb.LOGISTIC else 0.0)
-        prob = pb.composite_problem([shard])
+        prob = pb.CompositeProblem([shard])
         mu, lip = prob.mu, prob.lip
         lam_min, lam_max = self.exact_extremes(A)
         if kind == pb.LEAST_SQUARES:
@@ -212,7 +213,7 @@ class TestExactConstants:
             "import sys, numpy as np\n"
             "from sparsepg import problem as pb\n"
             "A = np.random.default_rng(0).standard_normal((30, 8))\n"
-            "pb.composite_problem([pb.LossShard(kind=pb.LEAST_SQUARES, A=A, b=np.zeros(30))])\n"
+            "pb.CompositeProblem([pb.LossShard(kind=pb.LEAST_SQUARES, A=A, b=np.zeros(30))])\n"
             "print('scipy.sparse.linalg' in sys.modules)\n"
         )
         assert run_child(code) == "False"
@@ -406,7 +407,7 @@ class TestObjective:
             else:
                 shards.append(pb.LossShard(kind=pb.LEAST_SQUARES, A=A, b=rng.standard_normal(m)))
         lam = 0.3 if reg == "l1" else 0.0
-        prob = pb.composite_problem(shards, reg=pb.Regularizer(kind=reg, lam=lam))
+        prob = pb.CompositeProblem(shards, reg=pb.Regularizer(kind=reg, lam=lam))
         sparse = np.zeros(d)
         sparse[d - 2] = -1.3
         dense = rng.standard_normal(d)
@@ -424,11 +425,11 @@ class TestObjective:
                 assert pb.eval_objective(p, x) == want + pb.reg_value(p.reg, x)
 
     def test_toy_lasso_value(self):
-        prob = pb.composite_problem([quad_shard(1, 2)], reg=pb.Regularizer(kind="l1", lam=1.0))
+        prob = pb.CompositeProblem([quad_shard(1, 2)], reg=pb.Regularizer(kind="l1", lam=1.0))
         assert pb.eval_objective(prob, np.array([1.0])) == pytest.approx(2.0)
 
     def test_dimension_mismatch(self):
-        prob = pb.composite_problem([quad_shard()])
+        prob = pb.CompositeProblem([quad_shard()])
         with pytest.raises(ValueError):
             pb.eval_objective(prob, np.zeros(2))
 
@@ -514,7 +515,7 @@ class TestReconditioned:
         # in norm and the value by 2.84, so the second call is refused
         rng = np.random.default_rng(17)
         A, b = rng.standard_normal((30, 10)), rng.standard_normal(30)
-        prob = pb.composite_problem([pb.LossShard(kind=pb.LEAST_SQUARES, A=A, b=b)])
+        prob = pb.CompositeProblem([pb.LossShard(kind=pb.LEAST_SQUARES, A=A, b=b)])
         sub = pb.reconditioned(prob, 1.0, rng.standard_normal(10))
         for rho in (2.0, 0.0):
             with pytest.raises(ValueError, match="ridge"):
@@ -529,23 +530,109 @@ class TestNonFiniteShards:
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csc"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_design_rejected_by_problem(self, sparse, bad):
-        # the shard keeps A unscanned; the problem rejects it before the
-        # eigenvalue solves (LAPACK's DLASCL warning on dense data, an
-        # ArpackError on CSC data)
+        # rejected before the eigenvalue solves of (mu_i, L_i): LAPACK's
+        # DLASCL warning on dense data, an ArpackError on CSC data
         A = np.arange(1.0, 13.0).reshape(4, 3)
         A[2, 1] = bad
-        good = pb.LossShard(kind=pb.LEAST_SQUARES, A=np.eye(3), b=np.zeros(3))
-        shard = pb.LossShard(kind=pb.LEAST_SQUARES, A=sp.csc_matrix(A) if sparse else A,
-                             b=np.ones(4))
-        with pytest.raises(ValueError, match="shard 1: design matrix has non-finite entries"):
-            pb.composite_problem([good, shard])
+        with pytest.raises(ValueError, match="design matrix has non-finite entries"):
+            pb.LossShard(kind=pb.LEAST_SQUARES, A=sp.csc_matrix(A) if sparse else A,
+                         b=np.ones(4))
 
     def test_infinite_ridge_center_rejected(self):
-        prob = pb.composite_problem([pb.LossShard(kind=pb.LEAST_SQUARES, A=np.eye(2),
+        prob = pb.CompositeProblem([pb.LossShard(kind=pb.LEAST_SQUARES, A=np.eye(2),
                                                   b=np.zeros(2))])
         for rho in (1.0, 0.0):
             with pytest.raises(ValueError, match="non-finite"):
                 pb.reconditioned(prob, rho, np.array([np.inf, 0.0]))
+
+
+def _shards(rng, kind, m, d, sparse=False, M=3, l2=0.0):
+    """M shards of m, m + 1, ... rows: unequal sizes, so unequal alphas."""
+    shards = []
+    for i in range(M):
+        A = _csc(rng, m + i, d, 0.3) if sparse else rng.standard_normal((m + i, d))
+        b = rng.choice([-1.0, 1.0], size=m + i)
+        shards.append(pb.LossShard(kind=kind, A=A, b=b, l2=l2))
+    return shards
+
+
+_DERIVED = {
+    "dense tall": lambda rng: _shards(rng, pb.LEAST_SQUARES, 30, 8),
+    "dense wide": lambda rng: _shards(rng, pb.LEAST_SQUARES, 5, 12),
+    "csc": lambda rng: _shards(rng, pb.LEAST_SQUARES, 40, 10, sparse=True),
+    "logistic": lambda rng: _shards(rng, pb.LOGISTIC, 20, 6, l2=0.01),
+}
+
+
+class TestDerivedConstants:
+    """A problem's alphas, mu and L, and a shard's mu and L, come from the
+    data and are never set."""
+
+    @pytest.mark.parametrize("case", list(_DERIVED))
+    def test_bits_of_shard_constants(self, case):
+        rng = np.random.default_rng(21)
+        prob = pb.CompositeProblem(_DERIVED[case](rng))
+        for p in (prob, pb.reconditioned(prob, 0.7, rng.standard_normal(prob.dim))):
+            pairs = [pb._shard_constants(s) for s in p.shards]
+            assert [(s.mu, s.lip) for s in p.shards] == pairs
+            assert p.mu == min(mu for mu, _ in pairs) + p.rho
+            assert p.lip == max(lip for _, lip in pairs) + p.rho
+            sizes = np.array([s.n_examples for s in p.shards], dtype=float)
+            assert p.alphas.tobytes() == (sizes / sizes.sum()).tobytes()
+
+    def test_replace_rederives(self):
+        # kept from the old data, L read 8.85 where the scaled data has 885.1,
+        # and DAve-PG at 2/(mu + L) diverged at iteration 18
+        ds, _ = data.generate_lasso(d=50, m=120, sparsity=0.9, noise_std=0.01, seed=3)
+        plan = data.shard_even(ds, M=3, seed=0)
+        prob = data.lasso_problem(ds, plan, lam1=0.1)
+        scaled = data.Dataset(X=10.0 * ds.X, y=ds.y)
+        big = replace(prob, shards=data.make_shards(scaled, plan, pb.LEAST_SQUARES))
+        want = data.lasso_problem(scaled, plan, lam1=0.1)
+        assert (big.mu, big.lip) == (want.mu, want.lip)
+        assert big.lip == pytest.approx(100.0 * prob.lip, rel=1e-9)
+        assert np.array_equal(big.alphas, want.alphas)
+        engine.run_davepg(big, engine.gamma_max(big), engine.DelaySchedule.round_robin(3),
+                          np.zeros(50), engine.StopRule(max_iterations=300))
+        two = replace(prob, shards=prob.shards[:2])
+        sizes = np.array([s.n_examples for s in prob.shards[:2]], dtype=float)
+        assert two.alphas.tolist() == (sizes / sizes.sum()).tolist()
+        assert (two.mu, two.lip) == (min(s.mu for s in two.shards), max(s.lip for s in two.shards))
+
+    def test_only_inputs_are_settable(self):
+        prob = random_problem(np.random.default_rng(5))
+        assert [f.name for f in dataclasses.fields(prob) if f.init] == \
+            ["shards", "reg", "rho", "center"]
+        for name in ("alphas", "mu", "lip"):
+            with pytest.raises(TypeError, match=name):
+                pb.CompositeProblem(shards=prob.shards, **{name: getattr(prob, name)})
+            with pytest.raises(ValueError, match=name):
+                replace(prob, **{name: getattr(prob, name)})
+        shard = prob.shards[0]
+        assert [f.name for f in dataclasses.fields(shard) if f.init] == ["kind", "A", "b", "l2"]
+        for name in ("mu", "lip"):
+            with pytest.raises(TypeError, match=name):
+                pb.LossShard(kind=shard.kind, A=shard.A, b=shard.b, **{name: 1.0})
+            with pytest.raises(ValueError, match=name):
+                replace(shard, **{name: 1.0})
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csc"])
+    def test_non_finite_design_refused_before_eigenvalues(self, sparse, monkeypatch):
+        def solve(*args):
+            raise AssertionError("eigenvalue solve on a non-finite design")
+
+        monkeypatch.setattr(pb, "_gram_extreme_eigs", solve)
+        A = np.ones((4, 3))
+        A[1, 2] = np.nan
+        with pytest.raises(ValueError, match="design matrix has non-finite entries"):
+            pb.LossShard(kind=pb.LOGISTIC, A=sp.csc_matrix(A) if sparse else A, b=np.ones(4))
+
+    def test_pickled_shard_keeps_constants(self):
+        rng = np.random.default_rng(22)
+        for case in _DERIVED:
+            for shard in _DERIVED[case](rng):
+                back = pickle.loads(pickle.dumps(shard))
+                assert (back.mu, back.lip) == (shard.mu, shard.lip), case
 
 
 class TestRegularizerValidation:
@@ -596,10 +683,8 @@ def _brute_shard(kind, A, b, l2, ridge, center, x):
 
 
 def _alone(shard, rho=0.0, center=None):
-    """A one-shard problem with the proximal term (rho, center); the oracles
-    tested with it do not read (mu, L), which are left at (0, 1)."""
-    return pb.CompositeProblem(shards=(shard,), alphas=np.ones(1), reg=pb.Regularizer(),
-                               mu=0.0, lip=1.0, rho=rho, center=center)
+    """A one-shard problem with the proximal term (rho, center)."""
+    return pb.CompositeProblem(shards=(shard,), rho=rho, center=center)
 
 
 def _pick(rng, d, how):
@@ -717,7 +802,7 @@ class TestGramForm:
     def test_reconditioning_reuses_gram(self):
         rng = np.random.default_rng(13)
         for m, d in _TALL_AND_WIDE:
-            prob = pb.composite_problem([_ls_problem(rng, m, d, False).shards[0]
+            prob = pb.CompositeProblem([_ls_problem(rng, m, d, False).shards[0]
                                          for _ in range(2)])
             x = np.zeros(d)
             x[[3, 7]] = [1.0, -2.0]

@@ -151,14 +151,14 @@ class TestProxOracle:
         # f(x) = x^2/2 via least squares with A = 1/sqrt(2)
         shard = pb.LossShard(kind=pb.LEAST_SQUARES,
                              A=np.array([[1 / math.sqrt(2)]]), b=np.array([0.0]))
-        prob = pb.composite_problem([shard])
+        prob = pb.CompositeProblem([shard])
         center = np.array([3.0])
         out = rc.prox_oracle(prob, rho=1.0, center=center, tol=1e-10)
         assert out == pytest.approx([1.5], abs=1e-8)
 
     def test_pure_l1_reduces_to_soft_threshold(self):
         shard = pb.LossShard(kind=pb.LEAST_SQUARES, A=np.array([[0.0, 0.0]]), b=np.array([0.0]))
-        prob = pb.composite_problem([shard], reg=pb.Regularizer(kind="l1", lam=1.0))
+        prob = pb.CompositeProblem([shard], reg=pb.Regularizer(kind="l1", lam=1.0))
         gamma = 0.5
         center = np.array([2.0, -0.3])
         out = rc.prox_oracle(prob, rho=1 / gamma, center=center, tol=1e-10)
