@@ -14,6 +14,12 @@ replies come from:
   ``worker_fires`` (tested for stop rules without an ``epoch_predicate``).  A
   worker's exception is raised in the caller.
 
+Runs take place in a session, which holds the M workers and the message
+source and checks once what its runs share: a session per outer loop, whose
+inner runs re-prime the same workers at their own centers, with one pool of
+M threads for the whole loop in concurrent mode; a direct run is a session
+of one.
+
 The coordinator holds xbar (the alpha-weighted average of the workers'
 points) and x = prox(xbar).  A worker, when served, applies a gradient step
 on the coordinates of the mask it received with the model, and sends back
@@ -30,6 +36,7 @@ import queue
 import warnings
 from array import array
 from collections.abc import Sequence
+from concurrent import futures
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -91,6 +98,8 @@ class DelaySchedule:
             raise ValueError(f"a {self.kind} schedule reads no trace")
         if self.weights and self.kind != "heterogeneous":
             raise ValueError(f"a {self.kind} schedule reads no speed weights")
+        if self.seed != 0 and self.kind == "fixed_trace":
+            raise ValueError("a fixed_trace schedule reads no seed")
         if self.kind == "fixed_trace" and set(self.trace) != set(range(self.M)):
             raise ValueError("a fixed trace must mention every worker 0, ..., M-1, only")
         if self.kind == "heterogeneous" and len(self.weights) != self.M:
@@ -414,26 +423,37 @@ def _check_count(name, value, least):
 
 
 class _Worker:
-    """Worker i's point x_i, primed at init as init - gamma grad_i(init), and
-    its step, shared by both modes."""
+    """Worker i's point x_i and its step, shared by both modes.  ``prime``
+    starts it, for each run, at init - gamma grad_i(init) on the run's
+    problem.  The oracles' results are new arrays, so the step works on them
+    in place: gamma g has the bits of g gamma, and a - b is computed as is."""
 
-    def __init__(self, problem, i, gamma, init):
-        self.problem, self.i, self.gamma = problem, i, gamma
-        self.x = init - gamma * pb.local_gradient(problem, i, init)
+    def __init__(self, i, gamma):
+        self.i, self.gamma = i, gamma
+        self.problem = self.x = None
+
+    def prime(self, problem, init):
+        self.problem = problem
+        g = pb.local_gradient(problem, self.i, init)
+        g *= self.gamma
+        self.x = np.subtract(init, g, out=g)
 
     def step(self, model, mask):
         """Gradient step at the received model on the mask's coordinates (all
         of them when mask is None); returns the reply, the change of x_i on
         those coordinates, one entry per coordinate sent."""
+        g = pb.local_gradient(self.problem, self.i, model, mask)
+        g *= self.gamma
         if mask is None:
-            u = model - self.gamma * pb.local_gradient(self.problem, self.i, model)
-            delta = u - self.x
+            u = np.subtract(model, g, out=g)
+            delta = np.subtract(u, self.x, out=self.x)  # the old x_i's buffer takes the change
             self.x = u
             return delta
-        u = model[mask] - self.gamma * pb.local_gradient(self.problem, self.i, model, mask)
-        old = self.x[mask]
+        u = model[mask]
+        u -= g
+        delta = self.x[mask]
         self.x[mask] = u
-        return u - old
+        return np.subtract(u, delta, out=delta)
 
 
 class _Inline:
@@ -457,26 +477,61 @@ class _Inline:
 
 
 class _Pool:
-    """Concurrent mode: the steps run on a pool of one thread per worker, and
-    replies are taken in the order the steps finish."""
+    """Concurrent mode: one run's steps on the session's pool of one thread
+    per worker, its replies taken in the order the steps finish."""
 
-    def __init__(self, workers):
-        self.workers = workers
-        self.pool = ThreadPoolExecutor(len(workers))
+    def __init__(self, workers, pool: ThreadPoolExecutor):
+        self.workers, self.pool = workers, pool
         self.replies: queue.SimpleQueue = queue.SimpleQueue()
+        self.steps = [None] * len(workers)  # each worker's last step
 
     def send(self, i, model, mask):
-        future = self.pool.submit(self.workers[i].step, model, mask)
-        future.add_done_callback(lambda f: self.replies.put((i, f)))
+        self.steps[i] = step = self.pool.submit(self.workers[i].step, model, mask)
+        step.add_done_callback(lambda f: self.replies.put((i, f)))
 
     def receive(self):
-        i, future = self.replies.get()
-        return i, future.result()  # a worker's exception is raised here
+        i, step = self.replies.get()
+        return i, step.result()  # a worker's exception is raised here
 
     def close(self):
-        # the replies a run never takes are of steps sim mode never computes,
-        # so their results and errors are dropped
-        self.pool.shutdown(cancel_futures=True)
+        # the replies a run never takes are of steps sim mode never computes:
+        # those not started are cancelled and the others waited for, so that
+        # none changes a worker after the run, and their results and errors
+        # are dropped with this run's queue
+        steps = [f for f in self.steps if f is not None and not f.cancel()]
+        futures.wait(steps)
+
+
+class _Session:
+    """The workers and the message source behind a sequence of engine runs:
+    the inner runs of an outer loop, or a direct run, a session of one.
+
+    Opening it checks what every run shares: the mode, the schedule's worker
+    count, and gamma <= 2/(mu + L) for the moduli of its problems, which have
+    the shards of ``problem`` and the ridge weight problem.rho + rho.  A run
+    checks that its problem has them, and re-primes the same M workers at its
+    own start.  The message source is each run's schedule order in sim mode,
+    and in concurrent mode one pool of M threads for all runs, shut down when
+    the session closes."""
+
+    def __init__(self, problem: pb.CompositeProblem, gamma: float, schedule: DelaySchedule,
+                 mode: str, rho: float = 0.0):
+        if mode not in ("sim", "concurrent"):
+            raise ValueError(f"unknown mode {mode!r} (sim or concurrent)")
+        M = problem.n_workers
+        _check_workers(schedule, M)
+        _check_gamma(gamma, problem.mu + rho, problem.lip + rho)
+        self.shards, self.rho = problem.shards, problem.rho + rho
+        self.gamma, self.mode = gamma, mode
+        self.workers = [_Worker(i, gamma) for i in range(M)]
+        self.pool = ThreadPoolExecutor(M) if mode == "concurrent" else None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self.pool is not None:
+            self.pool.shutdown(cancel_futures=True)
 
 
 # -- the coordinator --------------------------------------------------------
@@ -486,37 +541,48 @@ def gamma_max(problem: pb.CompositeProblem) -> float:
     return 2.0 / (problem.mu + problem.lip)
 
 
+def _check_gamma(gamma, mu, lip):
+    bound = 2.0 / (mu + lip)
+    if not 0 < gamma <= bound * (1 + 1e-12):
+        raise ValueError(f"gamma={gamma} outside (0, 2/(mu+L)] = (0, {bound}]")
+
+
+def _check_workers(schedule, M):
+    if schedule.M != M:
+        raise ValueError("schedule worker count does not match the problem")
+
+
 def _check_stride(stride):
     """Refuses an objective stride that is neither None nor a count >= 1."""
     if stride is not None:
         _check_count("objective_stride", stride, 1)
 
 
-def _run(
-    problem: pb.CompositeProblem,
-    gamma: float,
-    dist: SelectorDistribution | None,
-    schedule: DelaySchedule,
-    init: np.ndarray,
-    stop: StopRule,
-    seed: int,
-    mode: str,
-    objective_stride: int | None = None,
-    objective_fn=None,
-    charge_priming: bool = True,
-) -> RunTrace:
-    M = problem.n_workers
-    d = problem.dim
-    if mode not in ("sim", "concurrent"):
-        raise ValueError(f"unknown mode {mode!r} (sim or concurrent)")
+def _run(session, problem, gamma, dist, schedule, init, stop, seed, mode,
+         objective_stride=None, objective_fn=None, charge_priming=True) -> RunTrace:
+    """One engine run of ``session``: dense when dist is None, else masked by dist."""
+    if (problem.shards is not session.shards or problem.rho != session.rho
+            or gamma != session.gamma):
+        raise ValueError("a session's runs share its shards, ridge weight and stepsize")
+    if mode != session.mode:
+        raise ValueError(f"a run in {mode!r} mode of a {session.mode!r} session")
+    workers = session.workers
+    M, d = len(workers), problem.dim
+    _check_workers(schedule, M)
     _check_stride(objective_stride)
-    if schedule.M != M:
-        raise ValueError("schedule worker count does not match the problem")
     init = np.asarray(init, dtype=float)
     if init.shape != (d,):
         raise ValueError("init dimension mismatch")
-
-    mask_rngs = [stream(seed, _MASK_TAG, i) for i in range(M)]
+    if dist is not None:
+        if dist.d != d:
+            raise ValueError("selector dimension mismatch")
+        if not convergence_gap_ok(dist, gamma, problem.mu):
+            warnings.warn(
+                "selection probabilities violate p_min/p_max >= (1-gamma*mu)^2; "
+                "linear convergence is not guaranteed",
+                RuntimeWarning,
+            )
+        mask_rngs = [stream(seed, _MASK_TAG, i) for i in range(M)]
 
     def new_mask(i):
         """Worker i's next mask; None, every coordinate, when dense."""
@@ -532,16 +598,15 @@ def _run(
 
     # synchronous priming round: x_i^0 = init - gamma * grad_i(init); a masked
     # run sends init's support down, a dense run all of init
-    workers = []
-    xbar = np.zeros(d)
+    xbar, scaled = np.zeros(d), np.empty(d)
     alphas = problem.alphas.tolist()  # a float times an array has the bits of alpha_i times it
     init_down = d if dist is None else int(np.count_nonzero(init))
-    for i in range(M):
-        workers.append(_Worker(problem, i, gamma, init))
-        xbar += alphas[i] * workers[i].x
-        if charge_priming:
-            trace.priming_down += init_down
-            trace.priming_up += d
+    for i, w in enumerate(workers):
+        w.prime(problem, init)
+        xbar += np.multiply(alphas[i], w.x, out=scaled)
+    if charge_priming:
+        trace.priming_down += M * init_down
+        trace.priming_up += M * d
     x = pb.prox_reg(problem.reg, gamma, xbar)
     nnz = int(np.count_nonzero(x))
     obj = objective_fn if objective_fn is not None else (lambda xx: pb.eval_objective(problem, xx))
@@ -549,7 +614,7 @@ def _run(
     def log_objective(k, xx, cum_up, cum_down):
         trace.objective_log.append(ObjectivePoint(k, cum_up, cum_down, obj(xx)))
 
-    source = _Inline(workers, schedule) if mode == "sim" else _Pool(workers)
+    source = _Inline(workers, schedule) if session.pool is None else _Pool(workers, session.pool)
     masks = [None] * M  # the mask each worker was last sent
     # the loop's per-iteration calls, looked up once; the oracles (pb.prox_reg,
     # draw_mask, and pb.grad_shard in the worker step) are looked up per call
@@ -572,10 +637,12 @@ def _run(
         for k in itertools.count() if max_iterations is None else range(max_iterations):
             i, delta = receive()
             # only the mask's coordinates of xbar, and so of x, move: one
-            # gather of xbar[S] (a view when dense), and one write-back
+            # gather of xbar[S] (a view when dense), and one write-back; the
+            # reply is the worker's new array, scaled in place
             S = masks[i] if masks[i] is not None else slice(None)
             xb = xbar[S]
-            xb += alphas[i] * delta
+            delta *= alphas[i]
+            xb += delta
             xbar[S] = xb
             x_S = pb.prox_reg(problem.reg, gamma, xb)
             nnz += int(np.count_nonzero(x_S)) - int(np.count_nonzero(x[S]))
@@ -583,7 +650,7 @@ def _run(
             if DEBUG_CHECK:
                 assert nnz == np.count_nonzero(x), "running support count drifted"
                 assert np.array_equal(x, pb.prox_reg(problem.reg, gamma, xbar)), "x != prox(xbar)"
-                if mode == "sim":
+                if session.pool is None:
                     rebuilt = sum(a * w.x for a, w in zip(problem.alphas, workers))
                     assert np.allclose(xbar, rebuilt, atol=1e-10), "coordinator average drifted"
             # ||x||^2 as np.linalg.norm computes it; NaN fails the comparison too
@@ -627,13 +694,6 @@ def _run(
 # -- public entry points ----------------------------------------------------
 
 
-def _check_gamma(problem, gamma):
-    if not 0 < gamma <= gamma_max(problem) * (1 + 1e-12):
-        raise ValueError(
-            f"gamma={gamma} outside (0, 2/(mu+L)] = (0, {gamma_max(problem)}]"
-        )
-
-
 def run_davepg(
     problem: pb.CompositeProblem,
     gamma: float,
@@ -646,10 +706,9 @@ def run_davepg(
     objective_fn=None,
 ) -> RunTrace:
     """Asynchronous proximal gradient without sparsification (dense deltas)."""
-    _check_gamma(problem, gamma)
-    return _run(problem, gamma, None, schedule, init, stop, seed, mode,
-                objective_stride=objective_stride,
-                objective_fn=objective_fn)
+    with _Session(problem, gamma, schedule, mode) as session:
+        return _run(session, problem, gamma, None, schedule, init, stop, seed, mode,
+                    objective_stride, objective_fn)
 
 
 def run_spy(
@@ -664,23 +723,19 @@ def run_spy(
     mode: str = "sim",
     objective_fn=None,
     charge_priming: bool = True,
+    _session: _Session | None = None,
 ) -> RunTrace:
     """Sparsified variant: workers update and send only masked coordinates.
 
     ``charge_priming=False`` runs the synchronous priming round as usual but
     leaves its communication out of the ledger: the reconditioned outer loop
-    charges it on its first inner run only.
+    charges it on its first inner run only.  ``_session``, internal, is the
+    outer loop's session this run re-primes and runs on; without one the run
+    is a session of one.
     """
-    _check_gamma(problem, gamma)
-    if dist.d != problem.dim:
-        raise ValueError("selector dimension mismatch")
-    if not convergence_gap_ok(dist, gamma, problem.mu):
-        warnings.warn(
-            "selection probabilities violate p_min/p_max >= (1-gamma*mu)^2; "
-            "linear convergence is not guaranteed",
-            RuntimeWarning,
-        )
-    return _run(problem, gamma, dist, schedule, init, stop, seed, mode,
-                objective_stride=objective_stride,
-                objective_fn=objective_fn, charge_priming=charge_priming)
-
+    if _session is not None:
+        return _run(_session, problem, gamma, dist, schedule, init, stop, seed, mode,
+                    objective_stride, objective_fn, charge_priming)
+    with _Session(problem, gamma, schedule, mode) as session:
+        return _run(session, problem, gamma, dist, schedule, init, stop, seed, mode,
+                    objective_stride, objective_fn, charge_priming)

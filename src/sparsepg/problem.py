@@ -14,9 +14,10 @@ scipy.sparse.
 
 from __future__ import annotations
 
+import math
 import sys
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,9 +61,11 @@ def _expit(t):
 
 def _finite(v) -> bool:
     """Whether every entry of v is finite, from min and max, which carry NaN and
-    +-inf: a boolean array of a shard's size added 2 MB to the README lasso's peak."""
+    +-inf: a boolean array of a shard's size added 2 MB to the README lasso's peak.
+    The ufuncs skip ndarray.min's Python wrapper."""
     v = np.asarray(v)
-    return v.size == 0 or bool(np.isfinite(v.min()) and np.isfinite(v.max()))
+    return v.size == 0 or (math.isfinite(np.minimum.reduce(v, axis=None))
+                           and math.isfinite(np.maximum.reduce(v, axis=None)))
 
 
 _FIRST_COLUMNS = 32
@@ -80,7 +83,16 @@ class _ColumnStore:
     is published, so readers take no lock.  Each column is computed alone and
     products run over supp(x) in index order, so while the store has room a
     result does not depend on which columns were stored before, or in what
-    order."""
+    order.
+
+    Supports repeat from call to call (an outer loop primes each inner run at
+    a center with the support of the last), so once the same support comes
+    twice in a row, and its columns are few next to A's (8 |supp| <= m, an
+    eighth of A's numbers at most), the store keeps them, gathered in F
+    order, until another support comes: full products use them as the gather
+    would, and products on coordinates take their rows in C order, the
+    layout the gather gives, so every product keeps the gather's bits.  A
+    support used once keeps nothing."""
 
     def __init__(self, A, b):
         m, d = A.shape
@@ -96,12 +108,15 @@ class _ColumnStore:
             self.pos = np.full(d, -1, dtype=np.intp)
             self.n = 0
         self.lock = threading.Lock()
+        # [supp bytes, positions, F-order columns once gathered] of the last
+        # support; a new list when the support changes, so readers take no lock
+        self.last = None
 
     def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "lock"}
+        return {k: v for k, v in self.__dict__.items() if k not in ("lock", "last")}
 
     def __setstate__(self, state):
-        self.__dict__.update(state, lock=threading.Lock())
+        self.__dict__.update(state, lock=threading.Lock(), last=None)
 
     def product(self, x: Array, coords):
         """(G x - c)[coords], all of it when coords is None.  From all of G:
@@ -110,21 +125,35 @@ class _ColumnStore:
         the store has no room left for its missing columns."""
         if self.n == x.size:
             G = self.cols
-            if coords is None:
-                return G @ x - self.c
-            return G.take(coords, axis=0).dot(x) - self.c[coords]  # take: G[coords], faster
-        supp = (x != 0).nonzero()[0]
-        if not _few(supp.size, x.size):
-            return None
-        p = self.pos[supp]
-        if p.size and np.minimum.reduce(p) < 0:  # the ufunc skips ndarray.min's Python wrapper
-            if not self._append(supp[p < 0]):
+            # take: G[coords], faster
+            Gx = G @ x if coords is None else G.take(coords, axis=0).dot(x)
+        else:
+            supp = (x != 0).nonzero()[0]
+            if not _few(supp.size, x.size):
                 return None
-            p = self.pos[supp]
-        xs = x[supp]
-        if coords is None:
-            return self.cols[:, p] @ xs - self.c
-        return self.cols[np.asarray(coords)[:, None], p] @ xs - self.c[coords]
+            key, last = supp.tobytes(), self.last  # read once: another thread may replace it
+            seen = last is not None and last[0] == key
+            if not seen:
+                p = self.pos[supp]
+                # the ufunc skips ndarray.min's Python wrapper
+                if p.size and np.minimum.reduce(p) < 0:
+                    if not self._append(supp[p < 0]):
+                        return None
+                    p = self.pos[supp]
+                last = self.last = [key, p, None]
+            p, xs = last[1], x[supp]
+            if seen and _few(p.size, self.A.shape[0]):
+                if last[2] is None:
+                    last[2] = self.cols[:, p]
+                G_S = last[2]
+                # the rows in C order, as the gather below gives them
+                Gx = (G_S if coords is None else np.ascontiguousarray(G_S[coords])) @ xs
+            elif coords is None:
+                Gx = self.cols[:, p] @ xs
+            else:
+                Gx = self.cols[np.asarray(coords, dtype=np.intp)[:, None], p] @ xs
+        # the product is a new array, and the subtraction writes into it
+        return np.subtract(Gx, self.c if coords is None else self.c[coords], out=Gx)
 
     def _append(self, missing) -> bool:
         with self.lock:
@@ -223,8 +252,9 @@ class Regularizer:
 class CompositeProblem:
     """F = sum_i alpha_i (f_i + (rho/2)||x - center||^2) + r.  The proximal
     term, the same for every worker, is zero unless ``reconditioned`` set it;
-    rho > 0 needs a center.  Derived, never set (``replace`` re-derives them):
-    alpha_i = |S_i| / n, mu = min_i mu_i + rho and L = max_i L_i + rho."""
+    rho is finite and >= 0, and rho > 0 needs a center.  Derived, never set
+    (``replace`` re-derives them): alpha_i = |S_i| / n, mu = min_i mu_i + rho
+    and L = max_i L_i + rho."""
 
     shards: tuple
     reg: Regularizer = Regularizer()
@@ -242,21 +272,27 @@ class CompositeProblem:
         d = shards[0].dim
         if any(s.dim != d for s in shards):
             raise ValueError("all shards must share the feature dimension")
-        if self.rho < 0:
-            raise ValueError("rho must be nonnegative")
-        if self.rho > 0 and self.center is None:
+        sizes = np.array([s.n_examples for s in shards], dtype=float)
+        object.__setattr__(self, "alphas", sizes / sizes.sum())
+        self._derive_ridge()
+
+    def _derive_ridge(self):
+        """Checks rho and the center, and derives mu and L, which rho shifts."""
+        rho = self.rho
+        # NaN fails both comparisons, and +-inf would give mu = L = +-inf
+        if not (math.isfinite(rho) and rho >= 0):
+            raise ValueError(f"rho must be finite and nonnegative, not {rho!r}")
+        if rho > 0 and self.center is None:
             raise ValueError("ridge term needs a center")
         if self.center is not None:
             c = np.asarray(self.center, dtype=float)
-            if c.shape != (d,):
+            if c.shape != (self.dim,):
                 raise ValueError("ridge center dimension mismatch")
             if not _finite(c):
                 raise ValueError("ridge center has non-finite entries")
             object.__setattr__(self, "center", c)
-        sizes = np.array([s.n_examples for s in shards], dtype=float)
-        object.__setattr__(self, "alphas", sizes / sizes.sum())
-        object.__setattr__(self, "mu", min(s.mu for s in shards) + self.rho)
-        object.__setattr__(self, "lip", max(s.lip for s in shards) + self.rho)
+        object.__setattr__(self, "mu", min(s.mu for s in self.shards) + rho)
+        object.__setattr__(self, "lip", max(s.lip for s in self.shards) + rho)
 
     @property
     def dim(self) -> int:
@@ -276,10 +312,15 @@ def reconditioned(problem: CompositeProblem, rho: float, center: Array) -> Compo
 
     The result shares the shards of ``problem``.  A problem holds one
     proximal term, so a problem that has one already (a reconditioned
-    problem) is refused: recondition the original instead."""
+    problem) is refused: recondition the original instead.  The shards,
+    their checks and alpha are the problem's, so only rho and the center are
+    checked, and mu and L derived."""
     if problem.rho > 0:
         raise ValueError("problem already has a ridge term: recondition the original problem")
-    return replace(problem, rho=rho, center=center)
+    sub = object.__new__(CompositeProblem)
+    sub.__dict__.update(vars(problem), rho=rho, center=center)
+    sub._derive_ridge()
+    return sub
 
 
 # -- smooth part ------------------------------------------------------------
@@ -300,18 +341,21 @@ def _check_dim(shard: LossShard, x) -> Array:
 
 
 def _gather_support(x: Array):
-    """supp(x) when it is few enough to gather its columns, None otherwise."""
+    """(supp(x), x[supp(x)]) when supp(x) is few enough to gather its
+    columns, None otherwise."""
     if _few(np.count_nonzero(x), x.size):
-        return (x != 0).nonzero()[0]
+        supp = (x != 0).nonzero()[0]
+        return supp, x[supp]
     return None
 
 
-def _margins(shard: LossShard, x: Array, supp) -> Array:
-    """A @ x, from the columns of ``supp`` alone when it is given; ``supp``
-    is ``_gather_support(x)``."""
-    if supp is None:
+def _margins(shard: LossShard, x: Array, gathered) -> Array:
+    """A @ x as a new array, from the columns of supp(x) alone when they are
+    gathered; ``gathered`` is ``_gather_support(x)``."""
+    if gathered is None:
         return shard.A @ x
-    return shard.A[:, supp] @ x[supp]
+    supp, xs = gathered
+    return shard.A[:, supp] @ xs
 
 
 def _adjoint(shard: LossShard, r: Array, coords) -> Array:
@@ -335,14 +379,25 @@ def grad_shard(shard: LossShard, x: Array, coords=None) -> Array:
     the cost is O(m (|coords| + |supp(x)|)) rather than O(m d)."""
     x = _check_dim(shard, x)
     m = shard.n_examples
+    # every product below is a new array, and is scaled in place
     if shard._cols is not None and (Gx := shard._cols.product(x, coords)) is not None:
-        return (2.0 / m) * Gx
-    if shard.kind == LEAST_SQUARES:
-        return (2.0 / m) * _adjoint(shard, _margins(shard, x, _gather_support(x)) - shard.b, coords)
+        Gx *= 2.0 / m
+        return Gx
+    z = _margins(shard, x, _gather_support(x))
     y = shard.b
-    # d/dz log(1 + exp(-y z)) = -y * sigmoid(-y z)
-    coeff = -y * _expit(-y * _margins(shard, x, _gather_support(x)))
-    return _adjoint(shard, coeff, coords) / m + shard.l2 * (x if coords is None else x[coords])
+    if shard.kind == LEAST_SQUARES:
+        z -= y
+        g = _adjoint(shard, z, coords)
+        g *= 2.0 / m
+        return g
+    # d/dz log(1 + exp(-y z)) = -y * sigmoid(-y z); -(y z) has the bits of (-y) z
+    z *= y
+    coeff = _expit(np.negative(z, out=z))
+    coeff *= y
+    g = _adjoint(shard, np.negative(coeff, out=coeff), coords)
+    g /= m
+    g += shard.l2 * (x if coords is None else x[coords])
+    return g
 
 
 def local_gradient(problem: CompositeProblem, i: int, x: Array, coords=None) -> Array:
@@ -350,8 +405,14 @@ def local_gradient(problem: CompositeProblem, i: int, x: Array, coords=None) -> 
     only its entries on the index array ``coords`` when given."""
     g = grad_shard(problem.shards[i], x, coords)
     if problem.rho > 0:
-        xc, center = (x, problem.center) if coords is None else (x[coords], problem.center[coords])
-        g += problem.rho * (xc - center)  # g is grad_shard's own new array
+        # g is grad_shard's own new array, and so is the difference
+        if coords is None:
+            diff = x - problem.center
+        else:
+            diff = x[coords]
+            diff -= problem.center[coords]
+        diff *= problem.rho
+        g += diff
     return g
 
 
@@ -363,10 +424,14 @@ def shard_value(shard: LossShard, x: Array) -> float:
 def _value(shard: LossShard, x: Array, z: Array) -> float:
     """The shard's loss at x, given its margins z = A @ x."""
     m = shard.n_examples
+    # in place on the new array z; (z - b)**2 is z * z, -(b z) has the bits of
+    # (-b) z, and np.add.reduce is ndarray.sum without its Python wrapper
     if shard.kind == LEAST_SQUARES:
-        v = float(((z - shard.b) ** 2).sum()) / m
+        z -= shard.b
+        v = float(np.add.reduce(np.multiply(z, z, out=z))) / m
     else:
-        v = float(np.logaddexp(0.0, -shard.b * z).sum()) / m
+        z *= shard.b
+        v = float(np.add.reduce(np.logaddexp(0.0, np.negative(z, out=z), out=z))) / m
         v += 0.5 * shard.l2 * float(x @ x)
     return v
 
@@ -461,7 +526,7 @@ def prox_reg(reg: Regularizer, gamma: float, u: Array) -> Array:
 def reg_value(reg: Regularizer, x: Array) -> float:
     if reg.kind == "none":
         return 0.0
-    return reg.lam * float(np.abs(x).sum())
+    return reg.lam * float(np.add.reduce(np.abs(x), axis=None))
 
 
 def l1_margin(problem: CompositeProblem, x: Array) -> float:
@@ -495,13 +560,13 @@ def eval_objective(problem: CompositeProblem, x: Array) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.dim,):
         raise ValueError(f"expected dimension {problem.dim}, got {x.shape}")
-    # supp(x) is found once and every shard gathers its columns
-    supp = _gather_support(x)
+    # supp(x) and x on it are gathered once, and every shard gathers its columns
+    gathered = _gather_support(x)
     ridge = 0.0
     if problem.rho > 0:
         diff = x - problem.center
         ridge = 0.5 * problem.rho * float(diff @ diff)
-    v = sum(a * (_value(s, x, _margins(s, x, supp)) + ridge)
+    v = sum(a * (_value(s, x, _margins(s, x, gathered)) + ridge)
             for a, s in zip(problem.alphas, problem.shards))
     return float(v) + reg_value(problem.reg, x)
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import direct
 from . import problem as pb
 from .engine import (DelaySchedule, ObjectivePoint, SparsePoints, StopRule, _check_count,
-                     _check_stride, run_spy)
+                     _check_stride, _Session, run_spy)
 from .sparsifier import adaptive_distribution, min_conditioning
 
 _SEED_STRIDE = 100_003
@@ -281,62 +281,69 @@ def _outer_loop(problem, params, schedule, init, outer_budget, target_objective,
             "level; run the sparsified engine directly"
         )
     _check_stride(objective_stride)
-    x = np.asarray(init, dtype=float).copy()
-    center = x
-    trace = OuterTrace()
-    trace.stored_centers.append(center)
-    f_x = pb.eval_objective(problem, x)  # F(x): at the start, then at each result x_ell
-    if objective_stride:
-        trace.objective_log.append(ObjectivePoint(-1, 0, 0, f_x))
-    for ell in range(1, outer_budget + 1):
-        if target_objective is not None and f_x <= target_objective:
-            break
-        dist = adaptive_distribution(center, params.c)
-        pi_ell = dist.p_min
-        sub = pb.reconditioned(problem, params.rho, center)
-        stop = _inner_stop(criterion, ell, params, pi_ell, center, sub)
-        # a random schedule draws a fresh worker order for each step (step 1
-        # keeps the schedule's seed); a fixed trace restarts at every step
-        step_schedule = replace(schedule, seed=schedule.seed + _SEED_STRIDE * (ell - 1))
-        inner = run_spy(
-            sub, params.gamma, dist, step_schedule, init=center, stop=stop,
-            seed=seed + _SEED_STRIDE * ell, mode=mode,
-            # only the first inner solve pays for the initial dense exchange;
-            # later solves are not charged for re-priming their workers
-            charge_priming=(ell == 1),
-        )
-        if stop.epoch_predicate is not None and not inner.predicate_met:
-            raise InnerBudgetError(
-                f"outer step {ell}: inner run exhausted {stop.max_epochs} "
-                "epochs without meeting its accuracy test"
+    _check_count("outer_budget", outer_budget, 0)
+    # every step's problem has the shards of ``problem`` and the ridge weight
+    # rho, so the session checks the mode, the schedule and gamma once
+    with _Session(problem, params.gamma, schedule, mode, rho=params.rho) as session:
+        x = np.asarray(init, dtype=float).copy()
+        center = x
+        trace = OuterTrace()
+        trace.stored_centers.append(center)
+        f_x = pb.eval_objective(problem, x)  # F(x): at the start, then at each result x_ell
+        if objective_stride:
+            trace.objective_log.append(ObjectivePoint(-1, 0, 0, f_x))
+        for ell in range(1, outer_budget + 1):
+            if target_objective is not None and f_x <= target_objective:
+                break
+            dist = adaptive_distribution(center, params.c)
+            pi_ell = dist.p_min
+            sub = pb.reconditioned(problem, params.rho, center)
+            stop = _inner_stop(criterion, ell, params, pi_ell, center, sub)
+            # a random schedule draws a fresh worker order for each step (step 1
+            # keeps the schedule's seed); a fixed trace, which reads no seed,
+            # restarts at every step
+            step_schedule = schedule if schedule.kind == "fixed_trace" else replace(
+                schedule, seed=schedule.seed + _SEED_STRIDE * (ell - 1))
+            inner = run_spy(
+                sub, params.gamma, dist, step_schedule, init=center, stop=stop,
+                seed=seed + _SEED_STRIDE * ell, mode=mode,
+                # only the first inner solve pays for the initial dense exchange;
+                # later solves are not charged for re-priming their workers
+                charge_priming=(ell == 1), _session=session,
             )
-        x_new = inner.final_x
-        if weight is None:
-            center = x_new
-        else:
-            center = x_new + weight(ell) * (x_new - x)
-            trace.stored_centers.append(center)
-        x = x_new
-        f_x = pb.eval_objective(problem, x)
-        start = trace.total_iterations
-        trace.records.append(OuterRecord(
-            ell=ell,
-            pi_ell=pi_ell,
-            inner_epochs=inner.n_epochs,
-            inner_iterations=inner.n_iterations,
-            support_size=int(np.count_nonzero(x)),
-            cum_up=trace.cum_up + inner.cum_up,
-            cum_down=trace.cum_down + inner.cum_down,
-            objective=f_x,
-        ))
-        trace.total_iterations += inner.n_iterations
-        end = trace.total_iterations - 1
-        # logged when the step's run-wide iterations [start, end] contain a multiple of the stride
-        if objective_stride and end // objective_stride > (start - 1) // objective_stride:
-            trace.objective_log.append(ObjectivePoint(end, trace.cum_up, trace.cum_down, f_x))
-        trace.inner_traces.append(inner)
-    trace.stored_centers.flush()
-    return trace
+            if stop.epoch_predicate is not None and not inner.predicate_met:
+                raise InnerBudgetError(
+                    f"outer step {ell}: inner run exhausted {stop.max_epochs} "
+                    "epochs without meeting its accuracy test"
+                )
+            x_new = inner.final_x
+            if weight is None:
+                center = x_new
+            else:
+                center = x_new + weight(ell) * (x_new - x)
+                trace.stored_centers.append(center)
+            x = x_new
+            f_x = pb.eval_objective(problem, x)
+            start = trace.total_iterations
+            trace.records.append(OuterRecord(
+                ell=ell,
+                pi_ell=pi_ell,
+                inner_epochs=inner.n_epochs,
+                inner_iterations=inner.n_iterations,
+                support_size=int(np.count_nonzero(x)),
+                cum_up=trace.cum_up + inner.cum_up,
+                cum_down=trace.cum_down + inner.cum_down,
+                objective=f_x,
+            ))
+            trace.total_iterations += inner.n_iterations
+            end = trace.total_iterations - 1
+            # logged when the step's run-wide iterations [start, end] contain a
+            # multiple of the stride
+            if objective_stride and end // objective_stride > (start - 1) // objective_stride:
+                trace.objective_log.append(ObjectivePoint(end, trace.cum_up, trace.cum_down, f_x))
+            trace.inner_traces.append(inner)
+        trace.stored_centers.flush()
+        return trace
 
 
 def run_reconditioned(

@@ -28,7 +28,8 @@ class SelectorDistribution:
         object.__setattr__(self, "p", p)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("probability vector must be one-dimensional and non-empty")
-        lo, hi = float(p.min()), float(p.max())
+        # the ufuncs skip ndarray.min's Python wrapper
+        lo, hi = float(np.minimum.reduce(p)), float(np.maximum.reduce(p))
         # a NaN entry makes both extremes NaN, and fails both comparisons
         if not (0.0 < lo and hi <= 1.0):
             raise ValueError("probabilities must lie in (0, 1]")
@@ -55,10 +56,10 @@ def adaptive_distribution(center: np.ndarray, c: float) -> SelectorDistribution:
     """
     if not c > 0:
         raise ValueError("exploration budget c must be positive")
-    center = np.asarray(center, dtype=float)
-    n_null = center.size - np.count_nonzero(center)
+    support = np.asarray(center, dtype=float) != 0
+    n_null = support.size - np.count_nonzero(support)
     q = min(c / n_null, 1.0) if n_null else 1.0
-    return SelectorDistribution(p=np.where(center != 0, 1.0, q))
+    return SelectorDistribution(p=np.where(support, 1.0, q))
 
 
 def draw_mask(dist: SelectorDistribution, rng: np.random.Generator) -> np.ndarray:

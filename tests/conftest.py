@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from sparsepg import data, engine, problem as pb
 from sparsepg.rng import stream
@@ -23,6 +24,32 @@ def strongly_convex_problem(d=10, M=3, kappa=0.1, seed=0, reg=None):
     # the scaling above makes each shard's (mu, lip) equal (kappa, 1)
     assert abs(prob.mu - kappa) < 1e-6 and abs(prob.lip - 1.0) < 1e-6
     return prob
+
+
+def shaped_problem(shape, rho=0.0):
+    """Three shards of least squares, tall (each holds all of A^T A), wide
+    (columns of A^T A computed as used), CSC, or logistic; l1 at 0.4 of the
+    smallest weight whose solution is 0, so that supports stay few enough
+    for the wide shards to compute from their columns.
+    Reconditioned around a point with three nonzeros when rho > 0."""
+    rng = np.random.default_rng(31)
+    d, m = (10, 24) if shape == "tall" else (64, 12)
+    truth = np.zeros(d)
+    truth[[1, 4, 6]] = [2.0, -1.5, 1.0]
+    shards = []
+    for _ in range(3):
+        A = rng.standard_normal((m, d))
+        if shape == "csc":
+            A = scipy.sparse.csc_matrix(A * (rng.random((m, d)) < 0.3))
+        if shape == "logistic":
+            b = np.where(A @ truth + 0.5 * rng.standard_normal(m) > 0, 1.0, -1.0)
+            shards.append(pb.LossShard(kind=pb.LOGISTIC, A=A, b=b, l2=0.05))
+        else:
+            shards.append(pb.LossShard(kind=pb.LEAST_SQUARES, A=A, b=A @ truth))
+    plain = pb.CompositeProblem(shards)
+    lam_max = float(np.max(np.abs(pb.smooth_gradient(plain, np.zeros(d)))))
+    prob = replace(plain, reg=pb.Regularizer(kind="l1", lam=0.4 * lam_max))
+    return pb.reconditioned(prob, rho, truth) if rho > 0 else prob
 
 
 def mu_pos_lasso():

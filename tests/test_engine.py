@@ -8,7 +8,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +15,7 @@ from sparsepg import data, direct, engine, problem as pb, recondition as rc
 from sparsepg.rng import stream
 from sparsepg.sparsifier import SelectorDistribution, adaptive_distribution, uniform_distribution
 
-from conftest import (check_ledger, count_messages, shifted_initial_radius,
+from conftest import (check_ledger, count_messages, shaped_problem, shifted_initial_radius,
                       strongly_convex_problem, trace_bytes)
 
 
@@ -118,6 +117,8 @@ class TestDelaySchedule:
         (dict(kind="random_uniform", M=2, weights=(5.0, 1.0)), "reads no speed weights"),
         (dict(kind="fixed_trace", M=2, trace=(0, 1), weights=(1.0, 1.0)),
          "fixed_trace schedule reads no speed weights"),
+        # it would fire 0, 1, 0, 1, ... as round_robin(2) does, and compare unequal to it
+        (dict(kind="fixed_trace", M=2, trace=(0, 1), seed=3), "fixed_trace schedule reads no seed"),
     ])
     def test_holds_only_what_its_kind_reads(self, kwargs, problem):
         # a value the kind ignores would make two schedules that draw the
@@ -129,7 +130,9 @@ class TestDelaySchedule:
 
     def test_replace_checked(self):
         sched = engine.DelaySchedule.round_robin(3)
-        assert dataclasses.replace(sched, seed=4).trace == (0, 1, 2)
+        with pytest.raises(ValueError, match="reads no seed"):
+            dataclasses.replace(sched, seed=4)
+        assert dataclasses.replace(sched, seed=0) == sched
         with pytest.raises(ValueError, match="every worker"):
             dataclasses.replace(sched, M=4)
         with pytest.raises(ValueError, match="non-empty"):
@@ -197,7 +200,7 @@ class TestRunDavePG:
 
     def test_divergence_error(self, monkeypatch):
         # skip the stepsize check so that a step far past 2/(mu+L) overshoots
-        monkeypatch.setattr(engine, "_check_gamma", lambda problem, gamma: None)
+        monkeypatch.setattr(engine, "_check_gamma", lambda *args: None)
         prob = quad_problem()
         with pytest.raises(engine.DivergenceError):
             engine.run_davepg(prob, 100 * engine.gamma_max(prob),
@@ -789,11 +792,13 @@ class TestOracleCalls:
     """Per engine run in sim mode: grad_shard once per worker step and once
     per worker in priming, draw_mask as often for masked runs and never for
     dense ones, prox_reg once per iteration and once after priming.  An
-    outer loop makes one engine run per outer step.  The fixed criterion
-    only: the relative one also calls the oracles in ``direct.solve``."""
+    outer loop, plain or momentum, makes one engine run per outer step, on
+    its session.  The fixed and budget criteria only: the relative one also
+    calls the oracles in ``direct.solve``."""
 
     @pytest.mark.parametrize("schedule", ["round-robin", "random"])
-    @pytest.mark.parametrize("variant", ["davepg", "spy", "spy-adaptive", "reconditioned"])
+    @pytest.mark.parametrize("variant", ["davepg", "spy", "spy-adaptive", "reconditioned",
+                                         "reconditioned-budget", "momentum"])
     def test_one_call_per_step(self, monkeypatch, variant, schedule):
         M, d = 3, 12
         prob = strongly_convex_problem(d=d, M=M, seed=15, reg=pb.Regularizer(kind="l1", lam=0.1))
@@ -809,48 +814,24 @@ class TestOracleCalls:
             if variant == "davepg":
                 trace = engine.run_davepg(prob, gamma, sched, init, stop, seed=15,
                                           objective_stride=2)
-            elif variant == "reconditioned":
+            elif variant in ("reconditioned", "reconditioned-budget", "momentum"):
                 params = rc.make_params(prob.mu, prob.lip, c=3.0, d=d)
-                trace = rc.run_reconditioned(prob, params, sched, init,
-                                             criterion=rc.InnerCriterion("fixed", epochs=2),
-                                             outer_budget=7, seed=15, objective_stride=5)
+                run = rc.run_momentum if variant == "momentum" else rc.run_reconditioned
+                criterion = (rc.InnerCriterion("budget") if variant == "reconditioned-budget"
+                             else rc.InnerCriterion("fixed", epochs=2))
+                trace = run(prob, params, sched, init, criterion=criterion,
+                            outer_budget=7, seed=15, objective_stride=5)
             else:
                 dist = (uniform_distribution(d, 0.4) if variant == "spy"
                         else adaptive_distribution(init, 3.0))
                 trace = engine.run_spy(prob, gamma, dist, sched, init, stop, seed=15,
                                        objective_stride=2)
-        runs = trace.n_outer if variant == "reconditioned" else 1
+        runs = trace.n_outer if variant.startswith(("reconditioned", "momentum")) else 1
         iters = trace.n_iterations
         assert runs >= 1 and iters > runs
         assert calls["grad_shard"] == iters + M * runs
         assert calls["draw_mask"] == (0 if variant == "davepg" else iters + M * runs)
         assert calls["prox_reg"] == iters + runs
-
-
-def _recursion_problem(shape, rho):
-    """Three shards of least squares, tall (each holds all of A^T A), wide
-    (columns of A^T A computed as used), CSC, or logistic; l1 at 0.4 of the
-    smallest weight whose solution is 0, so that supports stay few enough
-    for the wide shards to compute from their columns.
-    Reconditioned around a point with three nonzeros when rho > 0."""
-    rng = np.random.default_rng(31)
-    d, m = (10, 24) if shape == "tall" else (64, 12)
-    truth = np.zeros(d)
-    truth[[1, 4, 6]] = [2.0, -1.5, 1.0]
-    shards = []
-    for _ in range(3):
-        A = rng.standard_normal((m, d))
-        if shape == "csc":
-            A = scipy.sparse.csc_matrix(A * (rng.random((m, d)) < 0.3))
-        if shape == "logistic":
-            b = np.where(A @ truth + 0.5 * rng.standard_normal(m) > 0, 1.0, -1.0)
-            shards.append(pb.LossShard(kind=pb.LOGISTIC, A=A, b=b, l2=0.05))
-        else:
-            shards.append(pb.LossShard(kind=pb.LEAST_SQUARES, A=A, b=A @ truth))
-    plain = pb.CompositeProblem(shards)
-    lam_max = float(np.max(np.abs(pb.smooth_gradient(plain, np.zeros(d)))))
-    prob = dataclasses.replace(plain, reg=pb.Regularizer(kind="l1", lam=0.4 * lam_max))
-    return pb.reconditioned(prob, rho, truth) if rho > 0 else prob
 
 
 def _textbook_run(prob, gamma, dist, schedule, init, stop, seed, stride):
@@ -928,7 +909,7 @@ class TestTextbookRecursion:
     @pytest.mark.parametrize("rho", [0.0, 0.7])
     @pytest.mark.parametrize("shape", ["tall", "wide", "csc", "logistic"])
     def test_equals_engine(self, shape, rho, variant, schedule, stop):
-        prob = _recursion_problem(shape, rho)
+        prob = shaped_problem(shape, rho)
         M, d = prob.n_workers, prob.dim
         gamma = engine.gamma_max(prob)
         sched = (engine.DelaySchedule.round_robin(M) if schedule == "round-robin"

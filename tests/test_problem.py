@@ -72,6 +72,34 @@ class TestShardValidation:
         with pytest.raises(ValueError, match="center"):
             replace(prob, rho=1.0)
 
+    @pytest.mark.parametrize("rho", [np.nan, np.inf, -np.inf, -1.0])
+    def test_rho_must_be_finite_and_nonnegative(self, rho):
+        # NaN passed both sign tests, and a NaN or infinite rho gave mu = L = NaN or inf
+        shard = pb.LossShard(kind=pb.LEAST_SQUARES, A=np.eye(2), b=np.zeros(2))
+        prob = pb.CompositeProblem([shard])
+        center = np.zeros(2)
+        for build in (lambda: pb.CompositeProblem([shard], rho=rho, center=center),
+                      lambda: replace(prob, rho=rho, center=center),
+                      lambda: pb.reconditioned(prob, rho, center)):
+            with pytest.raises(ValueError, match="rho must be finite and nonnegative"):
+                build()
+
+    def test_reconditioned_derives_its_moduli_and_shares_the_rest(self):
+        shards = [pb.LossShard(kind=pb.LEAST_SQUARES, A=np.diag([1.0, 2.0]), b=np.ones(2)),
+                  pb.LossShard(kind=pb.LEAST_SQUARES, A=np.eye(3)[:, :2], b=np.ones(3))]
+        prob = pb.CompositeProblem(shards, reg=pb.Regularizer("l1", 0.1))
+        sub = pb.reconditioned(prob, 0.5, [1.0, -1.0])
+        built = pb.CompositeProblem(shards, reg=prob.reg, rho=0.5, center=np.array([1.0, -1.0]))
+        for name in ("rho", "mu", "lip"):
+            assert getattr(sub, name) == getattr(built, name)
+        assert sub.alphas.tobytes() == built.alphas.tobytes()
+        assert sub.center.tobytes() == built.center.tobytes()
+        assert sub.shards is prob.shards and sub.reg is prob.reg
+        with pytest.raises(ValueError, match="ridge center dimension mismatch"):
+            pb.reconditioned(prob, 0.5, np.zeros(3))
+        with pytest.raises(ValueError, match="ridge center has non-finite entries"):
+            pb.reconditioned(prob, 0.5, [np.nan, 0.0])
+
 
 class TestGradShard:
     def test_gradient_at_minimizer_is_zero(self):
@@ -893,6 +921,40 @@ class TestColumnStore:
             for j in stored[:3]:
                 assert np.allclose(store.cols[:, store.pos[j]], shard.A.T @ shard.A[:, j],
                                    rtol=1e-13, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        calls=st.lists(st.tuples(st.integers(0, 2),
+                                 st.sampled_from([None, "empty", "few", "full"])),
+                       min_size=2, max_size=10),
+    )
+    def test_last_support_keeps_the_bits_of_a_gather(self, seed, calls):
+        # a support asked for again is read from the store's last support, in F
+        # order for full products and as a C-order copy for products on
+        # coordinates; every product has the bytes of a fresh store's gather
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(24, 80))
+        m = int(rng.integers(9, d))  # room for the columns of all three supports
+        A, b = rng.standard_normal((m, d)), rng.standard_normal(m)
+        shard = pb.LossShard(kind=pb.LEAST_SQUARES, A=A, b=b)
+        supports = [_pick(rng, d, "few") for _ in range(3)]
+        for which, coords in calls:
+            x = self.point(rng, d, supports[which])
+            S = None if coords is None else _pick(rng, d, coords)
+            fresh = pb.LossShard(kind=pb.LEAST_SQUARES, A=A, b=b)
+            assert pb.grad_shard(shard, x, S).tobytes() == pb.grad_shard(fresh, x, S).tobytes()
+
+    def test_coordinates_as_a_list(self):
+        # np.asarray([]) is float64, which the wide store's gather refused on a
+        # support's first use (IndexError), though a repeated support took it
+        rng = np.random.default_rng(27)
+        prob = _ls_problem(rng, 10, 48, False)
+        x = self.point(rng, 48, [3, 9])
+        for _ in range(2):
+            assert pb.local_gradient(prob, 0, x, []).shape == (0,)
+            assert pb.local_gradient(prob, 0, x, [1, 9]).tobytes() == \
+                pb.local_gradient(prob, 0, x, np.array([1, 9])).tobytes()
 
     def test_columns_are_added_on_first_use(self):
         rng = np.random.default_rng(20)

@@ -3,6 +3,8 @@ import dataclasses
 import itertools
 import math
 import pickle
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from hypothesis import strategies as st
 from sparsepg import data, direct, engine, metrics, problem as pb, recondition as rc
 from sparsepg.sparsifier import adaptive_distribution, min_conditioning
 
-from conftest import check_ledger, count_messages, strongly_convex_problem, trace_bytes
+from conftest import (check_ledger, count_messages, shaped_problem, strongly_convex_problem,
+                      trace_bytes)
 
 
 def small_lasso(d=40, m=60, lam=0.2, M=3, seed=11):
@@ -449,6 +452,31 @@ class TestReconditionedLoop:
             rc.run_momentum(self.prob, self.params, self.sched, np.zeros(40),
                             outer_budget=1, objective_stride=stride)
 
+    @pytest.mark.parametrize("loop", ["plain", "momentum"])
+    def test_inputs_checked_before_the_start_is_evaluated(self, loop, monkeypatch):
+        # the session opens before F(init): a bad mode or schedule is refused
+        # even when no step would run, as is an outer budget that is no count
+        calls = []
+        monkeypatch.setattr(pb, "eval_objective", lambda *args: calls.append(None))
+        run = rc.run_reconditioned if loop == "plain" else rc.run_momentum
+        loose = rc.make_params(self.prob.mu, self.prob.lip / 2, c=6.0, d=40)  # gamma too long
+        cases = [
+            (dict(mode="bogus", target_objective=np.inf), "unknown mode"),
+            (dict(mode="bogus", outer_budget=0), "unknown mode"),
+            (dict(schedule=engine.DelaySchedule.round_robin(2), outer_budget=0),
+             "schedule worker count"),
+            (dict(params=loose, outer_budget=0), "gamma"),
+            (dict(outer_budget=2.5), "outer_budget must be an integer >= 0"),
+            (dict(outer_budget=True), "outer_budget must be an integer >= 0"),
+            (dict(outer_budget=-1), "outer_budget must be an integer >= 0"),
+        ]
+        for kwargs, match in cases:
+            schedule = kwargs.pop("schedule", self.sched)
+            params = kwargs.pop("params", self.params)
+            with pytest.raises(ValueError, match=match):
+                run(self.prob, params, schedule, np.zeros(40), **kwargs)
+        assert calls == []
+
     def test_csv_schema(self, tmp_path):
         trace = rc.run_reconditioned(self.prob, self.params, self.sched, np.zeros(40),
                                      criterion=rc.InnerCriterion(kind="fixed", epochs=1),
@@ -461,6 +489,97 @@ class TestReconditionedLoop:
         assert rows[0] == ["ell", "pi_ell", "inner_epochs", "inner_iterations",
                            "support_size", "cum_up", "cum_down", "objective"]
         assert len(rows) == 6
+
+
+class TestSession:
+    """An outer loop runs its inner runs on one engine session, which holds
+    the workers and, in concurrent mode, one pool of M threads."""
+
+    @pytest.mark.parametrize("schedule", ["round-robin", "random"])
+    @pytest.mark.parametrize("loop, kind", [("plain", "fixed"), ("plain", "budget"),
+                                            ("plain", "relative"), ("momentum", "fixed")])
+    @pytest.mark.parametrize("shape", ["tall", "wide", "csc", "logistic"])
+    def test_inner_runs_equal_fresh_runs(self, shape, loop, kind, schedule):
+        # in sim mode inner run ell has the bytes of a fresh run_spy on the
+        # problem reconditioned at its center, with the seed, step schedule,
+        # stop rule and priming charge of step ell
+        prob = shaped_problem(shape)
+        M, d = prob.n_workers, prob.dim
+        params = rc.make_params(prob.mu, prob.lip, c=3.0, d=d)
+        sched = (engine.DelaySchedule.round_robin(M) if schedule == "round-robin"
+                 else engine.DelaySchedule.random_uniform(M, seed=4))
+        init = np.zeros(d)
+        init[[0, 4]] = [0.5, -1.0]
+        criterion = rc.InnerCriterion(kind, epochs=2)
+        run = rc.run_reconditioned if loop == "plain" else rc.run_momentum
+        seed = 5
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            trace = run(prob, params, sched, init, criterion=criterion, outer_budget=5, seed=seed)
+            assert trace.n_outer == 5
+            for ell, (inner, center) in enumerate(zip(trace.inner_traces, trace.centers), start=1):
+                sub = pb.reconditioned(prob, params.rho, center)
+                dist = adaptive_distribution(center, params.c)
+                stop = rc._inner_stop(criterion, ell, params, dist.p_min, center, sub)
+                step_schedule = sched if schedule == "round-robin" else dataclasses.replace(
+                    sched, seed=sched.seed + rc._SEED_STRIDE * (ell - 1))
+                fresh = engine.run_spy(sub, params.gamma, dist, step_schedule, center, stop,
+                                       seed=seed + rc._SEED_STRIDE * ell,
+                                       charge_priming=(ell == 1))
+                assert trace_bytes(fresh) == trace_bytes(inner), f"inner run {ell}"
+                assert fresh.predicate_met == inner.predicate_met
+
+    @pytest.mark.parametrize("loop", ["plain", "momentum"])
+    def test_concurrent_loop_starts_at_most_M_threads(self, loop, monkeypatch):
+        # one pool for the loop: a pool per step started up to M threads per step
+        prob = small_lasso()
+        params = rc.make_params(prob.mu, prob.lip, c=5.0, d=prob.dim)
+        caller = threading.current_thread()
+        workers = set()  # the threads themselves, kept alive so that none is counted twice
+        grad = pb.grad_shard
+
+        def recording_grad(shard, x, coords=None):
+            if threading.current_thread() is not caller:
+                workers.add(threading.current_thread())
+            return grad(shard, x, coords)
+
+        monkeypatch.setattr(pb, "grad_shard", recording_grad)
+        before = set(threading.enumerate())
+        run = rc.run_reconditioned if loop == "plain" else rc.run_momentum
+        trace = run(prob, params, engine.DelaySchedule.round_robin(3), np.zeros(prob.dim),
+                    criterion=rc.InnerCriterion("fixed", epochs=1), outer_budget=12, seed=3,
+                    mode="concurrent")
+        assert trace.n_outer == 12
+        assert 1 <= len(workers) <= 3
+        assert [t for t in threading.enumerate() if t not in before] == []
+
+    def test_worker_failure_in_a_later_step_raises(self, monkeypatch):
+        prob = small_lasso()
+        params = rc.make_params(prob.mu, prob.lip, c=5.0, d=prob.dim)
+        caller = threading.current_thread()
+        steps, failed_in = [], []  # a reconditioned problem per step, built before its run
+        recondition, grad = pb.reconditioned, pb.grad_shard
+
+        def counted(*args):
+            steps.append(None)
+            return recondition(*args)
+
+        def failing_grad(shard, x, coords=None):
+            # every worker step from outer step 3 on fails; priming runs in the caller
+            if threading.current_thread() is not caller and len(steps) >= 3:
+                failed_in.append(len(steps))
+                raise FloatingPointError("injected")
+            return grad(shard, x, coords)
+
+        monkeypatch.setattr(pb, "reconditioned", counted)
+        monkeypatch.setattr(pb, "grad_shard", failing_grad)
+        before = set(threading.enumerate())
+        with pytest.raises(FloatingPointError, match="injected"):
+            rc.run_reconditioned(prob, params, engine.DelaySchedule.round_robin(3),
+                                 np.zeros(prob.dim), criterion=rc.InnerCriterion("fixed", epochs=1),
+                                 outer_budget=10, seed=3, mode="concurrent")
+        assert len(steps) == 3 and set(failed_in) == {3}
+        assert [t for t in threading.enumerate() if t not in before] == []
 
 
 class TestIdentificationUnderSkew:
